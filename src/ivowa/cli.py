@@ -1,13 +1,15 @@
 """Command-line interface: rank alternatives from an interval decision matrix
 and run the verification suites.
 
-Exit codes: 0 success, 1 a check or precondition failed, 2 usage/parse error.
+Exit codes: 0 success, 1 a check or precondition failed, 2 usage/parse error,
+141 standard output was closed early (as a process ended by SIGPIPE reports).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -82,12 +84,15 @@ def load_config(path: str) -> RunConfig:
         order = resolve_order(data.get("order", DEFAULT_ORDER.value))
     except RegistryError as exc:
         raise ConfigError(str(exc)) from None
+    normalize = data.get("normalize", False)
+    if not isinstance(normalize, bool):
+        raise ConfigError(f"config key 'normalize' must be true or false, got {normalize!r}")
     return RunConfig(
         aggregator_id=str(data["aggregator"]),
         overlap_id=str(data["overlap"]),
         weights=WeightVector(tuple(pairs)),
         order=order,
-        normalize=bool(data.get("normalize", False)),
+        normalize=normalize,
         tolerances=data.get("tolerances"),
     )
 
@@ -180,8 +185,9 @@ def _cmd_aggregate(args) -> int:
             print(f"{r.rank:<5} {r.alternative:<{label_width}} {format_interval(r.aggregate)}"
                   f"  key={tuple(r.key)}")
         if operator.saturation_witness is not None:
+            witness = " ".join(map(format_interval, operator.saturation_witness))
             print("note: distributivity holds on the non-saturating sample only; "
-                  f"witness outside it: {operator.saturation_witness}", file=sys.stderr)
+                  f"witness outside it: {witness}", file=sys.stderr)
     return 0
 
 
@@ -279,7 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`ivowa catalog | head -1`).  Point
+        # stdout at devnull so the flush at interpreter exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -249,35 +249,38 @@ def check_distributivity(
     if memo is not None:
         return memo
     items = grid.intervals()
+    size = len(items)
     n = m.arity
     m_fn = m.fn
     o_fn = o.fn
-    o_cache: dict[tuple[Interval, Interval], Interval] = {}
-    m_cache: dict[tuple[Interval, ...], Interval] = {}
-    o_get = o_cache.get
+    # Tuples are walked as grid indices: the sample stream is the same (the
+    # random fill only uses the pool's length), and both memos key on ints.
+    o_table: list[list[Interval | None]] = [[None] * size for _ in range(size)]
+    m_cache: dict[tuple[int, ...], Interval] = {}
     m_get = m_cache.get
 
     count = 0
-    for t in tuple_samples(items, n + 1, budget, seed):
+    for t in tuple_samples(range(size), n + 1, budget, seed):
         xs, y = t[:-1], t[-1]
-        if restrict is not None and not restrict(xs, y):
+        xs_iv = tuple(map(items.__getitem__, xs))
+        y_iv = items[y]
+        if restrict is not None and not restrict(xs_iv, y_iv):
             continue
         count += 1
+        o_row = o_table[y]
         pieces = []
         for x in xs:
-            r = o_get((x, y))
+            r = o_row[x]
             if r is None:
-                r = o_fn(x, y)
-                o_cache[(x, y)] = r
+                r = o_row[x] = o_fn(items[x], y_iv)
             pieces.append(r)
         lhs = m_fn(pieces)
         agg = m_get(xs)
         if agg is None:
-            agg = m_fn(xs)
-            m_cache[xs] = agg
-        rhs = o_fn(agg, y)
+            agg = m_cache[xs] = m_fn(xs_iv)
+        rhs = o_fn(agg, y_iv)
         if abs(lhs.lower - rhs.lower) > tol or abs(lhs.upper - rhs.upper) > tol:
-            result = SampledResult(False, (*xs, y), count)
+            result = SampledResult(False, (*xs_iv, y_iv), count)
             _SAMPLED_MEMO[key] = result
             return result
     result = SampledResult(True, None, count)

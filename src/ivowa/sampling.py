@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .intervals import Interval, leq_product, subseteq
 
@@ -55,9 +57,6 @@ class SampleGrid:
         pts = self.endpoints()
         return [Interval(a, b) for i, a in enumerate(pts) for b in pts[i:]]
 
-    def degenerates(self) -> list[Interval]:
-        return [Interval(a, a) for a in self.endpoints()]
-
 
 DEFAULT_GRID = SampleGrid(0.1)
 REAL_GRID = SampleGrid(0.05)
@@ -77,42 +76,84 @@ def interior_intervals(intervals: Sequence[Interval]) -> list[Interval]:
     return [x for x in intervals if 0.0 < x.lower and x.upper < 1.0]
 
 
+class TupleSamples:
+    """The deterministic n-tuples over items, generated on demand.
+
+    Iterating yields the full cross product when it fits the budget,
+    otherwise one constant tuple per item, the structured corner tuples and a
+    seeded random fill up to the budget.  Each iteration starts the stream
+    afresh, so a sample can be walked any number of times, and the fill
+    draws only as far as the caller reads.  The fill equals, tuple for tuple,
+    n calls of ``random.Random(seed).choice(items)`` per tuple.
+    """
+
+    def __init__(self, items: Sequence, n: int, budget: int, seed: int) -> None:
+        self.items = items
+        self.n = n
+        self.budget = budget
+        self.seed = seed
+        self.exhaustive = len(items) ** n <= budget
+
+    def __len__(self) -> int:
+        size, n = len(self.items), self.n
+        if self.exhaustive:
+            return size ** n
+        return max(self.budget, size + 6 * n)
+
+    def __iter__(self) -> Iterator[tuple]:
+        items, n = self.items, self.n
+        if self.exhaustive:
+            return itertools.product(items, repeat=n)
+        head: list[tuple] = [(c,) * n for c in items]
+        bottom, top = items[0], items[-1]
+        for c in (items[0], items[len(items) // 2], items[-1]):
+            for j in range(n):
+                for special in (top, bottom):
+                    t = [c] * n
+                    t[j] = special
+                    head.append(tuple(t))
+        fill = zip(*[_choices(items, self.seed)] * n)
+        return itertools.chain(head, itertools.islice(fill, max(0, self.budget - len(head))))
+
+
+def _choices(items: Sequence, seed: int) -> Iterator:
+    """The endless stream of ``random.Random(seed).choice(items)`` results,
+    drawn in blocks of 32-bit words.
+
+    ``choice`` takes the top ``len(items).bit_length()`` bits of one Mersenne
+    Twister word per try and rejects values >= len(items); ``getrandbits(32 *
+    k)`` returns k such words, least significant first, from the same
+    generator.
+    """
+    rng = random.Random(seed)
+    shift = 32 - len(items).bit_length()
+    limit = len(items) << shift
+
+    # Blocks start small because most failing checks stop within a few
+    # samples; chain.from_iterable keeps the per-item walk out of Python.
+    def blocks() -> Iterator[list]:
+        words = 64
+        while True:
+            block = array("I", rng.getrandbits(32 * words).to_bytes(4 * words, "little"))
+            if sys.byteorder == "big":
+                block.byteswap()
+            yield [items[w >> shift] for w in block if w < limit]
+            words = min(2 * words, 1 << 14)
+
+    return itertools.chain.from_iterable(blocks())
+
+
 def tuple_samples(
     items: Sequence,
     n: int,
     budget: int = 300_000,
     seed: int = SAMPLE_SEED,
-) -> list[tuple]:
+) -> TupleSamples:
     """Deterministic n-tuples over items: the full cross product when it fits
     the budget, otherwise structured corner tuples plus a seeded random fill.
+    The result is a lazy, re-iterable sequence with a length.
     """
-    if len(items) ** n <= budget:
-        return list(itertools.product(items, repeat=n))
-    out: list[tuple] = [(c,) * n for c in items]
-    bottom, top = items[0], items[-1]
-    for c in (items[0], items[len(items) // 2], items[-1]):
-        for j in range(n):
-            for special in (top, bottom):
-                t = [c] * n
-                t[j] = special
-                out.append(tuple(t))
-    rng = random.Random(seed)
-    while len(out) < budget:
-        out.append(tuple(rng.choice(items) for _ in range(n)))
-    return out
-
-
-def max_jump_unary(fn: Callable[[float], float], step: float) -> tuple[float, tuple]:
-    pts = SampleGrid(step).endpoints()
-    worst, where = 0.0, ()
-    prev = fn(pts[0])
-    for i in range(1, len(pts)):
-        cur = fn(pts[i])
-        jump = abs(cur - prev)
-        if jump > worst:
-            worst, where = jump, (pts[i - 1], pts[i])
-        prev = cur
-    return worst, where
+    return TupleSamples(items, n, budget, seed)
 
 
 def max_jump_binary(fn: Callable[[float, float], float], step: float) -> tuple[float, tuple]:

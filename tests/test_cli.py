@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ivowa
 from ivowa.cli import main
 from ivowa.intervals import Interval
 from ivowa.matrix import (
@@ -121,7 +126,9 @@ class TestAggregateCommand:
         code = main(["aggregate", "--config", str(config),
                      "--matrix", str(workdir / "matrix.csv")])
         assert code == 0
-        assert "non-saturating" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-saturating" in err
+        assert "witness outside it: [0.0,0.1] [0.0,1.0] [0.0,0.1]" in err
 
     def test_row_permutation_invariance(self, workdir, capsys):
         main(["aggregate", "--config", str(workdir / "config.json"),
@@ -231,6 +238,19 @@ class TestAggregateCommand:
         assert by_name["a1"][0] == pytest.approx((0.2 + 0.4) / 2, abs=1e-12)
         assert by_name["a1"][1] == pytest.approx((0.5 + 0.8) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_normalize_exits_2(self, workdir, capsys, value):
+        config = workdir / "loose.json"
+        config.write_text(json.dumps({
+            "aggregator": "tsum",
+            "overlap": "product",
+            "weights": [[0.2, 0.2], [0.2, 0.2]],
+            "normalize": value,
+        }))
+        assert main(["aggregate", "--config", str(config),
+                     "--matrix", str(workdir / "matrix.csv")]) == 2
+        assert "'normalize'" in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, workdir, capsys):
         config = workdir / "broken.json"
         config.write_text("{not json")
@@ -301,3 +321,19 @@ class TestCatalogCommand:
         out = capsys.readouterr().out
         for needle in ("product", "midpoint", "tsum", "lex1", "sqrt"):
             assert needle in out
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["verify", "product", "--step", "0.5"]])
+def test_closed_stdout_exits_quietly(argv):
+    # The reading end is closed before the program writes, as when
+    # `ivowa catalog | head -1` has already exited.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(ivowa.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ivowa.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -10,6 +10,7 @@ from ivowa.intervals import (
     Interval,
     ONE,
     ZERO,
+    format_interval,
     leq_product,
 )
 from ivowa.iv_overlaps import interval_product, migrative_canonical, representable
@@ -29,7 +30,7 @@ from ivowa.owa import (
     normalize_weights,
     projection_owa,
 )
-from ivowa.registry import real_catalog
+from ivowa.registry import real_catalog, resolve_iv_overlap
 from ivowa.sampling import DEFAULT_GRID
 
 AGG2 = builtin_aggregators(2)
@@ -283,3 +284,67 @@ class TestOrderMonotonicityReport:
         lo_vec, hi_vec = list(res.witness[:2]), list(res.witness[2:])
         assert all(op.order.leq(a, b) for a, b in zip(lo_vec, hi_vec))
         assert not op.order.leq(op(lo_vec), op(hi_vec))
+
+
+# (aggregator, arity, overlap, restriction, ok, witness, samples) as the eager
+# sampler produced them; make_gowa's budgets: 300k at n=2, 100k above.
+DISTRIBUTIVITY_PINS = [
+    ('max', 2, 'product', None, True, None, 287496),
+    ('tsum', 2, 'product', None, False, '[0.0,0.1] [0.0,1.0] [0.0,0.1]', 5018),
+    ('tsum', 2, 'product', 'non_saturating', True, None, 66066),
+    ('geomean', 2, 'product', None, True, None, 287496),
+    ('dirac', 2, 'product', None, False, '[0.0,0.0] [1.0,1.0] [0.0,0.1]', 4292),
+    ('max', 2, 'rep(min,min)', None, True, None, 287496),
+    ('tsum', 2, 'rep(min,min)', None, False, '[0.0,0.1] [0.0,0.1] [0.0,0.1]', 4424),
+    ('tsum', 2, 'rep(min,min)', 'non_saturating', False, '[0.0,0.1] [0.0,0.1] [0.0,0.1]', 4424),
+    ('geomean', 2, 'rep(min,min)', None, False, '[0.0,0.1] [0.0,0.3] [0.0,0.2]', 4557),
+    ('dirac', 2, 'rep(min,min)', None, False, '[0.0,0.0] [1.0,1.0] [0.0,0.1]', 4292),
+    ('max', 2, 'rep(product,min)', None, True, None, 287496),
+    ('tsum', 2, 'rep(product,min)', None, False, '[0.0,0.1] [0.0,0.1] [0.0,0.1]', 4424),
+    ('tsum', 2, 'rep(product,min)', 'non_saturating', False, '[0.0,0.1] [0.0,0.1] [0.0,0.1]', 4424),
+    ('geomean', 2, 'rep(product,min)', None, False, '[0.0,0.1] [0.0,0.3] [0.0,0.2]', 4557),
+    ('dirac', 2, 'rep(product,min)', None, False, '[0.0,0.0] [1.0,1.0] [0.0,0.1]', 4292),
+    ('max', 3, 'product', None, True, None, 100000),
+    ('tsum', 3, 'product', None, False, '[0.0,0.4] [0.0,0.4] [0.0,0.4] [0.0,0.4]', 5),
+    ('tsum', 3, 'product', 'non_saturating', True, None, 2821),
+    ('geomean', 3, 'product', None, True, None, 100000),
+    ('dirac', 3, 'product', None, False, '[1.0,1.0] [0.3,0.6] [0.3,0.6] [0.3,0.6]', 75),
+    ('max', 3, 'rep(min,min)', None, True, None, 100000),
+    ('tsum', 3, 'rep(min,min)', None, False, '[0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1]', 2),
+    ('tsum', 3, 'rep(min,min)', 'non_saturating', False, '[0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1]', 2),
+    ('geomean', 3, 'rep(min,min)', None, False, '[0.7,1.0] [0.1,0.7] [0.0,1.0] [0.9,0.9]', 93),
+    ('dirac', 3, 'rep(min,min)', None, False, '[1.0,1.0] [0.3,0.6] [0.3,0.6] [0.3,0.6]', 75),
+    ('max', 3, 'rep(product,min)', None, True, None, 100000),
+    ('tsum', 3, 'rep(product,min)', None, False, '[0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1]', 2),
+    ('tsum', 3, 'rep(product,min)', 'non_saturating', False, '[0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1]', 2),
+    ('geomean', 3, 'rep(product,min)', None, False, '[0.7,1.0] [0.1,0.7] [0.0,1.0] [0.9,0.9]', 93),
+    ('dirac', 3, 'rep(product,min)', None, False, '[1.0,1.0] [0.3,0.6] [0.3,0.6] [0.3,0.6]', 75),
+    ('max', 6, 'product', None, True, None, 100000),
+    ('tsum', 6, 'product', None, False, '[0.0,0.2] [0.0,0.2] [0.0,0.2] [0.0,0.2] [0.0,0.2] [0.0,0.2] [0.0,0.2]', 3),
+    ('tsum', 6, 'product', 'non_saturating', True, None, 17),
+    ('geomean', 6, 'product', None, True, None, 100000),
+    ('dirac', 6, 'product', None, False, '[1.0,1.0] [0.3,0.6] [0.3,0.6] [0.3,0.6] [0.3,0.6] [0.3,0.6] [0.3,0.6]', 81),
+    ('max', 6, 'rep(min,min)', None, True, None, 100000),
+    ('tsum', 6, 'rep(min,min)', None, False, '[0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1]', 2),
+    ('tsum', 6, 'rep(min,min)', 'non_saturating', False, '[0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1]', 2),
+    ('geomean', 6, 'rep(min,min)', None, False, '[0.0,0.4] [0.4,1.0] [0.1,0.7] [0.0,0.3] [0.3,0.4] [0.9,0.9] [0.2,0.7]', 109),
+    ('dirac', 6, 'rep(min,min)', None, False, '[1.0,1.0] [0.3,0.6] [0.3,0.6] [0.3,0.6] [0.3,0.6] [0.3,0.6] [0.3,0.6]', 81),
+    ('max', 6, 'rep(product,min)', None, True, None, 100000),
+    ('tsum', 6, 'rep(product,min)', None, False, '[0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1]', 2),
+    ('tsum', 6, 'rep(product,min)', 'non_saturating', False, '[0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1] [0.0,0.1]', 2),
+    ('geomean', 6, 'rep(product,min)', None, False, '[0.0,0.4] [0.4,1.0] [0.1,0.7] [0.0,0.3] [0.3,0.4] [0.9,0.9] [0.2,0.7]', 109),
+    ('dirac', 6, 'rep(product,min)', None, False, '[1.0,1.0] [0.3,0.6] [0.3,0.6] [0.3,0.6] [0.3,0.6] [0.3,0.6] [0.3,0.6]', 81),
+]
+PIN_OVERLAPS = {
+    oid: resolve_iv_overlap(oid) for oid in ("product", "rep(min,min)", "rep(product,min)")
+}
+
+
+@pytest.mark.parametrize("name,n,overlap,restriction,ok,witness,samples", DISTRIBUTIVITY_PINS)
+def test_distributivity_verdicts_are_pinned(name, n, overlap, restriction, ok, witness, samples):
+    m = builtin_aggregators(n)[name]
+    restrict = {None: None, "non_saturating": non_saturating}[restriction]
+    res = check_distributivity(m, PIN_OVERLAPS[overlap], restrict=restrict,
+                               budget=300_000 if n <= 2 else 100_000)
+    got = None if res.witness is None else " ".join(map(format_interval, res.witness))
+    assert (res.ok, got, res.samples) == (ok, witness, samples)
