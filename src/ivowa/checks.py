@@ -12,6 +12,7 @@ skipped, never as silently passing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .intervals import (
@@ -77,9 +78,13 @@ from .registry import (
 )
 from .sampling import (
     DEFAULT_GRID,
+    EXACT,
+    POLY_TOLERANCE,
+    ROOT_TOLERANCE,
     SampleGrid,
     SampledResult,
     comparable_pairs,
+    first_violation,
     interior_intervals,
     nested_pairs,
     tuple_samples,
@@ -96,10 +101,6 @@ __all__ = [
     "THEOREM_CHECK_IDS",
     "LATTICE_CHECK_IDS",
 ]
-
-EXACT = 0.0
-TOL_POLY = 1e-12
-TOL_ROOT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -220,19 +221,13 @@ def _iv_aggregator_boundary(m: IVAggregator) -> SampledResult:
 def _iv_aggregator_monotone(m: IVAggregator, grid: SampleGrid) -> SampledResult:
     contexts = [ZERO, ONE, Interval(0.2, 0.7), Interval(0.5, 0.5)]
     pairs = comparable_pairs(grid.intervals())
-    count = 0
-    for ctx in contexts:
-        base = [ctx] * m.arity
-        for j in range(m.arity):
-            for lo, hi in pairs:
-                count += 1
-                left = list(base)
-                left[j] = lo
-                right = list(base)
-                right[j] = hi
-                if not leq_product(m(left), m(right)):
-                    return SampledResult(False, (ctx, j, lo, hi), count)
-    return SampledResult(True, None, count)
+    return first_violation(
+        (ctx, j, lo, hi)
+        if not leq_product(m([*pad[:j], lo, *pad[j + 1:]]), m([*pad[:j], hi, *pad[j + 1:]]))
+        else None
+        for ctx in contexts for pad in [[ctx] * m.arity]
+        for j in range(m.arity) for lo, hi in pairs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +255,9 @@ def _check_representable_construction(grid: SampleGrid) -> CheckReport:
 
 
 def _check_projection_reconstruction(grid: SampleGrid) -> CheckReport:
-    parts = [(op.name, reconstructs_from_projections(op, grid, TOL_POLY))
+    parts = [(op.name, reconstructs_from_projections(op, grid, POLY_TOLERANCE))
              for op in standard_representable()]
-    return _combined("projection-reconstruction", parts, TOL_POLY)
+    return _combined("projection-reconstruction", parts, POLY_TOLERANCE)
 
 
 def _check_inclusion_monotonicity(grid: SampleGrid) -> CheckReport:
@@ -310,20 +305,9 @@ def _check_no_self_duality(grid: SampleGrid) -> CheckReport:
 
 def _check_migrative_commutativity(grid: SampleGrid) -> CheckReport:
     sample = grid.intervals()
-    parts = []
-    for op in standard_migrative():
-        res_ok = True
-        witness = None
-        count = 0
-        for i, x in enumerate(sample):
-            for y in sample[i:]:
-                count += 1
-                if op.fn(x, y) != op.fn(y, x):
-                    res_ok, witness = False, (x, y)
-                    break
-            if not res_ok:
-                break
-        parts.append((op.name, SampledResult(res_ok, witness, count)))
+    parts = [(op.name, first_violation((x, y) if op.fn(x, y) != op.fn(y, x) else None
+                                       for i, x in enumerate(sample) for y in sample[i:]))
+             for op in standard_migrative()]
     return _combined("migrative-commutativity", parts, EXACT)
 
 
@@ -342,33 +326,33 @@ def _check_homogeneous_unit_idempotency(grid: SampleGrid) -> CheckReport:
     op = migrative_canonical(ExponentInterval(1.0, 1.0))
     unit = ExponentInterval(1.0, 1.0)
     parts = [
-        (f"{op.name}:homogeneous", check_homogeneous(op, unit, grid, TOL_ROOT)),
+        (f"{op.name}:homogeneous", check_homogeneous(op, unit, grid, ROOT_TOLERANCE)),
         (f"{op.name}:unit", _expect(op.fn(ONE, ONE) == ONE, (op.fn(ONE, ONE),), 1)),
-        (f"{op.name}:idempotent", check_idempotent(op, grid, TOL_ROOT)),
+        (f"{op.name}:idempotent", check_idempotent(op, grid, ROOT_TOLERANCE)),
     ]
-    return _combined("homogeneous-unit-idempotency", parts, TOL_ROOT)
+    return _combined("homogeneous-unit-idempotency", parts, ROOT_TOLERANCE)
 
 
 def _check_migrative_idempotent_homogeneity(grid: SampleGrid) -> CheckReport:
     op = migrative_canonical(ExponentInterval(1.0, 1.0))
     unit = ExponentInterval(1.0, 1.0)
     parts = [
-        (f"{op.name}:migrative", check_migrative(op, grid, TOL_ROOT)),
-        (f"{op.name}:idempotent", check_idempotent(op, grid, TOL_ROOT)),
-        (f"{op.name}:homogeneous", check_homogeneous(op, unit, grid, TOL_ROOT)),
+        (f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)),
+        (f"{op.name}:idempotent", check_idempotent(op, grid, ROOT_TOLERANCE)),
+        (f"{op.name}:homogeneous", check_homogeneous(op, unit, grid, ROOT_TOLERANCE)),
     ]
-    return _combined("migrative-idempotent-homogeneity", parts, TOL_ROOT)
+    return _combined("migrative-idempotent-homogeneity", parts, ROOT_TOLERANCE)
 
 
 def _check_migrative_neutral_homogeneity(grid: SampleGrid) -> CheckReport:
     op = interval_product()
     two = ExponentInterval(2.0, 2.0)
     parts = [
-        (f"{op.name}:migrative", check_migrative(op, grid, TOL_ROOT)),
+        (f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)),
         (f"{op.name}:neutral", neutral_element_holds(op, grid)),
-        (f"{op.name}:homogeneous-2", check_homogeneous(op, two, grid, TOL_ROOT)),
+        (f"{op.name}:homogeneous-2", check_homogeneous(op, two, grid, ROOT_TOLERANCE)),
     ]
-    return _combined("migrative-neutral-homogeneity", parts, TOL_ROOT)
+    return _combined("migrative-neutral-homogeneity", parts, ROOT_TOLERANCE)
 
 
 def _check_canonical_uniqueness(grid: SampleGrid) -> CheckReport:
@@ -376,22 +360,21 @@ def _check_canonical_uniqueness(grid: SampleGrid) -> CheckReport:
     for k1, k2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0)):
         k = ExponentInterval(k1, k2)
         op = migrative_canonical(k)
-        parts.append((f"{op.name}:migrative", check_migrative(op, grid, TOL_ROOT)))
-        parts.append((f"{op.name}:homogeneous", check_homogeneous(op, k, grid, TOL_ROOT)))
+        parts.append((f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)))
+        parts.append((f"{op.name}:homogeneous", check_homogeneous(op, k, grid, ROOT_TOLERANCE)))
         parts.append((f"{op.name}:unit", _expect(op.fn(ONE, ONE) == ONE, (op.fn(ONE, ONE),), 1)))
         # The derivation pins the generator: evaluating at [1,1] must give
         # the half-exponent power of the argument.
         half = k.halved()
-        res_ok, witness, count = True, None, 0
-        for x in grid.intervals():
-            count += 1
-            got = op.fn(ONE, x)
-            want = power(x, half)
-            if abs(got.lower - want.lower) > TOL_ROOT or abs(got.upper - want.upper) > TOL_ROOT:
-                res_ok, witness = False, (x, got, want)
-                break
-        parts.append((f"{op.name}:generator", SampledResult(res_ok, witness, count)))
-    return _combined("canonical-family-uniqueness", parts, TOL_ROOT)
+        generator = first_violation(
+            (x, got, want)
+            if abs(got.lower - want.lower) > ROOT_TOLERANCE
+            or abs(got.upper - want.upper) > ROOT_TOLERANCE
+            else None
+            for x in grid.intervals() for got, want in [(op.fn(ONE, x), power(x, half))]
+        )
+        parts.append((f"{op.name}:generator", generator))
+    return _combined("canonical-family-uniqueness", parts, ROOT_TOLERANCE)
 
 
 def _associative_targets() -> list[IVOverlap]:
@@ -405,20 +388,16 @@ def _check_generator_laws(grid: SampleGrid) -> CheckReport:
     parts = []
     for op in targets:
         parts.append((f"{op.name}:associative", check_associative(op)))
-        count = 0
-        res_ok, witness = True, None
-        for x in grid.intervals():
-            count += 1
-            gx = op.fn(x, ONE)
-            ggx = op.fn(gx, ONE)
-            if abs(ggx.lower - gx.lower) > TOL_POLY or abs(ggx.upper - gx.upper) > TOL_POLY:
-                res_ok, witness = False, (x, gx, ggx)
-                break
-            if not subseteq(gx, x):
-                res_ok, witness = False, (x, gx)
-                break
-        parts.append((f"{op.name}:generator-laws", SampledResult(res_ok, witness, count)))
-    return _combined("generator-idempotent-contractive", parts, TOL_POLY)
+        laws = first_violation(
+            (x, gx, ggx)
+            if abs(ggx.lower - gx.lower) > POLY_TOLERANCE
+            or abs(ggx.upper - gx.upper) > POLY_TOLERANCE
+            else (x, gx) if not subseteq(gx, x)
+            else None
+            for x in grid.intervals() for gx in [op.fn(x, ONE)] for ggx in [op.fn(gx, ONE)]
+        )
+        parts.append((f"{op.name}:generator-laws", laws))
+    return _combined("generator-idempotent-contractive", parts, POLY_TOLERANCE)
 
 
 def _check_associative_neutral(grid: SampleGrid) -> CheckReport:
@@ -432,15 +411,12 @@ def _check_associative_neutral(grid: SampleGrid) -> CheckReport:
             continue
         # Surjectivity of the generator is not decidable from samples; only
         # the inclusion-monotonic branch of the result is checked.
-        gen_nested_ok = True
-        count = 0
-        for inner, outer in nested_pairs(grid.intervals()):
-            count += 1
-            if not subseteq(op.fn(inner, ONE), op.fn(outer, ONE)):
-                gen_nested_ok = False
-                break
-        if not gen_nested_ok:
-            parts.append((f"{op.name}:skipped-branch", SampledResult(True, None, count)))
+        nested = first_violation(
+            (inner, outer) if not subseteq(op.fn(inner, ONE), op.fn(outer, ONE)) else None
+            for inner, outer in nested_pairs(grid.intervals())
+        )
+        if not nested.ok:
+            parts.append((f"{op.name}:skipped-branch", SampledResult(True, None, nested.samples)))
             continue
         parts.append((f"{op.name}:neutral", neutral_element_holds(op, grid)))
     return _combined("associative-neutral-element", parts, EXACT)
@@ -451,38 +427,28 @@ def _check_migrative_implies_representable(grid: SampleGrid) -> CheckReport:
     for op in standard_migrative():
         parts.append((f"{op.name}:inclusion", is_inclusion_monotonic(op, grid)))
         parts.append((f"{op.name}:reconstruction",
-                      reconstructs_from_projections(op, grid, TOL_POLY)))
-    return _combined("migrative-implies-representable", parts, TOL_POLY)
+                      reconstructs_from_projections(op, grid, POLY_TOLERANCE)))
+    return _combined("migrative-implies-representable", parts, POLY_TOLERANCE)
 
 
 def _check_migrative_generator_form(grid: SampleGrid) -> CheckReport:
     parts = []
     for op in standard_migrative():
-        parts.append((f"{op.name}:migrative", check_migrative(op, grid, TOL_ROOT)))
+        parts.append((f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)))
         gzero = op.fn(ZERO, ONE)
         gone = op.fn(ONE, ONE)
         parts.append((f"{op.name}:boundary",
                       _expect(gzero == ZERO and gone == ONE, (gzero, gone), 2)))
-        interior_ok, witness, count = True, None, 0
-        for x in interior_intervals(grid.intervals()):
-            count += 1
-            gx = op.fn(ONE, x)
-            if gx == ZERO or gx == ONE:
-                interior_ok, witness = False, (x, gx)
-                break
-        parts.append((f"{op.name}:interior", SampledResult(interior_ok, witness, count)))
-    return _combined("migrative-generator-form", parts, TOL_ROOT)
+        interior = first_violation((x, gx) if gx == ZERO or gx == ONE else None
+                                   for x in interior_intervals(grid.intervals())
+                                   for gx in [op.fn(ONE, x)])
+        parts.append((f"{op.name}:interior", interior))
+    return _combined("migrative-generator-form", parts, ROOT_TOLERANCE)
 
 
 def _real_homogeneous(fn, order: float, pts: list[float], tol: float) -> SampledResult:
-    count = 0
-    for a in pts:
-        for x in pts:
-            for y in pts:
-                count += 1
-                if abs(fn(a * x, a * y) - a**order * fn(x, y)) > tol:
-                    return SampledResult(False, (a, x, y), count)
-    return SampledResult(True, None, count)
+    return first_violation((a, x, y) if abs(fn(a * x, a * y) - a**order * fn(x, y)) > tol else None
+                           for a in pts for x in pts for y in pts)
 
 
 def _check_homogeneous_projections(grid: SampleGrid) -> CheckReport:
@@ -491,9 +457,11 @@ def _check_homogeneous_projections(grid: SampleGrid) -> CheckReport:
     for k1, k2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0)):
         op = migrative_canonical(ExponentInterval(k1, k2))
         lower, upper = projections(op)
-        parts.append((f"{op.name}:lower-order-{k2}", _real_homogeneous(lower, k2, pts, TOL_ROOT)))
-        parts.append((f"{op.name}:upper-order-{k1}", _real_homogeneous(upper, k1, pts, TOL_ROOT)))
-    return _combined("homogeneous-projection-orders", parts, TOL_ROOT)
+        parts.append((f"{op.name}:lower-order-{k2}",
+                      _real_homogeneous(lower, k2, pts, ROOT_TOLERANCE)))
+        parts.append((f"{op.name}:upper-order-{k1}",
+                      _real_homogeneous(upper, k1, pts, ROOT_TOLERANCE)))
+    return _combined("homogeneous-projection-orders", parts, ROOT_TOLERANCE)
 
 
 def _check_strongly_positive_projections(grid: SampleGrid) -> CheckReport:
@@ -560,16 +528,15 @@ def _valid_gowa_configs():
 def _check_gowa_idempotency(grid: SampleGrid) -> CheckReport:
     parts = []
     for op in _valid_gowa_configs():
-        ok, witness, count = True, None, 0
-        for c in grid.intervals():
-            count += 1
-            got = op([c] * op.arity)
-            if abs(got.lower - c.lower) > TOL_POLY or abs(got.upper - c.upper) > TOL_POLY:
-                ok, witness = False, (c, got)
-                break
-        name = f"gowa({op.aggregator.name},{op.overlap.name},n={op.arity})"
-        parts.append((name, SampledResult(ok, witness, count)))
-    return _combined("gowa-idempotency", parts, TOL_POLY)
+        res = first_violation(
+            (c, got)
+            if abs(got.lower - c.lower) > POLY_TOLERANCE
+            or abs(got.upper - c.upper) > POLY_TOLERANCE
+            else None
+            for c in grid.intervals() for got in [op([c] * op.arity)]
+        )
+        parts.append((f"gowa({op.aggregator.name},{op.overlap.name},n={op.arity})", res))
+    return _combined("gowa-idempotency", parts, POLY_TOLERANCE)
 
 
 def _check_gowa_boundary(grid: SampleGrid) -> CheckReport:
@@ -584,21 +551,15 @@ def _check_gowa_boundary(grid: SampleGrid) -> CheckReport:
                       _expect(zeros == ZERO and ones == ONE, (zeros, ones), 2)))
         # Product-order monotonicity, on vector pairs whose descending sort
         # permutations agree.
-        ok, witness, count = True, None, 0
         if op.arity == 2:
-            for a_lo, a_hi in pairs:
-                for b_lo, b_hi in pairs:
-                    low_vec = (a_lo, b_lo)
-                    high_vec = (a_hi, b_hi)
-                    if op.order.ranks_descending(low_vec) != op.order.ranks_descending(high_vec):
-                        continue
-                    count += 1
-                    if not leq_product(op(low_vec), op(high_vec)):
-                        ok, witness = False, (*low_vec, *high_vec)
-                        break
-                if not ok:
-                    break
-            parts.append((f"{name}:monotone", SampledResult(ok, witness, count)))
+            ranks = op.order.ranks_descending
+            vector_pairs = (((a_lo, b_lo), (a_hi, b_hi))
+                            for a_lo, a_hi in pairs for b_lo, b_hi in pairs)
+            monotone = first_violation(
+                (*low, *high) if not leq_product(op(low), op(high)) else None
+                for low, high in vector_pairs if ranks(low) == ranks(high)
+            )
+            parts.append((f"{name}:monotone", monotone))
     return _combined("gowa-boundary-aggregation", parts, EXACT)
 
 
@@ -611,39 +572,31 @@ def _check_gowa_projection(grid: SampleGrid) -> CheckReport:
         m = builtin_aggregators(3)[kind]
         for index in (1, 2, 3):
             op = make_gowa(m, prod, WeightVector.selector(3, index))
-            ok, witness, count = True, None, 0
-            for vec in vectors:
-                count += 1
-                got = op(vec)
-                ranked = sorted(vec, key=op.order.sort_key, reverse=True)
-                want = ranked[index - 1]
-                if got != want:
-                    ok, witness = False, (*vec, got, want)
-                    break
-            parts.append((f"select:{kind}:i={index}", SampledResult(ok, witness, count)))
+            res = first_violation(
+                (*vec, got, want) if got != want else None
+                for vec in vectors for got, want in
+                [(op(vec), sorted(vec, key=op.order.sort_key, reverse=True)[index - 1])]
+            )
+            parts.append((f"select:{kind}:i={index}", res))
     return _combined("gowa-projection-selection", parts, EXACT)
 
 
 def _check_gowa_arithmetic_mean(grid: SampleGrid) -> CheckReport:
-    import math
-
     prod = interval_product()
     parts = []
     for n in (2, 4):
         m = builtin_aggregators(n)["tsum"]
         op = make_gowa(m, prod, WeightVector.uniform(n))
         vectors = tuple_samples(SampleGrid(0.25).intervals(), n, budget=3000)
-        ok, witness, count = True, None, 0
-        for vec in vectors:
-            count += 1
-            got = op(vec)
-            want_lo = math.fsum(v.lower for v in vec) / n
-            want_up = math.fsum(v.upper for v in vec) / n
-            if abs(got.lower - want_lo) > TOL_POLY or abs(got.upper - want_up) > TOL_POLY:
-                ok, witness = False, (*vec, got)
-                break
-        parts.append((f"tsum:n={n}", SampledResult(ok, witness, count)))
-    return _combined("gowa-arithmetic-mean", parts, TOL_POLY)
+        res = first_violation(
+            (*vec, got)
+            if abs(got.lower - math.fsum(v.lower for v in vec) / n) > POLY_TOLERANCE
+            or abs(got.upper - math.fsum(v.upper for v in vec) / n) > POLY_TOLERANCE
+            else None
+            for vec in vectors for got in [op(vec)]
+        )
+        parts.append((f"tsum:n={n}", res))
+    return _combined("gowa-arithmetic-mean", parts, POLY_TOLERANCE)
 
 
 def _check_aggregator_homogeneity_distributivity(grid: SampleGrid) -> CheckReport:
@@ -658,41 +611,29 @@ def _check_aggregator_homogeneity_distributivity(grid: SampleGrid) -> CheckRepor
         agree = hom.ok == dist.ok
         parts.append((f"{name}:equivalence",
                       _expect(agree, (hom.ok, dist.ok), hom.samples + dist.samples)))
-    return _combined("aggregator-homogeneity-distributivity", parts, TOL_ROOT)
+    return _combined("aggregator-homogeneity-distributivity", parts, ROOT_TOLERANCE)
 
 
 def _check_weighted_vector_laws(grid: SampleGrid) -> CheckReport:
-    import math
-
     parts = []
     aggs = builtin_aggregators(2)
     ones = WeightVector.of(ONE, ONE)
     for name, m in aggs.items():
         parts.append((f"{name}:all-ones", _expect(is_weighted_vector(m, ones), (name,), 1)))
     sample = grid.intervals()
-    mx, ts = aggs["max"], aggs["tsum"]
-    ok_max, wit_max, count = True, None, 0
-    for w1 in sample:
-        for w2 in sample:
-            count += 1
-            expected = w1 == ONE or w2 == ONE
-            if is_weighted_vector(mx, WeightVector.of(w1, w2)) != expected:
-                ok_max, wit_max = False, (w1, w2)
-                break
-        if not ok_max:
-            break
-    parts.append(("max:characterization", SampledResult(ok_max, wit_max, count)))
-    ok_ts, wit_ts, count = True, None, 0
-    for w1 in sample:
-        for w2 in sample:
-            count += 1
-            expected = math.fsum((w1.lower, w2.lower)) >= 1.0
-            if is_weighted_vector(ts, WeightVector.of(w1, w2)) != expected:
-                ok_ts, wit_ts = False, (w1, w2)
-                break
-        if not ok_ts:
-            break
-    parts.append(("tsum:characterization", SampledResult(ok_ts, wit_ts, count)))
+    # Each aggregator's closed form for "the weights aggregate to [1,1]".
+    expectations = (
+        ("max", lambda w1, w2: w1 == ONE or w2 == ONE),
+        ("tsum", lambda w1, w2: math.fsum((w1.lower, w2.lower)) >= 1.0),
+    )
+    for name, expected in expectations:
+        m = aggs[name]
+        res = first_violation(
+            (w1, w2) if is_weighted_vector(m, WeightVector.of(w1, w2)) != expected(w1, w2)
+            else None
+            for w1 in sample for w2 in sample
+        )
+        parts.append((f"{name}:characterization", res))
     return _combined("weighted-vector-characterizations", parts, EXACT)
 
 
@@ -762,21 +703,15 @@ def lattice_order_checks(grid: SampleGrid = DEFAULT_GRID) -> list[CheckReport]:
         for n in (2, 3):
             lowered = power_transform(base, n, "power")
             raised = power_transform(base, n, "root")
-            ok, witness, count = True, None, 0
-            for x in interior:
-                for y in interior:
-                    count += 1
-                    small = lowered.fn(x, y)
-                    mid_v = base.fn(x, y)
-                    big = raised.fn(x, y)
-                    strict = (small.lower < mid_v.lower and small.upper < mid_v.upper
-                              and mid_v.lower < big.lower and mid_v.upper < big.upper)
-                    if not strict:
-                        ok, witness = False, (x, y, small, mid_v, big)
-                        break
-                if not ok:
-                    break
-            sandwich_parts.append((f"{base.name}:n={n}", SampledResult(ok, witness, count)))
+            strict = first_violation(
+                (x, y, small, mid_v, big)
+                if not (small.lower < mid_v.lower and small.upper < mid_v.upper
+                        and mid_v.lower < big.lower and mid_v.upper < big.upper)
+                else None
+                for x in interior for y in interior
+                for small, mid_v, big in [(lowered.fn(x, y), base.fn(x, y), raised.fn(x, y))]
+            )
+            sandwich_parts.append((f"{base.name}:n={n}", strict))
             for fixed in (ZERO, ONE):
                 same = (lowered.fn(fixed, fixed) == base.fn(fixed, fixed) == raised.fn(fixed, fixed))
                 sandwich_parts.append((f"{base.name}:n={n}:boundary-{fixed}",

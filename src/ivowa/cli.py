@@ -37,9 +37,9 @@ from .registry import (
     resolve_order,
     standard_overlaps,
 )
-from .sampling import SampleGrid
+from .sampling import ROOT_TOLERANCE, SampleGrid
 
-__all__ = ["main", "RunConfig", "load_config", "aggregate", "rank_matrix"]
+__all__ = ["main", "RunConfig", "load_config", "rank_matrix"]
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def rank_matrix(config: RunConfig, matrix: DecisionMatrix):
         weights = normalize_weights(aggregator, weights)
     overrides = config.tolerances or {}
     try:
-        tol = float(overrides.get("distributivity", 1e-9))
+        tol = float(overrides.get("distributivity", ROOT_TOLERANCE))
     except (TypeError, ValueError):
         raise ConfigError("tolerances.distributivity must be a number") from None
     operator = make_gowa(aggregator, overlap, weights, config.order, tol=tol)
@@ -140,11 +140,6 @@ def rank_matrix(config: RunConfig, matrix: DecisionMatrix):
         for pos, i in enumerate(order_desc)
     ]
     return ranking, operator
-
-
-def aggregate(config: RunConfig, matrix: DecisionMatrix):
-    ranking, _ = rank_matrix(config, matrix)
-    return ranking
 
 
 def _cmd_aggregate(args) -> int:

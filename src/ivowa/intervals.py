@@ -231,9 +231,6 @@ class AdmissibleOrder(enum.Enum):
     def largest(self, values) -> Interval:
         return max(values, key=self.sort_key)
 
-    def smallest(self, values) -> Interval:
-        return min(values, key=self.sort_key)
-
     def ranks_descending(self, values) -> list[int]:
         """Indices of the values sorted descending; stable on exact ties."""
         return sorted(range(len(values)), key=lambda i: self.sort_key(values[i]), reverse=True)

@@ -11,6 +11,7 @@ inclusion monotonicity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Literal, Sequence
@@ -42,11 +43,14 @@ from .overlaps import (
 from .sampling import (
     CONTINUITY_STAGES,
     DEFAULT_GRID,
+    POLY_TOLERANCE,
     REAL_GRID,
+    ROOT_TOLERANCE,
     SampleGrid,
     SampledResult,
     comparable_pairs,
     continuity_probe,
+    first_violation,
 )
 
 __all__ = [
@@ -76,9 +80,6 @@ __all__ = [
     "neutral_element_holds",
     "verify_iv_axioms",
 ]
-
-ROOT_TOLERANCE = 1e-9
-POLY_TOLERANCE = 1e-12
 
 
 class ConstructionError(ValueError):
@@ -392,35 +393,28 @@ def reconstructs_from_projections(
         return memo
     lower, upper = projections(o)
     sample = grid.intervals()
-    count = 0
-    result = None
-    for x in sample:
-        for y in sample:
-            count += 1
-            got = o.fn(x, y)
-            lo = lower(x.lower, y.lower)
-            up = upper(x.upper, y.upper)
-            if abs(got.lower - lo) > tol or abs(got.upper - up) > tol:
-                result = SampledResult(False, (x, y, got, lo, up), count)
-                break
-        if result is not None:
-            break
-    if result is None:
-        result = SampledResult(True, None, count)
-    _CHECK_MEMO[key] = result
+
+    def outcomes():
+        for x in sample:
+            for y in sample:
+                got = o.fn(x, y)
+                lo = lower(x.lower, y.lower)
+                up = upper(x.upper, y.upper)
+                far = abs(got.lower - lo) > tol or abs(got.upper - up) > tol
+                yield (x, y, got, lo, up) if far else None
+
+    result = _CHECK_MEMO[key] = first_violation(outcomes())
     return result
 
 
 def is_strongly_positive(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
     """Whenever the value is [0, z] with z > 0, one argument must touch 0."""
-    count = 0
-    for x in grid.intervals():
-        for y in grid.intervals():
-            count += 1
-            r = o.fn(x, y)
-            if r.lower == 0.0 and r.upper > 0.0 and x.lower != 0.0 and y.lower != 0.0:
-                return SampledResult(False, (x, y, r), count)
-    return SampledResult(True, None, count)
+    sample = grid.intervals()
+    return first_violation(
+        (x, y, r) if r.lower == 0.0 and r.upper > 0.0 and x.lower != 0.0 and y.lower != 0.0
+        else None
+        for x in sample for y in sample for r in [o.fn(x, y)]
+    )
 
 
 # Expensive sampled checks are memoized; operators are identity-hashed
@@ -454,23 +448,12 @@ def is_inclusion_monotonic(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> Sam
     lows, ups = _eval_matrix(o, sample)
     pairs = [(i, j) for i, a in enumerate(sample) for j, b in enumerate(sample)
              if subseteq(a, b)]
-    count = 0
-    result = None
-    for xi, xo in pairs:
-        lo_in, up_in = lows[xi], ups[xi]
-        lo_out, up_out = lows[xo], ups[xo]
-        for yi, yo in pairs:
-            count += 1
-            if lo_out[yo] > lo_in[yi] or up_in[yi] > up_out[yo]:
-                result = SampledResult(
-                    False, (sample[xi], sample[xo], sample[yi], sample[yo]), count
-                )
-                break
-        if result is not None:
-            break
-    if result is None:
-        result = SampledResult(True, None, count)
-    _CHECK_MEMO[key] = result
+    rows = [(xi, xo, lows[xi], ups[xi], lows[xo], ups[xo]) for xi, xo in pairs]
+    result = _CHECK_MEMO[key] = first_violation(
+        (sample[xi], sample[xo], sample[yi], sample[yo])
+        if lo_out[yo] > lo_in[yi] or up_in[yi] > up_out[yo] else None
+        for xi, xo, lo_in, up_in, lo_out, up_out in rows for yi, yo in pairs
+    )
     return result
 
 
@@ -487,39 +470,29 @@ def check_migrative(
         return memo
     sample = grid.intervals()
     fn = f.fn
-    count = 0
-    result = None
-    for x in sample:
-        for y in sample:
-            count += 1
-            direct = fn(x, y)
-            via_product = fn(ONE, product(x, y))
-            if (abs(direct.lower - via_product.lower) > tol
-                    or abs(direct.upper - via_product.upper) > tol):
-                result = SampledResult(False, (x, y), count)
-                break
-        if result is not None:
-            break
-    if result is None:
+
+    def product_form():
+        for x in sample:
+            for y in sample:
+                direct = fn(x, y)
+                via_product = fn(ONE, product(x, y))
+                far = (abs(direct.lower - via_product.lower) > tol
+                       or abs(direct.upper - via_product.upper) > tol)
+                yield (x, y) if far else None
+
+    def migration():
         for alpha in sample:
             al, au = alpha.lower, alpha.upper
             for x in sample:
                 ax = Interval(al * x.lower, au * x.upper)
                 for y in sample:
-                    count += 1
                     left = fn(ax, y)
                     right = fn(x, Interval(al * y.lower, au * y.upper))
-                    if (abs(left.lower - right.lower) > tol
-                            or abs(left.upper - right.upper) > tol):
-                        result = SampledResult(False, (alpha, x, y), count)
-                        break
-                if result is not None:
-                    break
-            if result is not None:
-                break
-    if result is None:
-        result = SampledResult(True, None, count)
-    _CHECK_MEMO[key] = result
+                    far = (abs(left.lower - right.lower) > tol
+                           or abs(left.upper - right.upper) > tol)
+                    yield (alpha, x, y) if far else None
+
+    result = _CHECK_MEMO[key] = first_violation(itertools.chain(product_form(), migration()))
     return result
 
 
@@ -537,28 +510,20 @@ def check_homogeneous(
     sample = grid.intervals()
     fn = f.fn
     base_lo, base_up = _eval_matrix(f, sample)
-    count = 0
-    result = None
-    for alpha in sample:
-        al, au = alpha.lower, alpha.upper
-        sl, su = al**k.k2, au**k.k1
-        for i, x in enumerate(sample):
-            ax = Interval(al * x.lower, au * x.upper)
-            row_lo, row_up = base_lo[i], base_up[i]
-            for j, y in enumerate(sample):
-                count += 1
-                left = fn(ax, Interval(al * y.lower, au * y.upper))
-                if (abs(left.lower - sl * row_lo[j]) > tol
-                        or abs(left.upper - su * row_up[j]) > tol):
-                    result = SampledResult(False, (alpha, x, y), count)
-                    break
-            if result is not None:
-                break
-        if result is not None:
-            break
-    if result is None:
-        result = SampledResult(True, None, count)
-    _CHECK_MEMO[key] = result
+
+    def outcomes():
+        for alpha in sample:
+            al, au = alpha.lower, alpha.upper
+            sl, su = al**k.k2, au**k.k1
+            for x, row_lo, row_up in zip(sample, base_lo, base_up):
+                ax = Interval(al * x.lower, au * x.upper)
+                for j, y in enumerate(sample):
+                    left = fn(ax, Interval(al * y.lower, au * y.upper))
+                    far = (abs(left.lower - sl * row_lo[j]) > tol
+                           or abs(left.upper - su * row_up[j]) > tol)
+                    yield (alpha, x, y) if far else None
+
+    result = _CHECK_MEMO[key] = first_violation(outcomes())
     return result
 
 
@@ -567,23 +532,16 @@ def check_idempotent(
     grid: SampleGrid = DEFAULT_GRID,
     tol: float = ROOT_TOLERANCE,
 ) -> SampledResult:
-    count = 0
-    for x in grid.intervals():
-        count += 1
-        r = f.fn(x, x)
-        if abs(r.lower - x.lower) > tol or abs(r.upper - x.upper) > tol:
-            return SampledResult(False, (x, r), count)
-    return SampledResult(True, None, count)
+    return first_violation(
+        (x, r) if abs(r.lower - x.lower) > tol or abs(r.upper - x.upper) > tol else None
+        for x in grid.intervals() for r in [f.fn(x, x)]
+    )
 
 
 def neutral_element_holds(f: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
     """[1,1] acts as a neutral element, exactly."""
-    count = 0
-    for x in grid.intervals():
-        count += 1
-        if f.fn(ONE, x) != x or f.fn(x, ONE) != x:
-            return SampledResult(False, (x, f.fn(ONE, x)), count)
-    return SampledResult(True, None, count)
+    return first_violation((x, f.fn(ONE, x)) if f.fn(ONE, x) != x or f.fn(x, ONE) != x else None
+                           for x in grid.intervals())
 
 
 def check_associative(
@@ -592,17 +550,19 @@ def check_associative(
     tol: float = POLY_TOLERANCE,
 ) -> SampledResult:
     sample = grid.intervals()
-    count = 0
-    for x in sample:
-        for y in sample:
-            xy = f.fn(x, y)
-            for z in sample:
-                count += 1
-                left = f.fn(xy, z)
-                right = f.fn(x, f.fn(y, z))
-                if abs(left.lower - right.lower) > tol or abs(left.upper - right.upper) > tol:
-                    return SampledResult(False, (x, y, z), count)
-    return SampledResult(True, None, count)
+
+    def outcomes():
+        for x in sample:
+            for y in sample:
+                xy = f.fn(x, y)
+                for z in sample:
+                    left = f.fn(xy, z)
+                    right = f.fn(x, f.fn(y, z))
+                    far = (abs(left.lower - right.lower) > tol
+                           or abs(left.upper - right.upper) > tol)
+                    yield (x, y, z) if far else None
+
+    return first_violation(outcomes())
 
 
 # ---------------------------------------------------------------------------
@@ -631,42 +591,30 @@ def verify_iv_axioms(
     if memo is not None:
         return dict(memo)
     sample = grid.intervals()
-    m = len(sample)
+    cells = list(itertools.product(range(len(sample)), repeat=2))
     lows, ups = _eval_matrix(o, sample)
-
-    def first_violation(pred) -> SampledResult:
-        count = 0
-        for i in range(m):
-            for j in range(m):
-                count += 1
-                if not pred(i, j):
-                    return SampledResult(False, (sample[i], sample[j]), count)
-        return SampledResult(True, None, count)
-
-    o1 = first_violation(lambda i, j: lows[i][j] == lows[j][i] and ups[i][j] == ups[j][i])
+    o1 = first_violation(
+        (sample[i], sample[j]) if lows[i][j] != lows[j][i] or ups[i][j] != ups[j][i] else None
+        for i, j in cells
+    )
     o2 = first_violation(
-        lambda i, j: (lows[i][j] == 0.0 and ups[i][j] == 0.0)
-        == (sample[i].upper * sample[j].upper == 0.0)
+        (sample[i], sample[j])
+        if (lows[i][j] == 0.0 and ups[i][j] == 0.0) != (sample[i].upper * sample[j].upper == 0.0)
+        else None
+        for i, j in cells
     )
     o3 = first_violation(
-        lambda i, j: (lows[i][j] == 1.0 and ups[i][j] == 1.0)
-        == (sample[i].lower * sample[j].lower == 1.0)
+        (sample[i], sample[j])
+        if (lows[i][j] == 1.0 and ups[i][j] == 1.0) != (sample[i].lower * sample[j].lower == 1.0)
+        else None
+        for i, j in cells
     )
     cmp_pairs = [(j, k) for j, a in enumerate(sample) for k, b in enumerate(sample)
                  if leq_product(a, b)]
-    o4 = None
-    count = 0
-    for i in range(m):
-        row_lo, row_up = lows[i], ups[i]
-        for j, k in cmp_pairs:
-            count += 1
-            if row_lo[j] > row_lo[k] or row_up[j] > row_up[k]:
-                o4 = SampledResult(False, (sample[i], sample[j], sample[k]), count)
-                break
-        if o4 is not None:
-            break
-    if o4 is None:
-        o4 = SampledResult(True, None, count)
+    o4 = first_violation(
+        (x, sample[j], sample[k]) if row_lo[j] > row_lo[k] or row_up[j] > row_up[k] else None
+        for x, row_lo, row_up in zip(sample, lows, ups) for j, k in cmp_pairs
+    )
     results = {"o1": o1, "o2": o2, "o3": o3, "o4": o4, "o5": _check_o5(o, stages)}
     _CHECK_MEMO[key] = dict(results)
     return results

@@ -19,10 +19,12 @@ from typing import Callable, Sequence
 
 from .sampling import (
     CONTINUITY_STAGES,
+    POLY_TOLERANCE,
     REAL_GRID,
     SampleGrid,
     SampledResult,
     continuity_probe,
+    first_violation,
     max_jump_nary,
 )
 
@@ -40,8 +42,6 @@ __all__ = [
     "projection_aggregator",
     "mean_of_components",
 ]
-
-WEIGHT_TOLERANCE = 1e-12
 
 
 class OverlapError(ValueError):
@@ -156,7 +156,7 @@ def convex_sum(w1: float, w2: float, g1: RealOverlap, g2: RealOverlap) -> RealOv
     """Pointwise convex combination w1*g1 + w2*g2; overlaps are closed under it."""
     if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
         raise OverlapError("convex weights must lie in [0, 1]")
-    if abs((w1 + w2) - 1.0) > WEIGHT_TOLERANCE:
+    if abs((w1 + w2) - 1.0) > POLY_TOLERANCE:
         raise OverlapError(f"convex weights must sum to 1, got {w1 + w2!r}")
     return RealOverlap(lambda x, y: w1 * g1.fn(x, y) + w2 * g2.fn(x, y),
                        f"convex({w1!r}*{g1.name}+{w2!r}*{g2.name})",
@@ -169,7 +169,7 @@ def real_owa(weights: Sequence[float], xs: Sequence[float]) -> float:
         raise OverlapError("weight and input lengths differ")
     if any(not (0.0 <= w <= 1.0) for w in weights):
         raise OverlapError("weights must lie in [0, 1]")
-    if abs(math.fsum(weights) - 1.0) > WEIGHT_TOLERANCE:
+    if abs(math.fsum(weights) - 1.0) > POLY_TOLERANCE:
         raise OverlapError(f"weights must sum to 1, got {math.fsum(weights)!r}")
     ordered = sorted(xs, reverse=True)
     return math.fsum(w * v for w, v in zip(weights, ordered))
@@ -181,48 +181,30 @@ def real_owa(weights: Sequence[float], xs: Sequence[float]) -> float:
 
 
 def check_commutative(g: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    count = 0
-    for x in pts:
-        for y in pts:
-            count += 1
-            if g.fn(x, y) != g.fn(y, x):
-                return SampledResult(False, (x, y), count)
-    return SampledResult(True, None, count)
+    return first_violation((x, y) if g.fn(x, y) != g.fn(y, x) else None
+                           for x in pts for y in pts)
 
 
 def check_zero_boundary(g: RealOverlap, pts: Sequence[float]) -> SampledResult:
     """Biconditional: value 0 exactly on the zero set of the product."""
-    count = 0
-    for x in pts:
-        for y in pts:
-            count += 1
-            if (g.fn(x, y) == 0.0) != (x * y == 0.0):
-                return SampledResult(False, (x, y), count)
-    return SampledResult(True, None, count)
+    return first_violation((x, y) if (g.fn(x, y) == 0.0) != (x * y == 0.0) else None
+                           for x in pts for y in pts)
 
 
 def check_one_boundary(g: RealOverlap, pts: Sequence[float]) -> SampledResult:
     """Biconditional: value 1 exactly where the product is 1."""
-    count = 0
-    for x in pts:
-        for y in pts:
-            count += 1
-            if (g.fn(x, y) == 1.0) != (x * y == 1.0):
-                return SampledResult(False, (x, y), count)
-    return SampledResult(True, None, count)
+    return first_violation((x, y) if (g.fn(x, y) == 1.0) != (x * y == 1.0) else None
+                           for x in pts for y in pts)
 
 
 def check_monotone(g: RealOverlap, pts: Sequence[float]) -> SampledResult:
     """Nondecreasing along adjacent grid steps in each argument."""
-    count = 0
-    for i in range(len(pts) - 1):
-        for y in pts:
-            count += 1
-            if g.fn(pts[i], y) > g.fn(pts[i + 1], y):
-                return SampledResult(False, (pts[i], pts[i + 1], y), count)
-            if g.fn(y, pts[i]) > g.fn(y, pts[i + 1]):
-                return SampledResult(False, (y, pts[i], pts[i + 1]), count)
-    return SampledResult(True, None, count)
+    return first_violation(
+        (a, b, y) if g.fn(a, y) > g.fn(b, y)
+        else (y, a, b) if g.fn(y, a) > g.fn(y, b)
+        else None
+        for a, b in zip(pts, pts[1:]) for y in pts
+    )
 
 
 def verify_overlap_axioms(
@@ -241,23 +223,13 @@ def verify_overlap_axioms(
 
 
 def pointwise_leq(g1: RealOverlap, g2: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    count = 0
-    for x in pts:
-        for y in pts:
-            count += 1
-            if g1.fn(x, y) > g2.fn(x, y):
-                return SampledResult(False, (x, y, g1.fn(x, y), g2.fn(x, y)), count)
-    return SampledResult(True, None, count)
+    return first_violation((x, y, g1.fn(x, y), g2.fn(x, y)) if g1.fn(x, y) > g2.fn(x, y) else None
+                           for x in pts for y in pts)
 
 
 def pointwise_equal(g1: RealOverlap, g2: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    count = 0
-    for x in pts:
-        for y in pts:
-            count += 1
-            if g1.fn(x, y) != g2.fn(x, y):
-                return SampledResult(False, (x, y), count)
-    return SampledResult(True, None, count)
+    return first_violation((x, y) if g1.fn(x, y) != g2.fn(x, y) else None
+                           for x in pts for y in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -301,56 +273,41 @@ def check_m1_boundary(m: RealAggregator) -> SampledResult:
 
 
 def check_m2_monotone(m: RealAggregator, step: float = 0.25) -> SampledResult:
-    ok, where = _directional_decrease(m, step)
-    samples = (SampleGrid(step).divisions + 1) ** m.arity
-    return SampledResult(ok, where or None, samples)
-
-
-def _directional_decrease(m: RealAggregator, step: float):
+    """Nondecreasing along each adjacent grid step; the sample count is the
+    whole grid, whether or not a decrease is found."""
     pts = SampleGrid(step).endpoints()
-    for args in itertools.product(pts, repeat=m.arity):
-        base = m(*args)
-        for j in range(m.arity):
-            k = pts.index(args[j])
-            if k + 1 < len(pts):
-                moved = list(args)
-                moved[j] = pts[k + 1]
-                if m(*moved) < base:
-                    return False, (args, j)
-    return True, ()
+    successor = dict(zip(pts, pts[1:]))
+
+    def outcomes():
+        for args in itertools.product(pts, repeat=m.arity):
+            base = m(*args)
+            for j, a in enumerate(args):
+                if a in successor:
+                    moved = (*args[:j], successor[a], *args[j + 1:])
+                    yield (args, j) if m(*moved) < base else None
+
+    ok, witness, _ = first_violation(outcomes())
+    return SampledResult(ok, witness, len(pts) ** m.arity)
 
 
 def check_m3_component(m: RealAggregator, index: int, step: float = 0.25) -> SampledResult:
     """Value 0 forces the index-th argument (1-based) to be 0."""
     pts = SampleGrid(step).endpoints()
-    count = 0
-    for args in itertools.product(pts, repeat=m.arity):
-        count += 1
-        if m(*args) == 0.0 and args[index - 1] != 0.0:
-            return SampledResult(False, args, count)
-    return SampledResult(True, None, count)
+    return first_violation(args if m(*args) == 0.0 and args[index - 1] != 0.0 else None
+                           for args in itertools.product(pts, repeat=m.arity))
 
 
 def check_m4_component(m: RealAggregator, index: int, step: float = 0.25) -> SampledResult:
     """Value 1 forces the index-th argument (1-based) to be 1."""
     pts = SampleGrid(step).endpoints()
-    count = 0
-    for args in itertools.product(pts, repeat=m.arity):
-        count += 1
-        if m(*args) == 1.0 and args[index - 1] != 1.0:
-            return SampledResult(False, args, count)
-    return SampledResult(True, None, count)
+    return first_violation(args if m(*args) == 1.0 and args[index - 1] != 1.0 else None
+                           for args in itertools.product(pts, repeat=m.arity))
 
 
 def check_commutative_first_two(m: RealAggregator, step: float = 0.25) -> SampledResult:
     pts = SampleGrid(step).endpoints()
-    count = 0
-    for args in itertools.product(pts, repeat=m.arity):
-        count += 1
-        swapped = (args[1], args[0], *args[2:])
-        if m(*args) != m(*swapped):
-            return SampledResult(False, args, count)
-    return SampledResult(True, None, count)
+    return first_violation(args if m(*args) != m(args[1], args[0], *args[2:]) else None
+                           for args in itertools.product(pts, repeat=m.arity))
 
 
 def check_nary_continuity(m: RealAggregator, step: float = 0.1) -> SampledResult:

@@ -24,6 +24,7 @@ from .intervals import (
     Interval,
     ONE,
     ZERO,
+    format_interval,
     join,
     power,
     product,
@@ -31,9 +32,11 @@ from .intervals import (
 from .iv_overlaps import IVOverlap, interval_product, neutral_element_holds
 from .sampling import (
     DEFAULT_GRID,
+    ROOT_TOLERANCE,
     SAMPLE_SEED,
     SampleGrid,
     SampledResult,
+    first_violation,
     tuple_samples,
 )
 
@@ -56,8 +59,6 @@ __all__ = [
     "projection_owa",
     "non_saturating",
 ]
-
-ROOT_TOLERANCE = 1e-9
 
 
 class WeightError(ValueError):
@@ -250,7 +251,6 @@ def check_distributivity(
         return memo
     items = grid.intervals()
     size = len(items)
-    n = m.arity
     m_fn = m.fn
     o_fn = o.fn
     # Tuples are walked as grid indices: the sample stream is the same (the
@@ -258,33 +258,32 @@ def check_distributivity(
     o_table: list[list[Interval | None]] = [[None] * size for _ in range(size)]
     m_cache: dict[tuple[int, ...], Interval] = {}
     m_get = m_cache.get
+    decode = items.__getitem__
 
-    count = 0
-    for t in tuple_samples(range(size), n + 1, budget, seed):
-        xs, y = t[:-1], t[-1]
-        xs_iv = tuple(map(items.__getitem__, xs))
-        y_iv = items[y]
-        if restrict is not None and not restrict(xs_iv, y_iv):
-            continue
-        count += 1
-        o_row = o_table[y]
-        pieces = []
-        for x in xs:
-            r = o_row[x]
-            if r is None:
-                r = o_row[x] = o_fn(items[x], y_iv)
-            pieces.append(r)
-        lhs = m_fn(pieces)
-        agg = m_get(xs)
-        if agg is None:
-            agg = m_cache[xs] = m_fn(xs_iv)
-        rhs = o_fn(agg, y_iv)
-        if abs(lhs.lower - rhs.lower) > tol or abs(lhs.upper - rhs.upper) > tol:
-            result = SampledResult(False, (*xs_iv, y_iv), count)
-            _SAMPLED_MEMO[key] = result
-            return result
-    result = SampledResult(True, None, count)
-    _SAMPLED_MEMO[key] = result
+    cases = tuple_samples(range(size), m.arity + 1, budget, seed)
+    if restrict is not None:
+        cases = (t for t in cases if restrict(tuple(map(decode, t[:-1])), items[t[-1]]))
+
+    def outcomes():
+        for t in cases:
+            xs, y = t[:-1], t[-1]
+            y_iv = items[y]
+            o_row = o_table[y]
+            pieces = []
+            for x in xs:
+                r = o_row[x]
+                if r is None:
+                    r = o_row[x] = o_fn(items[x], y_iv)
+                pieces.append(r)
+            lhs = m_fn(pieces)
+            agg = m_get(xs)
+            if agg is None:
+                agg = m_cache[xs] = m_fn(tuple(map(decode, xs)))
+            rhs = o_fn(agg, y_iv)
+            far = abs(lhs.lower - rhs.lower) > tol or abs(lhs.upper - rhs.upper) > tol
+            yield (*map(decode, xs), y_iv) if far else None
+
+    result = _SAMPLED_MEMO[key] = first_violation(outcomes())
     return result
 
 
@@ -300,43 +299,31 @@ def check_homogeneous_m(
     memo = _SAMPLED_MEMO.get(key)
     if memo is not None:
         return memo
-    items = grid.intervals()
-    n = m.arity
     m_fn = m.fn
     m_cache: dict[tuple[Interval, ...], Interval] = {}
     m_get = m_cache.get
-    count = 0
-    result = None
-    for t in tuple_samples(items, n + 1, budget, seed):
-        alpha, xs = t[0], t[1:]
-        count += 1
-        al, au = alpha.lower, alpha.upper
-        left = m_fn([Interval(al * x.lower, au * x.upper) for x in xs])
-        base = m_get(xs)
-        if base is None:
-            base = m_fn(xs)
-            m_cache[xs] = base
-        if (abs(left.lower - al * base.lower) > tol
-                or abs(left.upper - au * base.upper) > tol):
-            result = SampledResult(False, (alpha, *xs), count)
-            break
-    if result is None:
-        result = SampledResult(True, None, count)
-    _SAMPLED_MEMO[key] = result
+
+    def outcomes():
+        for t in tuple_samples(grid.intervals(), m.arity + 1, budget, seed):
+            alpha, xs = t[0], t[1:]
+            al, au = alpha.lower, alpha.upper
+            left = m_fn([Interval(al * x.lower, au * x.upper) for x in xs])
+            base = m_get(xs)
+            if base is None:
+                base = m_cache[xs] = m_fn(xs)
+            far = (abs(left.lower - al * base.lower) > tol
+                   or abs(left.upper - au * base.upper) > tol)
+            yield t if far else None
+
+    result = _SAMPLED_MEMO[key] = first_violation(outcomes())
     return result
 
 
 def absorption_holds(m: IVAggregator, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
     """A single input among [0,0] padding passes through unchanged, exactly."""
-    count = 0
-    for x in grid.intervals():
-        for j in range(m.arity):
-            count += 1
-            args = [ZERO] * m.arity
-            args[j] = x
-            if m(args) != x:
-                return SampledResult(False, (x, j), count)
-    return SampledResult(True, None, count)
+    pad = (ZERO,) * m.arity
+    return first_violation((x, j) if m([*pad[:j], x, *pad[j + 1:]]) != x else None
+                           for x in grid.intervals() for j in range(m.arity))
 
 
 @dataclass(eq=False)
@@ -388,7 +375,8 @@ def make_gowa(
     neutral = _neutral_cached(o, grid)
     if not neutral.ok:
         raise GowaError(
-            f"overlap {o.name} lacks the neutral element [1,1]; witness {neutral.witness}"
+            f"overlap {o.name} lacks the neutral element [1,1]; "
+            f"witness {' '.join(map(format_interval, neutral.witness))}"
         )
     if budget is None:
         # Full cross product for binary aggregators; a bounded sample above.
@@ -408,7 +396,8 @@ def make_gowa(
         dist, saturation = cached
     if not dist.ok:
         raise GowaError(
-            f"aggregator {m.name} does not distribute over {o.name}; witness {dist.witness}"
+            f"aggregator {m.name} does not distribute over {o.name}; "
+            f"witness {' '.join(map(format_interval, dist.witness))}"
         )
     return GowaOperator(m, o, w, order, saturation)
 
@@ -450,15 +439,11 @@ def check_order_monotonicity(
     order = op.order
     items = grid.intervals()
     ordered = [(a, b) for a in items for b in items if a != b and order.leq(a, b)]
-    n = op.arity
-    count = 0
-    for combo in tuple_samples(ordered, n, budget=20_000):
-        lo_vec = [pair[0] for pair in combo]
-        hi_vec = [pair[1] for pair in combo]
-        count += 1
-        if not order.leq(op(lo_vec), op(hi_vec)):
-            return SampledResult(False, (*lo_vec, *hi_vec), count)
-    return SampledResult(True, None, count)
+    return first_violation(
+        (*lo_vec, *hi_vec) if not order.leq(op(lo_vec), op(hi_vec)) else None
+        for combo in tuple_samples(ordered, op.arity, budget=20_000)
+        for lo_vec, hi_vec in [zip(*combo)]
+    )
 
 
 def projection_owa(
@@ -475,7 +460,9 @@ def projection_owa(
     """
     absorb = absorption_holds(m)
     if not absorb.ok:
-        raise GowaError(f"aggregator {m.name} does not absorb zero padding: {absorb.witness}")
+        x, j = absorb.witness
+        raise GowaError(f"aggregator {m.name} does not absorb zero padding: "
+                        f"{format_interval(x)} at position {j + 1}")
     o = overlap if overlap is not None else interval_product()
     w = WeightVector.selector(m.arity, index)
     return iv_gowa(m, o, w, order, values)

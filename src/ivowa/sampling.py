@@ -13,11 +13,18 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .intervals import Interval, leq_product, subseteq
 
 SAMPLE_SEED = 20260808
+
+# The tolerance table.  Exact laws compare binary64 values with no slack;
+# identities through polynomial arithmetic (and weight sums) allow 1e-12, and
+# identities through roots and fractional powers allow 1e-9.
+EXACT = 0.0
+POLY_TOLERANCE = 1e-12
+ROOT_TOLERANCE = 1e-9
 
 # Two-stage slope probe used by the continuity heuristics: (step, max jump).
 CONTINUITY_STAGES: tuple[tuple[float, float], ...] = ((0.05, 0.2), (0.005, 0.02))
@@ -27,6 +34,20 @@ class SampledResult(NamedTuple):
     ok: bool
     witness: tuple | None
     samples: int
+
+
+def first_violation(outcomes: Iterable[tuple | None]) -> SampledResult:
+    """The verdict of a sampled law from one outcome per case, in enumeration
+    order: ``None`` for a case that holds, the witness tuple for one that fails.
+
+    Stops at the first witness; ``samples`` counts the cases consumed up to
+    and including it, or all of them when every case holds.
+    """
+    count = 0
+    for count, witness in enumerate(outcomes, 1):
+        if witness is not None:
+            return SampledResult(False, witness, count)
+    return SampledResult(True, None, count)
 
 
 @dataclass(frozen=True)

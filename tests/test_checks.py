@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,14 @@ from ivowa.owa import builtin_aggregators
 from ivowa.registry import real_catalog
 
 CAT = real_catalog()
+
+# `verify theorems lattice --json` as recorded by the benchmark; read only.
+VERIFY_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify.jsonl"
+
+
+@pytest.fixture(scope="module")
+def theorem_reports():
+    return run_theorem_suite()
 
 
 class TestAxiomSuite:
@@ -59,20 +68,19 @@ class TestAxiomSuite:
 
 
 class TestTheoremSuite:
-    def test_all_pass_on_shipped_catalog(self):
-        reports = run_theorem_suite()
-        bad = [(r.check_id, r.verdict, r.witness) for r in reports if r.verdict != "pass"]
+    def test_all_pass_on_shipped_catalog(self, theorem_reports):
+        bad = [(r.check_id, r.verdict, r.witness) for r in theorem_reports if r.verdict != "pass"]
         assert not bad, bad
 
-    def test_coverage_is_complete(self):
-        reports = run_theorem_suite()
-        assert tuple(sorted(r.check_id for r in reports)) == THEOREM_CHECK_IDS
+    def test_coverage_is_complete(self, theorem_reports):
+        assert tuple(sorted(r.check_id for r in theorem_reports)) == THEOREM_CHECK_IDS
 
-    def test_reports_sorted_and_deterministic(self):
-        first = reports_to_json(run_theorem_suite())
-        second = reports_to_json(run_theorem_suite())
-        assert first == second
-        ids = [json.loads(line)["check_id"] for line in first]
+    def test_reports_sorted_and_deterministic(self, theorem_reports):
+        # The golden file was written by an earlier commit, so this pins
+        # verdicts, witnesses and sample counts byte for byte across commits.
+        lines = reports_to_json(theorem_reports + lattice_order_checks())
+        assert "".join(f"{line}\n" for line in lines).encode() == VERIFY_GOLDEN.read_bytes()
+        ids = [json.loads(line)["check_id"] for line in reports_to_json(theorem_reports)]
         assert ids == sorted(ids)
 
     def test_lattice_checks(self):
@@ -80,8 +88,8 @@ class TestTheoremSuite:
         assert tuple(r.check_id for r in reports) == LATTICE_CHECK_IDS
         assert all(r.verdict == "pass" for r in reports)
 
-    def test_witness_present_exactly_on_failure(self):
-        reports = (run_theorem_suite() + lattice_order_checks()
+    def test_witness_present_exactly_on_failure(self, theorem_reports):
+        reports = (theorem_reports + lattice_order_checks()
                    + run_axiom_suite(CAT["lukasiewicz"])
                    + run_axiom_suite(representable(CAT["lukasiewicz"], CAT["lukasiewicz"])))
         for r in reports:

@@ -224,6 +224,21 @@ class TestAggregateCommand:
         assert code == 1
         assert "not normalized" in capsys.readouterr().err
 
+    def test_distributivity_rejection_prints_interval_text(self, workdir, capsys):
+        config = workdir / "geomean-min.json"
+        config.write_text(json.dumps({
+            "aggregator": "geomean",
+            "overlap": "rep(min,min)",
+            "weights": [[1, 1], [1, 1], [1, 1]],
+        }))
+        matrix = workdir / "three.csv"
+        matrix.write_text('alternative,c1,c2,c3\na1,"[0.2,0.5]","[0.4,0.8]",0.3\n')
+        code = main(["aggregate", "--config", str(config), "--matrix", str(matrix)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("does not distribute over rep(min,min); "
+                "witness [0.7,1.0] [0.1,0.7] [0.0,1.0] [0.9,0.9]") in err
+
     def test_uniform_tsum_matches_interval_means(self, workdir, capsys):
         config = workdir / "mean.json"
         config.write_text(json.dumps({
@@ -313,6 +328,21 @@ class TestVerifyCommand:
         assert main(["verify", "dirac"]) == 0
         out = capsys.readouterr().out
         assert "m1" in out and "m2" in out
+
+    def test_catalog_matches_golden(self, capsys):
+        # Recorded from an earlier commit; unlike the theorem suite, the
+        # catalog includes failing checks, so it pins first-failure witnesses
+        # and their sample counts.
+        targets = [
+            "product", "min", "minmax:p=1", "minmax:p=2", "minmax:p=3", "xyp:p=2", "xyp:p=3",
+            "mig:poly", "lukasiewicz", "max", "tsum", "geomean", "dirac", "midpoint",
+            "rep(product,min)", "rep(min,min)", "rep(lukasiewicz,lukasiewicz)",
+            "rep(xyp:p=2,product)", "mig(sqrt)", "mig(square)", "canonical(K=[1.0,2.0])",
+            "pow(product,n=2)", "root(midpoint,n=3)",
+        ]
+        assert main(["verify", *targets, "--json"]) == 1
+        golden = Path(__file__).resolve().parent / "golden" / "verify_catalog.jsonl"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 class TestCatalogCommand:

@@ -203,7 +203,7 @@ class TestGowaOperator:
 
     def test_rejects_overlap_without_neutral_element(self):
         sqrt_overlap = migrative_canonical(ExponentInterval(1, 1))
-        with pytest.raises(GowaError, match="neutral"):
+        with pytest.raises(GowaError, match=r"neutral element \[1,1\]; witness \[0.0,0.1\] \["):
             make_gowa(AGG2["geomean"], sqrt_overlap, WeightVector.of(ONE, ONE))
 
     def test_rejects_non_distributive_pair(self):
@@ -251,7 +251,7 @@ class TestProjectionOwa:
         assert projection_owa(m2, 1, [tie, tie]) == tie
 
     def test_rejects_non_absorbing_aggregator(self):
-        with pytest.raises(GowaError, match="absorb"):
+        with pytest.raises(GowaError, match=r"absorb zero padding: \[0.0,0.1\] at position 1"):
             projection_owa(AGG2["geomean"], 1, [ONE, ONE])
 
     def test_respects_order_parameter(self):

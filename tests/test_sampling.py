@@ -1,4 +1,5 @@
-"""The lazy sample stream against the eager list it replaced."""
+"""The lazy sample stream against the eager list it replaced, and the
+first-violation policy every sampled check shares."""
 
 import itertools
 import random
@@ -6,7 +7,7 @@ import random
 import pytest
 
 from ivowa import sampling
-from ivowa.sampling import SAMPLE_SEED, tuple_samples
+from ivowa.sampling import SAMPLE_SEED, SampledResult, first_violation, tuple_samples
 
 
 def reference_samples(items, n, budget, seed=SAMPLE_SEED):
@@ -91,3 +92,17 @@ def test_draws_only_as_far_as_the_caller_reads(monkeypatch):
     assert head == reference_samples(items, 11, 500)
     # 83 fill tuples need about 1 300 words; the whole fill would need 4.8M.
     assert 0 < sum(drawn) // 32 < 10_000
+
+
+def test_first_violation_counts_cases_up_to_the_first_witness():
+    consumed = []
+
+    def outcomes():
+        for case in range(10):
+            consumed.append(case)
+            yield (case,) if case in (3, 7) else None
+
+    assert first_violation(outcomes()) == SampledResult(False, (3,), 4)
+    assert consumed == [0, 1, 2, 3]
+    assert first_violation(iter([None] * 5)) == SampledResult(True, None, 5)
+    assert first_violation(iter([])) == SampledResult(True, None, 0)
