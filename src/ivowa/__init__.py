@@ -11,13 +11,11 @@ from .intervals import (
     AdmissibleOrder,
     DEFAULT_ORDER,
     ExponentInterval,
-    GeneralInterval,
     Interval,
     IntervalError,
     ONE,
     Ordering,
     ZERO,
-    arctan_interval,
     complement,
     contract_half,
     format_interval,
@@ -27,7 +25,6 @@ from .intervals import (
     midpoint,
     parse_interval,
     power,
-    power_negative,
     product,
     subseteq,
 )

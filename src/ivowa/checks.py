@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .intervals import (
     ExponentInterval,
-    GeneralInterval,
     Interval,
     ONE,
     ZERO,
@@ -133,7 +132,7 @@ class CheckReport:
 def _serialize_witness(value):
     if value is None:
         return None
-    if isinstance(value, (Interval, GeneralInterval)):
+    if isinstance(value, Interval):
         return [value.lower, value.upper]
     if isinstance(value, (tuple, list)):
         return [_serialize_witness(v) for v in value]

@@ -113,7 +113,7 @@ def rank_matrix(config: RunConfig, matrix: DecisionMatrix):
     """
     n = len(matrix.criteria)
     try:
-        aggregator = resolve_aggregator(config.aggregator_id, n, config.order)
+        aggregator = resolve_aggregator(config.aggregator_id, n)
         overlap = resolve_iv_overlap(config.overlap_id)
     except (RegistryError, ConstructionError) as exc:
         raise ConfigError(str(exc)) from None

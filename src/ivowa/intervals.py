@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "Interval",
-    "GeneralInterval",
     "ExponentInterval",
     "IntervalError",
     "Ordering",
@@ -25,9 +24,7 @@ __all__ = [
     "ONE",
     "product",
     "power",
-    "power_negative",
     "complement",
-    "arctan_interval",
     "midpoint",
     "contract_half",
     "leq_product",
@@ -69,29 +66,6 @@ class Interval:
     @property
     def degenerate(self) -> bool:
         return self.lower == self.upper
-
-    def __str__(self) -> str:
-        return format_interval(self)
-
-
-@dataclass(frozen=True, slots=True)
-class GeneralInterval:
-    """A closed real interval without the unit-range restriction.
-
-    Codomain type for the operations whose values may leave [0, 1]
-    (negative exponentiation, arctangent).
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        lo = float(self.lower)
-        up = float(self.upper)
-        if not (lo <= up) or math.isinf(lo) or math.isinf(up):
-            raise IntervalError(f"invalid general interval [{self.lower}, {self.upper}]")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
 
     def __str__(self) -> str:
         return format_interval(self)
@@ -141,24 +115,9 @@ def power(x: Interval, k: ExponentInterval) -> Interval:
     return Interval(x.lower**k.k2, x.upper**k.k1)
 
 
-def power_negative(x: Interval, k: ExponentInterval) -> GeneralInterval:
-    """Negative interval exponentiation [upper**-k1, lower**-k2].
-
-    Requires lower > 0; both result endpoints are >= 1.
-    """
-    if x.lower == 0.0:
-        raise IntervalError("negative power of an interval with lower endpoint 0")
-    return GeneralInterval(x.upper ** -k.k1, x.lower ** -k.k2)
-
-
 def complement(x: Interval) -> Interval:
     """Standard complement [1 - upper, 1 - lower]; order-reversing involution."""
     return Interval(1.0 - x.upper, 1.0 - x.lower)
-
-
-def arctan_interval(x: Interval) -> GeneralInterval:
-    """Monotone endpoint image [atan(lower), atan(upper)]."""
-    return GeneralInterval(math.atan(x.lower), math.atan(x.upper))
 
 
 def midpoint(x: Interval) -> float:
@@ -228,9 +187,6 @@ class AdmissibleOrder(enum.Enum):
     def leq(self, x: Interval, y: Interval) -> bool:
         return self.compare(x, y) is not Ordering.GREATER
 
-    def largest(self, values) -> Interval:
-        return max(values, key=self.sort_key)
-
     def ranks_descending(self, values) -> list[int]:
         """Indices of the values sorted descending; stable on exact ties."""
         return sorted(range(len(values)), key=lambda i: self.sort_key(values[i]), reverse=True)
@@ -239,7 +195,7 @@ class AdmissibleOrder(enum.Enum):
 DEFAULT_ORDER = AdmissibleOrder.LEX1
 
 
-def format_interval(x: Interval | GeneralInterval) -> str:
+def format_interval(x: Interval) -> str:
     """Canonical text form ``[a,b]``; floats printed with round-trip repr."""
     return f"[{x.lower!r},{x.upper!r}]"
 

@@ -51,6 +51,7 @@ from .sampling import (
     comparable_pairs,
     continuity_probe,
     first_violation,
+    memoized,
 )
 
 __all__ = [
@@ -378,6 +379,7 @@ def projections(o: IVOverlap) -> tuple[Callable[[float, float], float], Callable
     return lower, upper
 
 
+@memoized
 def reconstructs_from_projections(
     o: IVOverlap,
     grid: SampleGrid = DEFAULT_GRID,
@@ -387,10 +389,6 @@ def reconstructs_from_projections(
 
     True exactly for the representable ones.
     """
-    key = ("reconstruction", o, grid.endpoint_step, tol)
-    memo = _CHECK_MEMO.get(key)
-    if memo is not None:
-        return memo
     lower, upper = projections(o)
     sample = grid.intervals()
 
@@ -403,8 +401,7 @@ def reconstructs_from_projections(
                 far = abs(got.lower - lo) > tol or abs(got.upper - up) > tol
                 yield (x, y, got, lo, up) if far else None
 
-    result = _CHECK_MEMO[key] = first_violation(outcomes())
-    return result
+    return first_violation(outcomes())
 
 
 def is_strongly_positive(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
@@ -415,11 +412,6 @@ def is_strongly_positive(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> Sampl
         else None
         for x in sample for y in sample for r in [o.fn(x, y)]
     )
-
-
-# Expensive sampled checks are memoized; operators are identity-hashed
-# dataclasses, and keeping them in the key pins the identity.
-_CHECK_MEMO: dict[tuple, SampledResult] = {}
 
 
 def _eval_matrix(o: IVOverlap, sample: list[Interval]) -> tuple[list[list[float]], list[list[float]]]:
@@ -438,25 +430,22 @@ def _eval_matrix(o: IVOverlap, sample: list[Interval]) -> tuple[list[list[float]
     return lows, ups
 
 
+@memoized
 def is_inclusion_monotonic(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
     """Nested arguments must give nested values; witness is the first failure."""
-    key = ("inclusion", o, grid.endpoint_step)
-    memo = _CHECK_MEMO.get(key)
-    if memo is not None:
-        return memo
     sample = grid.intervals()
     lows, ups = _eval_matrix(o, sample)
     pairs = [(i, j) for i, a in enumerate(sample) for j, b in enumerate(sample)
              if subseteq(a, b)]
     rows = [(xi, xo, lows[xi], ups[xi], lows[xo], ups[xo]) for xi, xo in pairs]
-    result = _CHECK_MEMO[key] = first_violation(
+    return first_violation(
         (sample[xi], sample[xo], sample[yi], sample[yo])
         if lo_out[yo] > lo_in[yi] or up_in[yi] > up_out[yo] else None
         for xi, xo, lo_in, up_in, lo_out, up_out in rows for yi, yo in pairs
     )
-    return result
 
 
+@memoized
 def check_migrative(
     f: IVOverlap,
     grid: SampleGrid = DEFAULT_GRID,
@@ -464,10 +453,6 @@ def check_migrative(
 ) -> SampledResult:
     """Scalar factors migrate between arguments; also checks the equivalent
     product form f(X, Y) == f([1,1], XY)."""
-    key = ("migrative", f, grid.endpoint_step, tol)
-    memo = _CHECK_MEMO.get(key)
-    if memo is not None:
-        return memo
     sample = grid.intervals()
     fn = f.fn
 
@@ -492,10 +477,10 @@ def check_migrative(
                            or abs(left.upper - right.upper) > tol)
                     yield (alpha, x, y) if far else None
 
-    result = _CHECK_MEMO[key] = first_violation(itertools.chain(product_form(), migration()))
-    return result
+    return first_violation(itertools.chain(product_form(), migration()))
 
 
+@memoized
 def check_homogeneous(
     f: IVOverlap,
     k: ExponentInterval,
@@ -503,10 +488,6 @@ def check_homogeneous(
     tol: float = ROOT_TOLERANCE,
 ) -> SampledResult:
     """Scaling both arguments scales the value by the exponent power of the factor."""
-    key = ("homogeneous", f, k, grid.endpoint_step, tol)
-    memo = _CHECK_MEMO.get(key)
-    if memo is not None:
-        return memo
     sample = grid.intervals()
     fn = f.fn
     base_lo, base_up = _eval_matrix(f, sample)
@@ -523,8 +504,7 @@ def check_homogeneous(
                            or abs(left.upper - su * row_up[j]) > tol)
                     yield (alpha, x, y) if far else None
 
-    result = _CHECK_MEMO[key] = first_violation(outcomes())
-    return result
+    return first_violation(outcomes())
 
 
 def check_idempotent(
@@ -538,6 +518,7 @@ def check_idempotent(
     )
 
 
+@memoized
 def neutral_element_holds(f: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
     """[1,1] acts as a neutral element, exactly."""
     return first_violation((x, f.fn(ONE, x)) if f.fn(ONE, x) != x or f.fn(x, ONE) != x else None
@@ -579,6 +560,7 @@ def _check_o5(o: IVOverlap, stages: tuple[tuple[float, float], ...]) -> SampledR
     return SampledResult(res_up.ok, res_up.witness, res.samples + res_up.samples)
 
 
+@memoized
 def verify_iv_axioms(
     o: IVOverlap,
     grid: SampleGrid = DEFAULT_GRID,
@@ -586,10 +568,6 @@ def verify_iv_axioms(
 ) -> dict[str, SampledResult]:
     """All five axiom checks; the continuity entry is a heuristic probe of the
     degenerate-input slices, not a proof."""
-    key = ("axioms", o, grid.endpoint_step, stages)
-    memo = _CHECK_MEMO.get(key)
-    if memo is not None:
-        return dict(memo)
     sample = grid.intervals()
     cells = list(itertools.product(range(len(sample)), repeat=2))
     lows, ups = _eval_matrix(o, sample)
@@ -615,6 +593,4 @@ def verify_iv_axioms(
         (x, sample[j], sample[k]) if row_lo[j] > row_lo[k] or row_up[j] > row_up[k] else None
         for x, row_lo, row_up in zip(sample, lows, ups) for j, k in cmp_pairs
     )
-    results = {"o1": o1, "o2": o2, "o3": o3, "o4": o4, "o5": _check_o5(o, stages)}
-    _CHECK_MEMO[key] = dict(results)
-    return results
+    return {"o1": o1, "o2": o2, "o3": o3, "o4": o4, "o5": _check_o5(o, stages)}

@@ -37,6 +37,7 @@ from .sampling import (
     SampleGrid,
     SampledResult,
     first_violation,
+    memoized,
     tuple_samples,
 )
 
@@ -85,7 +86,6 @@ class IVAggregator:
     arity: int
     kind: AggregatorKind
     name: str
-    order: AdmissibleOrder = DEFAULT_ORDER
 
     def __call__(self, values: Sequence[Interval]) -> Interval:
         if len(values) != self.arity:
@@ -131,11 +131,12 @@ class WeightVector:
 
 
 @lru_cache(maxsize=None)
-def builtin_aggregators(
-    n: int,
-    order: AdmissibleOrder = DEFAULT_ORDER,
-) -> dict[str, IVAggregator]:
-    """The aggregator catalog for a given arity, addressable by string id."""
+def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
+    """The aggregator catalog for a given arity, addressable by string id.
+
+    No aggregator depends on an admissible order, so there is one catalog
+    per arity.
+    """
     if n < 1:
         raise WeightError(f"aggregator arity must be >= 1, got {n}")
 
@@ -153,14 +154,16 @@ def builtin_aggregators(
     def agg_geomean(values: Sequence[Interval]) -> Interval:
         return power(reduce(product, values), root)
 
+    # [1,1] tops the product order, which every admissible order refines, so
+    # it is the largest input under any of them exactly when it is an input.
     def agg_dirac(values: Sequence[Interval]) -> Interval:
-        return ONE if order.largest(values) == ONE else ZERO
+        return ONE if ONE in values else ZERO
 
     entries = [
-        IVAggregator(agg_max, n, AggregatorKind.MAX, "max", order),
-        IVAggregator(agg_tsum, n, AggregatorKind.TRUNCATED_SUM, "tsum", order),
-        IVAggregator(agg_geomean, n, AggregatorKind.GEOMETRIC_MEAN, "geomean", order),
-        IVAggregator(agg_dirac, n, AggregatorKind.DIRAC, "dirac", order),
+        IVAggregator(agg_max, n, AggregatorKind.MAX, "max"),
+        IVAggregator(agg_tsum, n, AggregatorKind.TRUNCATED_SUM, "tsum"),
+        IVAggregator(agg_geomean, n, AggregatorKind.GEOMETRIC_MEAN, "geomean"),
+        IVAggregator(agg_dirac, n, AggregatorKind.DIRAC, "dirac"),
     ]
     return {m.name: m for m in entries}
 
@@ -226,11 +229,7 @@ DISTRIBUTIVITY_RESTRICTIONS: dict[AggregatorKind, Callable[[Sequence[Interval], 
     AggregatorKind.TRUNCATED_SUM: non_saturating,
 }
 
-# Sampled checks are deterministic for a fixed configuration, so results are
-# memoized; aggregators and overlaps hash by identity and the key pins them.
-_SAMPLED_MEMO: dict[tuple, SampledResult] = {}
-
-
+@memoized
 def check_distributivity(
     m: IVAggregator,
     o: IVOverlap,
@@ -245,10 +244,6 @@ def check_distributivity(
     Verifies M(O(X1,Y), ..., O(Xn,Y)) == O(M(X1..Xn), Y) on sampled tuples;
     an optional restriction predicate narrows the tuples checked.
     """
-    key = (m, o, grid.endpoint_step, tol, restrict, budget, seed)
-    memo = _SAMPLED_MEMO.get(key)
-    if memo is not None:
-        return memo
     items = grid.intervals()
     size = len(items)
     m_fn = m.fn
@@ -283,10 +278,10 @@ def check_distributivity(
             far = abs(lhs.lower - rhs.lower) > tol or abs(lhs.upper - rhs.upper) > tol
             yield (*map(decode, xs), y_iv) if far else None
 
-    result = _SAMPLED_MEMO[key] = first_violation(outcomes())
-    return result
+    return first_violation(outcomes())
 
 
+@memoized
 def check_homogeneous_m(
     m: IVAggregator,
     grid: SampleGrid = DEFAULT_GRID,
@@ -295,10 +290,6 @@ def check_homogeneous_m(
     seed: int = SAMPLE_SEED,
 ) -> SampledResult:
     """First-order homogeneity: scaling every input scales the output."""
-    key = (m, "homogeneous", grid.endpoint_step, tol, budget, seed)
-    memo = _SAMPLED_MEMO.get(key)
-    if memo is not None:
-        return memo
     m_fn = m.fn
     m_cache: dict[tuple[Interval, ...], Interval] = {}
     m_get = m_cache.get
@@ -315,8 +306,7 @@ def check_homogeneous_m(
                    or abs(left.upper - au * base.upper) > tol)
             yield t if far else None
 
-    result = _SAMPLED_MEMO[key] = first_violation(outcomes())
-    return result
+    return first_violation(outcomes())
 
 
 def absorption_holds(m: IVAggregator, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
@@ -348,7 +338,21 @@ class GowaOperator:
         return self.aggregator(pieces)
 
 
-_VALIDATION_CACHE: dict[tuple, tuple[SampledResult, tuple | None]] = {}
+@memoized
+def _distributes(
+    m: IVAggregator,
+    o: IVOverlap,
+    grid: SampleGrid,
+    budget: int,
+    tol: float,
+) -> tuple[SampledResult, tuple | None]:
+    """The distributivity verdict that admits the pair, and the witness found
+    outside the kind's restriction, if any (None when nothing is restricted)."""
+    restrict = DISTRIBUTIVITY_RESTRICTIONS.get(m.kind)
+    dist = check_distributivity(m, o, grid=grid, tol=tol, restrict=restrict, budget=budget)
+    if not dist.ok or restrict is None:
+        return dist, None
+    return dist, check_distributivity(m, o, grid=grid, tol=tol, budget=budget).witness
 
 
 def make_gowa(
@@ -372,7 +376,7 @@ def make_gowa(
         raise GowaError(
             f"weights are not normalized for {m.name}: aggregate is {m(w.weights)}, not [1,1]"
         )
-    neutral = _neutral_cached(o, grid)
+    neutral = neutral_element_holds(o, grid)
     if not neutral.ok:
         raise GowaError(
             f"overlap {o.name} lacks the neutral element [1,1]; "
@@ -381,37 +385,13 @@ def make_gowa(
     if budget is None:
         # Full cross product for binary aggregators; a bounded sample above.
         budget = 300_000 if m.arity <= 2 else 100_000
-    key = (m, o, grid.endpoint_step, budget, tol)
-    cached = _VALIDATION_CACHE.get(key)
-    if cached is None:
-        restrict = DISTRIBUTIVITY_RESTRICTIONS.get(m.kind)
-        dist = check_distributivity(m, o, grid=grid, tol=tol, restrict=restrict, budget=budget)
-        saturation = None
-        if dist.ok and restrict is not None:
-            unrestricted = check_distributivity(m, o, grid=grid, tol=tol, budget=budget)
-            if not unrestricted.ok:
-                saturation = unrestricted.witness
-        _VALIDATION_CACHE[key] = (dist, saturation)
-    else:
-        dist, saturation = cached
+    dist, saturation = _distributes(m, o, grid, budget, tol)
     if not dist.ok:
         raise GowaError(
             f"aggregator {m.name} does not distribute over {o.name}; "
             f"witness {' '.join(map(format_interval, dist.witness))}"
         )
     return GowaOperator(m, o, w, order, saturation)
-
-
-_NEUTRAL_CACHE: dict[tuple, SampledResult] = {}
-
-
-def _neutral_cached(o: IVOverlap, grid: SampleGrid) -> SampledResult:
-    key = (o, grid.endpoint_step)
-    res = _NEUTRAL_CACHE.get(key)
-    if res is None:
-        res = neutral_element_holds(o, grid)
-        _NEUTRAL_CACHE[key] = res
-    return res
 
 
 def iv_gowa(

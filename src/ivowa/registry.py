@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .intervals import AdmissibleOrder, DEFAULT_ORDER, ExponentInterval, power
+from .intervals import AdmissibleOrder, ExponentInterval, power
 from .iv_overlaps import (
     IVOverlap,
     Migrative,
@@ -187,11 +187,13 @@ def resolve_iv_overlap(token: str) -> IVOverlap:
     raise RegistryError(f"unknown interval overlap id {token!r}")
 
 
-def resolve_aggregator(token: str, n: int, order: AdmissibleOrder = DEFAULT_ORDER) -> IVAggregator:
+def resolve_aggregator(token: str, n: int, order: AdmissibleOrder | None = None) -> IVAggregator:
+    """The catalog aggregator of a given arity.  The catalog does not depend on
+    the admissible order; `order` is accepted for callers that pass one."""
     key = token.strip()
     if key not in AGGREGATOR_IDS:
         raise RegistryError(f"unknown aggregator id {token!r}; known: {', '.join(AGGREGATOR_IDS)}")
-    return builtin_aggregators(n, order)[key]
+    return builtin_aggregators(n)[key]
 
 
 def resolve_order(token: str) -> AdmissibleOrder:

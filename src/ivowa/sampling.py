@@ -1,5 +1,5 @@
-"""Deterministic sample grids and the small result record shared by all
-sampled law checks.
+"""Deterministic sample grids, the small result record shared by all
+sampled law checks, and the one memo that keeps their results.
 
 A check never answers with a bare boolean: a failing check carries the first
 violating tuple it met, so counterexamples double as fixtures.  Enumeration
@@ -8,10 +8,13 @@ order is fixed, which makes every verdict and witness reproducible.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import random
 import sys
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -48,6 +51,42 @@ def first_violation(outcomes: Iterable[tuple | None]) -> SampledResult:
         if witness is not None:
             return SampledResult(False, witness, count)
     return SampledResult(True, None, count)
+
+
+# The one memo.  Sampled checks and operator validation are deterministic for
+# fixed arguments, so their results are kept here, least recently used first
+# out once MEMO_SIZE entries are held.  A full `verify theorems lattice` run
+# holds 65.
+MEMO_SIZE = 512
+_MEMO: OrderedDict[tuple, object] = OrderedDict()
+
+
+def memoized(fn: Callable) -> Callable:
+    """Keep the results of a deterministic function in the one memo.
+
+    The key is the function plus its arguments bound with their defaults
+    applied, so ``f(m, o, grid)`` and ``f(m, o, grid=grid, tol=ROOT_TOLERANCE)``
+    share one entry.  Operators hash by identity, so an entry pins the objects
+    it was computed for.  A dict result is handed out as a copy, so callers
+    cannot change what later calls get.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, *bound.arguments.values())
+        if key in _MEMO:
+            _MEMO.move_to_end(key)
+            result = _MEMO[key]
+        else:
+            result = _MEMO[key] = fn(*args, **kwargs)
+            if len(_MEMO) > MEMO_SIZE:
+                _MEMO.popitem(last=False)
+        return dict(result) if isinstance(result, dict) else result
+
+    return cached
 
 
 @dataclass(frozen=True)

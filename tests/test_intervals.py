@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -9,13 +8,11 @@ from conftest import assert_interval_close, intervals, random_interval
 from ivowa.intervals import (
     AdmissibleOrder,
     ExponentInterval,
-    GeneralInterval,
     Interval,
     IntervalError,
     ONE,
     Ordering,
     ZERO,
-    arctan_interval,
     complement,
     contract_half,
     format_interval,
@@ -25,7 +22,6 @@ from ivowa.intervals import (
     midpoint,
     parse_interval,
     power,
-    power_negative,
     product,
     subseteq,
 )
@@ -47,14 +43,6 @@ class TestConstruction:
     def test_invalid_rejected(self, lo, up):
         with pytest.raises(IntervalError):
             Interval(lo, up)
-
-    def test_general_interval_allows_wide_range(self):
-        g = GeneralInterval(-3.0, 7.5)
-        assert g.lower == -3.0
-        with pytest.raises(IntervalError):
-            GeneralInterval(2.0, 1.0)
-        with pytest.raises(IntervalError):
-            GeneralInterval(0.0, float("inf"))
 
     def test_exponent_interval(self):
         k = ExponentInterval(1.0, 2.0)
@@ -108,17 +96,6 @@ class TestPower:
         assert_interval_close(once, direct.lower, direct.upper)
 
 
-class TestPowerNegative:
-    def test_examples(self):
-        assert power_negative(Interval(0.5, 0.5), ExponentInterval(1, 1)) == GeneralInterval(2, 2)
-        assert power_negative(Interval(0.25, 0.5), ExponentInterval(1, 2)) == GeneralInterval(2, 16)
-        assert power_negative(ONE, ExponentInterval(1, 3)) == GeneralInterval(1, 1)
-
-    def test_zero_lower_rejected(self):
-        with pytest.raises(IntervalError):
-            power_negative(Interval(0.0, 0.5), ExponentInterval(1, 1))
-
-
 class TestComplement:
     def test_examples(self):
         assert_interval_close(complement(Interval(0.3, 0.7)), 0.3, 0.7)
@@ -134,14 +111,6 @@ class TestComplement:
     def test_order_reversing(self, x, y):
         if leq_product(x, y):
             assert leq_product(complement(y), complement(x))
-
-
-class TestArctan:
-    def test_values(self):
-        assert arctan_interval(ZERO) == GeneralInterval(0.0, 0.0)
-        q = math.pi / 4
-        assert arctan_interval(ONE) == GeneralInterval(q, q)
-        assert arctan_interval(Interval(0, 1)) == GeneralInterval(0.0, q)
 
 
 class TestMidpointContraction:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,7 +14,8 @@ from ivowa.intervals import (
     format_interval,
     leq_product,
 )
-from ivowa.iv_overlaps import interval_product, migrative_canonical, representable
+from ivowa import owa
+from ivowa.iv_overlaps import IVOverlap, interval_product, migrative_canonical, representable
 from ivowa.owa import (
     GowaError,
     WeightError,
@@ -30,8 +32,8 @@ from ivowa.owa import (
     normalize_weights,
     projection_owa,
 )
-from ivowa.registry import real_catalog, resolve_iv_overlap
-from ivowa.sampling import DEFAULT_GRID
+from ivowa.registry import real_catalog, resolve_aggregator, resolve_iv_overlap
+from ivowa.sampling import DEFAULT_GRID, ROOT_TOLERANCE, SAMPLE_SEED
 
 AGG2 = builtin_aggregators(2)
 PRODUCT = interval_product()
@@ -51,9 +53,16 @@ class TestAggregators:
         got = AGG2["geomean"]([Interval(0.1, 0.2), Interval(0.4, 0.9)])
         assert_interval_close(got, 0.2, 0.4242640687119285, tol=1e-12)
 
-    def test_dirac_values(self):
-        assert AGG2["dirac"]([ONE, Interval(0.2, 0.4)]) == ONE
-        assert AGG2["dirac"]([Interval(0.9, 1.0), Interval(0.2, 0.4)]) == ZERO
+    @pytest.mark.parametrize("order", AdmissibleOrder, ids=lambda order: order.value)
+    def test_dirac_values(self, order):
+        dirac = resolve_aggregator("dirac", 2, order)
+        assert dirac([ONE, Interval(0.2, 0.4)]) == ONE
+        assert dirac([Interval(0.9, 1.0), Interval(0.2, 0.4)]) == ZERO
+        # [1,1] is the largest input under every admissible order exactly
+        # when it is an input.
+        for v in itertools.product(DEFAULT_GRID.intervals(), repeat=2):
+            by_order = ONE if max(v, key=order.sort_key) == ONE else ZERO
+            assert dirac(v) == (ONE if ONE in v else ZERO) == by_order, v
 
     def test_arity_enforced(self):
         with pytest.raises(WeightError):
@@ -150,6 +159,48 @@ class TestDistributivity:
         restricted = check_distributivity(AGG2["tsum"], PRODUCT, restrict=non_saturating)
         assert restricted.ok
         assert restricted.samples > 0
+
+
+def _fresh_product() -> IVOverlap:
+    """The interval product under a new identity, so no memo entry holds it."""
+    return IVOverlap(PRODUCT.fn, PRODUCT.name, PRODUCT.provenance, PRODUCT.claims)
+
+
+def _count_tuple_samples(monkeypatch) -> list[int]:
+    calls = [0]
+    draw = owa.tuple_samples
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(owa, "tuple_samples", counted)
+    return calls
+
+
+class TestValidationMemo:
+    def test_keyword_form_with_defaults_shares_the_entry(self, monkeypatch):
+        calls = _count_tuple_samples(monkeypatch)
+        o = _fresh_product()
+        first = check_distributivity(AGG2["dirac"], o, DEFAULT_GRID)
+        assert calls[0] == 1
+        again = check_distributivity(AGG2["dirac"], o, grid=DEFAULT_GRID, tol=ROOT_TOLERANCE,
+                                     restrict=None, budget=300_000, seed=SAMPLE_SEED)
+        assert calls[0] == 1
+        assert again == first
+
+    def test_both_orders_validate_once(self, monkeypatch):
+        calls = _count_tuple_samples(monkeypatch)
+        o = _fresh_product()
+        w = normalize_weights(builtin_aggregators(3)["tsum"], WeightVector.uniform(3))
+        lex = make_gowa(resolve_aggregator("tsum", 3, AdmissibleOrder.LEX1), o, w,
+                        AdmissibleOrder.LEX1)
+        drawn = calls[0]
+        assert drawn > 0
+        xu = make_gowa(resolve_aggregator("tsum", 3, AdmissibleOrder.XU_YAGER), o, w,
+                       AdmissibleOrder.XU_YAGER)
+        assert calls[0] == drawn
+        assert xu.saturation_witness == lex.saturation_witness
 
 
 class TestHomogeneity:

@@ -60,6 +60,10 @@ class TestIdGrammar:
         with pytest.raises(RegistryError):
             resolve_aggregator("median", 2)
 
+    def test_aggregator_catalog_is_order_free(self):
+        lex = resolve_aggregator("tsum", 3, AdmissibleOrder.LEX1)
+        assert lex is resolve_aggregator("tsum", 3, AdmissibleOrder.XU_YAGER)
+
     def test_standard_catalog_contents(self):
         names = set(standard_overlaps())
         assert {"product", "midpoint", "rep(product,product)", "mig(sqrt)",

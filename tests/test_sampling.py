@@ -1,5 +1,5 @@
-"""The lazy sample stream against the eager list it replaced, and the
-first-violation policy every sampled check shares."""
+"""The lazy sample stream against the eager list it replaced, the
+first-violation policy every sampled check shares, and the one memo."""
 
 import itertools
 import random
@@ -7,6 +7,11 @@ import random
 import pytest
 
 from ivowa import sampling
+from ivowa.cli import RunConfig, rank_matrix
+from ivowa.iv_overlaps import representable, verify_iv_axioms
+from ivowa.matrix import parse_matrix_text
+from ivowa.owa import GowaError, WeightVector
+from ivowa.registry import real_catalog
 from ivowa.sampling import SAMPLE_SEED, SampledResult, first_violation, tuple_samples
 
 
@@ -106,3 +111,24 @@ def test_first_violation_counts_cases_up_to_the_first_witness():
     assert consumed == [0, 1, 2, 3]
     assert first_violation(iter([None] * 5)) == SampledResult(True, None, 5)
     assert first_violation(iter([])) == SampledResult(True, None, 0)
+
+
+def test_memo_hands_out_copies_of_dict_results():
+    op = representable(real_catalog()["product"], real_catalog()["min"])
+    before = verify_iv_axioms(op)
+    expected = dict(before)
+    before["o1"] = SampledResult(False, ("changed",), 0)
+    del before["o5"]
+    assert verify_iv_axioms(op) == expected
+
+
+def test_memo_stays_within_its_cap():
+    # Each resolve of a transform id builds a new, identity-hashed overlap,
+    # so every call below adds a neutral-element entry to the memo.
+    config = RunConfig("max", "pow(product,n=2)", WeightVector.selector(2, 1))
+    matrix = parse_matrix_text('alternative,c1,c2\na1,"[0.2,0.4]",0.5\n', "csv")
+    for _ in range(sampling.MEMO_SIZE + 50):
+        with pytest.raises(GowaError, match="neutral element"):
+            rank_matrix(config, matrix)
+        assert len(sampling._MEMO) <= sampling.MEMO_SIZE
+    assert len(sampling._MEMO) == sampling.MEMO_SIZE
