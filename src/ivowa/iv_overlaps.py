@@ -12,6 +12,7 @@ inclusion monotonicity.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Literal, Sequence
@@ -49,14 +50,17 @@ from .sampling import (
     SampleGrid,
     SampledResult,
     comparable_pairs,
-    continuity_probe,
     first_violation,
+    jump_probe,
     memoized,
 )
 
 __all__ = [
     "IVOverlap",
     "UnaryGenerator",
+    "IDENTITY",
+    "SQRT",
+    "SQUARE",
     "Representable",
     "SemiRepresentable",
     "Migrative",
@@ -89,13 +93,31 @@ class ConstructionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class UnaryGenerator:
-    """A monotone interval map fixing [0,0] and [1,1] and preserving the interior."""
+    """A monotone interval map fixing [0,0] and [1,1] and preserving the interior.
 
-    fn: Callable[[Interval], Interval]
+    `fn` maps endpoint pairs, ``(lower, upper) -> (lower', upper')``, so a
+    migrative overlap applies it to the product's endpoints without building
+    the product interval; calling the generator maps an `Interval`.
+    """
+
+    fn: Callable[[float, float], tuple[float, float]]
     name: str
 
     def __call__(self, x: Interval) -> Interval:
-        return self.fn(x)
+        ends = self.fn(x.lower, x.upper)
+        # A fixed point returns its argument, so the identity builds nothing.
+        return x if ends == (x.lower, x.upper) else Interval(*ends)
+
+
+def _power_generator(k: ExponentInterval, name: str) -> UnaryGenerator:
+    """X -> X**K as an endpoint map, with `power`'s exponent placement."""
+    k_lower, k_upper = k.k2, k.k1
+    return UnaryGenerator(lambda lo, up: (lo**k_lower, up**k_upper), name)
+
+
+IDENTITY = UnaryGenerator(lambda lo, up: (lo, up), "identity")
+SQRT = _power_generator(ExponentInterval.of(0.5), "sqrt")
+SQUARE = _power_generator(ExponentInterval.of(2.0), "square")
 
 
 @dataclass(frozen=True)
@@ -281,16 +303,19 @@ def migrative_from_generator(
 ) -> IVOverlap:
     """Build the migrative overlap X, Y -> g(XY) from a unary generator."""
     _validate_generator(g, grid)
-    return IVOverlap(lambda x, y: g(product(x, y)), name or f"mig({g.name})",
-                     Migrative(g), claims)
+    ends = g.fn
+
+    def fn(x: Interval, y: Interval) -> Interval:
+        return Interval(*ends(x.lower * y.lower, x.upper * y.upper))
+
+    return IVOverlap(fn, name or f"mig({g.name})", Migrative(g), claims)
 
 
 @lru_cache(maxsize=None)
 def interval_product() -> IVOverlap:
     """The interval product as an overlap; migrative with the identity generator."""
-    identity = UnaryGenerator(lambda x: x, "identity")
     return migrative_from_generator(
-        identity, name="product", claims=frozenset({"associative", "neutral-one"})
+        IDENTITY, name="product", claims=frozenset({"associative", "neutral-one"})
     )
 
 
@@ -299,7 +324,7 @@ def migrative_canonical(k: ExponentInterval) -> IVOverlap:
     """The unique migrative overlap homogeneous of a given exponent order:
     the product raised to half the exponent."""
     half = k.halved()
-    g = UnaryGenerator(lambda x: power(x, half), f"pow:{half}")
+    g = _power_generator(half, f"pow:{half}")
     claims = set()
     if k.k1 == k.k2 == 2.0:
         claims.update({"associative", "neutral-one"})
@@ -552,11 +577,34 @@ def check_associative(
 
 
 def _check_o5(o: IVOverlap, stages: tuple[tuple[float, float], ...]) -> SampledResult:
-    lower, upper = projections(o)
-    res = continuity_probe(lower, stages)
+    """The continuity probe of the lower projection, then of the upper one.
+
+    Each stage evaluates `o` once per degenerate grid point, and keeps the
+    upper endpoints for the second probe.
+    """
+    fn = o.fn
+    upper_tables = []
+
+    def lower_tables():
+        for step, bound in stages:
+            pts = SampleGrid(step).endpoints()
+            points = [Interval(p, p) for p in pts]
+            lows, ups = [], []
+            # Rows are arrays of doubles: the finest stage holds two tables of
+            # 201 x 201 endpoints, which as lists of floats would raise the
+            # peak memory of a law-suite run.
+            for x in points:
+                values = [fn(x, y) for y in points]
+                lows.append(array("d", [v.lower for v in values]))
+                ups.append(array("d", [v.upper for v in values]))
+            upper_tables.append((bound, pts, ups))
+            yield bound, pts, lows
+
+    res = jump_probe(lower_tables())
     if not res.ok:
         return res
-    res_up = continuity_probe(upper, stages)
+    # The lower probe passed every stage, so every upper table is built.
+    res_up = jump_probe(upper_tables)
     return SampledResult(res_up.ok, res_up.witness, res.samples + res_up.samples)
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "parse_matrix",
     "parse_matrix_text",
     "emit_matrix_text",
-    "emit_matrix",
 ]
 
 
@@ -156,10 +155,3 @@ def emit_matrix_text(matrix: DecisionMatrix, fmt: str) -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     raise MatrixError(f"unknown matrix format {fmt!r}; expected csv or json")
-
-
-def emit_matrix(matrix: DecisionMatrix, path: str | Path, fmt: str | None = None) -> None:
-    p = Path(path)
-    if fmt is None:
-        fmt = "json" if p.suffix.lower() == ".json" else "csv"
-    p.write_text(emit_matrix_text(matrix, fmt), encoding="utf-8")

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .intervals import AdmissibleOrder, ExponentInterval, power
+from .intervals import AdmissibleOrder, ExponentInterval
 from .iv_overlaps import (
+    IDENTITY,
+    SQRT,
+    SQUARE,
     IVOverlap,
     Migrative,
     Representable,
@@ -58,14 +61,7 @@ def real_catalog() -> dict[str, RealOverlap]:
 
 @lru_cache(maxsize=1)
 def generator_catalog() -> dict[str, UnaryGenerator]:
-    sqrt_k = ExponentInterval.of(0.5)
-    square_k = ExponentInterval.of(2.0)
-    gens = [
-        UnaryGenerator(lambda x: x, "identity"),
-        UnaryGenerator(lambda x: power(x, sqrt_k), "sqrt"),
-        UnaryGenerator(lambda x: power(x, square_k), "square"),
-    ]
-    return {g.name: g for g in gens}
+    return {g.name: g for g in (IDENTITY, SQRT, SQUARE)}
 
 
 @lru_cache(maxsize=1)

@@ -216,9 +216,9 @@ def tuple_samples(
     return TupleSamples(items, n, budget, seed)
 
 
-def max_jump_binary(fn: Callable[[float, float], float], step: float) -> tuple[float, tuple]:
-    pts = SampleGrid(step).endpoints()
-    rows = [[fn(x, y) for y in pts] for x in pts]
+def max_jump(pts: list[float], rows: list[list[float]]) -> tuple[float, tuple]:
+    """The largest jump between neighbouring cells of a value table
+    ``rows[i][j] = f(pts[i], pts[j])``, and where it is."""
     worst, where = 0.0, ()
     m = len(pts)
     for i in range(m):
@@ -235,6 +235,20 @@ def max_jump_binary(fn: Callable[[float, float], float], step: float) -> tuple[f
     return worst, where
 
 
+def jump_probe(tables: Iterable[tuple[float, list[float], list[list[float]]]]) -> SampledResult:
+    """The staged grid-jump probe over value tables ``(bound, pts, rows)``,
+    one per stage; stops at the first stage whose largest jump reaches its
+    bound.  Tables are read only as far as the probe gets."""
+    total = 0
+    for bound, pts, rows in tables:
+        n = len(pts) - 1
+        total += 2 * n * (n + 1)
+        jump, where = max_jump(pts, rows)
+        if jump >= bound:
+            return SampledResult(False, (*where, jump), total)
+    return SampledResult(True, None, total)
+
+
 def continuity_probe(
     fn: Callable[[float, float], float],
     stages: tuple[tuple[float, float], ...] = CONTINUITY_STAGES,
@@ -244,14 +258,13 @@ def continuity_probe(
     A bounded jump between adjacent grid points is evidence of continuity,
     never a proof; a steep but continuous function can trip the probe.
     """
-    total = 0
-    for step, bound in stages:
-        n = SampleGrid(step).divisions
-        total += 2 * n * (n + 1)
-        jump, where = max_jump_binary(fn, step)
-        if jump >= bound:
-            return SampledResult(False, (*where, jump), total)
-    return SampledResult(True, None, total)
+
+    def tables():
+        for step, bound in stages:
+            pts = SampleGrid(step).endpoints()
+            yield bound, pts, [[fn(x, y) for y in pts] for x in pts]
+
+    return jump_probe(tables())
 
 
 def max_jump_nary(fn: Callable[..., float], arity: int, step: float) -> tuple[float, tuple]:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -37,7 +40,7 @@ class TestConstruction:
     def test_int_endpoints_coerced(self):
         x = Interval(0, 1)
         assert x == Interval(0.0, 1.0)
-        assert type(x.lower) is float
+        assert type(x.lower) is float and type(x.upper) is float
 
     @pytest.mark.parametrize("lo,up", [(0.6, 0.2), (-0.1, 0.5), (0.5, 1.2), (float("nan"), 0.5)])
     def test_invalid_rejected(self, lo, up):
@@ -51,6 +54,56 @@ class TestConstruction:
             ExponentInterval(0.0, 1.0)
         with pytest.raises(IntervalError):
             ExponentInterval(2.0, 1.0)
+
+
+class TestValueContract:
+    def test_assignment_and_deletion_raise(self):
+        x = Interval(0.25, 0.75)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.lower = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.extra = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del x.upper
+        assert (x.lower, x.upper) == (0.25, 0.75)
+
+    def test_hash_is_the_endpoint_tuple_hash(self):
+        # Memo keys and set iteration order depend on this value.
+        for x in (ZERO, ONE, Interval(0.1, 0.7), Interval(0, 1)):
+            assert hash(x) == hash((x.lower, x.upper))
+
+    def test_equality_is_by_endpoints_and_only_between_intervals(self):
+        assert Interval(0.2, 0.4) == Interval(0.2, 0.4)
+        assert Interval(0.2, 0.4) != Interval(0.2, 0.5)
+        assert Interval(0, 1) != (0.0, 1.0)
+        assert (0.0, 1.0) != Interval(0, 1)
+        assert Interval(0.2, 0.4).__eq__("[0.2,0.4]") is NotImplemented
+
+    def test_repr(self):
+        assert repr(Interval(0.1, 1)) == "Interval(lower=0.1, upper=1.0)"
+
+    def test_copy_and_pickle_round_trip(self):
+        x = Interval(0.1, 0.7)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and type(y) is Interval
+            assert (y.lower, y.upper) == (0.1, 0.7)
+
+    def test_post_init_runs_once_per_construction(self, monkeypatch):
+        # The benchmark counts constructed intervals through this hook.
+        calls = []
+        original = Interval.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        k = ExponentInterval(1.0, 2.0)
+        monkeypatch.setattr(Interval, "__post_init__", counted)
+        x = Interval(0.2, 0.5)
+        p = product(x, x)
+        q = power(x, k)
+        assert len(calls) == 3
+        assert all(c is o for c, o in zip(calls, (x, p, q)))
 
 
 class TestProduct:

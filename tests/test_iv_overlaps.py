@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_interval_close, intervals
-from ivowa.intervals import ExponentInterval, Interval, ONE, ZERO, subseteq
+from ivowa.intervals import ExponentInterval, Interval, ONE, ZERO, power, product, subseteq
 from ivowa.iv_overlaps import (
+    IDENTITY,
     ConstructionError,
+    IVOverlap,
     Migrative,
+    Opaque,
     Representable,
     UnaryGenerator,
     check_homogeneous,
@@ -29,8 +32,8 @@ from ivowa.iv_overlaps import (
     verify_iv_axioms,
 )
 from ivowa.overlaps import mean_of_components, projection_aggregator
-from ivowa.registry import generator_catalog, real_catalog
-from ivowa.sampling import DEFAULT_GRID
+from ivowa.registry import generator_catalog, real_catalog, resolve_iv_overlap, standard_overlaps
+from ivowa.sampling import CONTINUITY_STAGES, DEFAULT_GRID, SampleGrid, SampledResult
 
 CAT = real_catalog()
 SAMPLE = DEFAULT_GRID.intervals()
@@ -186,15 +189,39 @@ class TestMigrative:
         assert_interval_close(prod(x, y), 0.08, 0.4)
 
     def test_invalid_generator_rejected(self):
-        collapsing = UnaryGenerator(lambda x: ONE, "always-one")
+        collapsing = UnaryGenerator(lambda lo, up: (1.0, 1.0), "always-one")
         with pytest.raises(ConstructionError, match="boundary"):
             migrative_from_generator(collapsing)
-        shrinking = UnaryGenerator(
-            lambda x: Interval(x.lower * 0.0, x.upper * 0.0) if x != ONE and x != ZERO else x,
-            "collapse-interior",
-        )
-        with pytest.raises(ConstructionError):
+
+        def collapse_interior(lo, up):
+            return (lo, up) if (lo, up) in ((0.0, 0.0), (1.0, 1.0)) else (lo * 0.0, up * 0.0)
+
+        shrinking = UnaryGenerator(collapse_interior, "collapse-interior")
+        with pytest.raises(ConstructionError, match="interior"):
             migrative_from_generator(shrinking)
+
+    def test_generator_maps_intervals_through_its_endpoint_map(self):
+        assert generator_catalog()["square"](Interval(0.5, 0.9)) == Interval(0.25, 0.9**2.0)
+        x = Interval(0.2, 0.3)
+        assert IDENTITY(x) is x
+
+    @pytest.mark.parametrize("op_id,k", [
+        ("product", None),
+        ("mig(sqrt)", ExponentInterval.of(0.5)),
+        ("mig(square)", ExponentInterval.of(2.0)),
+        ("canonical(K=[1,1])", ExponentInterval(0.5, 0.5)),
+        ("canonical(K=[1,2])", ExponentInterval(0.5, 1.0)),
+        ("canonical(K=[2,2])", ExponentInterval(1.0, 1.0)),
+    ])
+    def test_catalog_migrative_equals_generator_of_product(self, op_id, k):
+        # The reference is the composed form g(XY); the endpoint-map form must
+        # give the same bits, not just close values.
+        op = resolve_iv_overlap(op_id)
+        for x in SAMPLE:
+            for y in SAMPLE:
+                want = product(x, y) if k is None else power(product(x, y), k)
+                got = op(x, y)
+                assert (got.lower.hex(), got.upper.hex()) == (want.lower.hex(), want.upper.hex())
 
     def test_canonical_k22_is_product(self):
         op = migrative_canonical(ExponentInterval(2, 2))
@@ -279,6 +306,64 @@ class TestMidpointExample:
 
     def test_axioms_pass(self):
         assert all(res.ok for res in verify_iv_axioms(midpoint_example()).values())
+
+
+def two_probe_o5(o, stages=CONTINUITY_STAGES):
+    """Reference O5: the continuity probe of the lower projection, then of
+    the upper one, each evaluating `o` afresh on every degenerate grid point."""
+
+    def probe(end):
+        total = 0
+        for step, bound in stages:
+            pts = SampleGrid(step).endpoints()
+            rows = [[getattr(o.fn(Interval(x, x), Interval(y, y)), end) for y in pts] for x in pts]
+            n = len(pts) - 1
+            total += 2 * n * (n + 1)
+            worst, where = 0.0, ()
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    if i < n and abs(rows[i + 1][j] - rows[i][j]) > worst:
+                        worst, where = abs(rows[i + 1][j] - rows[i][j]), (pts[i], pts[i + 1], pts[j])
+                    if j < n and abs(rows[i][j + 1] - rows[i][j]) > worst:
+                        worst, where = abs(rows[i][j + 1] - rows[i][j]), (pts[i], pts[j], pts[j + 1])
+            if worst >= bound:
+                return SampledResult(False, (*where, worst), total)
+        return SampledResult(True, None, total)
+
+    res = probe("lower")
+    if not res.ok:
+        return res
+    res_up = probe("upper")
+    return SampledResult(res_up.ok, res_up.witness, res.samples + res_up.samples)
+
+
+def lattice_overlaps():
+    rep_pp = representable(CAT["product"], CAT["product"])
+    rep_mm = representable(CAT["min"], CAT["min"])
+    return [combine(o1, o2) for o1, o2 in ((rep_pp, rep_mm), (interval_product(), midpoint_example()))
+            for combine in (iv_join, iv_meet)]
+
+
+O5_TARGETS = [*standard_overlaps().values(), *lattice_overlaps()]
+# A flat lower projection lets the upper probe decide.
+FLAT_LOWER = IVOverlap(lambda x, y: Interval(0.0, x.upper * y.upper),
+                       "flat-lower", Opaque("flat-lower"))
+EARLY_EXIT_TARGETS = [interval_product(), FLAT_LOWER, representable(CAT["product"], CAT["min"])]
+
+
+class TestContinuityAxiom:
+    @pytest.mark.parametrize("o", O5_TARGETS, ids=lambda o: o.name)
+    def test_equals_two_probe_reference(self, o):
+        assert verify_iv_axioms(o)["o5"] == two_probe_o5(o)
+
+    @pytest.mark.parametrize("stages", [
+        ((0.1, 0.05),),
+        ((0.1, 1.0), (0.05, 0.01)),
+        ((0.1, 1.0), (0.05, 1.0)),
+    ], ids=["first-stage", "second-stage", "passes"])
+    @pytest.mark.parametrize("o", EARLY_EXIT_TARGETS, ids=lambda o: o.name)
+    def test_early_exits_equal_two_probe_reference(self, o, stages):
+        assert verify_iv_axioms(o, stages=stages)["o5"] == two_probe_o5(o, stages)
 
 
 class TestLatticeOps:

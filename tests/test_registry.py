@@ -6,6 +6,7 @@ from ivowa.iv_overlaps import Migrative, Opaque, Representable
 from ivowa.registry import (
     RegistryError,
     resolve_aggregator,
+    resolve_generator,
     resolve_iv_overlap,
     resolve_order,
     resolve_real_overlap,
@@ -27,6 +28,11 @@ class TestIdGrammar:
         op = resolve_iv_overlap("mig(sqrt)")
         got = op(Interval(1, 1), Interval(0.25, 0.25))
         assert got == Interval(0.5, 0.5)
+
+    def test_product_and_mig_identity_share_one_generator(self):
+        generator = resolve_iv_overlap("product").provenance.generator
+        assert generator is resolve_generator("identity")
+        assert resolve_iv_overlap("mig(identity)").provenance.generator is generator
 
     def test_canonical_ids(self):
         op = resolve_iv_overlap("canonical(K=[1,2])")
