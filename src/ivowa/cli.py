@@ -24,7 +24,7 @@ from .checks import (
 )
 from .intervals import AdmissibleOrder, DEFAULT_ORDER, Interval, IntervalError, format_interval
 from .iv_overlaps import ConstructionError
-from .matrix import DecisionMatrix, MatrixError, parse_matrix
+from .matrix import DecisionMatrix, MatrixError, parse_matrix, read_json_number
 from .owa import GowaError, WeightError, WeightVector, make_gowa, normalize_weights
 from .registry import (
     AGGREGATOR_IDS,
@@ -56,19 +56,37 @@ class ConfigError(ValueError):
     pass
 
 
+CONFIG_KEYS = ("aggregator", "overlap", "weights", "order", "normalize", "tolerances")
+TOLERANCE_KEYS = ("distributivity",)
+
+
+def _reject_unknown_keys(data: dict, known: tuple[str, ...], where: str) -> None:
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"{where} has unknown key {key!r}; known: {', '.join(known)}")
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
+    _reject_unknown_keys(data, CONFIG_KEYS, f"config {path!r}")
     for key in ("aggregator", "overlap", "weights"):
         if key not in data:
             raise ConfigError(f"config {path!r} is missing key {key!r}")
+    for key in ("aggregator", "overlap", "order"):
+        if key in data and not isinstance(data[key], str):
+            raise ConfigError(f"config key {key!r} must be a string, got {data[key]!r}")
+    tolerances = data.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError(f"config key 'tolerances' must be an object, got {tolerances!r}")
+    _reject_unknown_keys(tolerances, TOLERANCE_KEYS, "config key 'tolerances'")
     raw_weights = data["weights"]
     if not isinstance(raw_weights, list) or not raw_weights:
         raise ConfigError("config weights must be a non-empty array of [a,b] pairs")
@@ -76,9 +94,10 @@ def load_config(path: str) -> RunConfig:
     for i, raw in enumerate(raw_weights):
         if not (isinstance(raw, list) and len(raw) == 2):
             raise ConfigError(f"weight {i + 1} must be a two-element array")
+        ends = [read_json_number(v, f"weight {i + 1}", ConfigError) for v in raw]
         try:
-            pairs.append(Interval(float(raw[0]), float(raw[1])))
-        except (TypeError, ValueError, IntervalError) as exc:
+            pairs.append(Interval(*ends))
+        except IntervalError as exc:
             raise ConfigError(f"weight {i + 1}: {exc}") from None
     try:
         order = resolve_order(data.get("order", DEFAULT_ORDER.value))
@@ -88,12 +107,12 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(normalize, bool):
         raise ConfigError(f"config key 'normalize' must be true or false, got {normalize!r}")
     return RunConfig(
-        aggregator_id=str(data["aggregator"]),
-        overlap_id=str(data["overlap"]),
+        aggregator_id=data["aggregator"],
+        overlap_id=data["overlap"],
         weights=WeightVector(tuple(pairs)),
         order=order,
         normalize=normalize,
-        tolerances=data.get("tolerances"),
+        tolerances=tolerances,
     )
 
 
@@ -123,10 +142,10 @@ def rank_matrix(config: RunConfig, matrix: DecisionMatrix):
     if config.normalize:
         weights = normalize_weights(aggregator, weights)
     overrides = config.tolerances or {}
-    try:
-        tol = float(overrides.get("distributivity", ROOT_TOLERANCE))
-    except (TypeError, ValueError):
-        raise ConfigError("tolerances.distributivity must be a number") from None
+    tol = read_json_number(overrides.get("distributivity", ROOT_TOLERANCE),
+                           "tolerances.distributivity", ConfigError)
+    if tol < 0.0:
+        raise ConfigError(f"tolerances.distributivity must be >= 0, got {tol!r}")
     operator = make_gowa(aggregator, overlap, weights, config.order, tol=tol)
     aggregates = [operator(matrix.row(i)) for i in range(len(matrix.alternatives))]
     order_desc = config.order.ranks_descending(aggregates)

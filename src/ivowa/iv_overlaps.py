@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Literal, Sequence
 
 from .intervals import (
@@ -164,7 +163,7 @@ class IVOverlap:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memoized
 def representable(
     g_lower: RealOverlap,
     g_upper: RealOverlap,
@@ -212,7 +211,7 @@ def semi_representable(
     return _semi_representable(m_lower, m_upper, tuple(parts), grid, name)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _semi_representable(
     m_lower: RealAggregator,
     m_upper: RealAggregator,
@@ -294,7 +293,7 @@ def _validate_generator(g: UnaryGenerator, grid: SampleGrid) -> None:
             )
 
 
-@lru_cache(maxsize=None)
+@memoized
 def migrative_from_generator(
     g: UnaryGenerator,
     grid: SampleGrid = DEFAULT_GRID,
@@ -311,7 +310,7 @@ def migrative_from_generator(
     return IVOverlap(fn, name or f"mig({g.name})", Migrative(g), claims)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def interval_product() -> IVOverlap:
     """The interval product as an overlap; migrative with the identity generator."""
     return migrative_from_generator(
@@ -319,11 +318,14 @@ def interval_product() -> IVOverlap:
     )
 
 
-@lru_cache(maxsize=None)
+@memoized
 def migrative_canonical(k: ExponentInterval) -> IVOverlap:
     """The unique migrative overlap homogeneous of a given exponent order:
     the product raised to half the exponent."""
-    half = k.halved()
+    try:
+        half = k.halved()
+    except IntervalError:
+        raise ConstructionError(f"exponent {k} has no half in binary64") from None
     g = _power_generator(half, f"pow:{half}")
     claims = set()
     if k.k1 == k.k2 == 2.0:
@@ -333,6 +335,7 @@ def migrative_canonical(k: ExponentInterval) -> IVOverlap:
     )
 
 
+@memoized
 def power_transform(base: IVOverlap, n: int, direction: Literal["power", "root"]) -> IVOverlap:
     """Evaluate an overlap at n-th powers or n-th roots of its arguments.
 
@@ -341,11 +344,15 @@ def power_transform(base: IVOverlap, n: int, direction: Literal["power", "root"]
     """
     if n < 2 or n != int(n):
         raise ConstructionError(f"transform degree must be an integer >= 2, got {n!r}")
+    try:
+        degree = float(n)
+    except OverflowError:
+        raise ConstructionError(f"transform degree n={n} exceeds the binary64 range") from None
     if direction == "power":
-        k = ExponentInterval.of(float(n))
+        k = ExponentInterval.of(degree)
         name = f"pow({base.name},n={n})"
     elif direction == "root":
-        k = ExponentInterval.of(1.0 / n)
+        k = ExponentInterval.of(1.0 / degree)
         name = f"root({base.name},n={n})"
     else:
         raise ConstructionError(f"unknown transform direction {direction!r}")
@@ -366,7 +373,7 @@ def midpoint_closed_form(x: Interval, y: Interval) -> Interval:
     )
 
 
-@lru_cache(maxsize=1)
+@memoized
 def midpoint_example() -> IVOverlap:
     """Overlap built from half-width contractions: meet(contract(X), contract(Y)).
 
@@ -470,6 +477,12 @@ def is_inclusion_monotonic(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> Sam
     )
 
 
+def _scaled_row(alpha: Interval, sample: list[Interval]) -> list[Interval]:
+    """``[alpha.lower * x.lower, alpha.upper * x.upper]`` for each sample ``x``."""
+    al, au = alpha.lower, alpha.upper
+    return [Interval(al * x.lower, au * x.upper) for x in sample]
+
+
 @memoized
 def check_migrative(
     f: IVOverlap,
@@ -492,12 +505,11 @@ def check_migrative(
 
     def migration():
         for alpha in sample:
-            al, au = alpha.lower, alpha.upper
-            for x in sample:
-                ax = Interval(al * x.lower, au * x.upper)
-                for y in sample:
+            scaled = _scaled_row(alpha, sample)
+            for x, ax in zip(sample, scaled):
+                for y, ay in zip(sample, scaled):
                     left = fn(ax, y)
-                    right = fn(x, Interval(al * y.lower, au * y.upper))
+                    right = fn(x, ay)
                     far = (abs(left.lower - right.lower) > tol
                            or abs(left.upper - right.upper) > tol)
                     yield (alpha, x, y) if far else None
@@ -519,12 +531,11 @@ def check_homogeneous(
 
     def outcomes():
         for alpha in sample:
-            al, au = alpha.lower, alpha.upper
-            sl, su = al**k.k2, au**k.k1
-            for x, row_lo, row_up in zip(sample, base_lo, base_up):
-                ax = Interval(al * x.lower, au * x.upper)
-                for j, y in enumerate(sample):
-                    left = fn(ax, Interval(al * y.lower, au * y.upper))
+            sl, su = alpha.lower**k.k2, alpha.upper**k.k1
+            scaled = _scaled_row(alpha, sample)
+            for x, ax, row_lo, row_up in zip(sample, scaled, base_lo, base_up):
+                for j, (y, ay) in enumerate(zip(sample, scaled)):
+                    left = fn(ax, ay)
                     far = (abs(left.lower - sl * row_lo[j]) > tol
                            or abs(left.upper - su * row_up[j]) > tol)
                     yield (alpha, x, y) if far else None

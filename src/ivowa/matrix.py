@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ __all__ = [
     "parse_matrix",
     "parse_matrix_text",
     "emit_matrix_text",
+    "read_json_number",
 ]
 
 
@@ -48,6 +50,23 @@ class DecisionMatrix:
         return self.cells[index]
 
 
+def read_json_number(raw: object, where: str, error: type[ValueError]) -> float:
+    """A JSON number as a finite float; anything else raises `error`, whose
+    message starts with `where`.
+
+    Only JSON ints and floats are numbers: ``true`` and ``"1"`` are not.
+    """
+    if type(raw) not in (int, float):
+        raise error(f"{where} must be a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:
+        raise error(f"{where} does not fit a binary64 number") from None
+    if not math.isfinite(value):
+        raise error(f"{where} must be finite, got {raw!r}")
+    return value
+
+
 def _cell(value: str, row_label: str, col_label: str) -> Interval:
     try:
         return parse_interval(value)
@@ -68,12 +87,19 @@ def parse_matrix(path: str | Path, fmt: str | None = None) -> DecisionMatrix:
     p = Path(path)
     if fmt is None:
         fmt = "json" if p.suffix.lower() == ".json" else "csv"
-    return parse_matrix_text(p.read_text(encoding="utf-8"), fmt)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixError(f"matrix {str(p)!r} is not UTF-8 text: {exc}") from None
+    return parse_matrix_text(text, fmt)
 
 
 def _parse_csv(text: str) -> DecisionMatrix:
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [r for r in reader if r]
+    except csv.Error as exc:
+        raise MatrixError(f"CSV line {reader.line_num}: {exc}") from None
     if len(rows) < 2:
         raise MatrixError("matrix needs a header row and at least one alternative row")
     header = rows[0]
@@ -100,7 +126,7 @@ def _parse_csv(text: str) -> DecisionMatrix:
 def _parse_json(text: str) -> DecisionMatrix:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MatrixError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MatrixError("matrix JSON must be an object")
@@ -123,18 +149,16 @@ def _parse_json(text: str) -> DecisionMatrix:
             )
         row = []
         for col_label, raw in zip(criteria, raw_row):
-            if isinstance(raw, (int, float)):
-                raw_pair = [raw, raw]
-            elif isinstance(raw, list) and len(raw) == 2:
-                raw_pair = raw
-            else:
-                raise MatrixError(
-                    f"cell ({label!r}, {col_label!r}): expected a two-element array"
-                )
+            where = f"cell ({label!r}, {col_label!r})"
+            if not isinstance(raw, list):
+                raw = [raw, raw]
+            if len(raw) != 2:
+                raise MatrixError(f"{where}: expected a number or a two-element array")
+            ends = [read_json_number(v, where, MatrixError) for v in raw]
             try:
-                row.append(Interval(float(raw_pair[0]), float(raw_pair[1])))
-            except (TypeError, ValueError, IntervalError) as exc:
-                raise MatrixError(f"cell ({label!r}, {col_label!r}): {exc}") from None
+                row.append(Interval(*ends))
+            except IntervalError as exc:
+                raise MatrixError(f"{where}: {exc}") from None
         cells.append(tuple(row))
     return DecisionMatrix(alternatives, criteria, tuple(cells))
 

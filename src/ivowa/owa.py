@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Iterator, Sequence
 
 from .intervals import (
@@ -130,7 +130,7 @@ class WeightVector:
         return cls(tuple(ONE if i == index - 1 else ZERO for i in range(n)))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
     """The aggregator catalog for a given arity, addressable by string id.
 

@@ -11,8 +11,6 @@ Ids:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .intervals import AdmissibleOrder, ExponentInterval
 from .iv_overlaps import (
     IDENTITY,
@@ -31,6 +29,7 @@ from .iv_overlaps import (
 )
 from .overlaps import RealOverlap, builtin_overlaps
 from .owa import IVAggregator, builtin_aggregators
+from .sampling import memoized
 
 __all__ = [
     "RegistryError",
@@ -54,17 +53,16 @@ class RegistryError(ValueError):
     """An operator id does not resolve."""
 
 
-@lru_cache(maxsize=1)
+@memoized
 def real_catalog() -> dict[str, RealOverlap]:
     return builtin_overlaps()
 
 
-@lru_cache(maxsize=1)
 def generator_catalog() -> dict[str, UnaryGenerator]:
     return {g.name: g for g in (IDENTITY, SQRT, SQUARE)}
 
 
-@lru_cache(maxsize=1)
+@memoized
 def standard_overlaps() -> dict[str, IVOverlap]:
     """The shipped interval-overlap instances exercised by the law suite."""
     cat = real_catalog()

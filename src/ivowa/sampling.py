@@ -53,10 +53,10 @@ def first_violation(outcomes: Iterable[tuple | None]) -> SampledResult:
     return SampledResult(True, None, count)
 
 
-# The one memo.  Sampled checks and operator validation are deterministic for
-# fixed arguments, so their results are kept here, least recently used first
-# out once MEMO_SIZE entries are held.  A full `verify theorems lattice` run
-# holds 65.
+# The one memo.  Sampled checks, operator validation, operator constructors
+# and catalogs are deterministic for fixed arguments, so their results are
+# kept here, least recently used first out once MEMO_SIZE entries are held.
+# A full `verify theorems lattice` run holds 96.
 MEMO_SIZE = 512
 _MEMO: OrderedDict[tuple, object] = OrderedDict()
 

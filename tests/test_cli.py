@@ -32,6 +32,43 @@ MATRIX_CSV = (
 )
 
 
+# `aggregate --json` on MATRIX_CSV, pinned byte for byte in
+# golden/aggregate.jsonl: five ranking configs under each order, then four
+# rejections (two neutral-element, two distributivity).
+AGGREGATE_RANKINGS = [
+    {"aggregator": "geomean", "overlap": "product", "weights": [[1, 1], [1, 1]]},
+    {"aggregator": "max", "overlap": "rep(product,min)", "weights": [[1, 1], [0.3, 0.6]]},
+    {"aggregator": "tsum", "overlap": "product", "weights": [[0.25, 0.3], [0.25, 0.4]],
+     "normalize": True},
+    {"aggregator": "geomean", "overlap": "canonical(K=[2,2])", "weights": [[1, 1], [1, 1]]},
+    {"aggregator": "max", "overlap": "rep(min,min)", "weights": [[0.4, 0.7], [1, 1]]},
+]
+AGGREGATE_REJECTIONS = [
+    {"aggregator": "tsum", "overlap": "midpoint", "weights": [[0.5, 0.5], [0.5, 0.5]]},
+    {"aggregator": "geomean", "overlap": "pow(product,n=2)", "weights": [[1, 1], [1, 1]]},
+    {"aggregator": "dirac", "overlap": "product", "weights": [[1, 1], [0, 0]]},
+    {"aggregator": "geomean", "overlap": "rep(min,min)", "weights": [[1, 1], [1, 1]]},
+]
+AGGREGATE_CASES = [
+    {**config, "order": order}
+    for config in AGGREGATE_RANKINGS for order in ("lex1", "lex2", "xuyager")
+] + AGGREGATE_REJECTIONS
+AGGREGATE_GOLDEN = Path(__file__).resolve().parent / "golden" / "aggregate.jsonl"
+
+
+def run_aggregate(tmp_path, config: dict, capsys) -> dict:
+    """`ivowa aggregate --json` on MATRIX_CSV under `config`, as one record."""
+    config_path = tmp_path / "case.json"
+    config_path.write_text(json.dumps(config))
+    matrix_path = tmp_path / "matrix.csv"
+    matrix_path.write_text(MATRIX_CSV)
+    capsys.readouterr()
+    code = main(["aggregate", "--config", str(config_path),
+                 "--matrix", str(matrix_path), "--json"])
+    out, err = capsys.readouterr()
+    return {"config": config, "exit": code, "stdout": out, "stderr": err}
+
+
 @pytest.fixture
 def workdir(tmp_path):
     config = tmp_path / "config.json"
@@ -287,6 +324,120 @@ class TestAggregateCommand:
                      "--matrix", str(path)]) == 2
 
 
+BIG = "9" * 400
+HUGE = "9" * 5000
+
+
+def run_config_text(workdir, capsys, text: str, matrix: str = "matrix.csv"):
+    """`ivowa aggregate` under a config given as raw JSON text: (exit, stderr)."""
+    path = workdir / "strict.json"
+    path.write_text(text)
+    code = main(["aggregate", "--config", str(path), "--matrix", str(workdir / matrix)])
+    return code, capsys.readouterr().err
+
+
+def json_matrix_text(cell: str) -> str:
+    """A one-row JSON matrix whose first cell is the raw JSON text `cell`."""
+    return ('{"alternatives": ["a1"], "criteria": ["c1", "c2"], '
+            f'"cells": [[{cell}, [0.4, 0.8]]]}}')
+
+
+class TestStrictInput:
+    """Malformed configs and matrices exit 2 with a message that says where."""
+
+    @pytest.mark.parametrize("tail, needle", [
+        pytest.param('[[1, 1], [1, 1]], "ordr": "lex2"', "unknown key 'ordr'", id="ordr"),
+        pytest.param('[[1, 1], [1, 1]], "tolerances": {"distributivty": 1e-6}',
+                     "unknown key 'distributivty'", id="distributivty"),
+        pytest.param('[[1, 1], [1, 1]], "tolerances": [1]', "'tolerances' must be an object",
+                     id="tolerances-array"),
+        pytest.param('[[1, 1], [1, 1]], "order": 5', "'order' must be a string", id="order-5"),
+        pytest.param('[[1, 1], [1, 1]], "overlap": ["product"]', "'overlap' must be a string",
+                     id="overlap-array"),
+        pytest.param('[[true, true], [1, 1]]', "weight 1 must be a number, got True",
+                     id="weight-true"),
+        pytest.param('[[1, 1], ["1", "1"]]', "weight 2 must be a number, got '1'",
+                     id="weight-string"),
+        pytest.param('[[1, NaN], [1, 1]]', "weight 1 must be finite", id="weight-nan"),
+        pytest.param(f'[[{BIG}, 1], [1, 1]]', "weight 1 does not fit a binary64 number",
+                     id="weight-400-digits"),
+        pytest.param(f'[[{HUGE}, 1], [1, 1]]', "is not valid JSON", id="weight-5000-digits"),
+    ])
+    def test_config_defect_exits_2(self, workdir, capsys, tail, needle):
+        # Later keys win in JSON objects, so `tail` can also replace "overlap".
+        text = '{"aggregator": "geomean", "overlap": "product", "weights": %s}' % tail
+        code, err = run_config_text(workdir, capsys, text)
+        assert code == 2
+        assert needle in err
+
+    def test_deeply_nested_config_exits_2(self, workdir, capsys):
+        code, err = run_config_text(workdir, capsys, "[" * 100_000)
+        assert code == 2
+        assert "is not valid JSON" in err
+        with pytest.raises(MatrixError, match="invalid JSON"):
+            parse_matrix_text("[" * 100_000, "json")
+
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "-Infinity", "true", '"0.5"', "-1", "null",
+        pytest.param(BIG, id="400-digits"),
+    ])
+    def test_distributivity_tolerance_is_a_finite_number_at_least_0(self, workdir, capsys,
+                                                                    value):
+        # Under the default tolerance geomean x rep(min,min) is rejected; no
+        # tolerance value may turn that into a ranking.
+        code, err = run_config_text(workdir, capsys, (
+            '{"aggregator": "geomean", "overlap": "rep(min,min)", '
+            '"weights": [[1, 1], [1, 1]], "tolerances": {"distributivity": %s}}' % value))
+        assert code == 2
+        assert "tolerances.distributivity" in err
+
+    def test_huge_tolerance_exits_2(self, workdir, capsys):
+        code, err = run_config_text(workdir, capsys, (
+            '{"aggregator": "geomean", "overlap": "product", '
+            '"weights": [[1, 1], [1, 1]], "tolerances": {"distributivity": %s}}' % HUGE))
+        assert code == 2
+        assert "is not valid JSON" in err
+
+    @pytest.mark.parametrize("cell, needle", [
+        ("true", "cell ('a1', 'c1') must be a number, got True"),
+        ('"0.5"', "cell ('a1', 'c1') must be a number, got '0.5'"),
+        ("[0.1, false]", "cell ('a1', 'c1') must be a number, got False"),
+        ("[0.1, NaN]", "cell ('a1', 'c1') must be finite"),
+        pytest.param(BIG, "cell ('a1', 'c1') does not fit a binary64 number", id="400-digits"),
+        pytest.param(HUGE, "invalid JSON", id="5000-digits"),
+    ])
+    def test_json_matrix_cell_defect_exits_2(self, workdir, capsys, cell, needle):
+        (workdir / "cells.json").write_text(json_matrix_text(cell))
+        code, err = run_config_text(workdir, capsys, json.dumps(CONFIG_GEOMEAN), "cells.json")
+        assert code == 2
+        assert needle in err
+
+    @pytest.mark.parametrize("data, needle", [
+        pytest.param(b'alternative,c1,c2\na1,"' + b"y" * 200_000 + b'",0.5\n', "CSV line 2",
+                     id="field-over-csv-limit"),
+        pytest.param(b"alternative,c1,c2\na1,0.5,\xff\n", "not UTF-8 text", id="not-utf8"),
+    ])
+    def test_csv_matrix_defect_exits_2(self, workdir, capsys, data, needle):
+        (workdir / "bad.csv").write_bytes(data)
+        code, err = run_config_text(workdir, capsys, json.dumps(CONFIG_GEOMEAN), "bad.csv")
+        assert code == 2
+        assert needle in err
+
+    def test_weights_and_tolerance_still_read_ints_and_floats(self, workdir, capsys):
+        code, err = run_config_text(workdir, capsys, (
+            '{"aggregator": "geomean", "overlap": "product", "weights": [[1, 1.0], [1.0, 1]], '
+            '"tolerances": {"distributivity": 1}}'))
+        assert (code, err) == (0, "")
+
+
+def test_aggregate_matches_golden(tmp_path, capsys):
+    records = [json.loads(line) for line in AGGREGATE_GOLDEN.read_text().splitlines()]
+    assert [r["config"] for r in records] == AGGREGATE_CASES
+    assert [r["exit"] for r in records] == [0] * 15 + [1] * 4
+    for record in records:
+        assert run_aggregate(tmp_path, record["config"], capsys) == record
+
+
 class TestVerifyCommand:
     def test_sound_overlap_exits_0(self, capsys):
         assert main(["verify", "rep(product,product)"]) == 0
@@ -319,6 +470,11 @@ class TestVerifyCommand:
     def test_real_overlap_target(self, capsys):
         assert main(["verify", "lukasiewicz"]) == 1
         assert "go2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("head", ["pow", "root"])
+    def test_transform_degree_beyond_binary64_exits_2(self, capsys, head):
+        assert main(["verify", f"{head}(product,n={BIG})"]) == 2
+        assert f"transform degree n={BIG} exceeds the binary64 range" in capsys.readouterr().err
 
     def test_step_override(self, capsys):
         assert main(["verify", "product", "--step", "0.2"]) == 0

@@ -1,10 +1,23 @@
+from collections import OrderedDict
+
 import pytest
 
 from conftest import assert_interval_close
+from ivowa import sampling
 from ivowa.intervals import AdmissibleOrder, Interval
-from ivowa.iv_overlaps import Migrative, Opaque, Representable
+from ivowa.iv_overlaps import (
+    IDENTITY,
+    SQRT,
+    SQUARE,
+    Migrative,
+    Opaque,
+    Representable,
+    representable,
+)
 from ivowa.registry import (
     RegistryError,
+    generator_catalog,
+    real_catalog,
     resolve_aggregator,
     resolve_generator,
     resolve_iv_overlap,
@@ -33,6 +46,21 @@ class TestIdGrammar:
         generator = resolve_iv_overlap("product").provenance.generator
         assert generator is resolve_generator("identity")
         assert resolve_iv_overlap("mig(identity)").provenance.generator is generator
+
+    def test_equal_specs_share_one_operator(self, monkeypatch):
+        # A memo of its own, so no entry this test reads can have been evicted.
+        monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+        cat = real_catalog()
+        op = representable(cat["product"], cat["min"])
+        assert representable(cat["product"], cat["min"], sampling.REAL_GRID) is op
+        assert resolve_iv_overlap("rep(product,min)") is op
+        assert standard_overlaps()["rep(product,min)"] is op
+        assert resolve_iv_overlap("pow(rep(product,min),n=2)").name == "pow(rep(product,min),n=2)"
+        assert resolve_iv_overlap("pow(rep(product,min),n=2)") is \
+            resolve_iv_overlap(" pow(rep(product, min), n=2) ")
+
+    def test_generator_catalog_holds_the_module_generators(self):
+        assert generator_catalog() == {"identity": IDENTITY, "sqrt": SQRT, "square": SQUARE}
 
     def test_canonical_ids(self):
         op = resolve_iv_overlap("canonical(K=[1,2])")

@@ -3,6 +3,7 @@ first-violation policy every sampled check shares, and the one memo."""
 
 import itertools
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -10,8 +11,8 @@ from ivowa import sampling
 from ivowa.cli import RunConfig, rank_matrix
 from ivowa.iv_overlaps import representable, verify_iv_axioms
 from ivowa.matrix import parse_matrix_text
-from ivowa.owa import GowaError, WeightVector
-from ivowa.registry import real_catalog
+from ivowa.owa import GowaError, WeightVector, builtin_aggregators
+from ivowa.registry import real_catalog, resolve_iv_overlap
 from ivowa.sampling import SAMPLE_SEED, SampledResult, first_violation, tuple_samples
 
 
@@ -122,13 +123,31 @@ def test_memo_hands_out_copies_of_dict_results():
     assert verify_iv_axioms(op) == expected
 
 
-def test_memo_stays_within_its_cap():
-    # Each resolve of a transform id builds a new, identity-hashed overlap,
-    # so every call below adds a neutral-element entry to the memo.
-    config = RunConfig("max", "pow(product,n=2)", WeightVector.selector(2, 1))
-    matrix = parse_matrix_text('alternative,c1,c2\na1,"[0.2,0.4]",0.5\n', "csv")
-    for _ in range(sampling.MEMO_SIZE + 50):
-        with pytest.raises(GowaError, match="neutral element"):
-            rank_matrix(config, matrix)
+def test_memo_stays_within_its_cap(monkeypatch):
+    # A memo of its own, so the catalogs below evict nothing other tests use.
+    # Each arity's aggregator catalog is one more entry.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    for n in range(1, sampling.MEMO_SIZE + 51):
+        builtin_aggregators(n)
         assert len(sampling._MEMO) <= sampling.MEMO_SIZE
     assert len(sampling._MEMO) == sampling.MEMO_SIZE
+    # Keys hold the undecorated function; the oldest arities were evicted.
+    assert (builtin_aggregators.__wrapped__, sampling.MEMO_SIZE + 50) in sampling._MEMO
+    assert (builtin_aggregators.__wrapped__, 50) not in sampling._MEMO
+
+
+@pytest.mark.parametrize("token", ["pow(product,n=2)", "root(rep(product,min),n=3)"])
+def test_transform_ids_resolve_to_one_operator(token):
+    assert resolve_iv_overlap(token) is resolve_iv_overlap(token)
+
+
+def test_repeated_transform_job_validates_once(monkeypatch):
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    config = RunConfig("max", "pow(product,n=2)", WeightVector.selector(2, 1))
+    matrix = parse_matrix_text('alternative,c1,c2\na1,"[0.2,0.4]",0.5\n', "csv")
+    with pytest.raises(GowaError, match="neutral element"):
+        rank_matrix(config, matrix)
+    held = list(sampling._MEMO)
+    with pytest.raises(GowaError, match="neutral element"):
+        rank_matrix(config, matrix)
+    assert sorted(map(repr, sampling._MEMO)) == sorted(map(repr, held))
