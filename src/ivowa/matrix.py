@@ -123,6 +123,14 @@ def _parse_csv(text: str) -> DecisionMatrix:
     return DecisionMatrix(tuple(alternatives), criteria, tuple(cells))
 
 
+def _json_labels(data: dict, key: str) -> tuple[str, ...]:
+    """The labels under `key`, which must all be JSON strings."""
+    for i, label in enumerate(data[key]):
+        if not isinstance(label, str):
+            raise MatrixError(f"{key}[{i}] must be a string, got {label!r}")
+    return tuple(data[key])
+
+
 def _parse_json(text: str) -> DecisionMatrix:
     try:
         data = json.loads(text)
@@ -135,8 +143,8 @@ def _parse_json(text: str) -> DecisionMatrix:
             raise MatrixError(f"missing key {key!r}")
         if not isinstance(data[key], list):
             raise MatrixError(f"key {key!r} must be an array")
-    alternatives = tuple(str(a) for a in data["alternatives"])
-    criteria = tuple(str(c) for c in data["criteria"])
+    alternatives = _json_labels(data, "alternatives")
+    criteria = _json_labels(data, "criteria")
     raw_rows = data["cells"]
     if len(raw_rows) != len(alternatives):
         raise MatrixError("one cell row per alternative required")

@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import (
     AdmissibleOrder,
@@ -219,15 +219,38 @@ def normalize_weights(m: IVAggregator, w: WeightVector) -> WeightVector:
     return result
 
 
-def non_saturating(xs: Sequence[Interval], y: Interval) -> bool:
-    """Tuples whose upper endpoints sum within 1: the truncated sum never clamps."""
-    return math.fsum(x.upper for x in xs) <= 1.0
+def non_saturating(uppers: Iterable[float]) -> bool:
+    """Tuples whose upper endpoints sum within 1: the truncated sum never clamps.
+
+    A restriction reads the upper endpoints of a tuple's inputs x1..xn.
+    """
+    return math.fsum(uppers) <= 1.0
 
 
 # Restriction applied when a kind distributes only on part of the space.
-DISTRIBUTIVITY_RESTRICTIONS: dict[AggregatorKind, Callable[[Sequence[Interval], Interval], bool]] = {
+DISTRIBUTIVITY_RESTRICTIONS: dict[AggregatorKind, Callable[[Iterable[float]], bool]] = {
     AggregatorKind.TRUNCATED_SUM: non_saturating,
 }
+
+
+def _lazy_rows(fn: Callable[[Interval, Interval], Interval],
+               items: Sequence[Interval]) -> Callable[[int, Sequence[int]], list[Interval]]:
+    """``pieces(y, xs) == [fn(items[x], items[y]) for x in xs]`` on grid
+    indices, each value computed once, on first use."""
+    rows: list[list[Interval | None]] = [[None] * len(items) for _ in items]
+
+    def pieces(y: int, xs: Sequence[int]) -> list[Interval]:
+        row, y_iv = rows[y], items[y]
+        out = []
+        for x in xs:
+            r = row[x]
+            if r is None:
+                r = row[x] = fn(items[x], y_iv)
+            out.append(r)
+        return out
+
+    return pieces
+
 
 @memoized
 def check_distributivity(
@@ -235,42 +258,36 @@ def check_distributivity(
     o: IVOverlap,
     grid: SampleGrid = DEFAULT_GRID,
     tol: float = ROOT_TOLERANCE,
-    restrict: Callable[[Sequence[Interval], Interval], bool] | None = None,
+    restrict: Callable[[Iterable[float]], bool] | None = None,
     budget: int = 300_000,
     seed: int = SAMPLE_SEED,
 ) -> SampledResult:
     """Does the aggregator distribute over the overlap?
 
     Verifies M(O(X1,Y), ..., O(Xn,Y)) == O(M(X1..Xn), Y) on sampled tuples;
-    an optional restriction predicate narrows the tuples checked.
+    an optional restriction predicate on the upper endpoints of X1..Xn
+    narrows the tuples checked.
     """
     items = grid.intervals()
-    size = len(items)
     m_fn = m.fn
     o_fn = o.fn
     # Tuples are walked as grid indices: the sample stream is the same (the
-    # random fill only uses the pool's length), and both memos key on ints.
-    o_table: list[list[Interval | None]] = [[None] * size for _ in range(size)]
+    # random fill only uses the pool's length), and the memos key on ints.
+    overlaps = _lazy_rows(o_fn, items)
     m_cache: dict[tuple[int, ...], Interval] = {}
     m_get = m_cache.get
     decode = items.__getitem__
 
-    cases = tuple_samples(range(size), m.arity + 1, budget, seed)
+    cases = tuple_samples(range(len(items)), m.arity + 1, budget, seed)
     if restrict is not None:
-        cases = (t for t in cases if restrict(tuple(map(decode, t[:-1])), items[t[-1]]))
+        ups = [x.upper for x in items]
+        cases = (t for t in cases if restrict(map(ups.__getitem__, t[:-1])))
 
     def outcomes():
         for t in cases:
             xs, y = t[:-1], t[-1]
             y_iv = items[y]
-            o_row = o_table[y]
-            pieces = []
-            for x in xs:
-                r = o_row[x]
-                if r is None:
-                    r = o_row[x] = o_fn(items[x], y_iv)
-                pieces.append(r)
-            lhs = m_fn(pieces)
+            lhs = m_fn(overlaps(y, xs))
             agg = m_get(xs)
             if agg is None:
                 agg = m_cache[xs] = m_fn(tuple(map(decode, xs)))
@@ -290,21 +307,27 @@ def check_homogeneous_m(
     seed: int = SAMPLE_SEED,
 ) -> SampledResult:
     """First-order homogeneity: scaling every input scales the output."""
+    items = grid.intervals()
     m_fn = m.fn
-    m_cache: dict[tuple[Interval, ...], Interval] = {}
+    # Walked on grid indices like check_distributivity; the scaled inputs
+    # [alpha.lower*x.lower, alpha.upper*x.upper] are the interval product.
+    scaled = _lazy_rows(product, items)
+    m_cache: dict[tuple[int, ...], Interval] = {}
     m_get = m_cache.get
+    decode = items.__getitem__
 
     def outcomes():
-        for t in tuple_samples(grid.intervals(), m.arity + 1, budget, seed):
-            alpha, xs = t[0], t[1:]
+        for t in tuple_samples(range(len(items)), m.arity + 1, budget, seed):
+            a, xs = t[0], t[1:]
+            alpha = items[a]
             al, au = alpha.lower, alpha.upper
-            left = m_fn([Interval(al * x.lower, au * x.upper) for x in xs])
+            left = m_fn(scaled(a, xs))
             base = m_get(xs)
             if base is None:
-                base = m_cache[xs] = m_fn(xs)
+                base = m_cache[xs] = m_fn(tuple(map(decode, xs)))
             far = (abs(left.lower - al * base.lower) > tol
                    or abs(left.upper - au * base.upper) > tol)
-            yield t if far else None
+            yield tuple(map(decode, t)) if far else None
 
     return first_violation(outcomes())
 

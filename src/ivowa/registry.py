@@ -48,6 +48,11 @@ __all__ = [
 AGGREGATOR_IDS = ("max", "tsum", "geomean", "dirac")
 ORDER_IDS = ("lex1", "lex2", "xuyager")
 
+# The deepest parenthesis nesting an interval-overlap id may have.  Resolving
+# recurses once per level and each pow/root overlap calls its base, so a far
+# deeper id would exhaust the interpreter's stack.
+MAX_ID_DEPTH = 32
+
 
 class RegistryError(ValueError):
     """An operator id does not resolve."""
@@ -151,9 +156,25 @@ def _parse_degree(text: str) -> int:
         raise RegistryError(f"malformed transform degree {text!r}") from None
 
 
+def _nesting_depth(text: str) -> int:
+    depth = deepest = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
+
+
 def resolve_iv_overlap(token: str) -> IVOverlap:
     """Resolve an interval-overlap id, constructing composite forms on demand."""
     key = token.strip()
+    depth = _nesting_depth(key)
+    if depth > MAX_ID_DEPTH:
+        raise RegistryError(
+            f"interval overlap id nests {depth} levels deep; at most {MAX_ID_DEPTH} are allowed"
+        )
     if key == "product":
         return interval_product()
     if key == "midpoint":

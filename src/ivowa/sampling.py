@@ -180,27 +180,50 @@ def _choices(items: Sequence, seed: int) -> Iterator:
     """The endless stream of ``random.Random(seed).choice(items)`` results,
     drawn in blocks of 32-bit words.
 
-    ``choice`` takes the top ``len(items).bit_length()`` bits of one Mersenne
-    Twister word per try and rejects values >= len(items); ``getrandbits(32 *
-    k)`` returns k such words, least significant first, from the same
-    generator.
+    ``choice`` takes the top ``b = len(items).bit_length()`` bits of one
+    Mersenne Twister word per try and rejects values >= len(items);
+    ``getrandbits(32 * k)`` returns k such words, least significant first,
+    from the same generator.
+
+    A pool of at most 255 items has ``b <= 8``, so those bits are the top
+    byte of the word shifted right by ``8 - b``.  Written out little-endian,
+    the top bytes of a block are every fourth byte from the fourth; one
+    ``bytes.translate`` drops the rejected ones and shifts the rest into
+    indices, so no Python frame runs per word.  Larger pools decode the
+    words one by one.
     """
     rng = random.Random(seed)
-    shift = 32 - len(items).bit_length()
-    limit = len(items) << shift
+    bits = len(items).bit_length()
+
+    if bits <= 8:
+        shift = 8 - bits
+        table = bytes(v >> shift for v in range(256))
+        rejected = bytes(v for v in range(256) if v >> shift >= len(items))
+
+        def decode(raw: bytes) -> bytes:
+            return raw[3::4].translate(table, rejected)
+    else:
+        shift = 32 - bits
+        limit = len(items) << shift
+
+        def decode(raw: bytes) -> list[int]:
+            block = array("I", raw)
+            if sys.byteorder == "big":
+                block.byteswap()
+            return [w >> shift for w in block if w < limit]
 
     # Blocks start small because most failing checks stop within a few
     # samples; chain.from_iterable keeps the per-item walk out of Python.
-    def blocks() -> Iterator[list]:
+    def blocks() -> Iterator:
         words = 64
         while True:
-            block = array("I", rng.getrandbits(32 * words).to_bytes(4 * words, "little"))
-            if sys.byteorder == "big":
-                block.byteswap()
-            yield [items[w >> shift] for w in block if w < limit]
+            yield decode(rng.getrandbits(32 * words).to_bytes(4 * words, "little"))
             words = min(2 * words, 1 << 14)
 
-    return itertools.chain.from_iterable(blocks())
+    indices = itertools.chain.from_iterable(blocks())
+    # An index pool (the sampled law checks walk grid indices) is its own
+    # decoding.
+    return indices if items == range(len(items)) else map(items.__getitem__, indices)
 
 
 def tuple_samples(

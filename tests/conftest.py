@@ -24,3 +24,11 @@ def assert_interval_close(got: Interval, lo: float, up: float, tol: float = 1e-1
 def random_interval(rng: random.Random) -> Interval:
     a, b = sorted((rng.random(), rng.random()))
     return Interval(a, b)
+
+
+def nested_transform(head: str, depth: int) -> str:
+    """`product` under `depth` nested `head(...,n=2)` transforms."""
+    token = "product"
+    for _ in range(depth):
+        token = f"{head}({token},n=2)"
+    return token

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ivowa
+from conftest import nested_transform
 from ivowa.cli import main
 from ivowa.intervals import Interval
 from ivowa.matrix import (
@@ -412,6 +413,21 @@ class TestStrictInput:
         assert code == 2
         assert needle in err
 
+    @pytest.mark.parametrize("key, labels, needle", [
+        ("alternatives", [1], "alternatives[0] must be a string, got 1"),
+        ("alternatives", [True], "alternatives[0] must be a string, got True"),
+        ("alternatives", [None], "alternatives[0] must be a string, got None"),
+        ("criteria", ["c1", {"a": 1}], "criteria[1] must be a string, got {'a': 1}"),
+        ("criteria", [["c1"], "c2"], "criteria[0] must be a string, got ['c1']"),
+    ])
+    def test_json_matrix_label_defect_exits_2(self, workdir, capsys, key, labels, needle):
+        payload = json.loads(json_matrix_text("[0.1, 0.2]"))
+        payload[key] = labels
+        (workdir / "labels.json").write_text(json.dumps(payload))
+        code, err = run_config_text(workdir, capsys, json.dumps(CONFIG_GEOMEAN), "labels.json")
+        assert code == 2
+        assert needle in err
+
     @pytest.mark.parametrize("data, needle", [
         pytest.param(b'alternative,c1,c2\na1,"' + b"y" * 200_000 + b'",0.5\n', "CSV line 2",
                      id="field-over-csv-limit"),
@@ -475,6 +491,10 @@ class TestVerifyCommand:
     def test_transform_degree_beyond_binary64_exits_2(self, capsys, head):
         assert main(["verify", f"{head}(product,n={BIG})"]) == 2
         assert f"transform degree n={BIG} exceeds the binary64 range" in capsys.readouterr().err
+
+    def test_id_nested_1000_deep_exits_2(self, capsys):
+        assert main(["verify", nested_transform("pow", 1000)]) == 2
+        assert "nests 1000 levels deep; at most 32 are allowed" in capsys.readouterr().err
 
     def test_step_override(self, capsys):
         assert main(["verify", "product", "--step", "0.2"]) == 0

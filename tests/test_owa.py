@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -14,7 +15,7 @@ from ivowa.intervals import (
     format_interval,
     leq_product,
 )
-from ivowa import owa
+from ivowa import owa, sampling
 from ivowa.iv_overlaps import IVOverlap, interval_product, migrative_canonical, representable
 from ivowa.owa import (
     GowaError,
@@ -33,7 +34,15 @@ from ivowa.owa import (
     projection_owa,
 )
 from ivowa.registry import real_catalog, resolve_aggregator, resolve_iv_overlap
-from ivowa.sampling import DEFAULT_GRID, ROOT_TOLERANCE, SAMPLE_SEED
+from ivowa.sampling import (
+    DEFAULT_GRID,
+    REAL_GRID,
+    ROOT_TOLERANCE,
+    SAMPLE_SEED,
+    SampledResult,
+    first_violation,
+    tuple_samples,
+)
 
 AGG2 = builtin_aggregators(2)
 PRODUCT = interval_product()
@@ -335,6 +344,55 @@ class TestOrderMonotonicityReport:
         lo_vec, hi_vec = list(res.witness[:2]), list(res.witness[2:])
         assert all(op.order.leq(a, b) for a, b in zip(lo_vec, hi_vec))
         assert not op.order.leq(op(lo_vec), op(hi_vec))
+
+
+# The sampled checks walk grid indices; these reference walks are the
+# Interval forms they replaced, kept as oracles.
+def interval_non_saturating(xs, y):
+    return math.fsum(x.upper for x in xs) <= 1.0
+
+
+def interval_homogeneity(m, grid=DEFAULT_GRID, tol=ROOT_TOLERANCE, budget=300_000):
+    def outcomes():
+        for t in tuple_samples(grid.intervals(), m.arity + 1, budget):
+            alpha, xs = t[0], t[1:]
+            al, au = alpha.lower, alpha.upper
+            left = m([Interval(al * x.lower, au * x.upper) for x in xs])
+            base = m(xs)
+            far = (abs(left.lower - al * base.lower) > tol
+                   or abs(left.upper - au * base.upper) > tol)
+            yield t if far else None
+
+    return first_violation(outcomes())
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, REAL_GRID], ids=["0.1", "0.05"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_restriction_keeps_the_tuples_the_interval_predicate_kept(monkeypatch, grid, n):
+    # A memo of its own, so the recording restriction pins nothing.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    budget = 300_000 if n <= 2 else 100_000
+    verdicts = []
+
+    def recording(uppers):
+        verdicts.append(non_saturating(uppers))
+        return verdicts[-1]
+
+    res = check_distributivity(builtin_aggregators(n)["tsum"], PRODUCT, grid=grid,
+                               restrict=recording, budget=budget)
+    want = [interval_non_saturating(t[:-1], t[-1])
+            for t in tuple_samples(grid.intervals(), n + 1, budget)]
+    assert verdicts == want
+    assert res == SampledResult(True, None, sum(want))
+
+
+# n=2 walks the whole cross product; n=3 a sample, at a smaller budget to
+# keep the reference walk short.
+@pytest.mark.parametrize("n,budget", [(2, 300_000), (3, 30_000)])
+@pytest.mark.parametrize("name", ["max", "tsum", "geomean", "dirac"])
+def test_homogeneity_matches_the_interval_walk(name, n, budget):
+    m = builtin_aggregators(n)[name]
+    assert check_homogeneous_m(m, budget=budget) == interval_homogeneity(m, budget=budget)
 
 
 # (aggregator, arity, overlap, restriction, ok, witness, samples) as the eager

@@ -2,7 +2,7 @@ from collections import OrderedDict
 
 import pytest
 
-from conftest import assert_interval_close
+from conftest import assert_interval_close, nested_transform
 from ivowa import sampling
 from ivowa.intervals import AdmissibleOrder, Interval
 from ivowa.iv_overlaps import (
@@ -15,6 +15,7 @@ from ivowa.iv_overlaps import (
     representable,
 )
 from ivowa.registry import (
+    MAX_ID_DEPTH,
     RegistryError,
     generator_catalog,
     real_catalog,
@@ -72,6 +73,16 @@ class TestIdGrammar:
         assert_interval_close(op(half, half), 0.0625, 0.0625)
         rooted = resolve_iv_overlap("root(product,n=2)")
         assert_interval_close(rooted(half, half), 0.5, 0.5)
+
+    def test_ids_nest_up_to_the_depth_limit(self, monkeypatch):
+        # A memo of its own: each level is one more memoized construction.
+        monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+        op = resolve_iv_overlap(nested_transform("root", MAX_ID_DEPTH))
+        half = Interval(0.5, 0.5)
+        want = 0.5 ** (2.0 ** (1 - MAX_ID_DEPTH))
+        assert_interval_close(op(half, half), want, want)
+        with pytest.raises(RegistryError, match=f"nests {MAX_ID_DEPTH + 1} levels deep"):
+            resolve_iv_overlap(nested_transform("root", MAX_ID_DEPTH + 1))
 
     @pytest.mark.parametrize("bad", [
         "nope", "rep(product)", "rep(product,nope)", "mig(cosine)",

@@ -35,9 +35,11 @@ def reference_samples(items, n, budget, seed=SAMPLE_SEED):
     return out
 
 
-# 66 and 351 are the interval pools of the 0.1 and 0.04 grids; 128/129 sit on
-# either side of a power of two, where the rejection rate of a draw jumps.
-POOL_SIZES = (1, 2, 15, 66, 105, 128, 129, 231, 351)
+# 66, 231 and 351 are the interval pools of the 0.1, 0.05 and 0.04 grids;
+# 128/129 sit on either side of a power of two, where the rejection rate of a
+# draw jumps.  Pools of up to 255 items are decoded from the top byte of each
+# word, larger ones word by word: 255/256/257 straddle that switch.
+POOL_SIZES = (1, 2, 15, 66, 105, 128, 129, 231, 255, 256, 257, 351)
 
 
 def pool(size):
@@ -59,6 +61,13 @@ def test_small_budget_every_arity(size):
         assert_same_stream(pool(size), n, 4000)
 
 
+@pytest.mark.parametrize("size", POOL_SIZES)
+def test_index_pool_draws_the_same_positions(size):
+    # The sampled law checks walk grid indices through a range pool.
+    for n in (2, 3, 7):
+        assert_same_stream(range(size), n, 4000)
+
+
 # The larger budgets cost about a second per million reference draws, so each
 # pool size is paired with one arity, covering 2-11 between them.
 @pytest.mark.parametrize("size,n,budget", [
@@ -72,6 +81,8 @@ def test_small_budget_every_arity(size):
     (128, 6, 100_000),
     (129, 10, 100_000),
     (231, 5, 100_000),
+    (255, 4, 100_000),
+    (257, 2, 300_000),
     (351, 3, 300_000),
     (351, 8, 100_000),
 ])
