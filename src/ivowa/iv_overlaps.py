@@ -22,12 +22,7 @@ from .intervals import (
     IntervalError,
     ONE,
     ZERO,
-    contract_half,
-    join,
     leq_product,
-    meet,
-    power,
-    product,
     subseteq,
 )
 from .overlaps import (
@@ -83,6 +78,8 @@ __all__ = [
     "check_homogeneous",
     "neutral_element_holds",
     "verify_iv_axioms",
+    "checked_ends",
+    "value_table",
 ]
 
 
@@ -147,15 +144,50 @@ Provenance = Representable | SemiRepresentable | Migrative | Opaque
 
 @dataclass(frozen=True, eq=False)
 class IVOverlap:
-    """A binary interval function plus how it was built and what it claims."""
+    """A binary interval function, stored as its endpoint map ``ends(xl, xu,
+    yl, yu) -> (lower, upper)``, plus how it was built and what it claims."""
 
-    fn: Callable[[Interval, Interval], Interval]
+    ends: Callable[[float, float, float, float], tuple[float, float]]
     name: str
     provenance: Provenance
     claims: frozenset[str] = field(default_factory=frozenset)
 
     def __call__(self, x: Interval, y: Interval) -> Interval:
-        return self.fn(x, y)
+        return Interval(*self.ends(x.lower, x.upper, y.lower, y.upper))
+
+    fn = __call__
+
+
+def checked_ends(o: IVOverlap, xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
+    """``o.ends(xl, xu, yl, yu)``, held to the `Interval` invariant: a value
+    outside ``0 <= lower <= upper <= 1`` raises the `IntervalError` that
+    building it as an interval would."""
+    lo, up = o.ends(xl, xu, yl, yu)
+    if not 0.0 <= lo <= up <= 1.0:
+        raise IntervalError(f"invalid interval endpoints [{lo}, {up}]")
+    return lo, up
+
+
+def value_table(
+    o: IVOverlap,
+    xs: Sequence[tuple[float, float]],
+    ys: Sequence[tuple[float, float]],
+) -> tuple[list[array], list[array]]:
+    """``lows[i][j], ups[i][j] = checked_ends(o, *xs[i], *ys[j])`` over two
+    sequences of endpoint pairs.  Rows are arrays of doubles: the finest
+    continuity stage holds two 201 x 201 tables, which as lists of floats
+    would raise the peak memory of a law-suite run.
+    """
+    lows, ups = [], []
+    for xl, xu in xs:
+        row = [checked_ends(o, xl, xu, yl, yu) for yl, yu in ys]
+        lows.append(array("d", [lo for lo, _ in row]))
+        ups.append(array("d", [up for _, up in row]))
+    return lows, ups
+
+
+def _ends_of(intervals: Sequence[Interval]) -> list[tuple[float, float]]:
+    return [(x.lower, x.upper) for x in intervals]
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +219,10 @@ def representable(
     if {"associative"} <= g_lower.claims and {"associative"} <= g_upper.claims:
         claims.add("associative")
 
-    def fn(x: Interval, y: Interval) -> Interval:
-        return Interval(g_lower.fn(x.lower, y.lower), g_upper.fn(x.upper, y.upper))
+    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
+        return g_lower.fn(xl, yl), g_upper.fn(xu, yu)
 
-    return IVOverlap(fn, name or f"rep({g_lower.name},{g_upper.name})",
+    return IVOverlap(ends, name or f"rep({g_lower.name},{g_upper.name})",
                      Representable(g_lower, g_upper), frozenset(claims))
 
 
@@ -253,13 +285,12 @@ def _semi_representable(
 
     g1, g2, g3, g4, g5, g6, g7, g8 = parts
 
-    def fn(x: Interval, y: Interval) -> Interval:
-        lo = m_lower(g1.fn(x.lower, y.upper), g2.fn(x.upper, y.lower),
-                     g3.fn(x.lower, y.lower), g4.fn(x.upper, y.upper))
-        up = m_upper(g5.fn(x.lower, y.upper), g6.fn(x.upper, y.lower),
-                     g7.fn(x.lower, y.lower), g8.fn(x.upper, y.upper))
-        return Interval(lo, up)
+    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
+        return (m_lower(g1.fn(xl, yu), g2.fn(xu, yl), g3.fn(xl, yl), g4.fn(xu, yu)),
+                m_upper(g5.fn(xl, yu), g6.fn(xu, yl), g7.fn(xl, yl), g8.fn(xu, yu)))
 
+    op = IVOverlap(ends, name or f"semi({m_lower.name},{m_upper.name})",
+                   SemiRepresentable(m_lower, m_upper, parts), frozenset())
     # The aggregated endpoints must be ordered on every reachable argument
     # tuple; literal pointwise comparison of the aggregators over [0,1]^4 is
     # the wrong test because their arguments are themselves ordered.
@@ -267,14 +298,12 @@ def _semi_representable(
     for x in sample:
         for y in sample:
             try:
-                fn(x, y)
+                op(x, y)
             except IntervalError:
                 raise ConstructionError(
                     f"endpoint order: aggregated lower exceeds upper at ({x}, {y})"
                 ) from None
-
-    return IVOverlap(fn, name or f"semi({m_lower.name},{m_upper.name})",
-                     SemiRepresentable(m_lower, m_upper, parts), frozenset())
+    return op
 
 
 def _validate_generator(g: UnaryGenerator, grid: SampleGrid) -> None:
@@ -302,12 +331,11 @@ def migrative_from_generator(
 ) -> IVOverlap:
     """Build the migrative overlap X, Y -> g(XY) from a unary generator."""
     _validate_generator(g, grid)
-    ends = g.fn
 
-    def fn(x: Interval, y: Interval) -> Interval:
-        return Interval(*ends(x.lower * y.lower, x.upper * y.upper))
+    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
+        return g.fn(xl * yl, xu * yu)
 
-    return IVOverlap(fn, name or f"mig({g.name})", Migrative(g), claims)
+    return IVOverlap(ends, name or f"mig({g.name})", Migrative(g), claims)
 
 
 @memoized
@@ -349,18 +377,18 @@ def power_transform(base: IVOverlap, n: int, direction: Literal["power", "root"]
     except OverflowError:
         raise ConstructionError(f"transform degree n={n} exceeds the binary64 range") from None
     if direction == "power":
-        k = ExponentInterval.of(degree)
+        k = degree
         name = f"pow({base.name},n={n})"
     elif direction == "root":
-        k = ExponentInterval.of(1.0 / degree)
+        k = 1.0 / degree
         name = f"root({base.name},n={n})"
     else:
         raise ConstructionError(f"unknown transform direction {direction!r}")
 
-    def fn(x: Interval, y: Interval) -> Interval:
-        return base.fn(power(x, k), power(y, k))
+    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
+        return base.ends(xl**k, xu**k, yl**k, yu**k)
 
-    return IVOverlap(fn, name, Opaque(name), frozenset())
+    return IVOverlap(ends, name, Opaque(name), frozenset())
 
 
 def midpoint_closed_form(x: Interval, y: Interval) -> Interval:
@@ -380,18 +408,26 @@ def midpoint_example() -> IVOverlap:
     A genuine interval overlap that is not inclusion monotonic, hence not
     representable by endpoint projections.
     """
-    return IVOverlap(lambda x, y: meet(contract_half(x), contract_half(y)),
-                     "midpoint", Opaque("midpoint"), frozenset())
+
+    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
+        # `contract_half` of each argument, then their `meet`.
+        xm = (xl + xu) / 2.0
+        ym = (yl + yu) / 2.0
+        return min((xl + xm) / 2.0, (yl + ym) / 2.0), min((xu + xm) / 2.0, (yu + ym) / 2.0)
+
+    return IVOverlap(ends, "midpoint", Opaque("midpoint"), frozenset())
 
 
 def iv_join(o1: IVOverlap, o2: IVOverlap) -> IVOverlap:
     name = f"join({o1.name},{o2.name})"
-    return IVOverlap(lambda x, y: join(o1.fn(x, y), o2.fn(x, y)), name, Opaque(name), frozenset())
+    return IVOverlap(lambda *xy: tuple(map(max, o1.ends(*xy), o2.ends(*xy))),
+                     name, Opaque(name), frozenset())
 
 
 def iv_meet(o1: IVOverlap, o2: IVOverlap) -> IVOverlap:
     name = f"meet({o1.name},{o2.name})"
-    return IVOverlap(lambda x, y: meet(o1.fn(x, y), o2.fn(x, y)), name, Opaque(name), frozenset())
+    return IVOverlap(lambda *xy: tuple(map(min, o1.ends(*xy), o2.ends(*xy))),
+                     name, Opaque(name), frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +439,10 @@ def projections(o: IVOverlap) -> tuple[Callable[[float, float], float], Callable
     """Left and right projections: endpoint values on degenerate inputs."""
 
     def lower(x: float, y: float) -> float:
-        return o.fn(Interval(x, x), Interval(y, y)).lower
+        return checked_ends(o, x, x, y, y)[0]
 
     def upper(x: float, y: float) -> float:
-        return o.fn(Interval(x, x), Interval(y, y)).upper
+        return checked_ends(o, x, x, y, y)[1]
 
     return lower, upper
 
@@ -423,15 +459,15 @@ def reconstructs_from_projections(
     """
     lower, upper = projections(o)
     sample = grid.intervals()
+    lows, ups = value_table(o, _ends_of(sample), _ends_of(sample))
 
     def outcomes():
-        for x in sample:
-            for y in sample:
-                got = o.fn(x, y)
+        for x, row_lo, row_up in zip(sample, lows, ups):
+            for y, got_lo, got_up in zip(sample, row_lo, row_up):
                 lo = lower(x.lower, y.lower)
                 up = upper(x.upper, y.upper)
-                far = abs(got.lower - lo) > tol or abs(got.upper - up) > tol
-                yield (x, y, got, lo, up) if far else None
+                far = abs(got_lo - lo) > tol or abs(got_up - up) > tol
+                yield (x, y, Interval(got_lo, got_up), lo, up) if far else None
 
     return first_violation(outcomes())
 
@@ -439,34 +475,20 @@ def reconstructs_from_projections(
 def is_strongly_positive(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
     """Whenever the value is [0, z] with z > 0, one argument must touch 0."""
     sample = grid.intervals()
+    lows, ups = value_table(o, _ends_of(sample), _ends_of(sample))
     return first_violation(
-        (x, y, r) if r.lower == 0.0 and r.upper > 0.0 and x.lower != 0.0 and y.lower != 0.0
-        else None
-        for x in sample for y in sample for r in [o.fn(x, y)]
+        (x, y, Interval(lo, up))
+        if lo == 0.0 and up > 0.0 and x.lower != 0.0 and y.lower != 0.0 else None
+        for x, row_lo, row_up in zip(sample, lows, ups)
+        for y, lo, up in zip(sample, row_lo, row_up)
     )
-
-
-def _eval_matrix(o: IVOverlap, sample: list[Interval]) -> tuple[list[list[float]], list[list[float]]]:
-    fn = o.fn
-    lows = []
-    ups = []
-    for x in sample:
-        row_lo = []
-        row_up = []
-        for y in sample:
-            v = fn(x, y)
-            row_lo.append(v.lower)
-            row_up.append(v.upper)
-        lows.append(row_lo)
-        ups.append(row_up)
-    return lows, ups
 
 
 @memoized
 def is_inclusion_monotonic(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
     """Nested arguments must give nested values; witness is the first failure."""
     sample = grid.intervals()
-    lows, ups = _eval_matrix(o, sample)
+    lows, ups = value_table(o, _ends_of(sample), _ends_of(sample))
     pairs = [(i, j) for i, a in enumerate(sample) for j, b in enumerate(sample)
              if subseteq(a, b)]
     rows = [(xi, xo, lows[xi], ups[xi], lows[xo], ups[xo]) for xi, xo in pairs]
@@ -475,12 +497,6 @@ def is_inclusion_monotonic(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> Sam
         if lo_out[yo] > lo_in[yi] or up_in[yi] > up_out[yo] else None
         for xi, xo, lo_in, up_in, lo_out, up_out in rows for yi, yo in pairs
     )
-
-
-def _scaled_row(alpha: Interval, sample: list[Interval]) -> list[Interval]:
-    """``[alpha.lower * x.lower, alpha.upper * x.upper]`` for each sample ``x``."""
-    al, au = alpha.lower, alpha.upper
-    return [Interval(al * x.lower, au * x.upper) for x in sample]
 
 
 @memoized
@@ -492,26 +508,25 @@ def check_migrative(
     """Scalar factors migrate between arguments; also checks the equivalent
     product form f(X, Y) == f([1,1], XY)."""
     sample = grid.intervals()
-    fn = f.fn
+    pts = _ends_of(sample)
 
     def product_form():
-        for x in sample:
-            for y in sample:
-                direct = fn(x, y)
-                via_product = fn(ONE, product(x, y))
-                far = (abs(direct.lower - via_product.lower) > tol
-                       or abs(direct.upper - via_product.upper) > tol)
-                yield (x, y) if far else None
+        lows, ups = value_table(f, pts, pts)
+        for x, (xl, xu), row_lo, row_up in zip(sample, pts, lows, ups):
+            products = [(xl * yl, xu * yu) for yl, yu in pts]
+            (via_lo,), (via_up,) = value_table(f, [(1.0, 1.0)], products)
+            for y, lo, up, v_lo, v_up in zip(sample, row_lo, row_up, via_lo, via_up):
+                yield (x, y) if abs(lo - v_lo) > tol or abs(up - v_up) > tol else None
 
     def migration():
         for alpha in sample:
-            scaled = _scaled_row(alpha, sample)
-            for x, ax in zip(sample, scaled):
-                for y, ay in zip(sample, scaled):
-                    left = fn(ax, y)
-                    right = fn(x, ay)
-                    far = (abs(left.lower - right.lower) > tol
-                           or abs(left.upper - right.upper) > tol)
+            al, au = alpha.lower, alpha.upper
+            scaled = [(al * xl, au * xu) for xl, xu in pts]
+            left = value_table(f, scaled, pts)
+            right = value_table(f, pts, scaled)
+            for x, *rows in zip(sample, *left, *right):
+                for y, left_lo, left_up, right_lo, right_up in zip(sample, *rows):
+                    far = abs(left_lo - right_lo) > tol or abs(left_up - right_up) > tol
                     yield (alpha, x, y) if far else None
 
     return first_violation(itertools.chain(product_form(), migration()))
@@ -526,18 +541,18 @@ def check_homogeneous(
 ) -> SampledResult:
     """Scaling both arguments scales the value by the exponent power of the factor."""
     sample = grid.intervals()
-    fn = f.fn
-    base_lo, base_up = _eval_matrix(f, sample)
+    pts = _ends_of(sample)
+    base_lo, base_up = value_table(f, pts, pts)
 
     def outcomes():
         for alpha in sample:
-            sl, su = alpha.lower**k.k2, alpha.upper**k.k1
-            scaled = _scaled_row(alpha, sample)
-            for x, ax, row_lo, row_up in zip(sample, scaled, base_lo, base_up):
-                for j, (y, ay) in enumerate(zip(sample, scaled)):
-                    left = fn(ax, ay)
-                    far = (abs(left.lower - sl * row_lo[j]) > tol
-                           or abs(left.upper - su * row_up[j]) > tol)
+            al, au = alpha.lower, alpha.upper
+            sl, su = al**k.k2, au**k.k1
+            scaled = [(al * xl, au * xu) for xl, xu in pts]
+            lows, ups = value_table(f, scaled, scaled)
+            for x, *rows in zip(sample, lows, ups, base_lo, base_up):
+                for y, lo, up, b_lo, b_up in zip(sample, *rows):
+                    far = abs(lo - sl * b_lo) > tol or abs(up - su * b_up) > tol
                     yield (alpha, x, y) if far else None
 
     return first_violation(outcomes())
@@ -549,16 +564,20 @@ def check_idempotent(
     tol: float = ROOT_TOLERANCE,
 ) -> SampledResult:
     return first_violation(
-        (x, r) if abs(r.lower - x.lower) > tol or abs(r.upper - x.upper) > tol else None
-        for x in grid.intervals() for r in [f.fn(x, x)]
+        (x, Interval(lo, up)) if abs(lo - x.lower) > tol or abs(up - x.upper) > tol else None
+        for x in grid.intervals()
+        for lo, up in [checked_ends(f, x.lower, x.upper, x.lower, x.upper)]
     )
 
 
 @memoized
 def neutral_element_holds(f: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
     """[1,1] acts as a neutral element, exactly."""
-    return first_violation((x, f.fn(ONE, x)) if f.fn(ONE, x) != x or f.fn(x, ONE) != x else None
-                           for x in grid.intervals())
+    return first_violation(
+        (x, Interval(*left)) if left != ends or checked_ends(f, *ends, 1.0, 1.0) != ends else None
+        for x in grid.intervals() for ends in [(x.lower, x.upper)]
+        for left in [checked_ends(f, 1.0, 1.0, *ends)]
+    )
 
 
 def check_associative(
@@ -571,12 +590,12 @@ def check_associative(
     def outcomes():
         for x in sample:
             for y in sample:
-                xy = f.fn(x, y)
+                xy = checked_ends(f, x.lower, x.upper, y.lower, y.upper)
                 for z in sample:
-                    left = f.fn(xy, z)
-                    right = f.fn(x, f.fn(y, z))
-                    far = (abs(left.lower - right.lower) > tol
-                           or abs(left.upper - right.upper) > tol)
+                    left = checked_ends(f, *xy, z.lower, z.upper)
+                    yz = checked_ends(f, y.lower, y.upper, z.lower, z.upper)
+                    right = checked_ends(f, x.lower, x.upper, *yz)
+                    far = abs(left[0] - right[0]) > tol or abs(left[1] - right[1]) > tol
                     yield (x, y, z) if far else None
 
     return first_violation(outcomes())
@@ -593,21 +612,13 @@ def _check_o5(o: IVOverlap, stages: tuple[tuple[float, float], ...]) -> SampledR
     Each stage evaluates `o` once per degenerate grid point, and keeps the
     upper endpoints for the second probe.
     """
-    fn = o.fn
     upper_tables = []
 
     def lower_tables():
         for step, bound in stages:
             pts = SampleGrid(step).endpoints()
-            points = [Interval(p, p) for p in pts]
-            lows, ups = [], []
-            # Rows are arrays of doubles: the finest stage holds two tables of
-            # 201 x 201 endpoints, which as lists of floats would raise the
-            # peak memory of a law-suite run.
-            for x in points:
-                values = [fn(x, y) for y in points]
-                lows.append(array("d", [v.lower for v in values]))
-                ups.append(array("d", [v.upper for v in values]))
+            points = [(p, p) for p in pts]
+            lows, ups = value_table(o, points, points)
             upper_tables.append((bound, pts, ups))
             yield bound, pts, lows
 
@@ -629,7 +640,7 @@ def verify_iv_axioms(
     degenerate-input slices, not a proof."""
     sample = grid.intervals()
     cells = list(itertools.product(range(len(sample)), repeat=2))
-    lows, ups = _eval_matrix(o, sample)
+    lows, ups = value_table(o, _ends_of(sample), _ends_of(sample))
     o1 = first_violation(
         (sample[i], sample[j]) if lows[i][j] != lows[j][i] or ups[i][j] != ups[j][i] else None
         for i, j in cells

@@ -124,7 +124,9 @@ def _parse_csv(text: str) -> DecisionMatrix:
 
 
 def _json_labels(data: dict, key: str) -> tuple[str, ...]:
-    """The labels under `key`, which must all be JSON strings."""
+    """The labels under `key`, which must be JSON strings, at least one."""
+    if not data[key]:
+        raise MatrixError(f"key {key!r} must not be empty")
     for i, label in enumerate(data[key]):
         if not isinstance(label, str):
             raise MatrixError(f"{key}[{i}] must be a string, got {label!r}")

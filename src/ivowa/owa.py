@@ -14,22 +14,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import (
     AdmissibleOrder,
     DEFAULT_ORDER,
-    ExponentInterval,
     Interval,
     ONE,
     ZERO,
     format_interval,
-    join,
-    power,
-    product,
 )
-from .iv_overlaps import IVOverlap, interval_product, neutral_element_holds
+from .iv_overlaps import (
+    IVOverlap,
+    checked_ends,
+    interval_product,
+    neutral_element_holds,
+    value_table,
+)
 from .sampling import (
     DEFAULT_GRID,
     ROOT_TOLERANCE,
@@ -75,14 +76,14 @@ class AggregatorKind(enum.Enum):
     TRUNCATED_SUM = "tsum"
     GEOMETRIC_MEAN = "geomean"
     DIRAC = "dirac"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True, eq=False)
 class IVAggregator:
-    """An n-ary interval aggregation function."""
+    """An n-ary interval aggregation function, stored as its map of the
+    inputs' endpoint columns, ``ends(lows, ups) -> (lower, upper)``."""
 
-    fn: Callable[[Sequence[Interval]], Interval]
+    ends: Callable[[Sequence[float], Sequence[float]], tuple[float, float]]
     arity: int
     kind: AggregatorKind
     name: str
@@ -90,7 +91,7 @@ class IVAggregator:
     def __call__(self, values: Sequence[Interval]) -> Interval:
         if len(values) != self.arity:
             raise WeightError(f"{self.name} expects {self.arity} inputs, got {len(values)}")
-        return self.fn(values)
+        return Interval(*self.ends([v.lower for v in values], [v.upper for v in values]))
 
 
 @dataclass(frozen=True)
@@ -140,24 +141,23 @@ def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
     if n < 1:
         raise WeightError(f"aggregator arity must be >= 1, got {n}")
 
-    def agg_max(values: Sequence[Interval]) -> Interval:
-        return reduce(join, values)
+    def agg_max(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
+        return max(lows), max(ups)
 
-    def agg_tsum(values: Sequence[Interval]) -> Interval:
-        return Interval(
-            min(1.0, math.fsum(v.lower for v in values)),
-            min(1.0, math.fsum(v.upper for v in values)),
-        )
+    def agg_tsum(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
+        return min(1.0, math.fsum(lows)), min(1.0, math.fsum(ups))
 
-    root = ExponentInterval.of(1.0 / n)
+    root = 1.0 / n
 
-    def agg_geomean(values: Sequence[Interval]) -> Interval:
-        return power(reduce(product, values), root)
+    # The product of the inputs, a left fold, raised to the n-th root.
+    def agg_geomean(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
+        return math.prod(lows) ** root, math.prod(ups) ** root
 
     # [1,1] tops the product order, which every admissible order refines, so
-    # it is the largest input under any of them exactly when it is an input.
-    def agg_dirac(values: Sequence[Interval]) -> Interval:
-        return ONE if ONE in values else ZERO
+    # it is the largest input under any of them exactly when it is an input;
+    # an input is [1,1] exactly when its lower endpoint is 1.
+    def agg_dirac(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
+        return (1.0, 1.0) if 1.0 in lows else (0.0, 0.0)
 
     entries = [
         IVAggregator(agg_max, n, AggregatorKind.MAX, "max"),
@@ -233,25 +233,6 @@ DISTRIBUTIVITY_RESTRICTIONS: dict[AggregatorKind, Callable[[Iterable[float]], bo
 }
 
 
-def _lazy_rows(fn: Callable[[Interval, Interval], Interval],
-               items: Sequence[Interval]) -> Callable[[int, Sequence[int]], list[Interval]]:
-    """``pieces(y, xs) == [fn(items[x], items[y]) for x in xs]`` on grid
-    indices, each value computed once, on first use."""
-    rows: list[list[Interval | None]] = [[None] * len(items) for _ in items]
-
-    def pieces(y: int, xs: Sequence[int]) -> list[Interval]:
-        row, y_iv = rows[y], items[y]
-        out = []
-        for x in xs:
-            r = row[x]
-            if r is None:
-                r = row[x] = fn(items[x], y_iv)
-            out.append(r)
-        return out
-
-    return pieces
-
-
 @memoized
 def check_distributivity(
     m: IVAggregator,
@@ -269,31 +250,30 @@ def check_distributivity(
     narrows the tuples checked.
     """
     items = grid.intervals()
-    m_fn = m.fn
-    o_fn = o.fn
+    lows = [x.lower for x in items]
+    ups = [x.upper for x in items]
+    m_ends = m.ends
     # Tuples are walked as grid indices: the sample stream is the same (the
-    # random fill only uses the pool's length), and the memos key on ints.
-    overlaps = _lazy_rows(o_fn, items)
-    m_cache: dict[tuple[int, ...], Interval] = {}
-    m_get = m_cache.get
+    # random fill only uses the pool's length).
+    o_lo, o_up = value_table(o, list(zip(lows, ups)), list(zip(lows, ups)))
     decode = items.__getitem__
 
     cases = tuple_samples(range(len(items)), m.arity + 1, budget, seed)
     if restrict is not None:
-        ups = [x.upper for x in items]
         cases = (t for t in cases if restrict(map(ups.__getitem__, t[:-1])))
 
     def outcomes():
+        # The full cross product varies y fastest, so one aggregate serves a
+        # whole run of equal xs; sampled tuples seldom repeat their xs.
+        last_xs = agg = None
         for t in cases:
             xs, y = t[:-1], t[-1]
-            y_iv = items[y]
-            lhs = m_fn(overlaps(y, xs))
-            agg = m_get(xs)
-            if agg is None:
-                agg = m_cache[xs] = m_fn(tuple(map(decode, xs)))
-            rhs = o_fn(agg, y_iv)
-            far = abs(lhs.lower - rhs.lower) > tol or abs(lhs.upper - rhs.upper) > tol
-            yield (*map(decode, xs), y_iv) if far else None
+            lhs_lo, lhs_up = m_ends([o_lo[x][y] for x in xs], [o_up[x][y] for x in xs])
+            if xs != last_xs:
+                last_xs, agg = xs, m_ends([lows[x] for x in xs], [ups[x] for x in xs])
+            rhs_lo, rhs_up = checked_ends(o, *agg, lows[y], ups[y])
+            far = abs(lhs_lo - rhs_lo) > tol or abs(lhs_up - rhs_up) > tol
+            yield (*map(decode, xs), items[y]) if far else None
 
     return first_violation(outcomes())
 
@@ -308,25 +288,26 @@ def check_homogeneous_m(
 ) -> SampledResult:
     """First-order homogeneity: scaling every input scales the output."""
     items = grid.intervals()
-    m_fn = m.fn
+    lows = [x.lower for x in items]
+    ups = [x.upper for x in items]
+    m_ends = m.ends
     # Walked on grid indices like check_distributivity; the scaled inputs
     # [alpha.lower*x.lower, alpha.upper*x.upper] are the interval product.
-    scaled = _lazy_rows(product, items)
-    m_cache: dict[tuple[int, ...], Interval] = {}
+    scaled_lo, scaled_up = value_table(interval_product(), list(zip(lows, ups)),
+                                       list(zip(lows, ups)))
+    m_cache: dict[tuple[int, ...], tuple[float, float]] = {}
     m_get = m_cache.get
     decode = items.__getitem__
 
     def outcomes():
         for t in tuple_samples(range(len(items)), m.arity + 1, budget, seed):
             a, xs = t[0], t[1:]
-            alpha = items[a]
-            al, au = alpha.lower, alpha.upper
-            left = m_fn(scaled(a, xs))
+            row_lo, row_up = scaled_lo[a], scaled_up[a]
+            left_lo, left_up = m_ends([row_lo[x] for x in xs], [row_up[x] for x in xs])
             base = m_get(xs)
             if base is None:
-                base = m_cache[xs] = m_fn(tuple(map(decode, xs)))
-            far = (abs(left.lower - al * base.lower) > tol
-                   or abs(left.upper - au * base.upper) > tol)
+                base = m_cache[xs] = m_ends([lows[x] for x in xs], [ups[x] for x in xs])
+            far = abs(left_lo - lows[a] * base[0]) > tol or abs(left_up - ups[a] * base[1]) > tol
             yield tuple(map(decode, t)) if far else None
 
     return first_violation(outcomes())
@@ -356,9 +337,11 @@ class GowaOperator:
     def __call__(self, values: Sequence[Interval]) -> Interval:
         if len(values) != self.arity:
             raise GowaError(f"operator expects {self.arity} inputs, got {len(values)}")
-        ranks = self.order.ranks_descending(values)
-        pieces = [self.overlap.fn(w, values[i]) for w, i in zip(self.weights, ranks)]
-        return self.aggregator(pieces)
+        o = self.overlap
+        ranked = map(values.__getitem__, self.order.ranks_descending(values))
+        pieces = [checked_ends(o, w.lower, w.upper, x.lower, x.upper)
+                  for w, x in zip(self.weights, ranked)]
+        return Interval(*self.aggregator.ends([lo for lo, _ in pieces], [up for _, up in pieces]))
 
 
 @memoized

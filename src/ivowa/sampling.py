@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import math
 import random
 import sys
 from array import array
@@ -100,8 +101,10 @@ class SampleGrid:
     endpoint_step: float = 0.1
 
     def __post_init__(self) -> None:
-        n = round(1.0 / self.endpoint_step)
-        if n < 1 or abs(1.0 / n - self.endpoint_step) > 1e-12:
+        step = self.endpoint_step
+        # A step that is not > 0, or whose reciprocal overflows, has no n.
+        n = round(1.0 / step) if step > 0.0 and 1.0 / step < math.inf else 0
+        if n < 1 or abs(1.0 / n - step) > 1e-12:
             raise ValueError(f"endpoint_step must be 1/n, got {self.endpoint_step}")
 
     @property

@@ -428,6 +428,22 @@ class TestStrictInput:
         assert code == 2
         assert needle in err
 
+    @pytest.mark.parametrize("payload, needle", [
+        pytest.param({"alternatives": [], "criteria": ["c1", "c2"], "cells": []},
+                     "key 'alternatives' must not be empty", id="no-alternatives"),
+        pytest.param({"alternatives": ["a1"], "criteria": [], "cells": [[]]},
+                     "key 'criteria' must not be empty", id="no-criteria"),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_empty_json_matrix_exits_2(self, workdir, capsys, payload, needle, flags):
+        (workdir / "empty.json").write_text(json.dumps(payload))
+        (workdir / "strict.json").write_text(json.dumps(CONFIG_GEOMEAN))
+        code = main(["aggregate", "--config", str(workdir / "strict.json"),
+                     "--matrix", str(workdir / "empty.json"), *flags])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert needle in err
+
     @pytest.mark.parametrize("data, needle", [
         pytest.param(b'alternative,c1,c2\na1,"' + b"y" * 200_000 + b'",0.5\n', "CSV line 2",
                      id="field-over-csv-limit"),
@@ -499,6 +515,11 @@ class TestVerifyCommand:
     def test_step_override(self, capsys):
         assert main(["verify", "product", "--step", "0.2"]) == 0
         assert main(["verify", "product", "--step", "0.17"]) == 2
+
+    @pytest.mark.parametrize("step", ["0", "-0", "5e-324"])
+    def test_step_without_a_reciprocal_is_usage_error(self, capsys, step):
+        assert main(["verify", "product", f"--step={step}"]) == 2
+        assert capsys.readouterr().err.startswith("error: endpoint_step must be 1/n, got ")
 
     def test_aggregator_target(self, capsys):
         assert main(["verify", "dirac"]) == 0

@@ -2,7 +2,19 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_interval_close, intervals
-from ivowa.intervals import ExponentInterval, Interval, ONE, ZERO, power, product, subseteq
+from ivowa.intervals import (
+    ExponentInterval,
+    Interval,
+    IntervalError,
+    ONE,
+    ZERO,
+    contract_half,
+    join,
+    meet,
+    power,
+    product,
+    subseteq,
+)
 from ivowa.iv_overlaps import (
     IDENTITY,
     ConstructionError,
@@ -32,6 +44,7 @@ from ivowa.iv_overlaps import (
     verify_iv_axioms,
 )
 from ivowa.overlaps import mean_of_components, projection_aggregator
+from ivowa.owa import builtin_aggregators, check_distributivity
 from ivowa.registry import generator_catalog, real_catalog, resolve_iv_overlap, standard_overlaps
 from ivowa.sampling import CONTINUITY_STAGES, DEFAULT_GRID, SampleGrid, SampledResult
 
@@ -308,6 +321,91 @@ class TestMidpointExample:
         assert all(res.ok for res in verify_iv_axioms(midpoint_example()).values())
 
 
+def _rep_formula(g1, g2):
+    return lambda x, y: Interval(g1(x.lower, y.lower), g2(x.upper, y.upper))
+
+
+def _semi_formula(m1, m2, parts):
+    g1, g2, g3, g4, g5, g6, g7, g8 = parts
+    return lambda x, y: Interval(
+        m1(g1(x.lower, y.upper), g2(x.upper, y.lower), g3(x.lower, y.lower), g4(x.upper, y.upper)),
+        m2(g5(x.lower, y.upper), g6(x.upper, y.lower), g7(x.lower, y.lower), g8(x.upper, y.upper)),
+    )
+
+
+def _ends_cases():
+    """(overlap, the interval formula its endpoint map must reproduce) for
+    every constructor but the migrative ones, which
+    `test_catalog_migrative_equals_generator_of_product` pins."""
+    prod, mid = interval_product(), midpoint_example()
+    rep_pp = representable(CAT["product"], CAT["product"])
+    rep_mm = representable(CAT["min"], CAT["min"])
+    pick3, pick4 = projection_aggregator(3), projection_aggregator(4)
+    mean34 = mean_of_components((3, 4))
+    parts = (CAT["product"],) * 8
+    two, third = ExponentInterval.of(2.0), ExponentInterval.of(1.0 / 3.0)
+    cases = [(representable(CAT[a], CAT[b]), _rep_formula(CAT[a], CAT[b]))
+             for a, b in (("product", "product"), ("product", "min"), ("min", "min"),
+                          ("xyp:p=2", "product"), ("lukasiewicz", "min"),
+                          ("lukasiewicz", "lukasiewicz"))]
+    return cases + [
+        (semi_representable(pick3, pick4, parts), _semi_formula(pick3, pick4, parts)),
+        (semi_representable(pick3, mean34, parts), _semi_formula(pick3, mean34, parts)),
+        (mid, lambda x, y: meet(contract_half(x), contract_half(y))),
+        (power_transform(prod, 2, "power"), lambda x, y: prod(power(x, two), power(y, two))),
+        (power_transform(rep_mm, 3, "root"),
+         lambda x, y: rep_mm(power(x, third), power(y, third))),
+        (power_transform(mid, 3, "root"), lambda x, y: mid(power(x, third), power(y, third))),
+        (iv_join(rep_pp, rep_mm), lambda x, y: join(rep_pp(x, y), rep_mm(x, y))),
+        (iv_meet(rep_pp, rep_mm), lambda x, y: meet(rep_pp(x, y), rep_mm(x, y))),
+        (iv_join(prod, mid), lambda x, y: join(prod(x, y), mid(x, y))),
+        (iv_meet(prod, mid), lambda x, y: meet(prod(x, y), mid(x, y))),
+    ]
+
+
+ENDS_CASES = _ends_cases()
+
+
+@pytest.mark.parametrize("op,formula", ENDS_CASES, ids=[op.name for op, _ in ENDS_CASES])
+def test_ends_equal_the_interval_formula(op, formula):
+    # The same bits, not just close values: each endpoint map keeps the float
+    # operations of its interval formula, in the same order.
+    for x in SAMPLE:
+        for y in SAMPLE:
+            got = op.ends(x.lower, x.upper, y.lower, y.upper)
+            want = formula(x, y)
+            assert tuple(map(float.hex, got)) == (want.lower.hex(), want.upper.hex()), (x, y)
+
+
+def _inverted_at(o, x, y):
+    """`o` with its two endpoints swapped at the one argument pair (x, y)."""
+    cell = (x.lower, x.upper, y.lower, y.upper)
+
+    def ends(xl, xu, yl, yu):
+        lo, up = o.ends(xl, xu, yl, yu)
+        return (up, lo) if (xl, xu, yl, yu) == cell else (lo, up)
+
+    return IVOverlap(ends, f"inverted({o.name})", Opaque("inverted"))
+
+
+@pytest.mark.parametrize("check", [
+    verify_iv_axioms,
+    lambda o: check_distributivity(builtin_aggregators(2)["max"], o),
+    is_inclusion_monotonic,
+    is_strongly_positive,
+    reconstructs_from_projections,
+    check_migrative,
+    lambda o: check_homogeneous(o, ExponentInterval.of(2.0)),
+], ids=["axioms", "distributivity", "inclusion", "strong-positivity", "reconstruction",
+        "migrative", "homogeneous"])
+def test_law_checks_raise_on_a_value_that_is_not_an_interval(check):
+    # Endpoint maps build no Interval, so the value tables apply its check:
+    # one inverted grid cell is enough to raise.
+    bad = _inverted_at(interval_product(), Interval(0.2, 0.6), Interval(0.3, 0.9))
+    with pytest.raises(IntervalError, match="invalid interval endpoints"):
+        check(bad)
+
+
 def two_probe_o5(o, stages=CONTINUITY_STAGES):
     """Reference O5: the continuity probe of the lower projection, then of
     the upper one, each evaluating `o` afresh on every degenerate grid point."""
@@ -346,7 +444,7 @@ def lattice_overlaps():
 
 O5_TARGETS = [*standard_overlaps().values(), *lattice_overlaps()]
 # A flat lower projection lets the upper probe decide.
-FLAT_LOWER = IVOverlap(lambda x, y: Interval(0.0, x.upper * y.upper),
+FLAT_LOWER = IVOverlap(lambda xl, xu, yl, yu: (0.0, xu * yu),
                        "flat-lower", Opaque("flat-lower"))
 EARLY_EXIT_TARGETS = [interval_product(), FLAT_LOWER, representable(CAT["product"], CAT["min"])]
 

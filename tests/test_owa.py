@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import OrderedDict
+from functools import reduce
 
 import pytest
 
@@ -13,7 +14,10 @@ from ivowa.intervals import (
     ONE,
     ZERO,
     format_interval,
+    join,
     leq_product,
+    power,
+    product,
 )
 from ivowa import owa, sampling
 from ivowa.iv_overlaps import IVOverlap, interval_product, migrative_canonical, representable
@@ -76,6 +80,38 @@ class TestAggregators:
     def test_arity_enforced(self):
         with pytest.raises(WeightError):
             AGG2["max"]([ONE])
+
+
+AGGREGATOR_FORMULAS = {
+    "max": lambda v: reduce(join, v),
+    "tsum": lambda v: Interval(min(1.0, math.fsum(x.lower for x in v)),
+                               min(1.0, math.fsum(x.upper for x in v))),
+    "geomean": lambda v: power(reduce(product, v), ExponentInterval.of(1.0 / len(v))),
+    "dirac": lambda v: ONE if ONE in v else ZERO,
+}
+
+
+def _aggregator_inputs():
+    """Every n=2 pair of grid intervals, then a seeded sample at n=3..10
+    drawn from the grid and from random intervals."""
+    grid = DEFAULT_GRID.intervals()
+    yield from itertools.product(grid, repeat=2)
+    rng = random.Random(SAMPLE_SEED)
+    pool = grid + [random_interval(rng) for _ in grid]
+    for n in range(3, 11):
+        for _ in range(500):
+            yield tuple(rng.choice(pool) for _ in range(n))
+
+
+@pytest.mark.parametrize("name", AGGREGATOR_FORMULAS)
+def test_aggregator_ends_equal_the_interval_formula(name):
+    # The same bits: each column map keeps the float operations of its
+    # interval formula, in the same order.
+    formula = AGGREGATOR_FORMULAS[name]
+    for v in _aggregator_inputs():
+        got = builtin_aggregators(len(v))[name].ends([x.lower for x in v], [x.upper for x in v])
+        want = formula(v)
+        assert tuple(map(float.hex, got)) == (want.lower.hex(), want.upper.hex()), v
 
 
 class TestWeightedVectors:
@@ -172,7 +208,7 @@ class TestDistributivity:
 
 def _fresh_product() -> IVOverlap:
     """The interval product under a new identity, so no memo entry holds it."""
-    return IVOverlap(PRODUCT.fn, PRODUCT.name, PRODUCT.provenance, PRODUCT.claims)
+    return IVOverlap(PRODUCT.ends, PRODUCT.name, PRODUCT.provenance, PRODUCT.claims)
 
 
 def _count_tuple_samples(monkeypatch) -> list[int]:
