@@ -5,14 +5,18 @@ tuple when it fails, the sample count and the tolerance it ran at.  Reports
 are reproducible bit for bit for a fixed grid: enumeration order is fixed and
 witness selection is first-violation.
 
-A check whose precondition cannot be established on samples is reported as
-skipped, never as silently passing.
+Each theorem and lattice result is one row of a law table: a check id, a
+tolerance and a generator of (target label, SampledResult) parts, which one
+evaluator, `_fold`, turns into the report.  A row with no parts (its
+precondition cannot be established on samples) is reported as skipped, never
+as silently passing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .intervals import (
@@ -148,20 +152,6 @@ def _report(check_id: str, target: str, res: SampledResult, tol: float) -> Check
     return CheckReport(check_id, target, verdict, res.witness, res.samples, tol)
 
 
-def _skipped(check_id: str, target: str) -> CheckReport:
-    return CheckReport(check_id, target, "skipped", None, 0, EXACT)
-
-
-def _combined(check_id: str, parts: list[tuple[str, SampledResult]], tol: float) -> CheckReport:
-    """Fold per-target results into one report; the witness names the target."""
-    samples = sum(r.samples for _, r in parts)
-    for target, res in parts:
-        if not res.ok:
-            witness = (target, *(res.witness or ()))
-            return CheckReport(check_id, "catalog", "fail", witness, samples, tol)
-    return CheckReport(check_id, "catalog", "pass", None, samples, tol)
-
-
 def _expect(ok: bool, witness: tuple | None, samples: int) -> SampledResult:
     return SampledResult(ok, None if ok else witness, samples)
 
@@ -193,28 +183,26 @@ def run_axiom_suite(target, grid: SampleGrid | None = None) -> list[CheckReport]
             _report("m1", target.name, check_m1_boundary(target), EXACT),
             _report("m2", target.name, check_m2_monotone(target), EXACT),
         ]
+        components = {"m3:arg": check_m3_component, "m4:arg": check_m4_component}
         for claim in sorted(target.claims):
-            if claim.startswith("m3:arg"):
-                res = check_m3_component(target, int(claim.removeprefix("m3:arg")))
-                reports.append(_report(claim, target.name, res, EXACT))
-            elif claim.startswith("m4:arg"):
-                res = check_m4_component(target, int(claim.removeprefix("m4:arg")))
+            component = components.get(claim[:6])
+            if component is not None:
+                res = component(target, int(claim[6:]))
                 reports.append(_report(claim, target.name, res, EXACT))
         return reports
     if isinstance(target, IVAggregator):
         g = grid or DEFAULT_GRID
         return [
-            _report("m1", target.name, _iv_aggregator_boundary(target), EXACT),
+            _report("m1", target.name, _boundary(target, target.arity), EXACT),
             _report("m2", target.name, _iv_aggregator_monotone(target, g), EXACT),
         ]
     raise TypeError(f"no axiom suite for {type(target).__name__}")
 
 
-def _iv_aggregator_boundary(m: IVAggregator) -> SampledResult:
-    zeros = [ZERO] * m.arity
-    ones = [ONE] * m.arity
-    ok = m(zeros) == ZERO and m(ones) == ONE
-    return _expect(ok, (m(zeros), m(ones)), 2)
+def _boundary(f, arity: int) -> SampledResult:
+    """f maps [0,0], ..., [0,0] to [0,0] and [1,1], ..., [1,1] to [1,1]."""
+    zeros, ones = f([ZERO] * arity), f([ONE] * arity)
+    return _expect(zeros == ZERO and ones == ONE, (zeros, ones), 2)
 
 
 def _iv_aggregator_monotone(m: IVAggregator, grid: SampleGrid) -> SampledResult:
@@ -230,286 +218,273 @@ def _iv_aggregator_monotone(m: IVAggregator, grid: SampleGrid) -> SampledResult:
 
 
 # ---------------------------------------------------------------------------
-# Theorem checks
+# The law table
 # ---------------------------------------------------------------------------
+
+Part = tuple[str, SampledResult]
+
+_THEOREM_CHECKS: dict[str, Callable[[SampleGrid], CheckReport]] = {}
+_LATTICE_CHECKS: dict[str, Callable[[SampleGrid], CheckReport]] = {}
+
+
+def _fold(check_id: str, tol: float, parts: Iterable[Part]) -> CheckReport:
+    """Skipped without parts; otherwise the first failing part names the
+    witness, and the sample count sums every part."""
+    parts = list(parts)
+    if not parts:
+        return CheckReport(check_id, "catalog", "skipped", None, 0, EXACT)
+    samples = sum(res.samples for _, res in parts)
+    for target, res in parts:
+        if not res.ok:
+            witness = (target, *(res.witness or ()))
+            return CheckReport(check_id, "catalog", "fail", witness, samples, tol)
+    return CheckReport(check_id, "catalog", "pass", None, samples, tol)
+
+
+def _law(check_id: str, tol: float = EXACT, table: dict = _THEOREM_CHECKS):
+    """Register a row (grid -> parts) as `check_id`, run in declaration order."""
+
+    def register(row: Callable[[SampleGrid], Iterable[Part]]):
+        table[check_id] = lambda grid: _fold(check_id, tol, row(grid))
+        return row
+
+    return register
+
+
+def _axioms(ops: Iterable, grid: SampleGrid) -> Iterator[Part]:
+    """Every axiom of each operator, labelled `name:axiom` (real ones on their own grid)."""
+    for op in ops:
+        results = (verify_iv_axioms(op, grid) if isinstance(op, IVOverlap)
+                   else verify_overlap_axioms(op))
+        for axiom, res in results.items():
+            yield f"{op.name}:{axiom}", res
+
+
+def _far(got: Interval, want: Interval, tol: float) -> bool:
+    return abs(got.lower - want.lower) > tol or abs(got.upper - want.upper) > tol
+
+
+def _fixes(op: IVOverlap, x: Interval) -> SampledResult:
+    """The point identity op(x, x) == x."""
+    value = op(x, x)
+    return _expect(value == x, (value,), 1)
 
 
 def _semi_configs():
-    cat = real_catalog()
-    prod = cat["product"]
+    """A collapsing and a blended upper aggregator over the pick3 lower one."""
+    prod = real_catalog()["product"]
     pick3 = projection_aggregator(3)
-    pick4 = projection_aggregator(4)
-    mean34 = mean_of_components((3, 4))
-    collapsing = semi_representable(pick3, pick4, (prod,) * 8, name="semi(pick3,pick4)")
-    blended = semi_representable(pick3, mean34, (prod,) * 8, name="semi(pick3,mean34)")
-    return [collapsing, blended]
+    uppers = (("pick4", projection_aggregator(4)), ("mean34", mean_of_components((3, 4))))
+    return [semi_representable(pick3, m, (prod,) * 8, name=f"semi(pick3,{label})")
+            for label, m in uppers]
 
 
-def _check_representable_construction(grid: SampleGrid) -> CheckReport:
-    parts = []
-    for op in standard_representable():
-        for axiom, res in verify_iv_axioms(op, grid).items():
-            parts.append((f"{op.name}:{axiom}", res))
-    return _combined("representable-construction", parts, EXACT)
-
-
-def _check_projection_reconstruction(grid: SampleGrid) -> CheckReport:
-    parts = [(op.name, reconstructs_from_projections(op, grid, POLY_TOLERANCE))
-             for op in standard_representable()]
-    return _combined("projection-reconstruction", parts, POLY_TOLERANCE)
-
-
-def _check_inclusion_monotonicity(grid: SampleGrid) -> CheckReport:
-    parts = []
-    for op in standard_representable():
-        parts.append((op.name, is_inclusion_monotonic(op, grid)))
-    mid = midpoint_example()
-    res = is_inclusion_monotonic(mid, grid)
-    parts.append(("midpoint:expected-failure", _expect(not res.ok, ("no violation found",), res.samples)))
-    # The stock counterexample: [1,1] nested in [0,1] contracts to [0.25, 0.75].
-    inner = mid.fn(ONE, ONE)
-    outer = mid.fn(Interval(0.0, 1.0), Interval(0.0, 1.0))
-    parts.append(("midpoint:documented-witness",
-                  _expect(not subseteq(inner, outer), (inner, outer), 1)))
-    return _combined("inclusion-monotonicity-characterization", parts, EXACT)
+_SEMI_IDS = {
+    "o1": "semi-representable-commutativity",
+    "o2": "semi-representable-zero-boundary",
+    "o3": "semi-representable-one-boundary",
+    "o4": "semi-representable-monotonicity",
+    "o5": "semi-representable-continuity",
+}
 
 
 def _check_semi_items(grid: SampleGrid) -> list[CheckReport]:
-    configs = _semi_configs()
-    axioms = {"o1": [], "o2": [], "o3": [], "o4": [], "o5": []}
-    for op in configs:
+    parts: dict[str, list[Part]] = {axiom: [] for axiom in _SEMI_IDS}
+    for op in _semi_configs():
         for axiom, res in verify_iv_axioms(op, grid).items():
-            axioms[axiom].append((op.name, res))
-    names = {
-        "o1": "semi-representable-commutativity",
-        "o2": "semi-representable-zero-boundary",
-        "o3": "semi-representable-one-boundary",
-        "o4": "semi-representable-monotonicity",
-        "o5": "semi-representable-continuity",
-    }
-    return [_combined(names[a], parts, EXACT) for a, parts in axioms.items()]
+            parts[axiom].append((op.name, res))
+    return [_fold(_SEMI_IDS[axiom], EXACT, p) for axiom, p in parts.items()]
 
 
-def _check_no_self_duality(grid: SampleGrid) -> CheckReport:
+@_law("representable-construction")
+def _representable_construction(grid):
+    return _axioms(standard_representable(), grid)
+
+
+@_law("projection-reconstruction", POLY_TOLERANCE)
+def _projection_reconstruction(grid):
+    for op in standard_representable():
+        yield op.name, reconstructs_from_projections(op, grid, POLY_TOLERANCE)
+
+
+@_law("inclusion-monotonicity-characterization")
+def _inclusion_monotonicity(grid):
+    for op in standard_representable():
+        yield op.name, is_inclusion_monotonic(op, grid)
+    mid = midpoint_example()
+    res = is_inclusion_monotonic(mid, grid)
+    yield "midpoint:expected-failure", _expect(not res.ok, ("no violation found",), res.samples)
+    # The stock counterexample: [1,1] nested in [0,1] contracts to [0.25, 0.75].
+    inner, outer = mid(ONE, ONE), mid(Interval(0.0, 1.0), Interval(0.0, 1.0))
+    yield "midpoint:documented-witness", _expect(not subseteq(inner, outer), (inner, outer), 1)
+
+
+@_law("no-self-duality")
+def _no_self_duality(grid):
     # Zero-boundary overlaps cannot be self-dual: at ([0,0],[1,1]) the value
     # is [0,0] while the complement route forces [1,1].
-    parts = []
     for op in standard_overlaps().values():
-        lhs = op.fn(ZERO, ONE)
-        rhs = complement(op.fn(complement(ZERO), complement(ONE)))
-        parts.append((op.name, _expect(lhs == ZERO and rhs == ONE and lhs != rhs,
-                                       (lhs, rhs), 1)))
-    return _combined("no-self-duality", parts, EXACT)
+        lhs, rhs = op(ZERO, ONE), complement(op(complement(ZERO), complement(ONE)))
+        yield op.name, _expect(lhs == ZERO and rhs == ONE and lhs != rhs, (lhs, rhs), 1)
 
 
-def _check_migrative_commutativity(grid: SampleGrid) -> CheckReport:
+@_law("migrative-commutativity")
+def _migrative_commutativity(grid):
     sample = grid.intervals()
-    parts = [(op.name, first_violation((x, y) if op.fn(x, y) != op.fn(y, x) else None
-                                       for i, x in enumerate(sample) for y in sample[i:]))
-             for op in standard_migrative()]
-    return _combined("migrative-commutativity", parts, EXACT)
+    for op in standard_migrative():
+        yield op.name, first_violation((x, y) if op(x, y) != op(y, x) else None
+                                       for i, x in enumerate(sample) for y in sample[i:])
 
 
-def _check_homogeneous_zero(grid: SampleGrid) -> CheckReport:
-    targets = [
-        migrative_canonical(ExponentInterval(1.0, 1.0)),
-        migrative_canonical(ExponentInterval(1.0, 2.0)),
-        interval_product(),
-    ]
-    parts = [(op.name, _expect(op.fn(ZERO, ZERO) == ZERO, (op.fn(ZERO, ZERO),), 1))
-             for op in targets]
-    return _combined("homogeneous-zero-preservation", parts, EXACT)
+@_law("homogeneous-zero-preservation")
+def _homogeneous_zero(grid):
+    for op in (migrative_canonical(ExponentInterval(1.0, 1.0)),
+               migrative_canonical(ExponentInterval(1.0, 2.0)), interval_product()):
+        yield op.name, _fixes(op, ZERO)
 
 
-def _check_homogeneous_unit_idempotency(grid: SampleGrid) -> CheckReport:
-    op = migrative_canonical(ExponentInterval(1.0, 1.0))
+@_law("homogeneous-unit-idempotency", ROOT_TOLERANCE)
+def _homogeneous_unit_idempotency(grid):
     unit = ExponentInterval(1.0, 1.0)
-    parts = [
-        (f"{op.name}:homogeneous", check_homogeneous(op, unit, grid, ROOT_TOLERANCE)),
-        (f"{op.name}:unit", _expect(op.fn(ONE, ONE) == ONE, (op.fn(ONE, ONE),), 1)),
-        (f"{op.name}:idempotent", check_idempotent(op, grid, ROOT_TOLERANCE)),
-    ]
-    return _combined("homogeneous-unit-idempotency", parts, ROOT_TOLERANCE)
+    op = migrative_canonical(unit)
+    yield f"{op.name}:homogeneous", check_homogeneous(op, unit, grid, ROOT_TOLERANCE)
+    yield f"{op.name}:unit", _fixes(op, ONE)
+    yield f"{op.name}:idempotent", check_idempotent(op, grid, ROOT_TOLERANCE)
 
 
-def _check_migrative_idempotent_homogeneity(grid: SampleGrid) -> CheckReport:
-    op = migrative_canonical(ExponentInterval(1.0, 1.0))
+@_law("migrative-idempotent-homogeneity", ROOT_TOLERANCE)
+def _migrative_idempotent_homogeneity(grid):
     unit = ExponentInterval(1.0, 1.0)
-    parts = [
-        (f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)),
-        (f"{op.name}:idempotent", check_idempotent(op, grid, ROOT_TOLERANCE)),
-        (f"{op.name}:homogeneous", check_homogeneous(op, unit, grid, ROOT_TOLERANCE)),
-    ]
-    return _combined("migrative-idempotent-homogeneity", parts, ROOT_TOLERANCE)
+    op = migrative_canonical(unit)
+    yield f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)
+    yield f"{op.name}:idempotent", check_idempotent(op, grid, ROOT_TOLERANCE)
+    yield f"{op.name}:homogeneous", check_homogeneous(op, unit, grid, ROOT_TOLERANCE)
 
 
-def _check_migrative_neutral_homogeneity(grid: SampleGrid) -> CheckReport:
+@_law("migrative-neutral-homogeneity", ROOT_TOLERANCE)
+def _migrative_neutral_homogeneity(grid):
     op = interval_product()
-    two = ExponentInterval(2.0, 2.0)
-    parts = [
-        (f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)),
-        (f"{op.name}:neutral", neutral_element_holds(op, grid)),
-        (f"{op.name}:homogeneous-2", check_homogeneous(op, two, grid, ROOT_TOLERANCE)),
-    ]
-    return _combined("migrative-neutral-homogeneity", parts, ROOT_TOLERANCE)
+    yield f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)
+    yield f"{op.name}:neutral", neutral_element_holds(op, grid)
+    yield f"{op.name}:homogeneous-2", check_homogeneous(op, ExponentInterval(2.0, 2.0), grid,
+                                                        ROOT_TOLERANCE)
 
 
-def _check_canonical_uniqueness(grid: SampleGrid) -> CheckReport:
-    parts = []
+@_law("canonical-family-uniqueness", ROOT_TOLERANCE)
+def _canonical_uniqueness(grid):
     for k1, k2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0)):
         k = ExponentInterval(k1, k2)
         op = migrative_canonical(k)
-        parts.append((f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)))
-        parts.append((f"{op.name}:homogeneous", check_homogeneous(op, k, grid, ROOT_TOLERANCE)))
-        parts.append((f"{op.name}:unit", _expect(op.fn(ONE, ONE) == ONE, (op.fn(ONE, ONE),), 1)))
+        yield f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)
+        yield f"{op.name}:homogeneous", check_homogeneous(op, k, grid, ROOT_TOLERANCE)
+        yield f"{op.name}:unit", _fixes(op, ONE)
         # The derivation pins the generator: evaluating at [1,1] must give
         # the half-exponent power of the argument.
         half = k.halved()
-        generator = first_violation(
-            (x, got, want)
-            if abs(got.lower - want.lower) > ROOT_TOLERANCE
-            or abs(got.upper - want.upper) > ROOT_TOLERANCE
-            else None
-            for x in grid.intervals() for got, want in [(op.fn(ONE, x), power(x, half))]
+        yield f"{op.name}:generator", first_violation(
+            (x, got, want) if _far(got, want, ROOT_TOLERANCE) else None
+            for x in grid.intervals() for got, want in [(op(ONE, x), power(x, half))]
         )
-        parts.append((f"{op.name}:generator", generator))
-    return _combined("canonical-family-uniqueness", parts, ROOT_TOLERANCE)
 
 
 def _associative_targets() -> list[IVOverlap]:
     return [op for op in standard_overlaps().values() if "associative" in op.claims]
 
 
-def _check_generator_laws(grid: SampleGrid) -> CheckReport:
-    targets = _associative_targets()
-    if not targets:
-        return _skipped("generator-idempotent-contractive", "catalog")
-    parts = []
-    for op in targets:
-        parts.append((f"{op.name}:associative", check_associative(op)))
-        laws = first_violation(
-            (x, gx, ggx)
-            if abs(ggx.lower - gx.lower) > POLY_TOLERANCE
-            or abs(ggx.upper - gx.upper) > POLY_TOLERANCE
+@_law("generator-idempotent-contractive", POLY_TOLERANCE)
+def _generator_laws(grid):
+    for op in _associative_targets():
+        yield f"{op.name}:associative", check_associative(op)
+        yield f"{op.name}:generator-laws", first_violation(
+            (x, gx, ggx) if _far(ggx, gx, POLY_TOLERANCE)
             else (x, gx) if not subseteq(gx, x)
             else None
-            for x in grid.intervals() for gx in [op.fn(x, ONE)] for ggx in [op.fn(gx, ONE)]
+            for x in grid.intervals() for gx in [op(x, ONE)] for ggx in [op(gx, ONE)]
         )
-        parts.append((f"{op.name}:generator-laws", laws))
-    return _combined("generator-idempotent-contractive", parts, POLY_TOLERANCE)
 
 
-def _check_associative_neutral(grid: SampleGrid) -> CheckReport:
-    targets = _associative_targets()
-    if not targets:
-        return _skipped("associative-neutral-element", "catalog")
-    parts = []
-    for op in targets:
+@_law("associative-neutral-element")
+def _associative_neutral(grid):
+    for op in _associative_targets():
         if not check_associative(op).ok:
-            parts.append((f"{op.name}:associative", SampledResult(False, ("claim failed",), 1)))
+            yield f"{op.name}:associative", SampledResult(False, ("claim failed",), 1)
             continue
         # Surjectivity of the generator is not decidable from samples; only
         # the inclusion-monotonic branch of the result is checked.
         nested = first_violation(
-            (inner, outer) if not subseteq(op.fn(inner, ONE), op.fn(outer, ONE)) else None
+            (inner, outer) if not subseteq(op(inner, ONE), op(outer, ONE)) else None
             for inner, outer in nested_pairs(grid.intervals())
         )
-        if not nested.ok:
-            parts.append((f"{op.name}:skipped-branch", SampledResult(True, None, nested.samples)))
-            continue
-        parts.append((f"{op.name}:neutral", neutral_element_holds(op, grid)))
-    return _combined("associative-neutral-element", parts, EXACT)
+        if nested.ok:
+            yield f"{op.name}:neutral", neutral_element_holds(op, grid)
+        else:
+            yield f"{op.name}:skipped-branch", SampledResult(True, None, nested.samples)
 
 
-def _check_migrative_implies_representable(grid: SampleGrid) -> CheckReport:
-    parts = []
+@_law("migrative-implies-representable", POLY_TOLERANCE)
+def _migrative_implies_representable(grid):
     for op in standard_migrative():
-        parts.append((f"{op.name}:inclusion", is_inclusion_monotonic(op, grid)))
-        parts.append((f"{op.name}:reconstruction",
-                      reconstructs_from_projections(op, grid, POLY_TOLERANCE)))
-    return _combined("migrative-implies-representable", parts, POLY_TOLERANCE)
+        yield f"{op.name}:inclusion", is_inclusion_monotonic(op, grid)
+        yield f"{op.name}:reconstruction", reconstructs_from_projections(op, grid, POLY_TOLERANCE)
 
 
-def _check_migrative_generator_form(grid: SampleGrid) -> CheckReport:
-    parts = []
+@_law("migrative-generator-form", ROOT_TOLERANCE)
+def _migrative_generator_form(grid):
     for op in standard_migrative():
-        parts.append((f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)))
-        gzero = op.fn(ZERO, ONE)
-        gone = op.fn(ONE, ONE)
-        parts.append((f"{op.name}:boundary",
-                      _expect(gzero == ZERO and gone == ONE, (gzero, gone), 2)))
-        interior = first_violation((x, gx) if gx == ZERO or gx == ONE else None
-                                   for x in interior_intervals(grid.intervals())
-                                   for gx in [op.fn(ONE, x)])
-        parts.append((f"{op.name}:interior", interior))
-    return _combined("migrative-generator-form", parts, ROOT_TOLERANCE)
+        yield f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)
+        gzero, gone = op(ZERO, ONE), op(ONE, ONE)
+        yield f"{op.name}:boundary", _expect(gzero == ZERO and gone == ONE, (gzero, gone), 2)
+        yield f"{op.name}:interior", first_violation(
+            (x, gx) if gx == ZERO or gx == ONE else None
+            for x in interior_intervals(grid.intervals()) for gx in [op(ONE, x)]
+        )
 
 
-def _real_homogeneous(fn, order: float, pts: list[float], tol: float) -> SampledResult:
-    return first_violation((a, x, y) if abs(fn(a * x, a * y) - a**order * fn(x, y)) > tol else None
-                           for a in pts for x in pts for y in pts)
-
-
-def _check_homogeneous_projections(grid: SampleGrid) -> CheckReport:
+@_law("homogeneous-projection-orders", ROOT_TOLERANCE)
+def _homogeneous_projections(grid):
     pts = SampleGrid(0.05).endpoints()
-    parts = []
     for k1, k2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0)):
         op = migrative_canonical(ExponentInterval(k1, k2))
-        lower, upper = projections(op)
-        parts.append((f"{op.name}:lower-order-{k2}",
-                      _real_homogeneous(lower, k2, pts, ROOT_TOLERANCE)))
-        parts.append((f"{op.name}:upper-order-{k1}",
-                      _real_homogeneous(upper, k1, pts, ROOT_TOLERANCE)))
-    return _combined("homogeneous-projection-orders", parts, ROOT_TOLERANCE)
+        for tag, fn, order in zip(("lower", "upper"), projections(op), (k2, k1)):
+            yield f"{op.name}:{tag}-order-{order}", first_violation(
+                (a, x, y) if abs(fn(a * x, a * y) - a**order * fn(x, y)) > ROOT_TOLERANCE else None
+                for a in pts for x in pts for y in pts
+            )
 
 
-def _check_strongly_positive_projections(grid: SampleGrid) -> CheckReport:
+@_law("strongly-positive-projections")
+def _strongly_positive_projections(grid):
     cat = real_catalog()
-    parts = []
     positive = representable(cat["product"], cat["product"])
-    parts.append((f"{positive.name}:sp", is_strongly_positive(positive, grid)))
-    lower, upper = projections(positive)
-    for tag, fn in (("lower", lower), ("upper", upper)):
-        axioms = verify_overlap_axioms(RealOverlap(fn, f"{positive.name}:{tag}"))
-        for axiom, res in axioms.items():
-            parts.append((f"{positive.name}:{tag}:{axiom}", res))
+    yield f"{positive.name}:sp", is_strongly_positive(positive, grid)
+    yield from _axioms((RealOverlap(fn, f"{positive.name}:{tag}")
+                        for tag, fn in zip(("lower", "upper"), projections(positive))), grid)
     # Necessity: with a zero-divisor lower component the projection is not an
     # overlap and strong positivity fails.
     weak = representable(cat["lukasiewicz"], cat["min"])
     sp = is_strongly_positive(weak, grid)
-    parts.append((f"{weak.name}:expected-sp-failure", _expect(not sp.ok, ("no violation",), sp.samples)))
-    docked = weak.fn(Interval(0.4, 0.6), Interval(0.4, 0.6))
-    parts.append((f"{weak.name}:documented-witness",
-                  _expect(docked.lower == 0.0 and docked.upper > 0.0, (docked,), 1)))
-    weak_lower, _ = projections(weak)
-    go2 = verify_overlap_axioms(RealOverlap(weak_lower, f"{weak.name}:lower"))["go2"]
-    parts.append((f"{weak.name}:lower:expected-go2-failure",
-                  _expect(not go2.ok, ("no violation",), go2.samples)))
-    return _combined("strongly-positive-projections", parts, EXACT)
+    yield f"{weak.name}:expected-sp-failure", _expect(not sp.ok, ("no violation",), sp.samples)
+    docked = weak(Interval(0.4, 0.6), Interval(0.4, 0.6))
+    yield f"{weak.name}:documented-witness", _expect(docked.lower == 0.0 and docked.upper > 0.0,
+                                                     (docked,), 1)
+    go2 = verify_overlap_axioms(RealOverlap(projections(weak)[0], f"{weak.name}:lower"))["go2"]
+    yield f"{weak.name}:lower:expected-go2-failure", _expect(not go2.ok, ("no violation",),
+                                                             go2.samples)
 
 
-def _check_real_lattice_closure(grid: SampleGrid) -> CheckReport:
+@_law("real-lattice-closure")
+def _real_lattice_closure(grid):
     cat = real_catalog()
     pairs = ((cat["product"], cat["min"]), (cat["minmax:p=2"], cat["xyp:p=2"]))
-    parts = []
-    for g1, g2 in pairs:
-        for combined in (lattice_join(g1, g2), lattice_meet(g1, g2)):
-            for axiom, res in verify_overlap_axioms(combined).items():
-                parts.append((f"{combined.name}:{axiom}", res))
-    return _combined("real-lattice-closure", parts, EXACT)
+    return _axioms((c for g1, g2 in pairs for c in (lattice_join(g1, g2), lattice_meet(g1, g2))),
+                   grid)
 
 
-def _check_real_convex_closure(grid: SampleGrid) -> CheckReport:
+@_law("real-convex-closure")
+def _real_convex_closure(grid):
     cat = real_catalog()
-    sums = (
-        convex_sum(0.5, 0.5, cat["product"], cat["min"]),
-        convex_sum(0.25, 0.75, cat["minmax:p=2"], cat["product"]),
-    )
-    parts = []
-    for combined in sums:
-        for axiom, res in verify_overlap_axioms(combined).items():
-            parts.append((f"{combined.name}:{axiom}", res))
-    return _combined("real-convex-closure", parts, EXACT)
+    return _axioms((convex_sum(0.5, 0.5, cat["product"], cat["min"]),
+                    convex_sum(0.25, 0.75, cat["minmax:p=2"], cat["product"])), grid)
 
 
 def _valid_gowa_configs():
@@ -524,101 +499,86 @@ def _valid_gowa_configs():
     ]
 
 
-def _check_gowa_idempotency(grid: SampleGrid) -> CheckReport:
-    parts = []
+def _gowa_name(op) -> str:
+    return f"gowa({op.aggregator.name},{op.overlap.name},n={op.arity})"
+
+
+@_law("gowa-idempotency", POLY_TOLERANCE)
+def _gowa_idempotency(grid):
     for op in _valid_gowa_configs():
-        res = first_violation(
-            (c, got)
-            if abs(got.lower - c.lower) > POLY_TOLERANCE
-            or abs(got.upper - c.upper) > POLY_TOLERANCE
-            else None
+        yield _gowa_name(op), first_violation(
+            (c, got) if _far(got, c, POLY_TOLERANCE) else None
             for c in grid.intervals() for got in [op([c] * op.arity)]
         )
-        parts.append((f"gowa({op.aggregator.name},{op.overlap.name},n={op.arity})", res))
-    return _combined("gowa-idempotency", parts, POLY_TOLERANCE)
 
 
-def _check_gowa_boundary(grid: SampleGrid) -> CheckReport:
-    parts = []
-    coarse = SampleGrid(0.25)
-    pairs = comparable_pairs(coarse.intervals())
+@_law("gowa-boundary-aggregation")
+def _gowa_boundary(grid):
+    pairs = comparable_pairs(SampleGrid(0.25).intervals())
     for op in _valid_gowa_configs():
-        name = f"gowa({op.aggregator.name},{op.overlap.name},n={op.arity})"
-        zeros = op([ZERO] * op.arity)
-        ones = op([ONE] * op.arity)
-        parts.append((f"{name}:boundary",
-                      _expect(zeros == ZERO and ones == ONE, (zeros, ones), 2)))
+        name = _gowa_name(op)
+        yield f"{name}:boundary", _boundary(op, op.arity)
         # Product-order monotonicity, on vector pairs whose descending sort
         # permutations agree.
         if op.arity == 2:
             ranks = op.order.ranks_descending
             vector_pairs = (((a_lo, b_lo), (a_hi, b_hi))
                             for a_lo, a_hi in pairs for b_lo, b_hi in pairs)
-            monotone = first_violation(
+            yield f"{name}:monotone", first_violation(
                 (*low, *high) if not leq_product(op(low), op(high)) else None
                 for low, high in vector_pairs if ranks(low) == ranks(high)
             )
-            parts.append((f"{name}:monotone", monotone))
-    return _combined("gowa-boundary-aggregation", parts, EXACT)
 
 
-def _check_gowa_projection(grid: SampleGrid) -> CheckReport:
+@_law("gowa-projection-selection")
+def _gowa_projection(grid):
     prod = interval_product()
-    coarse = SampleGrid(0.25)
-    vectors = tuple_samples(coarse.intervals(), 3, budget=4000)
-    parts = []
+    vectors = tuple_samples(SampleGrid(0.25).intervals(), 3, budget=4000)
     for kind in ("tsum", "max"):
         m = builtin_aggregators(3)[kind]
         for index in (1, 2, 3):
             op = make_gowa(m, prod, WeightVector.selector(3, index))
-            res = first_violation(
+            yield f"select:{kind}:i={index}", first_violation(
                 (*vec, got, want) if got != want else None
                 for vec in vectors for got, want in
                 [(op(vec), sorted(vec, key=op.order.sort_key, reverse=True)[index - 1])]
             )
-            parts.append((f"select:{kind}:i={index}", res))
-    return _combined("gowa-projection-selection", parts, EXACT)
 
 
-def _check_gowa_arithmetic_mean(grid: SampleGrid) -> CheckReport:
+@_law("gowa-arithmetic-mean", POLY_TOLERANCE)
+def _gowa_arithmetic_mean(grid):
     prod = interval_product()
-    parts = []
     for n in (2, 4):
-        m = builtin_aggregators(n)["tsum"]
-        op = make_gowa(m, prod, WeightVector.uniform(n))
+        op = make_gowa(builtin_aggregators(n)["tsum"], prod, WeightVector.uniform(n))
         vectors = tuple_samples(SampleGrid(0.25).intervals(), n, budget=3000)
-        res = first_violation(
+        yield f"tsum:n={n}", first_violation(
             (*vec, got)
             if abs(got.lower - math.fsum(v.lower for v in vec) / n) > POLY_TOLERANCE
             or abs(got.upper - math.fsum(v.upper for v in vec) / n) > POLY_TOLERANCE
             else None
             for vec in vectors for got in [op(vec)]
         )
-        parts.append((f"tsum:n={n}", res))
-    return _combined("gowa-arithmetic-mean", parts, POLY_TOLERANCE)
 
 
-def _check_aggregator_homogeneity_distributivity(grid: SampleGrid) -> CheckReport:
+@_law("aggregator-homogeneity-distributivity", ROOT_TOLERANCE)
+def _aggregator_homogeneity_distributivity(grid):
     # First-order homogeneity of the aggregator is equivalent to
     # distributivity over the interval product; the two sampled verdicts must
     # coincide for every catalog aggregator, including the failing ones.
     prod = interval_product()
-    parts = []
     for name, m in builtin_aggregators(2).items():
         hom = check_homogeneous_m(m, grid)
         dist = check_distributivity(m, prod, grid)
-        agree = hom.ok == dist.ok
-        parts.append((f"{name}:equivalence",
-                      _expect(agree, (hom.ok, dist.ok), hom.samples + dist.samples)))
-    return _combined("aggregator-homogeneity-distributivity", parts, ROOT_TOLERANCE)
+        yield f"{name}:equivalence", _expect(hom.ok == dist.ok, (hom.ok, dist.ok),
+                                             hom.samples + dist.samples)
 
 
-def _check_weighted_vector_laws(grid: SampleGrid) -> CheckReport:
-    parts = []
+@_law("weighted-vector-characterizations")
+def _weighted_vector_laws(grid):
     aggs = builtin_aggregators(2)
     ones = WeightVector.of(ONE, ONE)
     for name, m in aggs.items():
-        parts.append((f"{name}:all-ones", _expect(is_weighted_vector(m, ones), (name,), 1)))
+        yield f"{name}:all-ones", _expect(is_weighted_vector(m, ones), (name,), 1)
     sample = grid.intervals()
     # Each aggregator's closed form for "the weights aggregate to [1,1]".
     expectations = (
@@ -627,96 +587,58 @@ def _check_weighted_vector_laws(grid: SampleGrid) -> CheckReport:
     )
     for name, expected in expectations:
         m = aggs[name]
-        res = first_violation(
+        yield f"{name}:characterization", first_violation(
             (w1, w2) if is_weighted_vector(m, WeightVector.of(w1, w2)) != expected(w1, w2)
             else None
             for w1 in sample for w2 in sample
         )
-        parts.append((f"{name}:characterization", res))
-    return _combined("weighted-vector-characterizations", parts, EXACT)
 
 
-_THEOREM_CHECKS = {
-    "representable-construction": _check_representable_construction,
-    "projection-reconstruction": _check_projection_reconstruction,
-    "inclusion-monotonicity-characterization": _check_inclusion_monotonicity,
-    "no-self-duality": _check_no_self_duality,
-    "migrative-commutativity": _check_migrative_commutativity,
-    "homogeneous-zero-preservation": _check_homogeneous_zero,
-    "homogeneous-unit-idempotency": _check_homogeneous_unit_idempotency,
-    "migrative-idempotent-homogeneity": _check_migrative_idempotent_homogeneity,
-    "migrative-neutral-homogeneity": _check_migrative_neutral_homogeneity,
-    "canonical-family-uniqueness": _check_canonical_uniqueness,
-    "generator-idempotent-contractive": _check_generator_laws,
-    "associative-neutral-element": _check_associative_neutral,
-    "migrative-implies-representable": _check_migrative_implies_representable,
-    "migrative-generator-form": _check_migrative_generator_form,
-    "homogeneous-projection-orders": _check_homogeneous_projections,
-    "strongly-positive-projections": _check_strongly_positive_projections,
-    "real-lattice-closure": _check_real_lattice_closure,
-    "real-convex-closure": _check_real_convex_closure,
-    "gowa-idempotency": _check_gowa_idempotency,
-    "gowa-boundary-aggregation": _check_gowa_boundary,
-    "gowa-projection-selection": _check_gowa_projection,
-    "gowa-arithmetic-mean": _check_gowa_arithmetic_mean,
-    "aggregator-homogeneity-distributivity": _check_aggregator_homogeneity_distributivity,
-    "weighted-vector-characterizations": _check_weighted_vector_laws,
-}
+@_law("iv-lattice-closure", table=_LATTICE_CHECKS)
+def _iv_lattice_closure(grid):
+    cat = real_catalog()
+    rep_pp = representable(cat["product"], cat["product"])
+    rep_mm = representable(cat["min"], cat["min"])
+    pairs = ((rep_pp, rep_mm), (interval_product(), midpoint_example()))
+    return _axioms((c for o1, o2 in pairs for c in (iv_join(o1, o2), iv_meet(o1, o2))), grid)
 
-THEOREM_CHECK_IDS = tuple(sorted(_THEOREM_CHECKS)) + (
-    "semi-representable-commutativity",
-    "semi-representable-zero-boundary",
-    "semi-representable-one-boundary",
-    "semi-representable-monotonicity",
-    "semi-representable-continuity",
-)
-THEOREM_CHECK_IDS = tuple(sorted(THEOREM_CHECK_IDS))
 
-LATTICE_CHECK_IDS = ("iv-lattice-closure", "power-transform-sandwich")
+@_law("power-transform-sandwich", table=_LATTICE_CHECKS)
+def _power_transform_sandwich(grid):
+    cat = real_catalog()
+    interior = interior_intervals(grid.intervals())
+    for base in (interval_product(), representable(cat["min"], cat["min"])):
+        for n in (2, 3):
+            lowered = power_transform(base, n, "power")
+            raised = power_transform(base, n, "root")
+            yield f"{base.name}:n={n}", first_violation(
+                (x, y, small, mid, big)
+                if not (small.lower < mid.lower and small.upper < mid.upper
+                        and mid.lower < big.lower and mid.upper < big.upper)
+                else None
+                for x in interior for y in interior
+                for small, mid, big in [(lowered(x, y), base(x, y), raised(x, y))]
+            )
+            for fixed in (ZERO, ONE):
+                same = lowered(fixed, fixed) == base(fixed, fixed) == raised(fixed, fixed)
+                yield f"{base.name}:n={n}:boundary-{fixed}", _expect(same, (fixed,), 1)
+
+
+THEOREM_CHECK_IDS = tuple(sorted([*_THEOREM_CHECKS, *_SEMI_IDS.values()]))
+LATTICE_CHECK_IDS = tuple(sorted(_LATTICE_CHECKS))
 
 
 def run_theorem_suite(grid: SampleGrid = DEFAULT_GRID) -> list[CheckReport]:
     """One report per implemented result; passes on the shipped catalog."""
-    reports = [fn(grid) for fn in _THEOREM_CHECKS.values()]
+    reports = [check(grid) for check in _THEOREM_CHECKS.values()]
     reports.extend(_check_semi_items(grid))
     return sorted(reports, key=lambda r: (r.check_id, r.target))
 
 
 def lattice_order_checks(grid: SampleGrid = DEFAULT_GRID) -> list[CheckReport]:
     """Closure of the overlap lattice and the strict power-transform sandwich."""
-    cat = real_catalog()
-    rep_pp = representable(cat["product"], cat["product"])
-    rep_mm = representable(cat["min"], cat["min"])
-    mid = midpoint_example()
-    prod = interval_product()
-    parts = []
-    for o1, o2 in ((rep_pp, rep_mm), (prod, mid)):
-        for combined in (iv_join(o1, o2), iv_meet(o1, o2)):
-            for axiom, res in verify_iv_axioms(combined, grid).items():
-                parts.append((f"{combined.name}:{axiom}", res))
-    closure = _combined("iv-lattice-closure", parts, EXACT)
-
-    sandwich_parts = []
-    interior = interior_intervals(grid.intervals())
-    for base in (prod, rep_mm):
-        for n in (2, 3):
-            lowered = power_transform(base, n, "power")
-            raised = power_transform(base, n, "root")
-            strict = first_violation(
-                (x, y, small, mid_v, big)
-                if not (small.lower < mid_v.lower and small.upper < mid_v.upper
-                        and mid_v.lower < big.lower and mid_v.upper < big.upper)
-                else None
-                for x in interior for y in interior
-                for small, mid_v, big in [(lowered.fn(x, y), base.fn(x, y), raised.fn(x, y))]
-            )
-            sandwich_parts.append((f"{base.name}:n={n}", strict))
-            for fixed in (ZERO, ONE):
-                same = (lowered.fn(fixed, fixed) == base.fn(fixed, fixed) == raised.fn(fixed, fixed))
-                sandwich_parts.append((f"{base.name}:n={n}:boundary-{fixed}",
-                                       _expect(same, (fixed,), 1)))
-    sandwich = _combined("power-transform-sandwich", sandwich_parts, EXACT)
-    return sorted([closure, sandwich], key=lambda r: (r.check_id, r.target))
+    reports = [check(grid) for check in _LATTICE_CHECKS.values()]
+    return sorted(reports, key=lambda r: (r.check_id, r.target))
 
 
 def report_lines(reports: list[CheckReport]) -> list[str]:

@@ -155,8 +155,6 @@ class IVOverlap:
     def __call__(self, x: Interval, y: Interval) -> Interval:
         return Interval(*self.ends(x.lower, x.upper, y.lower, y.upper))
 
-    fn = __call__
-
 
 def checked_ends(o: IVOverlap, xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
     """``o.ends(xl, xu, yl, yu)``, held to the `Interval` invariant: a value

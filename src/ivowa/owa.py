@@ -295,18 +295,23 @@ def check_homogeneous_m(
     # [alpha.lower*x.lower, alpha.upper*x.upper] are the interval product.
     scaled_lo, scaled_up = value_table(interval_product(), list(zip(lows, ups)),
                                        list(zip(lows, ups)))
+    cases = tuple_samples(range(len(items)), m.arity + 1, budget, seed)
+    # The full cross product meets each xs once per alpha, so its aggregates
+    # are kept; sampled tuples seldom repeat their xs, so none are.
     m_cache: dict[tuple[int, ...], tuple[float, float]] = {}
     m_get = m_cache.get
     decode = items.__getitem__
 
     def outcomes():
-        for t in tuple_samples(range(len(items)), m.arity + 1, budget, seed):
+        for t in cases:
             a, xs = t[0], t[1:]
             row_lo, row_up = scaled_lo[a], scaled_up[a]
             left_lo, left_up = m_ends([row_lo[x] for x in xs], [row_up[x] for x in xs])
             base = m_get(xs)
             if base is None:
-                base = m_cache[xs] = m_ends([lows[x] for x in xs], [ups[x] for x in xs])
+                base = m_ends([lows[x] for x in xs], [ups[x] for x in xs])
+                if cases.exhaustive:
+                    m_cache[xs] = base
             far = abs(left_lo - lows[a] * base[0]) > tol or abs(left_up - ups[a] * base[1]) > tol
             yield tuple(map(decode, t)) if far else None
 

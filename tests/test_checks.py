@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ivowa.checks import (
+    CheckReport,
     LATTICE_CHECK_IDS,
     THEOREM_CHECK_IDS,
     lattice_order_checks,
@@ -12,10 +13,13 @@ from ivowa.checks import (
     run_axiom_suite,
     run_theorem_suite,
 )
+from ivowa import checks
+from ivowa.intervals import Interval
 from ivowa.iv_overlaps import midpoint_example, representable
 from ivowa.overlaps import projection_aggregator
 from ivowa.owa import builtin_aggregators
 from ivowa.registry import real_catalog
+from ivowa.sampling import DEFAULT_GRID, POLY_TOLERANCE, SampledResult
 
 CAT = real_catalog()
 
@@ -94,6 +98,42 @@ class TestTheoremSuite:
                    + run_axiom_suite(representable(CAT["lukasiewicz"], CAT["lukasiewicz"])))
         for r in reports:
             assert (r.verdict == "fail") == (r.witness is not None), r
+
+
+def _row_report(parts, tol=POLY_TOLERANCE):
+    """The report of a one-off row with these parts, registered and folded
+    exactly as a shipped row is."""
+    table = {}
+    checks._law("toy-law", tol, table)(lambda grid: iter(parts))
+    return table["toy-law"](DEFAULT_GRID)
+
+
+class TestFold:
+    # Every shipped row passes, so the goldens pin only the pass path.
+    X = Interval(0.2, 0.4)
+
+    def test_a_failing_part_names_the_witness_and_every_part_counts(self):
+        report = _row_report([
+            ("first", SampledResult(True, None, 3)),
+            ("second", SampledResult(False, (self.X, 0.5), 5)),
+            ("third", SampledResult(True, None, 7)),
+        ])
+        assert report == CheckReport("toy-law", "catalog", "fail", ("second", self.X, 0.5),
+                                     15, POLY_TOLERANCE)
+
+    def test_the_first_failing_part_names_the_witness(self):
+        report = _row_report([
+            ("first", SampledResult(True, None, 2)),
+            ("second", SampledResult(False, (self.X,), 4)),
+            ("third", SampledResult(False, (0.9,), 6)),
+        ])
+        assert report.verdict == "fail"
+        assert report.witness == ("second", self.X)
+        assert report.samples_used == 12
+
+    def test_a_row_without_parts_is_skipped(self):
+        report = _row_report([])
+        assert report == CheckReport("toy-law", "catalog", "skipped", None, 0, 0.0)
 
 
 class TestReportSerialization:

@@ -414,7 +414,7 @@ def two_probe_o5(o, stages=CONTINUITY_STAGES):
         total = 0
         for step, bound in stages:
             pts = SampleGrid(step).endpoints()
-            rows = [[getattr(o.fn(Interval(x, x), Interval(y, y)), end) for y in pts] for x in pts]
+            rows = [[getattr(o(Interval(x, x), Interval(y, y)), end) for y in pts] for x in pts]
             n = len(pts) - 1
             total += 2 * n * (n + 1)
             worst, where = 0.0, ()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import OrderedDict
 from functools import reduce
 
@@ -429,6 +430,22 @@ def test_restriction_keeps_the_tuples_the_interval_predicate_kept(monkeypatch, g
 def test_homogeneity_matches_the_interval_walk(name, n, budget):
     m = builtin_aggregators(n)[name]
     assert check_homogeneous_m(m, budget=budget) == interval_homogeneity(m, budget=budget)
+
+
+def test_sampled_homogeneity_walk_stores_no_aggregate_per_tuple(monkeypatch):
+    # A sampled walk seldom meets an xs twice, so keeping one aggregate per
+    # drawn xs held about 13 MB at this budget; only the exhaustive walk keeps
+    # them.  A memo of its own, so the walk runs rather than hitting an entry.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    m = builtin_aggregators(3)["max"]
+    tracemalloc.start()
+    try:
+        res = check_homogeneous_m(m, budget=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == SampledResult(True, None, 100_000)
+    assert peak < 5_000_000
 
 
 # (aggregator, arity, overlap, restriction, ok, witness, samples) as the eager
