@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
+from operator import gt, le
 from typing import Callable, Literal, Sequence
 
 from .intervals import (
@@ -38,13 +39,16 @@ from .overlaps import (
 from .sampling import (
     CONTINUITY_STAGES,
     DEFAULT_GRID,
+    LazyRows,
     POLY_TOLERANCE,
     REAL_GRID,
     ROOT_TOLERANCE,
     SampleGrid,
     SampledResult,
+    close_row,
     comparable_pairs,
     first_violation,
+    first_violation_in_rows,
     jump_probe,
     memoized,
 )
@@ -79,6 +83,7 @@ __all__ = [
     "neutral_element_holds",
     "verify_iv_axioms",
     "checked_ends",
+    "value_row",
     "value_table",
 ]
 
@@ -156,14 +161,49 @@ class IVOverlap:
         return Interval(*self.ends(x.lower, x.upper, y.lower, y.upper))
 
 
+def _check(lo: float, up: float) -> None:
+    if not 0.0 <= lo <= up <= 1.0:
+        raise IntervalError(f"invalid interval endpoints [{lo}, {up}]")
+
+
 def checked_ends(o: IVOverlap, xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
     """``o.ends(xl, xu, yl, yu)``, held to the `Interval` invariant: a value
     outside ``0 <= lower <= upper <= 1`` raises the `IntervalError` that
     building it as an interval would."""
     lo, up = o.ends(xl, xu, yl, yu)
-    if not 0.0 <= lo <= up <= 1.0:
-        raise IntervalError(f"invalid interval endpoints [{lo}, {up}]")
+    _check(lo, up)
     return lo, up
+
+
+def _split(values: list[tuple[float, float]]) -> tuple[array, array]:
+    """The lower and the upper endpoints of `ends` values as two arrays of
+    doubles, held to the invariant of `checked_ends` by C-level passes; the
+    first value that breaks it raises."""
+    lows = array("d", [lo for lo, _ in values])
+    ups = array("d", [up for _, up in values])
+    if not (all(map(le, lows, ups)) and min(lows, default=0.0) >= 0.0
+            and max(ups, default=1.0) <= 1.0):
+        for lo, up in values:
+            _check(lo, up)
+    return lows, ups
+
+
+def value_row(
+    o: IVOverlap, x: tuple[float, float], ys: Sequence[tuple[float, float]]
+) -> tuple[array, array]:
+    """The lower and the upper endpoints of ``checked_ends(o, *x, *y)`` for
+    each endpoint pair y in ys, as two arrays of doubles."""
+    ends, (xl, xu) = o.ends, x
+    return _split([ends(xl, xu, yl, yu) for yl, yu in ys])
+
+
+def _value_column(
+    o: IVOverlap, xs: Sequence[tuple[float, float]], y: tuple[float, float]
+) -> tuple[array, array]:
+    """`value_row` with the fixed pair in second place: ``checked_ends(o,
+    *x, *y)`` for each x in xs."""
+    ends, (yl, yu) = o.ends, y
+    return _split([ends(xl, xu, yl, yu) for xl, xu in xs])
 
 
 def value_table(
@@ -176,12 +216,8 @@ def value_table(
     continuity stage holds two 201 x 201 tables, which as lists of floats
     would raise the peak memory of a law-suite run.
     """
-    lows, ups = [], []
-    for xl, xu in xs:
-        row = [checked_ends(o, xl, xu, yl, yu) for yl, yu in ys]
-        lows.append(array("d", [lo for lo, _ in row]))
-        ups.append(array("d", [up for _, up in row]))
-    return lows, ups
+    rows = [value_row(o, x, ys) for x in xs]
+    return [lo for lo, _ in rows], [up for _, up in rows]
 
 
 def _ends_of(intervals: Sequence[Interval]) -> list[tuple[float, float]]:
@@ -484,17 +520,35 @@ def is_strongly_positive(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> Sampl
 
 @memoized
 def is_inclusion_monotonic(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
-    """Nested arguments must give nested values; witness is the first failure."""
+    """Nested arguments must give nested values; witness is the first failure.
+
+    A row is one nested pair of first arguments (xi, xo) against every
+    nested pair of second arguments (yi, yo).  It holds exactly when, for
+    each yi, the value at (xi, yi) contains the hull of the values at
+    (xo, yo) over the yo that contain yi, so a row is decided from that
+    hull, kept per grid row and built on first use, in one C-level pass
+    over the grid.  The first row that fails is walked again case by case.
+    """
     sample = grid.intervals()
     lows, ups = value_table(o, _ends_of(sample), _ends_of(sample))
     pairs = [(i, j) for i, a in enumerate(sample) for j, b in enumerate(sample)
              if subseteq(a, b)]
-    rows = [(xi, xo, lows[xi], ups[xi], lows[xo], ups[xo]) for xi, xo in pairs]
-    return first_violation(
-        (sample[xi], sample[xo], sample[yi], sample[yo])
-        if lo_out[yo] > lo_in[yi] or up_in[yi] > up_out[yo] else None
-        for xi, xo, lo_in, up_in, lo_out, up_out in rows for yi, yo in pairs
-    )
+    around = [[j for i, j in pairs if i == inner] for inner in range(len(sample))]
+    hulls = LazyRows(lambda r: (array("d", [max(map(lows[r].__getitem__, js)) for js in around]),
+                                array("d", [min(map(ups[r].__getitem__, js)) for js in around])))
+
+    def rows():
+        for xi, xo in pairs:
+            lo_in, up_in, (hull_lo, hull_up) = lows[xi], ups[xi], hulls[xo]
+            if not (any(map(gt, hull_lo, lo_in)) or any(map(gt, up_in, hull_up))):
+                yield len(pairs)
+                continue
+            lo_out, up_out = lows[xo], ups[xo]
+            yield ((sample[xi], sample[xo], sample[yi], sample[yo])
+                   if lo_out[yo] > lo_in[yi] or up_in[yi] > up_out[yo] else None
+                   for yi, yo in pairs)
+
+    return first_violation_in_rows(rows())
 
 
 @memoized
@@ -504,30 +558,39 @@ def check_migrative(
     tol: float = ROOT_TOLERANCE,
 ) -> SampledResult:
     """Scalar factors migrate between arguments; also checks the equivalent
-    product form f(X, Y) == f([1,1], XY)."""
+    product form f(X, Y) == f([1,1], XY).
+
+    The migration reads f with one scaled argument a*x and one grid
+    argument, so each side is evaluated once per distinct scaled point p, on
+    first use: ``first[p]`` is f(p, y) and ``second[p]`` is f(x, p) over the
+    grid.  At step 0.1, a*x takes 961 distinct values over the 4,356 pairs.
+    A point's rows are dropped after the last alpha that scales to it.
+    """
     sample = grid.intervals()
     pts = _ends_of(sample)
+    first = LazyRows(lambda p: value_row(f, p, pts))
+    second = LazyRows(lambda p: _value_column(f, pts, p))
+    retiring = [[] for _ in pts]
+    for p, a in {(al * xl, au * xu): a for a, (al, au) in enumerate(pts) for xl, xu in pts}.items():
+        retiring[a].append(p)
 
     def product_form():
-        lows, ups = value_table(f, pts, pts)
-        for x, (xl, xu), row_lo, row_up in zip(sample, pts, lows, ups):
-            products = [(xl * yl, xu * yu) for yl, yu in pts]
-            (via_lo,), (via_up,) = value_table(f, [(1.0, 1.0)], products)
-            for y, lo, up, v_lo, v_up in zip(sample, row_lo, row_up, via_lo, via_up):
-                yield (x, y) if abs(lo - v_lo) > tol or abs(up - v_up) > tol else None
+        for x, (xl, xu) in zip(sample, pts):
+            via = value_row(f, (1.0, 1.0), [(xl * yl, xu * yu) for yl, yu in pts])
+            yield from close_row(*first[xl, xu], *via, tol, lambda k: (x, sample[k]))
 
     def migration():
-        for alpha in sample:
-            al, au = alpha.lower, alpha.upper
-            scaled = [(al * xl, au * xu) for xl, xu in pts]
-            left = value_table(f, scaled, pts)
-            right = value_table(f, pts, scaled)
-            for x, *rows in zip(sample, *left, *right):
-                for y, left_lo, left_up, right_lo, right_up in zip(sample, *rows):
-                    far = abs(left_lo - right_lo) > tol or abs(left_up - right_up) > tol
-                    yield (alpha, x, y) if far else None
+        for a, (alpha, (al, au)) in enumerate(zip(sample, pts)):
+            # The rows f(x, a*y) over y, one per x, from the columns.
+            cols = [second[al * yl, au * yu] for yl, yu in pts]
+            right = zip(zip(*[lo for lo, _ in cols]), zip(*[up for _, up in cols]))
+            for x, (xl, xu), (r_lo, r_up) in zip(sample, pts, right):
+                yield from close_row(*first[al * xl, au * xu], r_lo, r_up, tol,
+                                     lambda k: (alpha, x, sample[k]))
+            for p in retiring[a]:
+                del first[p], second[p]
 
-    return first_violation(itertools.chain(product_form(), migration()))
+    return first_violation_in_rows(itertools.chain(product_form(), migration()))
 
 
 @memoized
@@ -542,18 +605,17 @@ def check_homogeneous(
     pts = _ends_of(sample)
     base_lo, base_up = value_table(f, pts, pts)
 
-    def outcomes():
-        for alpha in sample:
-            al, au = alpha.lower, alpha.upper
+    def rows():
+        for alpha, (al, au) in zip(sample, pts):
             sl, su = al**k.k2, au**k.k1
             scaled = [(al * xl, au * xu) for xl, xu in pts]
-            lows, ups = value_table(f, scaled, scaled)
-            for x, *rows in zip(sample, lows, ups, base_lo, base_up):
-                for y, lo, up, b_lo, b_up in zip(sample, *rows):
-                    far = abs(lo - sl * b_lo) > tol or abs(up - su * b_up) > tol
-                    yield (alpha, x, y) if far else None
+            # f(a*x, a*y) over y, once per distinct a*x of this alpha.
+            scaled_rows = LazyRows(lambda p, scaled=scaled: value_row(f, p, scaled))
+            for x, p, b_lo, b_up in zip(sample, scaled, base_lo, base_up):
+                yield from close_row(*scaled_rows[p], [sl * b for b in b_lo],
+                                     [su * b for b in b_up], tol, lambda j: (alpha, x, sample[j]))
 
-    return first_violation(outcomes())
+    return first_violation_in_rows(rows())
 
 
 def check_idempotent(

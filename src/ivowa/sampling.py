@@ -17,6 +17,7 @@ import sys
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import ge, gt, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .intervals import Interval, leq_product, subseteq
@@ -40,18 +41,71 @@ class SampledResult(NamedTuple):
     samples: int
 
 
-def first_violation(outcomes: Iterable[tuple | None]) -> SampledResult:
-    """The verdict of a sampled law from one outcome per case, in enumeration
-    order: ``None`` for a case that holds, the witness tuple for one that fails.
+def first_violation_in_rows(rows: Iterable[int | Iterable[tuple | None]]) -> SampledResult:
+    """The verdict of a sampled law walked a row at a time, in enumeration
+    order.
 
-    Stops at the first witness; ``samples`` counts the cases consumed up to
-    and including it, or all of them when every case holds.
+    A row is either the number of its cases, when one pass has decided that
+    they all hold, or its outcomes case by case: ``None`` for a case that
+    holds, the witness tuple for one that fails.  Stops at the first
+    witness; ``samples`` counts the cases up to and including it, or all of
+    them when every case holds.
     """
     count = 0
-    for count, witness in enumerate(outcomes, 1):
-        if witness is not None:
-            return SampledResult(False, witness, count)
+    for row in rows:
+        if isinstance(row, int):
+            count += row
+            continue
+        for count, witness in enumerate(row, count + 1):
+            if witness is not None:
+                return SampledResult(False, witness, count)
     return SampledResult(True, None, count)
+
+
+def first_violation(outcomes: Iterable[tuple | None]) -> SampledResult:
+    """The verdict of a law walked case by case: its outcomes are one row."""
+    return first_violation_in_rows((outcomes,))
+
+
+def close_row(
+    a_lo: Sequence[float],
+    a_up: Sequence[float],
+    b_lo: Sequence[float],
+    b_up: Sequence[float],
+    tol: float,
+    witness: Callable[[int], tuple],
+) -> tuple:
+    """One row of the law ``abs(a - b) <= tol`` on both endpoints of each
+    case, as items of `first_violation_in_rows`: the row's size when it
+    holds, else the number of cases before its first failing case k, then
+    ``witness(k)``.
+
+    No difference between two rows exceeds their Euclidean distance, so a
+    row whose two distances are within half the tolerance (the half leaves
+    room for their rounding) holds, decided by one C call per endpoint.
+    Any other row, NaN and infinite distances included, gets its per-case
+    verdicts from C-level maps, with no Python frame per case.
+    """
+    size = len(a_lo)
+    if math.dist(a_lo, b_lo) <= tol / 2 and math.dist(a_up, b_up) <= tol / 2:
+        return (size,)
+    fails = map(or_, map(gt, map(abs, map(sub, a_lo, b_lo)), itertools.repeat(tol)),
+                map(gt, map(abs, map(sub, a_up, b_up)), itertools.repeat(tol)))
+    k = next(itertools.compress(itertools.count(), fails), None)
+    return (size,) if k is None else (k, (witness(k),))
+
+
+class LazyRows(dict):
+    """Rows built on first use: ``rows[key]`` is ``build(key)``, computed
+    once.  A walk that fails early builds only the rows it reads."""
+
+    def __init__(self, build: Callable) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        row = self[key] = self.build(key)
+        return row
 
 
 # The one memo.  Sampled checks, operator validation, operator constructors
@@ -261,16 +315,28 @@ def max_jump(pts: list[float], rows: list[list[float]]) -> tuple[float, tuple]:
     return worst, where
 
 
+def jump_reaches(rows: Sequence[Sequence[float]], bound: float) -> bool:
+    """Does some jump between neighbouring cells of a value table reach
+    `bound`?  One pass of C-level maps over each pair of neighbouring rows
+    and along each row; a NaN jump reaches nothing, as in `max_jump`."""
+    steps = itertools.chain(
+        (map(sub, below, row) for row, below in zip(rows, rows[1:])),
+        (map(sub, itertools.islice(row, 1, None), row) for row in rows),
+    )
+    return any(map(ge, map(abs, itertools.chain.from_iterable(steps)), itertools.repeat(bound)))
+
+
 def jump_probe(tables: Iterable[tuple[float, list[float], list[list[float]]]]) -> SampledResult:
     """The staged grid-jump probe over value tables ``(bound, pts, rows)``,
     one per stage; stops at the first stage whose largest jump reaches its
-    bound.  Tables are read only as far as the probe gets."""
+    bound.  Tables are read only as far as the probe gets, and a stage is
+    scanned for its witness only when it fails."""
     total = 0
     for bound, pts, rows in tables:
         n = len(pts) - 1
         total += 2 * n * (n + 1)
-        jump, where = max_jump(pts, rows)
-        if jump >= bound:
+        if jump_reaches(rows, bound):
+            jump, where = max_jump(pts, rows)
             return SampledResult(False, (*where, jump), total)
     return SampledResult(True, None, total)
 
