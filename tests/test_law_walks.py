@@ -9,8 +9,16 @@ interval product nudged by 1e-6 at one cell.  The nudged cells make a walk
 fail on the first case of a row, in the middle of one, and on the last case
 of the latest row that can fail: every one of these walks ends on a case that
 compares a value with itself.
+
+It also pins, on every catalog overlap, associativity, the reconstruction
+from the projections, the neutral element, idempotency, O1-O5 and strong
+positivity; GO1-GO5 on every real catalog overlap; the pointwise order and
+equality of real catalog pairs; the aggregator laws of the semi-representable
+construction on its aggregators and on aggregators with one dip; and
+associativity and reconstruction on the product nudged at one cell.
 """
 
+import itertools
 import json
 import tracemalloc
 from collections import OrderedDict
@@ -23,13 +31,33 @@ from ivowa.intervals import ExponentInterval, Interval, format_interval
 from ivowa.iv_overlaps import (
     IVOverlap,
     Opaque,
+    check_associative,
     check_homogeneous,
+    check_idempotent,
     check_migrative,
     interval_product,
     is_inclusion_monotonic,
+    is_strongly_positive,
+    neutral_element_holds,
+    reconstructs_from_projections,
+    verify_iv_axioms,
+)
+from ivowa.overlaps import (
+    RealAggregator,
+    check_commutative_first_two,
+    check_m2_monotone,
+    check_m3_component,
+    check_m4_component,
+    check_nary_continuity,
+    mean_of_components,
+    pointwise_equal,
+    pointwise_leq,
+    projection_aggregator,
+    verify_overlap_axioms,
 )
 from ivowa.owa import builtin_aggregators, check_distributivity, check_homogeneous_m, non_saturating
-from ivowa.registry import standard_overlaps
+from ivowa.registry import real_catalog, standard_overlaps
+from ivowa.sampling import REAL_GRID
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "law_walks.jsonl"
 AGGREGATORS = builtin_aggregators(2)
@@ -88,6 +116,61 @@ NUDGES = [
 ]
 
 
+GRID_CHECKS = {
+    "associative": check_associative,
+    "reconstruction": reconstructs_from_projections,
+    "neutral": neutral_element_holds,
+    "idempotent": check_idempotent,
+    **{axiom: (lambda o, axiom=axiom: verify_iv_axioms(o)[axiom])
+       for axiom in ("o1", "o2", "o3", "o4", "o5")},
+    "strongly-positive": is_strongly_positive,
+}
+
+# The first failing case of each nudged walk: associativity on the first, a
+# middle and the last z of a row (x, y); the reconstruction on the first, a
+# middle and the last y of a row x, and, nudged where a projection is read,
+# on every case whose endpoints meet that degenerate cell.
+GRID_NUDGES = [
+    ("associative", (0.4, 0.6), (0.0, 0.0), 1, 1e-6),
+    ("associative", (0.4, 0.6), (0.2, 0.8), 1, 1e-6),
+    ("associative", (0.4, 0.6), (1.0, 1.0), 0, -1e-6),
+    ("reconstruction", (0.4, 0.7), (0.0, 0.0), 1, 1e-6),
+    ("reconstruction", (0.4, 0.7), (0.1, 0.9), 1, 1e-6),
+    ("reconstruction", (0.4, 0.7), (1.0, 1.0), 0, -1e-6),
+    ("reconstruction", (0.4, 0.4), (0.1, 0.1), 1, 1e-6),
+]
+
+
+def _dip(at):
+    """A monotone 4-ary function, (x1 + x2 + x3 + x4 + 1) / 5, except for the
+    value 0 at the one argument tuple `at`."""
+    return RealAggregator(lambda *xs: 0.0 if xs == at else (sum(xs) + 1.0) / 5.0, 4,
+                          f"dip@{at}")
+
+
+# The aggregators of the semi-representable construction, then dips whose
+# first decrease moves the first, the third and the last argument.
+AGGREGATOR_TARGETS = [
+    *(projection_aggregator(i) for i in (1, 2, 3, 4)),
+    mean_of_components((3, 4)),
+    _dip((1.0, 1.0, 1.0, 1.0)),
+    _dip((0.0, 0.0, 0.5, 0.5)),
+    _dip((0.0, 0.0, 0.0, 0.5)),
+]
+AGGREGATOR_CHECKS = {
+    "m2": check_m2_monotone,
+    **{f"m3:arg{i}": (lambda m, i=i: check_m3_component(m, i)) for i in (1, 2, 3, 4)},
+    **{f"m4:arg{i}": (lambda m, i=i: check_m4_component(m, i)) for i in (1, 2, 3, 4)},
+    "commutative-first-two": check_commutative_first_two,
+    # Only the verdict and the sample count of the continuity probe.
+    "nary-continuity": lambda m: check_nary_continuity(m)._replace(witness=None),
+}
+
+
+def _nudge_label(check, x, y, end, delta):
+    return f"{check}/nudged@{format_interval(x)}x{format_interval(y)}:{'lu'[end]}{delta:+}"
+
+
 def _cases():
     cases = {}
     for name, o in standard_overlaps().items():
@@ -97,18 +180,49 @@ def _cases():
         cases[f"homogeneous-m/{name}"] = lambda m=m: check_homogeneous_m(m)
     for check, x, y, end, delta in NUDGES:
         x, y = Interval(*x), Interval(*y)
-        label = f"{check}/nudged@{format_interval(x)}x{format_interval(y)}:{'lu'[end]}{delta:+}"
-        cases[label] = (lambda check=check, x=x, y=y, end=end, delta=delta:
-                        OVERLAP_CHECKS[check](_nudged_at(interval_product(), x, y, end, delta)))
+        cases[_nudge_label(check, x, y, end, delta)] = (
+            lambda check=check, x=x, y=y, end=end, delta=delta:
+            OVERLAP_CHECKS[check](_nudged_at(interval_product(), x, y, end, delta)))
+    for name, o in standard_overlaps().items():
+        for check, run in GRID_CHECKS.items():
+            cases[f"{check}/{name}"] = lambda run=run, o=o: run(o)
+    reals = real_catalog()
+    for name, g in reals.items():
+        for axiom in ("go1", "go2", "go3", "go4", "go5"):
+            cases[f"{axiom}/{name}"] = lambda g=g, axiom=axiom: verify_overlap_axioms(g)[axiom]
+    pts = REAL_GRID.endpoints()
+    for (i, a), (j, b) in itertools.product(enumerate(reals.values()), repeat=2):
+        if i != j:
+            cases[f"pointwise-leq/{a.name}<={b.name}"] = lambda a=a, b=b: pointwise_leq(a, b, pts)
+        if i < j:
+            cases[f"pointwise-equal/{a.name}={b.name}"] = lambda a=a, b=b: pointwise_equal(a, b, pts)
+    for m in AGGREGATOR_TARGETS:
+        for check, run in AGGREGATOR_CHECKS.items():
+            cases[f"{check}/{m.name}"] = lambda run=run, m=m: run(m)
+    for check, x, y, end, delta in GRID_NUDGES:
+        x, y = Interval(*x), Interval(*y)
+        cases[_nudge_label(check, x, y, end, delta)] = (
+            lambda check=check, x=x, y=y, end=end, delta=delta:
+            GRID_CHECKS[check](_nudged_at(interval_product(), x, y, end, delta)))
     return cases
 
 
 CASES = _cases()
 
 
+def _text(item):
+    """An interval in its ``[a,b]`` form, a tuple as its items in
+    parentheses, anything else by its repr."""
+    if isinstance(item, Interval):
+        return format_interval(item)
+    if isinstance(item, tuple):
+        return "(" + ",".join(map(_text, item)) + ")"
+    return repr(item)
+
+
 def law_walk_record(case_id):
     res = CASES[case_id]()
-    witness = None if res.witness is None else " ".join(map(format_interval, res.witness))
+    witness = None if res.witness is None else " ".join(map(_text, res.witness))
     return {"id": case_id, "ok": res.ok, "witness": witness, "samples": res.samples}
 
 
