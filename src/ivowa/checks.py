@@ -446,8 +446,10 @@ def _homogeneous_projections(grid):
     for k1, k2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0)):
         op = migrative_canonical(ExponentInterval(k1, k2))
         for tag, fn, order in zip(("lower", "upper"), projections(op), (k2, k1)):
+            base = {(x, y): fn(x, y) for x in pts for y in pts}
             yield f"{op.name}:{tag}-order-{order}", first_violation(
-                (a, x, y) if abs(fn(a * x, a * y) - a**order * fn(x, y)) > ROOT_TOLERANCE else None
+                (a, x, y) if abs(fn(a * x, a * y) - a**order * base[x, y]) > ROOT_TOLERANCE
+                else None
                 for a in pts for x in pts for y in pts
             )
 

@@ -21,8 +21,6 @@ from .intervals import (
     ExponentInterval,
     Interval,
     IntervalError,
-    ONE,
-    ZERO,
     leq_product,
     subseteq,
 )
@@ -46,7 +44,6 @@ from .sampling import (
     SampleGrid,
     SampledResult,
     close_row,
-    comparable_pairs,
     first_violation,
     first_violation_in_rows,
     jump_probe,
@@ -211,11 +208,9 @@ def value_table(
     xs: Sequence[tuple[float, float]],
     ys: Sequence[tuple[float, float]],
 ) -> tuple[list[array], list[array]]:
-    """``lows[i][j], ups[i][j] = checked_ends(o, *xs[i], *ys[j])`` over two
-    sequences of endpoint pairs.  Rows are arrays of doubles: the finest
-    continuity stage holds two 201 x 201 tables, which as lists of floats
-    would raise the peak memory of a law-suite run.
-    """
+    """The `checked_ends` endpoints at each (xs[i], ys[j]), as ``lows[i][j]``
+    and ``ups[i][j]``, in rows of doubles: the finest continuity stage holds
+    two 201 x 201 tables, which as lists of floats would raise peak memory."""
     rows = [value_row(o, x, ys) for x in xs]
     return [lo for lo, _ in rows], [up for _, up in rows]
 
@@ -328,32 +323,27 @@ def _semi_representable(
     # The aggregated endpoints must be ordered on every reachable argument
     # tuple; literal pointwise comparison of the aggregators over [0,1]^4 is
     # the wrong test because their arguments are themselves ordered.
-    sample = DEFAULT_GRID.intervals()
-    for x in sample:
-        for y in sample:
-            try:
-                op(x, y)
-            except IntervalError:
-                raise ConstructionError(
-                    f"endpoint order: aggregated lower exceeds upper at ({x}, {y})"
-                ) from None
+    for x, y in itertools.product(DEFAULT_GRID.intervals(), repeat=2):
+        lo, up = ends(x.lower, x.upper, y.lower, y.upper)
+        if not 0.0 <= lo <= up <= 1.0:
+            raise ConstructionError(f"endpoint order: aggregated lower exceeds upper at ({x}, {y})")
     return op
 
 
 def _validate_generator(g: UnaryGenerator, grid: SampleGrid) -> None:
-    if g(ZERO) != ZERO or g(ONE) != ONE:
-        raise ConstructionError(f"generator boundary: {g.name} must fix [0,0] and [1,1]")
+    """g fixes [0,0] and [1,1], the first and the last grid interval, is
+    monotone and keeps the interior off them: one evaluation per interval."""
     sample = grid.intervals()
-    for a, b in comparable_pairs(sample):
-        if not leq_product(g(a), g(b)):
+    images = list(zip(*_split([g.fn(x.lower, x.upper) for x in sample])))
+    if images[0] != (0.0, 0.0) or images[-1] != (1.0, 1.0):
+        raise ConstructionError(f"generator boundary: {g.name} must fix [0,0] and [1,1]")
+    for (a, (al, au)), (b, (bl, bu)) in itertools.product(zip(sample, images), repeat=2):
+        if leq_product(a, b) and not (al <= bl and au <= bu):
             raise ConstructionError(f"generator monotonicity: {g.name} decreases on ({a}, {b})")
-    for x in sample:
-        if x in (ZERO, ONE):
-            continue
-        if g(x) in (ZERO, ONE):
+    for x, image in zip(sample[1:-1], images[1:-1]):
+        if image in ((0.0, 0.0), (1.0, 1.0)):
             raise ConstructionError(
-                f"generator interior: {g.name} collapses {x} to a boundary value"
-            )
+                f"generator interior: {g.name} collapses {x} to a boundary value")
 
 
 @memoized
@@ -472,13 +462,10 @@ def iv_meet(o1: IVOverlap, o2: IVOverlap) -> IVOverlap:
 def projections(o: IVOverlap) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
     """Left and right projections: endpoint values on degenerate inputs."""
 
-    def lower(x: float, y: float) -> float:
-        return checked_ends(o, x, x, y, y)[0]
+    def end(i: int) -> Callable[[float, float], float]:
+        return lambda x, y: checked_ends(o, x, x, y, y)[i]
 
-    def upper(x: float, y: float) -> float:
-        return checked_ends(o, x, x, y, y)[1]
-
-    return lower, upper
+    return end(0), end(1)
 
 
 @memoized
@@ -489,21 +476,22 @@ def reconstructs_from_projections(
 ) -> SampledResult:
     """Does rebuilding from the projections reproduce the overlap?
 
-    True exactly for the representable ones.
+    True exactly for the representable ones.  The projections are read from
+    the degenerate cells of the value table: the lower projection at (a, b)
+    is the lower endpoint of the value at ([a,a], [b,b]).
     """
-    lower, upper = projections(o)
     sample = grid.intervals()
     lows, ups = value_table(o, _ends_of(sample), _ends_of(sample))
+    point = {x.lower: i for i, x in enumerate(sample) if x.degenerate}
 
-    def outcomes():
+    def rows():
         for x, row_lo, row_up in zip(sample, lows, ups):
-            for y, got_lo, got_up in zip(sample, row_lo, row_up):
-                lo = lower(x.lower, y.lower)
-                up = upper(x.upper, y.upper)
-                far = abs(got_lo - lo) > tol or abs(got_up - up) > tol
-                yield (x, y, Interval(got_lo, got_up), lo, up) if far else None
+            want_lo = [lows[point[x.lower]][point[y.lower]] for y in sample]
+            want_up = [ups[point[x.upper]][point[y.upper]] for y in sample]
+            yield from close_row(row_lo, row_up, want_lo, want_up, tol, lambda k: (
+                x, sample[k], Interval(row_lo[k], row_up[k]), want_lo[k], want_up[k]))
 
-    return first_violation(outcomes())
+    return first_violation_in_rows(rows())
 
 
 def is_strongly_positive(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
@@ -623,42 +611,52 @@ def check_idempotent(
     grid: SampleGrid = DEFAULT_GRID,
     tol: float = ROOT_TOLERANCE,
 ) -> SampledResult:
-    return first_violation(
-        (x, Interval(lo, up)) if abs(lo - x.lower) > tol or abs(up - x.upper) > tol else None
-        for x in grid.intervals()
-        for lo, up in [checked_ends(f, x.lower, x.upper, x.lower, x.upper)]
-    )
+    """f(X, X) == X, read from the diagonal of the value table."""
+    sample = grid.intervals()
+    lows, ups = _split([f.ends(x.lower, x.upper, x.lower, x.upper) for x in sample])
+    return first_violation_in_rows(close_row(
+        lows, ups, [x.lower for x in sample], [x.upper for x in sample], tol,
+        lambda k: (sample[k], Interval(lows[k], ups[k]))))
 
 
 @memoized
 def neutral_element_holds(f: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
-    """[1,1] acts as a neutral element, exactly."""
+    """[1,1] acts as a neutral element, exactly: the [1,1] row and the [1,1]
+    column of the value table are the grid itself.  The witness is the
+    first failing X with f([1,1], X)."""
+    sample = grid.intervals()
+    pts = _ends_of(sample)
+    left_lo, left_up = value_row(f, (1.0, 1.0), pts)
+    right_lo, right_up = _value_column(f, pts, (1.0, 1.0))
     return first_violation(
-        (x, Interval(*left)) if left != ends or checked_ends(f, *ends, 1.0, 1.0) != ends else None
-        for x in grid.intervals() for ends in [(x.lower, x.upper)]
-        for left in [checked_ends(f, 1.0, 1.0, *ends)]
+        (x, Interval(lo, up)) if (lo, up) != p or (r_lo, r_up) != p else None
+        for x, p, lo, up, r_lo, r_up in zip(sample, pts, left_lo, left_up, right_lo, right_up)
     )
 
 
+@memoized
 def check_associative(
     f: IVOverlap,
     grid: SampleGrid = SampleGrid(0.2),
     tol: float = POLY_TOLERANCE,
 ) -> SampledResult:
+    """f(f(X, Y), Z) == f(X, f(Y, Z)), a row per (X, Y) with Z running over
+    the grid.  The inner values f(X, Y) and f(Y, Z) are read from the value
+    table; the outer sides are value rows, f(f(X, Y), .) once per distinct
+    f(X, Y), and f(X, .) over the row f(Y, .)."""
     sample = grid.intervals()
+    pts = _ends_of(sample)
+    lows, ups = value_table(f, pts, pts)
+    inner = [list(zip(lo, up)) for lo, up in zip(lows, ups)]
+    outer = LazyRows(lambda p: value_row(f, p, pts))
 
-    def outcomes():
-        for x in sample:
-            for y in sample:
-                xy = checked_ends(f, x.lower, x.upper, y.lower, y.upper)
-                for z in sample:
-                    left = checked_ends(f, *xy, z.lower, z.upper)
-                    yz = checked_ends(f, y.lower, y.upper, z.lower, z.upper)
-                    right = checked_ends(f, x.lower, x.upper, *yz)
-                    far = abs(left[0] - right[0]) > tol or abs(left[1] - right[1]) > tol
-                    yield (x, y, z) if far else None
+    def rows():
+        for x, p, xys in zip(sample, pts, inner):
+            for y, xy, yzs in zip(sample, xys, inner):
+                yield from close_row(*outer[xy], *value_row(f, p, yzs), tol,
+                                     lambda k: (x, y, sample[k]))
 
-    return first_violation(outcomes())
+    return first_violation_in_rows(rows())
 
 
 # ---------------------------------------------------------------------------

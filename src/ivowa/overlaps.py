@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from operator import ge, lt, sub
+from typing import Callable, Iterator, Sequence
 
 from .sampling import (
     CONTINUITY_STAGES,
@@ -25,7 +27,6 @@ from .sampling import (
     SampledResult,
     continuity_probe,
     first_violation,
-    max_jump_nary,
 )
 
 __all__ = [
@@ -180,51 +181,38 @@ def real_owa(weights: Sequence[float], xs: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_commutative(g: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    return first_violation((x, y) if g.fn(x, y) != g.fn(y, x) else None
-                           for x in pts for y in pts)
-
-
-def check_zero_boundary(g: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    """Biconditional: value 0 exactly on the zero set of the product."""
-    return first_violation((x, y) if (g.fn(x, y) == 0.0) != (x * y == 0.0) else None
-                           for x in pts for y in pts)
-
-
-def check_one_boundary(g: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    """Biconditional: value 1 exactly where the product is 1."""
-    return first_violation((x, y) if (g.fn(x, y) == 1.0) != (x * y == 1.0) else None
-                           for x in pts for y in pts)
-
-
-def check_monotone(g: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    """Nondecreasing along adjacent grid steps in each argument."""
-    return first_violation(
-        (a, b, y) if g.fn(a, y) > g.fn(b, y)
-        else (y, a, b) if g.fn(y, a) > g.fn(y, b)
-        else None
-        for a, b in zip(pts, pts[1:]) for y in pts
-    )
-
-
 def verify_overlap_axioms(
     g: RealOverlap,
     grid: SampleGrid = REAL_GRID,
     stages: tuple[tuple[float, float], ...] = CONTINUITY_STAGES,
 ) -> dict[str, SampledResult]:
+    """GO1-GO4 read one value table of g over the grid: GO2 and GO3 as
+    biconditionals (value 0 exactly where the product is 0, value 1 exactly
+    where it is 1), GO4 along adjacent grid steps in each argument.  GO5 is
+    the continuity probe, on grids of its own."""
     pts = grid.endpoints()
+    rows = [[g.fn(x, y) for y in pts] for x in pts]
+    cells = [(i, j, x, y) for i, x in enumerate(pts) for j, y in enumerate(pts)]
     return {
-        "go1": check_commutative(g, pts),
-        "go2": check_zero_boundary(g, pts),
-        "go3": check_one_boundary(g, pts),
-        "go4": check_monotone(g, pts),
+        "go1": first_violation((x, y) if rows[i][j] != rows[j][i] else None
+                               for i, j, x, y in cells),
+        "go2": first_violation((x, y) if (rows[i][j] == 0.0) != (x * y == 0.0) else None
+                               for i, j, x, y in cells),
+        "go3": first_violation((x, y) if (rows[i][j] == 1.0) != (x * y == 1.0) else None
+                               for i, j, x, y in cells),
+        "go4": first_violation(
+            (a, b, y) if rows[i][j] > rows[i + 1][j]
+            else (y, a, b) if rows[j][i] > rows[j][i + 1]
+            else None
+            for i, (a, b) in enumerate(zip(pts, pts[1:])) for j, y in enumerate(pts)
+        ),
         "go5": continuity_probe(g.fn, stages),
     }
 
 
 def pointwise_leq(g1: RealOverlap, g2: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    return first_violation((x, y, g1.fn(x, y), g2.fn(x, y)) if g1.fn(x, y) > g2.fn(x, y) else None
-                           for x in pts for y in pts)
+    return first_violation((x, y, a, b) if a > b else None
+                           for x in pts for y in pts for a, b in [(g1.fn(x, y), g2.fn(x, y))])
 
 
 def pointwise_equal(g1: RealOverlap, g2: RealOverlap, pts: Sequence[float]) -> SampledResult:
@@ -272,22 +260,44 @@ def check_m1_boundary(m: RealAggregator) -> SampledResult:
     return SampledResult(ok, None if ok else (m(*zeros), m(*ones)), 2)
 
 
+def _first_step(
+    m: RealAggregator,
+    step: float,
+    fails: Callable[[Sequence[float], Sequence[float]], Iterator[bool]],
+) -> SampledResult:
+    """The first step from a grid tuple to the next grid point in argument j,
+    in product order and then argument order, where ``fails(moved, values)``,
+    as the witness ``(args, j, jump)``; the sample count is the whole grid.
+
+    m is evaluated once per grid tuple, into one flat array in product order.
+    A step in argument j moves ``stride = len(pts) ** (n-1-j)`` places, so a
+    block of ``len(pts) * stride`` values is decided by one C-level pass."""
+    pts = SampleGrid(step).endpoints()
+    size, n = len(pts), m.arity
+    values = array("d", itertools.starmap(m.fn, itertools.product(pts, repeat=n)))
+    first = None
+    for j in range(n):
+        stride = size ** (n - 1 - j)
+        block = size * stride
+        for base in range(0, len(values), block):
+            hit = next(itertools.compress(itertools.count(base), fails(
+                values[base + stride:base + block], values[base:base + block - stride])), None)
+            if hit is not None:
+                if first is None or hit < first[0]:
+                    first = (hit, j, abs(values[hit + stride] - values[hit]))
+                break
+    if first is None:
+        return SampledResult(True, None, len(values))
+    at, j, jump = first
+    args = tuple(pts[at // size ** (n - 1 - i) % size] for i in range(n))
+    return SampledResult(False, (args, j, jump), len(values))
+
+
 def check_m2_monotone(m: RealAggregator, step: float = 0.25) -> SampledResult:
     """Nondecreasing along each adjacent grid step; the sample count is the
     whole grid, whether or not a decrease is found."""
-    pts = SampleGrid(step).endpoints()
-    successor = dict(zip(pts, pts[1:]))
-
-    def outcomes():
-        for args in itertools.product(pts, repeat=m.arity):
-            base = m(*args)
-            for j, a in enumerate(args):
-                if a in successor:
-                    moved = (*args[:j], successor[a], *args[j + 1:])
-                    yield (args, j) if m(*moved) < base else None
-
-    ok, witness, _ = first_violation(outcomes())
-    return SampledResult(ok, witness, len(pts) ** m.arity)
+    ok, witness, samples = _first_step(m, step, lambda moved, values: map(lt, moved, values))
+    return SampledResult(ok, witness and witness[:2], samples)
 
 
 def check_m3_component(m: RealAggregator, index: int, step: float = 0.25) -> SampledResult:
@@ -311,8 +321,8 @@ def check_commutative_first_two(m: RealAggregator, step: float = 0.25) -> Sample
 
 
 def check_nary_continuity(m: RealAggregator, step: float = 0.1) -> SampledResult:
+    """Grid-jump continuity heuristic: no step to a neighbouring grid point
+    jumps by 4 * step or more.  The witness is the first step that does."""
     bound = 4.0 * step
-    jump, where = max_jump_nary(m.fn, m.arity, step)
-    ok = jump < bound
-    samples = (SampleGrid(step).divisions + 1) ** m.arity
-    return SampledResult(ok, None if ok else (*where, jump), samples)
+    return _first_step(m, step, lambda moved, values: map(
+        ge, map(abs, map(sub, moved, values)), itertools.repeat(bound)))

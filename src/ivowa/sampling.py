@@ -149,7 +149,8 @@ class SampleGrid:
     """Evenly spaced endpoint grid on [0, 1], boundaries always included.
 
     The step must be 1/n for an integer n so that grid points are generated
-    as exact binary64 quotients i/n.
+    as exact binary64 quotients i/n, and n at most 200, the finest grid the
+    library walks itself (the second continuity stage, 0.005).
     """
 
     endpoint_step: float = 0.1
@@ -160,6 +161,9 @@ class SampleGrid:
         n = round(1.0 / step) if step > 0.0 and 1.0 / step < math.inf else 0
         if n < 1 or abs(1.0 / n - step) > 1e-12:
             raise ValueError(f"endpoint_step must be 1/n, got {self.endpoint_step}")
+        if n > 200:
+            raise ValueError(f"endpoint_step {step} gives {(n + 1) * (n + 2) // 2} grid intervals;"
+                             " the finest step is 0.005 (1/200, 20301 intervals)")
 
     @property
     def divisions(self) -> int:
@@ -357,19 +361,3 @@ def continuity_probe(
             yield bound, pts, [[fn(x, y) for y in pts] for x in pts]
 
     return jump_probe(tables())
-
-
-def max_jump_nary(fn: Callable[..., float], arity: int, step: float) -> tuple[float, tuple]:
-    pts = SampleGrid(step).endpoints()
-    worst, where = 0.0, ()
-    for args in itertools.product(pts, repeat=arity):
-        base = fn(*args)
-        for j in range(arity):
-            k = pts.index(args[j])
-            if k + 1 < len(pts):
-                moved = list(args)
-                moved[j] = pts[k + 1]
-                jump = abs(fn(*moved) - base)
-                if jump > worst:
-                    worst, where = jump, (args, j)
-    return worst, where

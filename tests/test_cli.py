@@ -521,6 +521,12 @@ class TestVerifyCommand:
         assert main(["verify", "product", f"--step={step}"]) == 2
         assert capsys.readouterr().err.startswith("error: endpoint_step must be 1/n, got ")
 
+    def test_step_finer_than_the_finest_grid_is_usage_error(self, capsys):
+        # The grid is refused before any walk starts enumerating it.
+        assert main(["verify", "product", "--step", "1e-13"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: endpoint_step 1e-13 gives 50000000000015000000000001 grid intervals; ")
+
     def test_aggregator_target(self, capsys):
         assert main(["verify", "dirac"]) == 0
         out = capsys.readouterr().out

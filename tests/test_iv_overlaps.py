@@ -23,6 +23,7 @@ from ivowa.iv_overlaps import (
     Opaque,
     Representable,
     UnaryGenerator,
+    check_associative,
     check_homogeneous,
     check_idempotent,
     check_migrative,
@@ -388,20 +389,28 @@ def _inverted_at(o, x, y):
     return IVOverlap(ends, f"inverted({o.name})", Opaque("inverted"))
 
 
-@pytest.mark.parametrize("check", [
-    verify_iv_axioms,
-    lambda o: check_distributivity(builtin_aggregators(2)["max"], o),
-    is_inclusion_monotonic,
-    is_strongly_positive,
-    reconstructs_from_projections,
-    check_migrative,
-    lambda o: check_homogeneous(o, ExponentInterval.of(2.0)),
+# The default cell is read by every walk on the 0.1 grid; the others sit where
+# the associativity walk (0.2 grid), the [1,1] row and column of the neutral
+# element, and the diagonal of idempotency read them.
+@pytest.mark.parametrize("check, cell", [
+    (verify_iv_axioms, None),
+    (lambda o: check_distributivity(builtin_aggregators(2)["max"], o), None),
+    (is_inclusion_monotonic, None),
+    (is_strongly_positive, None),
+    (reconstructs_from_projections, None),
+    (check_migrative, None),
+    (lambda o: check_homogeneous(o, ExponentInterval.of(2.0)), None),
+    (check_associative, ((0.2, 0.6), (0.4, 0.8))),
+    (neutral_element_holds, ((1.0, 1.0), (0.3, 0.9))),
+    (neutral_element_holds, ((0.3, 0.9), (1.0, 1.0))),
+    (check_idempotent, ((0.0, 0.1), (0.0, 0.1))),
 ], ids=["axioms", "distributivity", "inclusion", "strong-positivity", "reconstruction",
-        "migrative", "homogeneous"])
-def test_law_checks_raise_on_a_value_that_is_not_an_interval(check):
+        "migrative", "homogeneous", "associative", "neutral-row", "neutral-column", "idempotent"])
+def test_law_checks_raise_on_a_value_that_is_not_an_interval(check, cell):
     # Endpoint maps build no Interval, so the value tables apply its check:
     # one inverted grid cell is enough to raise.
-    bad = _inverted_at(interval_product(), Interval(0.2, 0.6), Interval(0.3, 0.9))
+    x, y = cell or ((0.2, 0.6), (0.3, 0.9))
+    bad = _inverted_at(interval_product(), Interval(*x), Interval(*y))
     with pytest.raises(IntervalError, match="invalid interval endpoints"):
         check(bad)
 

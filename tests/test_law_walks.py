@@ -18,6 +18,7 @@ construction on its aggregators and on aggregators with one dip; and
 associativity and reconstruction on the product nudged at one cell.
 """
 
+import functools
 import itertools
 import json
 import tracemalloc
@@ -167,6 +168,11 @@ AGGREGATOR_CHECKS = {
 }
 
 
+@functools.cache
+def _real_axioms(name):
+    return verify_overlap_axioms(real_catalog()[name])
+
+
 def _nudge_label(check, x, y, end, delta):
     return f"{check}/nudged@{format_interval(x)}x{format_interval(y)}:{'lu'[end]}{delta:+}"
 
@@ -187,15 +193,16 @@ def _cases():
         for check, run in GRID_CHECKS.items():
             cases[f"{check}/{name}"] = lambda run=run, o=o: run(o)
     reals = real_catalog()
-    for name, g in reals.items():
+    for name in reals:
         for axiom in ("go1", "go2", "go3", "go4", "go5"):
-            cases[f"{axiom}/{name}"] = lambda g=g, axiom=axiom: verify_overlap_axioms(g)[axiom]
+            cases[f"{axiom}/{name}"] = lambda name=name, axiom=axiom: _real_axioms(name)[axiom]
     pts = REAL_GRID.endpoints()
     for (i, a), (j, b) in itertools.product(enumerate(reals.values()), repeat=2):
         if i != j:
             cases[f"pointwise-leq/{a.name}<={b.name}"] = lambda a=a, b=b: pointwise_leq(a, b, pts)
         if i < j:
-            cases[f"pointwise-equal/{a.name}={b.name}"] = lambda a=a, b=b: pointwise_equal(a, b, pts)
+            cases[f"pointwise-equal/{a.name}={b.name}"] = (
+                lambda a=a, b=b: pointwise_equal(a, b, pts))
     for m in AGGREGATOR_TARGETS:
         for check, run in AGGREGATOR_CHECKS.items():
             cases[f"{check}/{m.name}"] = lambda run=run, m=m: run(m)

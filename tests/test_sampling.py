@@ -13,7 +13,7 @@ from ivowa.iv_overlaps import representable, verify_iv_axioms
 from ivowa.matrix import parse_matrix_text
 from ivowa.owa import GowaError, WeightVector, builtin_aggregators
 from ivowa.registry import real_catalog, resolve_iv_overlap
-from ivowa.sampling import SAMPLE_SEED, SampledResult, first_violation, tuple_samples
+from ivowa.sampling import SAMPLE_SEED, SampledResult, SampleGrid, first_violation, tuple_samples
 
 
 def reference_samples(items, n, budget, seed=SAMPLE_SEED):
@@ -123,6 +123,18 @@ def test_first_violation_counts_cases_up_to_the_first_witness():
     assert consumed == [0, 1, 2, 3]
     assert first_violation(iter([None] * 5)) == SampledResult(True, None, 5)
     assert first_violation(iter([])) == SampledResult(True, None, 0)
+
+
+@pytest.mark.parametrize("step", [1e-13, 1 / 201])
+def test_grid_finer_than_200_divisions_is_refused(step):
+    # 1e-13 would give about 5e25 grid intervals.
+    with pytest.raises(ValueError, match=rf"^endpoint_step {step} gives \d+ grid intervals; "):
+        SampleGrid(step)
+
+
+def test_finest_continuity_stage_is_the_finest_grid():
+    grid = SampleGrid(0.005)
+    assert grid.divisions == 200 and len(grid.endpoints()) == 201
 
 
 def test_memo_hands_out_copies_of_dict_results():
