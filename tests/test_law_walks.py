@@ -16,6 +16,12 @@ positivity; GO1-GO5 on every real catalog overlap; the pointwise order and
 equality of real catalog pairs; the aggregator laws of the semi-representable
 construction on its aggregators and on aggregators with one dip; and
 associativity and reconstruction on the product nudged at one cell.
+
+Last, it pins the sampled walks that `make_gowa` runs above n = 2, at its
+budget: distributivity at n = 3 and n = 6 on every catalog overlap, n = 3
+homogeneity of every catalog aggregator, and the product nudged at one cell
+so that the first failure lands on the first tuple of a block of the sample
+stream, on the last one, and on the first tuple of the next block.
 """
 
 import functools
@@ -168,6 +174,38 @@ AGGREGATOR_CHECKS = {
 }
 
 
+# make_gowa's distributivity budget above n = 2.
+SAMPLED_BUDGET = 100_000
+
+
+def _sampled_checks(n):
+    aggregators = builtin_aggregators(n)
+    return {
+        **{f"distributivity-{name}-n{n}":
+           (lambda o, m=m: check_distributivity(m, o, budget=SAMPLED_BUDGET))
+           for name, m in aggregators.items()},
+        f"distributivity-tsum-restricted-n{n}": lambda o: check_distributivity(
+            aggregators["tsum"], o, restrict=non_saturating, budget=SAMPLED_BUDGET),
+    }
+
+
+SAMPLED_CHECKS = {**_sampled_checks(3), **_sampled_checks(6)}
+
+# The sample stream is decided in blocks of 8, 16, ..., 512 tuples, which
+# start at tuples 0, 8, 24, 56, 120, 248, 504, 1016, 1528, ...  The first
+# failure lands on tuple 120, 247 and 248 of the `max` walk, whose right side
+# is read from the value table, and on tuple 1016, 1527 and 1528 of the
+# `geomean` walk, whose right side is evaluated off the grid.
+SAMPLED_NUDGES = [
+    ("distributivity-max-n3", (0.3, 0.7), (0.5, 0.6), 1, 1e-6),
+    ("distributivity-max-n3", (0.1, 0.6), (0.0, 0.9), 0, 1e-6),
+    ("distributivity-max-n3", (0.6, 1.0), (0.5, 0.9), 1, -1e-6),
+    ("distributivity-geomean-n3", (0.7, 0.8), (0.1, 0.1), 0, 1e-6),
+    ("distributivity-geomean-n3", (0.1, 0.5), (0.4, 0.7), 1, 1e-6),
+    ("distributivity-geomean-n3", (0.4, 0.5), (0.3, 0.7), 0, 1e-6),
+]
+
+
 @functools.cache
 def _real_axioms(name):
     return verify_overlap_axioms(real_catalog()[name])
@@ -211,6 +249,16 @@ def _cases():
         cases[_nudge_label(check, x, y, end, delta)] = (
             lambda check=check, x=x, y=y, end=end, delta=delta:
             GRID_CHECKS[check](_nudged_at(interval_product(), x, y, end, delta)))
+    for name, o in standard_overlaps().items():
+        for check, run in SAMPLED_CHECKS.items():
+            cases[f"{check}/{name}"] = lambda run=run, o=o: run(o)
+    for name, m in builtin_aggregators(3).items():
+        cases[f"homogeneous-m-n3/{name}"] = lambda m=m: check_homogeneous_m(m)
+    for check, x, y, end, delta in SAMPLED_NUDGES:
+        x, y = Interval(*x), Interval(*y)
+        cases[_nudge_label(check, x, y, end, delta)] = (
+            lambda check=check, x=x, y=y, end=end, delta=delta:
+            SAMPLED_CHECKS[check](_nudged_at(interval_product(), x, y, end, delta)))
     return cases
 
 
