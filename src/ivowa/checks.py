@@ -31,6 +31,7 @@ from .intervals import (
 )
 from .iv_overlaps import (
     IVOverlap,
+    _value_column,
     check_associative,
     check_homogeneous,
     check_idempotent,
@@ -405,15 +406,18 @@ def _generator_laws(grid):
 
 @_law("associative-neutral-element")
 def _associative_neutral(grid):
+    sample = grid.intervals()
     for op in _associative_targets():
         if not check_associative(op).ok:
             yield f"{op.name}:associative", SampledResult(False, ("claim failed",), 1)
             continue
         # Surjectivity of the generator is not decidable from samples; only
-        # the inclusion-monotonic branch of the result is checked.
+        # the inclusion-monotonic branch is checked, on the [1,1] column.
+        image = dict(zip(sample, map(Interval, *_value_column(
+            op, [(x.lower, x.upper) for x in sample], (1.0, 1.0)))))
         nested = first_violation(
-            (inner, outer) if not subseteq(op(inner, ONE), op(outer, ONE)) else None
-            for inner, outer in nested_pairs(grid.intervals())
+            (inner, outer) if not subseteq(image[inner], image[outer]) else None
+            for inner, outer in nested_pairs(sample)
         )
         if nested.ok:
             yield f"{op.name}:neutral", neutral_element_holds(op, grid)

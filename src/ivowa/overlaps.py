@@ -315,9 +315,11 @@ def check_m4_component(m: RealAggregator, index: int, step: float = 0.25) -> Sam
 
 
 def check_commutative_first_two(m: RealAggregator, step: float = 0.25) -> SampledResult:
-    pts = SampleGrid(step).endpoints()
-    return first_violation(args if m(*args) != m(args[1], args[0], *args[2:]) else None
-                           for args in itertools.product(pts, repeat=m.arity))
+    """m(x1, x2, ...) == m(x2, x1, ...), read from one table of m's values:
+    m is evaluated once per grid tuple."""
+    args = list(itertools.product(SampleGrid(step).endpoints(), repeat=m.arity))
+    value = dict(zip(args, itertools.starmap(m.fn, args)))
+    return first_violation(a if value[a] != value[(a[1], a[0], *a[2:])] else None for a in args)
 
 
 def check_nary_continuity(m: RealAggregator, step: float = 0.1) -> SampledResult:

@@ -15,7 +15,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import contains, getitem, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import (
@@ -28,6 +28,7 @@ from .intervals import (
 )
 from .iv_overlaps import (
     IVOverlap,
+    _split,
     checked_ends,
     interval_product,
     neutral_element_holds,
@@ -86,10 +87,13 @@ class AggregatorKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class IVAggregator:
-    """An n-ary interval aggregation function, stored as its map of the
-    inputs' endpoint columns, ``ends(lows, ups) -> (lower, upper)``."""
+    """An n-ary interval aggregation function, stored as its map of one
+    tuple's endpoints, ``ends(lows, ups) -> (lower, upper)``, and as the same
+    map over many tuples in C-level maps, ``columns(lo_cols, up_cols) ->
+    (lowers, uppers)``, ``lo_cols[i]`` holding input i's lower endpoints."""
 
     ends: Callable[[Sequence[float], Sequence[float]], tuple[float, float]]
+    columns: Callable[..., tuple[list[float], list[float]]]
     arity: int
     kind: AggregatorKind
     name: str
@@ -147,6 +151,10 @@ def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
     if n < 1:
         raise WeightError(f"aggregator arity must be >= 1, got {n}")
 
+    # A column map runs `each`, a map over the input tuples, on both ends.
+    def both(each: Callable[[Iterator[tuple]], Iterable[float]]) -> Callable:
+        return lambda lo_cols, up_cols: (list(each(zip(*lo_cols))), list(each(zip(*up_cols))))
+
     def agg_max(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
         return max(lows), max(ups)
 
@@ -165,11 +173,19 @@ def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
     def agg_dirac(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
         return (1.0, 1.0) if 1.0 in lows else (0.0, 0.0)
 
+    def dirac_columns(lo_cols: Sequence[Iterable[float]], _) -> tuple[list[float], list[float]]:
+        ends = list(map(float, map(contains, zip(*lo_cols), itertools.repeat(1.0))))
+        return ends, ends
+
     entries = [
-        IVAggregator(agg_max, n, AggregatorKind.MAX, "max"),
-        IVAggregator(agg_tsum, n, AggregatorKind.TRUNCATED_SUM, "tsum"),
-        IVAggregator(agg_geomean, n, AggregatorKind.GEOMETRIC_MEAN, "geomean"),
-        IVAggregator(agg_dirac, n, AggregatorKind.DIRAC, "dirac"),
+        IVAggregator(agg_max, both(lambda ts: map(max, ts)), n, AggregatorKind.MAX, "max"),
+        IVAggregator(agg_tsum,
+                     both(lambda ts: map(min, itertools.repeat(1.0), map(math.fsum, ts))),
+                     n, AggregatorKind.TRUNCATED_SUM, "tsum"),
+        IVAggregator(agg_geomean,
+                     both(lambda ts: map(pow, map(math.prod, ts), itertools.repeat(root))),
+                     n, AggregatorKind.GEOMETRIC_MEAN, "geomean"),
+        IVAggregator(agg_dirac, dirac_columns, n, AggregatorKind.DIRAC, "dirac"),
     ]
     return {m.name: m for m in entries}
 
@@ -239,6 +255,20 @@ DISTRIBUTIVITY_RESTRICTIONS: dict[AggregatorKind, Callable[[Iterable[float]], bo
 }
 
 
+def _blocks(cases: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """A sample stream in blocks of 8, 16, ..., 512 tuples: most failing
+    checks stop within a few tuples, and the cap bounds a block's memory."""
+    stream, size = iter(cases), 8
+    while block := list(itertools.islice(stream, size)):
+        yield block
+        size = min(2 * size, 512)
+
+
+def _read(table: Sequence[Sequence[float]], rows: Iterable[int], cols: Iterable[int]) -> Iterator:
+    """``table[r][c]`` for each pair of the two index columns."""
+    return map(getitem, map(table.__getitem__, rows), cols)
+
+
 @memoized
 def check_distributivity(
     m: IVAggregator,
@@ -254,13 +284,17 @@ def check_distributivity(
     Verifies M(O(X1,Y), ..., O(Xn,Y)) == O(M(X1..Xn), Y) on sampled tuples;
     an optional restriction predicate on the upper endpoints of X1..Xn
     narrows the tuples checked.  The full cross product is walked a row at
-    a time: one row per xs, with y running over the grid.
+    a time: one row per xs, with y running over the grid; a sample is
+    walked a block at a time (`_blocks`).  The right side of a block is read
+    from the overlap's value rows when every aggregate in it is a grid
+    interval, as those of max and dirac always are; otherwise it is
+    evaluated once per tuple.
     """
     items = grid.intervals()
     lows = [x.lower for x in items]
     ups = [x.upper for x in items]
     pts = list(zip(lows, ups))
-    m_ends = m.ends
+    index_of = {p: i for i, p in enumerate(pts)}
     # Tuples are walked as grid indices: the sample stream is the same (the
     # random fill only uses the pool's length).  The overlap's rows O(x, .)
     # are built on first use, since a sampled walk may stop within a few,
@@ -272,9 +306,10 @@ def check_distributivity(
         o_lo[x], o_up[x] = row = value_row(o, pts[x], pts)
         return row
 
-    # The rows O(M(xs), .), once per distinct aggregate: 66 for max and 961
-    # for geomean at n=2 and step 0.1.
-    rhs_rows = LazyRows(lambda agg: value_row(o, agg, pts))
+    # The rows O(M(xs), .), once per distinct aggregate off the grid (895 of
+    # geomean's 961 at n=2 and step 0.1); a grid aggregate's row is O(x, .).
+    rhs_rows = LazyRows(lambda agg: (o_lo[index_of[agg]], o_up[index_of[agg]])
+                        if agg in index_of else value_row(o, agg, pts))
     decode = items.__getitem__
     cases = tuple_samples(range(len(items)), m.arity + 1, budget, seed)
     exhaustive = cases.exhaustive
@@ -292,28 +327,28 @@ def check_distributivity(
 
     def rows():
         for xs, ys in row_sets():
-            lhs_lo, lhs_up = zip(*map(m_ends, zip(*[o_lo[x] for x in xs]),
-                                      zip(*[o_up[x] for x in xs])))
-            agg = m_ends([lows[x] for x in xs], [ups[x] for x in xs])
-            sides = (lhs_lo, lhs_up, *rhs_rows[agg])
+            (agg_lo,), (agg_up,) = m.columns([[lows[x]] for x in xs], [[ups[x]] for x in xs])
+            sides = (*m.columns([o_lo[x] for x in xs], [o_up[x] for x in xs]),
+                     *rhs_rows[agg_lo, agg_up])
             if len(ys) < len(items):
                 sides = [[side[y] for y in ys] for side in sides]
             yield from close_row(*sides, tol, lambda k: (*map(decode, xs), items[ys[k]]))
 
-    def outcomes():
-        # Sampled tuples seldom repeat their xs; the last aggregate is kept
-        # for the runs that do.
-        last_xs = agg = None
-        for t in cases:
-            xs, y = t[:-1], t[-1]
-            lhs_lo, lhs_up = m_ends([o_lo[x][y] for x in xs], [o_up[x][y] for x in xs])
-            if xs != last_xs:
-                last_xs, agg = xs, m_ends([lows[x] for x in xs], [ups[x] for x in xs])
-            rhs_lo, rhs_up = checked_ends(o, *agg, lows[y], ups[y])
-            far = abs(lhs_lo - rhs_lo) > tol or abs(lhs_up - rhs_up) > tol
-            yield (*map(decode, xs), items[y]) if far else None
+    def block_rows():
+        for block in _blocks(cases):
+            *x_cols, y_col = zip(*block)
+            lhs = m.columns(*([_read(table, xc, y_col) for xc in x_cols] for table in (o_lo, o_up)))
+            agg_lo, agg_up = m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
+                                         for side in (lows, ups)))
+            agg_at = list(map(index_of.get, zip(agg_lo, agg_up)))
+            if None in agg_at:
+                rhs = _split(list(map(o.ends, agg_lo, agg_up, map(lows.__getitem__, y_col),
+                                      map(ups.__getitem__, y_col))))
+            else:
+                rhs = [list(_read(table, agg_at, y_col)) for table in (o_lo, o_up)]
+            yield from close_row(*lhs, *rhs, tol, lambda k: tuple(map(decode, block[k])))
 
-    return first_violation_in_rows(rows() if exhaustive else (outcomes(),))
+    return first_violation_in_rows(rows() if exhaustive else block_rows())
 
 
 @memoized
@@ -326,47 +361,50 @@ def check_homogeneous_m(
 ) -> SampledResult:
     """First-order homogeneity: scaling every input scales the output.
 
-    The full cross product is walked a row at a time: one row per alpha and
-    x1..x(n-1), with the last input running over the grid.
+    The full cross product is walked a row at a time: one row per alpha,
+    with x1..xn running over the grid's cross product; a sample is walked a
+    block at a time (`_blocks`).
     """
     items = grid.intervals()
     lows = [x.lower for x in items]
     ups = [x.upper for x in items]
-    m_ends = m.ends
     # Walked on grid indices like check_distributivity; the scaled inputs
     # [alpha.lower*x.lower, alpha.upper*x.upper] are the interval product.
     scaled_lo, scaled_up = value_table(interval_product(), list(zip(lows, ups)),
                                        list(zip(lows, ups)))
     cases = tuple_samples(range(len(items)), m.arity + 1, budget, seed)
     decode = items.__getitem__
+    size, n = len(items), m.arity
 
-    def aggregates(head, row_lo, row_up):
-        """M of the rows' entries at x1..x(n-1) and at each last input, as
-        a tuple of lower and a tuple of upper endpoints."""
-        return tuple(zip(*map(m_ends, zip(*[itertools.repeat(row_lo[x]) for x in head], row_lo),
-                              zip(*[itertools.repeat(row_up[x]) for x in head], row_up))))
-
-    # The unscaled aggregates depend on x1..x(n-1) alone, so the walk meets
-    # each once per alpha.
-    bases = LazyRows(lambda head: aggregates(head, lows, ups))
+    def over_xs(row_lo, row_up):
+        """M of the rows' entries at each x1..xn, in product order: column i
+        repeats each entry size ** (n-1-i) times, size ** i times over."""
+        return m.columns(*([list(itertools.chain.from_iterable(map(
+            itertools.repeat, row, itertools.repeat(size ** (n - 1 - i))))) * size ** i
+            for i in range(n)] for row in (row_lo, row_up)))
 
     def rows():
-        for a, *head in itertools.product(range(len(items)), repeat=m.arity):
-            base_lo, base_up = bases[tuple(head)]
-            yield from close_row(*aggregates(head, scaled_lo[a], scaled_up[a]),
-                                 [lows[a] * b for b in base_lo], [ups[a] * b for b in base_up],
-                                 tol, lambda k: tuple(map(decode, (a, *head, k))))
+        base_lo, base_up = over_xs(lows, ups)
+        for a, alpha in enumerate(items):
+            yield from close_row(
+                *over_xs(scaled_lo[a], scaled_up[a]),
+                list(map(mul, itertools.repeat(lows[a]), base_lo)),
+                list(map(mul, itertools.repeat(ups[a]), base_up)), tol, lambda k: (
+                    alpha, *next(itertools.islice(itertools.product(items, repeat=n), k, None))))
 
-    def outcomes():
-        for t in cases:
-            a, xs = t[0], t[1:]
-            row_lo, row_up = scaled_lo[a], scaled_up[a]
-            left_lo, left_up = m_ends([row_lo[x] for x in xs], [row_up[x] for x in xs])
-            base = m_ends([lows[x] for x in xs], [ups[x] for x in xs])
-            far = abs(left_lo - lows[a] * base[0]) > tol or abs(left_up - ups[a] * base[1]) > tol
-            yield tuple(map(decode, t)) if far else None
+    def block_rows():
+        for block in _blocks(cases):
+            a_col, *x_cols = zip(*block)
+            base_lo, base_up = m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
+                                           for side in (lows, ups)))
+            yield from close_row(
+                *m.columns(*([_read(table, a_col, xc) for xc in x_cols]
+                             for table in (scaled_lo, scaled_up))),
+                list(map(mul, map(lows.__getitem__, a_col), base_lo)),
+                list(map(mul, map(ups.__getitem__, a_col), base_up)),
+                tol, lambda k: tuple(map(decode, block[k])))
 
-    return first_violation_in_rows(rows() if cases.exhaustive else (outcomes(),))
+    return first_violation_in_rows(rows() if cases.exhaustive else block_rows())
 
 
 def absorption_holds(m: IVAggregator, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
