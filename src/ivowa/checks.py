@@ -68,6 +68,7 @@ from .overlaps import (
 from .owa import (
     IVAggregator,
     WeightVector,
+    _paired_values,
     builtin_aggregators,
     check_distributivity,
     check_homogeneous_m,
@@ -511,10 +512,11 @@ def _gowa_name(op) -> str:
 
 @_law("gowa-idempotency", POLY_TOLERANCE)
 def _gowa_idempotency(grid):
+    items = grid.intervals()
     for op in _valid_gowa_configs():
         yield _gowa_name(op), first_violation(
             (c, got) if _far(got, c, POLY_TOLERANCE) else None
-            for c in grid.intervals() for got in [op([c] * op.arity)]
+            for c, got in zip(items, op.aggregate_rows([c] * op.arity for c in items))
         )
 
 
@@ -529,10 +531,11 @@ def _gowa_boundary(grid):
         if op.arity == 2:
             ranks = op.order.ranks_descending
             vector_pairs = (((a_lo, b_lo), (a_hi, b_hi))
-                            for a_lo, a_hi in pairs for b_lo, b_hi in pairs)
+                            for a_lo, a_hi in pairs for b_lo, b_hi in pairs
+                            if ranks((a_lo, b_lo)) == ranks((a_hi, b_hi)))
             yield f"{name}:monotone", first_violation(
-                (*low, *high) if not leq_product(op(low), op(high)) else None
-                for low, high in vector_pairs if ranks(low) == ranks(high)
+                (*low, *high) if not leq_product(lo, hi) else None
+                for (low, high), lo, hi in _paired_values(op, vector_pairs)
             )
 
 
@@ -546,8 +549,8 @@ def _gowa_projection(grid):
             op = make_gowa(m, prod, WeightVector.selector(3, index))
             yield f"select:{kind}:i={index}", first_violation(
                 (*vec, got, want) if got != want else None
-                for vec in vectors for got, want in
-                [(op(vec), sorted(vec, key=op.order.sort_key, reverse=True)[index - 1])]
+                for vec, got in zip(vectors, op.aggregate_rows(vectors))
+                for want in [sorted(vec, key=op.order.sort_key, reverse=True)[index - 1]]
             )
 
 
@@ -562,7 +565,7 @@ def _gowa_arithmetic_mean(grid):
             if abs(got.lower - math.fsum(v.lower for v in vec) / n) > POLY_TOLERANCE
             or abs(got.upper - math.fsum(v.upper for v in vec) / n) > POLY_TOLERANCE
             else None
-            for vec in vectors for got in [op(vec)]
+            for vec, got in zip(vectors, op.aggregate_rows(vectors))
         )
 
 

@@ -147,7 +147,7 @@ def rank_matrix(config: RunConfig, matrix: DecisionMatrix):
     if tol < 0.0:
         raise ConfigError(f"tolerances.distributivity must be >= 0, got {tol!r}")
     operator = make_gowa(aggregator, overlap, weights, config.order, tol=tol)
-    aggregates = [operator(matrix.row(i)) for i in range(len(matrix.alternatives))]
+    aggregates = list(operator.aggregate_rows(map(matrix.row, range(len(matrix.alternatives)))))
     order_desc = config.order.ranks_descending(aggregates)
     ranking = [
         RankedAlternative(

@@ -15,7 +15,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from operator import contains, getitem, itemgetter, mul
+from operator import contains, getitem, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import (
@@ -29,7 +29,6 @@ from .intervals import (
 from .iv_overlaps import (
     IVOverlap,
     _split,
-    checked_ends,
     interval_product,
     neutral_element_holds,
     value_row,
@@ -87,12 +86,11 @@ class AggregatorKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class IVAggregator:
-    """An n-ary interval aggregation function, stored as its map of one
-    tuple's endpoints, ``ends(lows, ups) -> (lower, upper)``, and as the same
-    map over many tuples in C-level maps, ``columns(lo_cols, up_cols) ->
-    (lowers, uppers)``, ``lo_cols[i]`` holding input i's lower endpoints."""
+    """An n-ary interval aggregation function, stored as its map over many
+    tuples in C-level maps, ``columns(lo_cols, up_cols) -> (lowers,
+    uppers)``, ``lo_cols[i]`` holding input i's lower endpoints; a call is
+    its one-tuple case."""
 
-    ends: Callable[[Sequence[float], Sequence[float]], tuple[float, float]]
     columns: Callable[..., tuple[list[float], list[float]]]
     arity: int
     kind: AggregatorKind
@@ -101,7 +99,8 @@ class IVAggregator:
     def __call__(self, values: Sequence[Interval]) -> Interval:
         if len(values) != self.arity:
             raise WeightError(f"{self.name} expects {self.arity} inputs, got {len(values)}")
-        return Interval(*self.ends([v.lower for v in values], [v.upper for v in values]))
+        (lower,), (upper,) = self.columns([[v.lower] for v in values], [[v.upper] for v in values])
+        return Interval(lower, upper)
 
 
 @dataclass(frozen=True)
@@ -155,37 +154,23 @@ def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
     def both(each: Callable[[Iterator[tuple]], Iterable[float]]) -> Callable:
         return lambda lo_cols, up_cols: (list(each(zip(*lo_cols))), list(each(zip(*up_cols))))
 
-    def agg_max(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
-        return max(lows), max(ups)
-
-    def agg_tsum(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
-        return min(1.0, math.fsum(lows)), min(1.0, math.fsum(ups))
-
     root = 1.0 / n
-
-    # The product of the inputs, a left fold, raised to the n-th root.
-    def agg_geomean(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
-        return math.prod(lows) ** root, math.prod(ups) ** root
 
     # [1,1] tops the product order, which every admissible order refines, so
     # it is the largest input under any of them exactly when it is an input;
     # an input is [1,1] exactly when its lower endpoint is 1.
-    def agg_dirac(lows: Sequence[float], ups: Sequence[float]) -> tuple[float, float]:
-        return (1.0, 1.0) if 1.0 in lows else (0.0, 0.0)
-
     def dirac_columns(lo_cols: Sequence[Iterable[float]], _) -> tuple[list[float], list[float]]:
         ends = list(map(float, map(contains, zip(*lo_cols), itertools.repeat(1.0))))
         return ends, ends
 
     entries = [
-        IVAggregator(agg_max, both(lambda ts: map(max, ts)), n, AggregatorKind.MAX, "max"),
-        IVAggregator(agg_tsum,
-                     both(lambda ts: map(min, itertools.repeat(1.0), map(math.fsum, ts))),
+        IVAggregator(both(lambda ts: map(max, ts)), n, AggregatorKind.MAX, "max"),
+        IVAggregator(both(lambda ts: map(min, itertools.repeat(1.0), map(math.fsum, ts))),
                      n, AggregatorKind.TRUNCATED_SUM, "tsum"),
-        IVAggregator(agg_geomean,
-                     both(lambda ts: map(pow, map(math.prod, ts), itertools.repeat(root))),
+        # The product of the inputs, a left fold, raised to the n-th root.
+        IVAggregator(both(lambda ts: map(pow, map(math.prod, ts), itertools.repeat(root))),
                      n, AggregatorKind.GEOMETRIC_MEAN, "geomean"),
-        IVAggregator(agg_dirac, dirac_columns, n, AggregatorKind.DIRAC, "dirac"),
+        IVAggregator(dirac_columns, n, AggregatorKind.DIRAC, "dirac"),
     ]
     return {m.name: m for m in entries}
 
@@ -283,12 +268,12 @@ def check_distributivity(
 
     Verifies M(O(X1,Y), ..., O(Xn,Y)) == O(M(X1..Xn), Y) on sampled tuples;
     an optional restriction predicate on the upper endpoints of X1..Xn
-    narrows the tuples checked.  The full cross product is walked a row at
-    a time: one row per xs, with y running over the grid; a sample is
-    walked a block at a time (`_blocks`).  The right side of a block is read
-    from the overlap's value rows when every aggregate in it is a grid
-    interval, as those of max and dirac always are; otherwise it is
-    evaluated once per tuple.
+    narrows the tuples checked.  The full cross product is walked a row per
+    xs the restriction keeps (asked once per xs), y running over the grid;
+    a sample a block at a time (`_blocks`), asked once per tuple.  The
+    right side of a block is read from the overlap's value rows when every
+    aggregate in it is a grid interval, as those of max and dirac always
+    are; otherwise it is evaluated once per tuple.
     """
     items = grid.intervals()
     lows = [x.lower for x in items]
@@ -312,30 +297,22 @@ def check_distributivity(
                         if agg in index_of else value_row(o, agg, pts))
     decode = items.__getitem__
     cases = tuple_samples(range(len(items)), m.arity + 1, budget, seed)
-    exhaustive = cases.exhaustive
-    if restrict is not None:
-        # The restriction is asked once per tuple, in walk order.
-        cases = (t for t in cases if restrict(map(ups.__getitem__, t[:-1])))
 
-    def row_sets():
-        """(xs, the ys kept with it), in walk order."""
+    def kept(tuples: Iterable[tuple]) -> Iterable[tuple]:
+        """The tuples whose x1..xn the restriction keeps, asked in walk order."""
         if restrict is None:
-            every_y = range(len(items))
-            return ((xs, every_y) for xs in itertools.product(every_y, repeat=m.arity))
-        return ((xs, [t[-1] for t in run])
-                for xs, run in itertools.groupby(cases, key=itemgetter(slice(0, -1))))
+            return tuples
+        return (t for t in tuples if restrict(map(ups.__getitem__, t[:m.arity])))
 
     def rows():
-        for xs, ys in row_sets():
+        for xs in kept(itertools.product(range(len(items)), repeat=m.arity)):
             (agg_lo,), (agg_up,) = m.columns([[lows[x]] for x in xs], [[ups[x]] for x in xs])
-            sides = (*m.columns([o_lo[x] for x in xs], [o_up[x] for x in xs]),
-                     *rhs_rows[agg_lo, agg_up])
-            if len(ys) < len(items):
-                sides = [[side[y] for y in ys] for side in sides]
-            yield from close_row(*sides, tol, lambda k: (*map(decode, xs), items[ys[k]]))
+            yield from close_row(*m.columns([o_lo[x] for x in xs], [o_up[x] for x in xs]),
+                                 *rhs_rows[agg_lo, agg_up], tol,
+                                 lambda k: (*map(decode, xs), items[k]))
 
     def block_rows():
-        for block in _blocks(cases):
+        for block in _blocks(kept(cases)):
             *x_cols, y_col = zip(*block)
             lhs = m.columns(*([_read(table, xc, y_col) for xc in x_cols] for table in (o_lo, o_up)))
             agg_lo, agg_up = m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
@@ -348,7 +325,7 @@ def check_distributivity(
                 rhs = [list(_read(table, agg_at, y_col)) for table in (o_lo, o_up)]
             yield from close_row(*lhs, *rhs, tol, lambda k: tuple(map(decode, block[k])))
 
-    return first_violation_in_rows(rows() if exhaustive else block_rows())
+    return first_violation_in_rows(rows() if cases.exhaustive else block_rows())
 
 
 @memoized
@@ -429,13 +406,34 @@ class GowaOperator:
         return self.aggregator.arity
 
     def __call__(self, values: Sequence[Interval]) -> Interval:
-        if len(values) != self.arity:
-            raise GowaError(f"operator expects {self.arity} inputs, got {len(values)}")
-        o = self.overlap
-        ranked = map(values.__getitem__, self.order.ranks_descending(values))
-        pieces = [checked_ends(o, w.lower, w.upper, x.lower, x.upper)
-                  for w, x in zip(self.weights, ranked)]
-        return Interval(*self.aggregator.ends([lo for lo, _ in pieces], [up for _, up in pieces]))
+        return next(self.aggregate_rows((values,)))
+
+    def aggregate_rows(self, rows: Iterable[Sequence[Interval]]) -> Iterator[Interval]:
+        """The operator at each row, in order, a block of rows at a time
+        (`_blocks`): each row sorted descending under the order (stable, as
+        `ranks_descending`), the pieces O(W_k, X_(k)) over the block's k-th
+        column held to the `Interval` invariant (`_split`), then the
+        aggregator's `columns`.  A block is evaluated whole before its first
+        aggregate is returned."""
+        o, n, key = self.overlap, self.arity, self.order.sort_key
+        for block in _blocks(rows):
+            short = next((row for row in block if len(row) != n), None)
+            if short is not None:
+                raise GowaError(f"operator expects {n} inputs, got {len(short)}")
+            ranked = [sorted(row, key=key, reverse=True) for row in block]
+            pieces = [_split(list(map(o.ends, itertools.repeat(w.lower), itertools.repeat(w.upper),
+                                      [x.lower for x in col], [x.upper for x in col])))
+                      for w, col in zip(self.weights, zip(*ranked))]
+            yield from map(Interval, *self.aggregator.columns([lo for lo, _ in pieces],
+                                                              [up for _, up in pieces]))
+
+
+def _paired_values(op: GowaOperator, pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """Each pair of input rows with the operator at both, the rows of every
+    pair evaluated in one stream (`GowaOperator.aggregate_rows`)."""
+    pairs, rows = itertools.tee(pairs)
+    values = op.aggregate_rows(itertools.chain.from_iterable(rows))
+    return zip(pairs, values, values)
 
 
 @memoized
@@ -519,11 +517,9 @@ def check_order_monotonicity(
     order = op.order
     items = grid.intervals()
     ordered = [(a, b) for a in items for b in items if a != b and order.leq(a, b)]
-    return first_violation(
-        (*lo_vec, *hi_vec) if not order.leq(op(lo_vec), op(hi_vec)) else None
-        for combo in tuple_samples(ordered, op.arity, budget=20_000)
-        for lo_vec, hi_vec in [zip(*combo)]
-    )
+    pairs = (tuple(zip(*combo)) for combo in tuple_samples(ordered, op.arity, budget=20_000))
+    return first_violation((*lo_vec, *hi_vec) if not order.leq(lo, hi) else None
+                           for (lo_vec, hi_vec), lo, hi in _paired_values(op, pairs))
 
 
 def projection_owa(

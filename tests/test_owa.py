@@ -45,6 +45,7 @@ from ivowa.sampling import (
     REAL_GRID,
     ROOT_TOLERANCE,
     SAMPLE_SEED,
+    SampleGrid,
     SampledResult,
     first_violation,
     tuple_samples,
@@ -93,42 +94,50 @@ AGGREGATOR_FORMULAS = {
 }
 
 
-def _aggregator_inputs():
-    """Every n=2 pair of grid intervals, then a seeded sample at n=3..10
-    drawn from the grid and from random intervals."""
+def _aggregator_inputs(n):
+    """The n-tuples of both input sets: every grid tuple up to n = 3 (287,496
+    of them at n = 3) and, above, the corner tuples and a seeded fill, as the
+    sampled law walks read them; then, at n = 3..10, 500 seeded tuples drawn
+    from the grid and from random intervals."""
     grid = DEFAULT_GRID.intervals()
-    yield from itertools.product(grid, repeat=2)
+    if n in (1, 2, 3, 6, 10):
+        yield from tuple_samples(grid, n, budget=300_000 if n <= 3 else 20_000)
     rng = random.Random(SAMPLE_SEED)
     pool = grid + [random_interval(rng) for _ in grid]
-    for n in range(3, 11):
+    for arity in range(3, 11):
         for _ in range(500):
-            yield tuple(rng.choice(pool) for _ in range(n))
+            t = tuple(rng.choice(pool) for _ in range(arity))
+            if arity == n:
+                yield t
 
 
+def _first_difference(tuples, lowers, uppers, want):
+    """The first tuple whose result differs from the wanted interval in any
+    bit, with both as float hex, or None."""
+    if (array("d", lowers).tobytes(), array("d", uppers).tobytes()) == (
+            array("d", [w.lower for w in want]).tobytes(),
+            array("d", [w.upper for w in want]).tobytes()):
+        return None
+    return next((t, (lo.hex(), up.hex()), (w.lower.hex(), w.upper.hex()))
+                for t, lo, up, w in zip(tuples, lowers, uppers, want)
+                if (lo.hex(), up.hex()) != (w.lower.hex(), w.upper.hex()))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 @pytest.mark.parametrize("name", AGGREGATOR_FORMULAS)
-def test_aggregator_ends_equal_the_interval_formula(name):
+def test_aggregator_columns_equal_the_interval_formula(name, n):
     # The same bits: each column map keeps the float operations of its
-    # interval formula, in the same order.
-    formula = AGGREGATOR_FORMULAS[name]
-    for v in _aggregator_inputs():
-        got = builtin_aggregators(len(v))[name].ends([x.lower for x in v], [x.upper for x in v])
-        want = formula(v)
-        assert tuple(map(float.hex, got)) == (want.lower.hex(), want.upper.hex()), v
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
-@pytest.mark.parametrize("name", AGGREGATOR_FORMULAS)
-def test_aggregator_columns_equal_ends_bit_for_bit(name, n):
-    # Every grid tuple up to n = 3 (287,496 of them at n = 3); above, the
-    # corner tuples and a seeded fill, as the sampled law walks read them.
+    # interval formula, in the same order, over many tuples at once and in
+    # the one-tuple call.
     m = builtin_aggregators(n)[name]
-    budget = 300_000 if n <= 3 else 20_000
-    tuples = list(tuple_samples(DEFAULT_GRID.intervals(), n, budget=budget))
+    tuples = list(_aggregator_inputs(n))
+    want = list(map(AGGREGATOR_FORMULAS[name], tuples))
     got = m.columns([[x.lower for x in col] for col in zip(*tuples)],
                     [[x.upper for x in col] for col in zip(*tuples)])
-    want = zip(*(m.ends([x.lower for x in t], [x.upper for x in t]) for t in tuples))
-    assert [array("d", side).tobytes() for side in got] == [array("d", side).tobytes()
-                                                            for side in want]
+    assert _first_difference(tuples, *got, want) is None
+    calls = [m(t) for t in tuples]
+    assert _first_difference(tuples, [x.lower for x in calls], [x.upper for x in calls],
+                             want) is None
 
 
 class TestWeightedVectors:
@@ -345,6 +354,75 @@ class TestGowaOperator:
             assert leq_product(op(lo), op(hi))
 
 
+# Weights that each catalog aggregator at n = 3 maps to exactly [1,1], and
+# the (aggregator, overlap) pairs among these overlaps that make_gowa accepts.
+GOWA_WEIGHTS = {
+    "max": WeightVector.of(Interval(0.2, 0.5), ONE, Interval(0.4, 0.7)),
+    "tsum": WeightVector.of(Interval(0.5, 0.6), Interval(0.25, 0.5), Interval(0.25, 0.25)),
+    "geomean": WeightVector.of(ONE, ONE, ONE),
+    "dirac": WeightVector.of(Interval(0.2, 0.5), ONE, ZERO),
+}
+GOWA_OVERLAPS = ("product", "rep(min,min)", "rep(product,min)")
+GOWA_ACCEPTED = [("max", "product"), ("max", "rep(min,min)"), ("max", "rep(product,min)"),
+                 ("tsum", "product"), ("geomean", "product")]
+
+
+def test_make_gowa_accepts_exactly_the_differential_pairs():
+    accepted = []
+    for name, oid in itertools.product(GOWA_WEIGHTS, GOWA_OVERLAPS):
+        try:
+            make_gowa(builtin_aggregators(3)[name], resolve_iv_overlap(oid), GOWA_WEIGHTS[name])
+        except GowaError:
+            continue
+        accepted.append((name, oid))
+    assert accepted == GOWA_ACCEPTED
+
+
+def _gowa_rows(count):
+    """Seeded 3-input rows over a pool of 30 intervals, [0,0] and [1,1]
+    among them, so that rows repeat inputs."""
+    rng = random.Random(count)
+    pool = SampleGrid(0.25).intervals() + [random_interval(rng) for _ in range(15)]
+    return [[rng.choice(pool) for _ in range(3)] for _ in range(count)]
+
+
+def _hexes(values):
+    return [(x.lower.hex(), x.upper.hex()) for x in values]
+
+
+@pytest.mark.parametrize("order", AdmissibleOrder, ids=lambda order: order.value)
+@pytest.mark.parametrize("name,oid", GOWA_ACCEPTED)
+def test_aggregate_rows_equal_the_interval_reference(name, oid, order):
+    # Bit for bit against the operator written with intervals: each row
+    # sorted descending, O(W_k, X_(k)) by the overlap's call, and the
+    # aggregator's interval formula.  The row counts cross block boundaries
+    # (blocks of 8, 16, ...).
+    op = make_gowa(builtin_aggregators(3)[name], resolve_iv_overlap(oid), GOWA_WEIGHTS[name],
+                   order)
+    formula = AGGREGATOR_FORMULAS[name]
+
+    def reference(row):
+        ranked = sorted(row, key=order.sort_key, reverse=True)
+        return formula([op.overlap(w, x) for w, x in zip(op.weights, ranked)])
+
+    for count in (0, 1, 7, 8, 9, 1000):
+        rows = _gowa_rows(count)
+        want = _hexes(map(reference, rows))
+        assert _hexes(op.aggregate_rows(rows)) == want, count
+    assert _hexes(map(op, rows[:100])) == want[:100]
+
+
+def test_aggregate_rows_rejects_a_row_of_the_wrong_length_in_its_block():
+    op = make_gowa(AGG2["tsum"], PRODUCT, WeightVector.uniform(2))
+    values = op.aggregate_rows([[ONE, ONE]] * 9 + [[ONE]])
+    # The first block (8 rows) holds only good rows; the second holds the bad one.
+    assert list(itertools.islice(values, 8)) == [ONE] * 8
+    with pytest.raises(GowaError, match=r"^operator expects 2 inputs, got 1$"):
+        next(values)
+    with pytest.raises(GowaError, match=r"^operator expects 2 inputs, got 3$"):
+        op([ONE, ONE, ONE])
+
+
 class TestProjectionOwa:
     def test_selects_largest(self):
         m3 = builtin_aggregators(3)["tsum"]
@@ -433,10 +511,19 @@ def test_restriction_keeps_the_tuples_the_interval_predicate_kept(monkeypatch, g
 
     res = check_distributivity(builtin_aggregators(n)["tsum"], PRODUCT, grid=grid,
                                restrict=recording, budget=budget)
-    want = [interval_non_saturating(t[:-1], t[-1])
-            for t in tuple_samples(grid.intervals(), n + 1, budget)]
-    assert verdicts == want
-    assert res == SampledResult(True, None, sum(want))
+    cases = tuple_samples(grid.intervals(), n + 1, budget)
+    if cases.exhaustive:
+        # The restriction reads x1..xn only: it is asked once per xs, in
+        # product order, and keeps or drops the whole row of ys.
+        items = grid.intervals()
+        want = [interval_non_saturating(xs, None)
+                for xs in itertools.product(items, repeat=n)]
+        assert verdicts == want
+        assert res == SampledResult(True, None, sum(want) * len(items))
+    else:
+        want = [interval_non_saturating(t[:-1], t[-1]) for t in cases]
+        assert verdicts == want
+        assert res == SampledResult(True, None, sum(want))
 
 
 # n=2 walks the whole cross product; n=3 a sample, at a smaller budget to
