@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -50,24 +51,132 @@ AGGREGATE_REJECTIONS = [
     {"aggregator": "dirac", "overlap": "product", "weights": [[1, 1], [0, 0]]},
     {"aggregator": "geomean", "overlap": "rep(min,min)", "weights": [[1, 1], [1, 1]]},
 ]
+ORDERS = ("lex1", "lex2", "xuyager")
 AGGREGATE_CASES = [
-    {**config, "order": order}
-    for config in AGGREGATE_RANKINGS for order in ("lex1", "lex2", "xuyager")
-] + AGGREGATE_REJECTIONS
+    {"config": {**config, "order": order}} for config in AGGREGATE_RANKINGS for order in ORDERS
+] + [{"config": config} for config in AGGREGATE_REJECTIONS]
+
+# Then matrices of their own, in the golden's later records.  `max` with the
+# weights [1,1],[0,0] ranks each row by its largest cell, bit for bit.
+TOP_CELL = {"aggregator": "max", "overlap": "product", "weights": [[1, 1], [0, 0]]}
+# Equal aggregates from permuted rows, and (under TOP_CELL) from rows that share
+# their largest cell; [-0.0,0.3] and [0.0,0.3] tie under every order, so the
+# sign of a zero shows which of two tied cells a row ranked first.
+TIES_CSV = (
+    "alternative,c1,c2\n"
+    'b,"[0.2,0.5]","[0.4,0.8]"\n'
+    'a,"[0.4,0.8]","[0.2,0.5]"\n'
+    'c,0.3,"[0.1,0.9]"\n'
+    'd,"[0.1,0.9]",0.3\n'
+    'e,"[0.4,0.8]",0.1\n'
+    'f,"[-0.0,0.3]","[0.0,0.3]"\n'
+    'g,"[0.0,0.3]","[-0.0,0.3]"\n'
+    'h,"[0.2,0.5]","[0.4,0.8]"\n'
+)
+# Intervals whose xuyager sum and width collide in binary64, so that only the
+# trailing endpoints of the key order them: 0.22+0.78 and
+# 0.22000000000000003+0.78 are both 1.0, and their widths both 0.56.
+COLLISIONS_CSV = (
+    "alternative,c1,c2\n"
+    'p,"[0.22,0.78]",0.1\n'
+    'q,"[0.22000000000000003,0.78]",0.1\n'
+    'r,"[0.01,0.55]",0.0\n'
+    's,"[0.010000000000000005,0.55]",0.0\n'
+    't,"[0.010000000000000002,0.55]","[0.01,0.55]"\n'
+    'u,"[0.22,0.78]","[0.22000000000000003,0.78]"\n'
+)
+# [0,0] and [1,1] cells, and cell texts that parse_interval reads: padding
+# inside and around the brackets, digit separators, exponents, signed zeros.
+EDGES_CSV = (
+    "alternative,c1,c2,c3\n"
+    'z,"[0,0]",0,-0.0\n'
+    'o,"[1,1]",1,"[ 1.0 , 1 ]"\n'
+    'w," [0.2 , 0.5] ",0.2_5," 1e-1 "\n'
+    'x,"[0.2,0.5]",0.25,0.1\n'
+    'y,"[-0,1e-400]","[0.0_1,1_0e-1]",  0.75  \n'
+)
+EDGES_JSON = json.dumps({
+    "alternatives": ["j1", "j2", "j3", "j4"],
+    "criteria": ["c1", "c2"],
+    "cells": [[[0.2, 0.5], 0.25], [0, [1, 1]], [[0.4, 0.8], [0.2, 0.5]],
+              [[0.2, 0.5], [0.4, 0.8]]],
+})
+
+
+def _big_matrix_csv(rows: int) -> str:
+    """A seeded matrix of three criteria over a pool of twelve cells, so that
+    cells and whole rows repeat."""
+    rng = random.Random(513)
+    pool = ["[0,0]", "[1,1]", "0.5", "[0.25,0.5]", "[0.5,0.75]", "[0.125,0.875]",
+            "[0.3,0.6]", "[0.6,0.9]", "0.1", "[0.2,0.4]", "[0.7,0.7]", "[0.05,0.95]"]
+    lines = ["alternative,c1,c2,c3"]
+    for i in range(rows):
+        lines.append(",".join([f"r{i}", *(f'"{rng.choice(pool)}"' for _ in range(3))]))
+    return "\n".join(lines) + "\n"
+
+
+BIG_CONFIG = {"aggregator": "max", "overlap": "rep(product,min)",
+              "weights": [[1, 1], [0.3, 0.6], [0.2, 0.4]]}
+GEOMEAN3 = {"aggregator": "geomean", "overlap": "product", "weights": [[1, 1]] * 3}
+# Matrices with two defects: the first in row-major order (row by row; in a
+# row its length, then its label, then its cells left to right) is named.
+TWO_DEFECTS_CSV = [
+    # a bad cell in row 2, a ragged row 5
+    'alternative,c1,c2\na1,"[0.6,0.2]",0.5\na2,0.1,0.2\na3,0.1,0.2\na4,0.1\n',
+    # bad cells in both columns of one row, each order of the two kinds
+    'alternative,c1,c2\na1,0.1,0.2\na2,x,"[0.6,0.2]"\n',
+    'alternative,c1,c2\na1,0.1,0.2\na2,"[0.6,0.2]",x\n',
+    # a bad cell in the last column of row 3, one in the first column of row 4
+    'alternative,c1,c2,c3\na1,0.1,0.2,0.3\na2,0.1,0.2,"[0.1,0.2"\na3,nan,0.2,0.3\n',
+    # a ragged row 3, a bad cell in row 4
+    'alternative,c1,c2\na1,0.1,0.2\na2,0.1,0.2,0.3\na3,1.5,0.2\n',
+    # a row with no label and a bad cell, then a ragged row
+    'alternative,c1,c2\na1,0.1,0.2\n ,"[1,2,3]",0.2\na3,0.1\n',
+    # a bad cell in row 2, a row with no label in row 3
+    'alternative,c1,c2\na1,0.1,"[]"\n,0.1,0.2\n',
+    # a ragged row with no label
+    'alternative,c1,c2\na1,0.1,0.2\n,0.1\n',
+]
+TWO_DEFECTS_JSON = [
+    {"alternatives": ["a1", "a2"], "criteria": ["c1", "c2"],
+     "cells": [[0.1, [0.6, 0.2]], [2, 0.5]]},
+    {"alternatives": ["a1", "a2"], "criteria": ["c1", "c2"],
+     "cells": [[[0.1], 0.2], [0.1]]},
+    {"alternatives": ["a1", "a2"], "criteria": ["c1", "c2"],
+     "cells": [[0.1, 0.2], [True, [0.1, 0.2, 0.3]]]},
+]
+AGGREGATE_MATRIX_CASES = [
+    *({"config": {**config, "order": order}, "matrix": TIES_CSV, "format": "csv"}
+      for config in (AGGREGATE_RANKINGS[0], AGGREGATE_RANKINGS[1], TOP_CELL)
+      for order in ORDERS),
+    *({"config": {**TOP_CELL, "order": order}, "matrix": COLLISIONS_CSV, "format": "csv"}
+      for order in ORDERS),
+    *({"config": {**config, "order": order}, "matrix": EDGES_CSV, "format": "csv"}
+      for config in (GEOMEAN3, {**BIG_CONFIG, "overlap": "product"}) for order in ORDERS),
+    *({"config": {**config, "order": order}, "matrix": EDGES_JSON, "format": "json"}
+      for config in (AGGREGATE_RANKINGS[0], TOP_CELL) for order in ORDERS),
+    {"config": {**BIG_CONFIG, "order": "xuyager"}, "matrix": _big_matrix_csv(513),
+     "format": "csv"},
+    *({"config": AGGREGATE_RANKINGS[0], "matrix": text, "format": "csv"}
+      for text in TWO_DEFECTS_CSV),
+    *({"config": AGGREGATE_RANKINGS[0], "matrix": json.dumps(payload), "format": "json"}
+      for payload in TWO_DEFECTS_JSON),
+]
 AGGREGATE_GOLDEN = Path(__file__).resolve().parent / "golden" / "aggregate.jsonl"
 
 
-def run_aggregate(tmp_path, config: dict, capsys) -> dict:
-    """`ivowa aggregate --json` on MATRIX_CSV under `config`, as one record."""
+def run_aggregate(tmp_path, case: dict, capsys) -> dict:
+    """`ivowa aggregate --json` on one case, as one record: the case's config,
+    on the case's matrix (MATRIX_CSV when it names none)."""
     config_path = tmp_path / "case.json"
-    config_path.write_text(json.dumps(config))
-    matrix_path = tmp_path / "matrix.csv"
-    matrix_path.write_text(MATRIX_CSV)
+    config_path.write_text(json.dumps(case["config"]))
+    matrix_path = tmp_path / f"matrix.{case.get('format', 'csv')}"
+    matrix_path.write_text(case.get("matrix", MATRIX_CSV))
     capsys.readouterr()
     code = main(["aggregate", "--config", str(config_path),
                  "--matrix", str(matrix_path), "--json"])
     out, err = capsys.readouterr()
-    return {"config": config, "exit": code, "stdout": out, "stderr": err}
+    return {**case, "exit": code, "stdout": out, "stderr": err}
 
 
 @pytest.fixture
@@ -464,10 +573,13 @@ class TestStrictInput:
 
 def test_aggregate_matches_golden(tmp_path, capsys):
     records = [json.loads(line) for line in AGGREGATE_GOLDEN.read_text().splitlines()]
-    assert [r["config"] for r in records] == AGGREGATE_CASES
-    assert [r["exit"] for r in records] == [0] * 15 + [1] * 4
+    cases = AGGREGATE_CASES + AGGREGATE_MATRIX_CASES
+    assert [{k: r[k] for k in ("config", "matrix", "format") if k in r}
+            for r in records] == cases
+    assert [r["exit"] for r in records] == [0] * 15 + [1] * 4 + [0] * 25 + [2] * 11
     for record in records:
-        assert run_aggregate(tmp_path, record["config"], capsys) == record
+        case = {k: record[k] for k in ("config", "matrix", "format") if k in record}
+        assert run_aggregate(tmp_path, case, capsys) == record
 
 
 class TestVerifyCommand:
