@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checks import (
     CheckReport,
@@ -116,8 +117,7 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-@dataclass(frozen=True)
-class RankedAlternative:
+class RankedAlternative(NamedTuple):
     rank: int
     alternative: str
     aggregate: Interval
@@ -147,15 +147,12 @@ def rank_matrix(config: RunConfig, matrix: DecisionMatrix):
     if tol < 0.0:
         raise ConfigError(f"tolerances.distributivity must be >= 0, got {tol!r}")
     operator = make_gowa(aggregator, overlap, weights, config.order, tol=tol)
-    aggregates = list(operator.aggregate_rows(map(matrix.row, range(len(matrix.alternatives)))))
-    order_desc = config.order.ranks_descending(aggregates)
+    lowers, uppers = operator.columns(matrix.lowers, matrix.uppers)
+    keys = list(config.order.key_column(lowers, uppers))
+    # Descending and stable, as `ranks_descending`: ties keep matrix order.
+    order_desc = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
     ranking = [
-        RankedAlternative(
-            rank=pos + 1,
-            alternative=matrix.alternatives[i],
-            aggregate=aggregates[i],
-            key=config.order.sort_key(aggregates[i]),
-        )
+        RankedAlternative(pos + 1, matrix.alternatives[i], Interval(lowers[i], uppers[i]), keys[i])
         for pos, i in enumerate(order_desc)
     ]
     return ranking, operator

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import suppress
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import repeat
+from operator import add, itemgetter, le, sub
+from typing import Iterator, Sequence
 
 __all__ = [
     "Interval",
@@ -32,6 +36,7 @@ __all__ = [
     "join",
     "meet",
     "parse_interval",
+    "parse_interval_columns",
     "format_interval",
 ]
 
@@ -73,7 +78,7 @@ class Interval:
             up = float(up)
             _set_upper(self, up)
         if not (0.0 <= lo <= up <= 1.0):
-            raise IntervalError(f"invalid interval endpoints [{self.lower}, {self.upper}]")
+            raise endpoint_error(lo, up)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -105,6 +110,10 @@ class Interval:
 
 _set_lower = Interval.lower.__set__
 _set_upper = Interval.upper.__set__
+
+
+def endpoint_error(lower: float, upper: float) -> IntervalError:
+    return IntervalError(f"invalid interval endpoints [{lower}, {upper}]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,8 +221,23 @@ class AdmissibleOrder(enum.Enum):
         if self is AdmissibleOrder.LEX2:
             return (x.upper, x.lower)
         # The trailing endpoints only break binary64 collisions of the sum
-        # and width keys, keeping the key injective (hence the order total).
+        # and width keys, keeping the key injective (hence the order total)
+        # up to the sign of a zero endpoint.
         return (x.lower + x.upper, x.upper - x.lower, x.lower, x.upper)
+
+    def key_column(self, lowers: Sequence[float], uppers: Sequence[float]) -> Iterator[tuple]:
+        """`sort_key` of each interval of two endpoint columns, built by
+        C-level maps; `key_ends` gets the endpoints back from a key."""
+        if self is AdmissibleOrder.LEX1:
+            return zip(lowers, uppers)
+        if self is AdmissibleOrder.LEX2:
+            return zip(uppers, lowers)
+        return zip(map(add, lowers, uppers), map(sub, uppers, lowers), lowers, uppers)
+
+    @property
+    def key_ends(self) -> tuple[itemgetter, itemgetter]:
+        """Getters of the lower and the upper endpoint from a sort key."""
+        return tuple(map(itemgetter, (1, 0) if self is AdmissibleOrder.LEX2 else (-2, -1)))
 
     def compare(self, x: Interval, y: Interval) -> Ordering:
         if x == y:
@@ -237,21 +261,34 @@ def format_interval(x: Interval) -> str:
 
 
 def parse_interval(text: str) -> Interval:
-    """Parse the ``[a,b]`` text form; a bare number is read as degenerate."""
-    s = text.strip()
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise IntervalError(f"malformed interval text {text!r}")
-        parts = s[1:-1].split(",")
-        if len(parts) != 2:
-            raise IntervalError(f"malformed interval text {text!r}")
-        try:
-            lo, up = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise IntervalError(f"malformed interval text {text!r}") from None
-        return Interval(lo, up)
-    try:
-        v = float(s)
-    except ValueError:
-        raise IntervalError(f"malformed interval text {text!r}") from None
-    return Interval(v, v)
+    """Parse the ``[a,b]`` text form; a bare number is read as degenerate.
+    The one-cell case of `parse_interval_columns`."""
+    (lower,), (upper,) = parse_interval_columns((text,))
+    return Interval(lower, upper)
+
+
+def parse_interval_columns(texts: Sequence[str]) -> tuple[list[float], list[float]]:
+    """The endpoints of many cells in the text form of `parse_interval`, by
+    C-level passes: each text stripped and split once at commas, its first
+    and last part read by `float`, the pairs held to the `Interval`
+    invariant.  The first bad cell raises the error it raises alone."""
+    stripped = list(map(str.strip, texts))
+    parts = list(map(str.split, stripped, repeat(",")))
+    boxed = list(map(str.startswith, stripped, repeat("[")))
+    lowers = uppers = None
+    if (list(map(str.endswith, stripped, repeat("]"))) == boxed
+            and list(map(len, parts)) == list(map((1).__add__, boxed))):
+        with suppress(ValueError):
+            lowers = list(map(float, map(str.removeprefix, map(itemgetter(0), parts),
+                                         repeat("["))))
+            uppers = list(map(float, map(str.removesuffix, map(itemgetter(-1), parts),
+                                         repeat("]"))))
+    if uppers is not None and (not uppers or all(map(le, lowers, uppers))
+                               and min(lowers) >= 0.0 and max(uppers) <= 1.0):
+        return lowers, uppers
+    if len(stripped) != 1:
+        for text in texts:
+            parse_interval_columns((text,))
+    if uppers is None:
+        raise IntervalError(f"malformed interval text {texts[0]!r}")
+    raise endpoint_error(lowers[0], uppers[0])

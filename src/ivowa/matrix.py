@@ -2,8 +2,9 @@
 
 Rows are alternatives, columns are criteria.  CSV cells use the ``[a,b]``
 text form (quoted, since it contains a comma) or a bare number for a
-degenerate interval; JSON cells are two-element arrays.  Parse errors name
-the offending cell.
+degenerate interval; JSON cells are two-element arrays.  A matrix is held as
+endpoint columns.  Parse errors name the offending cell: the first bad row or
+cell in row-major order.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
-from .intervals import Interval, IntervalError, format_interval, parse_interval
+from .intervals import Interval, IntervalError, endpoint_error, parse_interval_columns
 
 __all__ = [
     "DecisionMatrix",
@@ -33,21 +35,19 @@ class MatrixError(ValueError):
 
 @dataclass(frozen=True)
 class DecisionMatrix:
+    """Alternatives scored on criteria, held as endpoint columns:
+    ``lowers[j][i]`` and ``uppers[j][i]`` bound alternative i's score on
+    criterion j."""
+
     alternatives: tuple[str, ...]
     criteria: tuple[str, ...]
-    cells: tuple[tuple[Interval, ...], ...]
+    lowers: tuple[list[float], ...]
+    uppers: tuple[list[float], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.cells) != len(self.alternatives):
-            raise MatrixError("one cell row per alternative required")
-        for label, row in zip(self.alternatives, self.cells):
-            if len(row) != len(self.criteria):
-                raise MatrixError(
-                    f"row {label!r} has {len(row)} cells for {len(self.criteria)} criteria"
-                )
-
-    def row(self, index: int) -> tuple[Interval, ...]:
-        return self.cells[index]
+    @property
+    def cells(self) -> tuple[tuple[Interval, ...], ...]:
+        """The cells as intervals, row by row."""
+        return tuple(zip(*(map(Interval, lo, up) for lo, up in zip(self.lowers, self.uppers))))
 
 
 def read_json_number(raw: object, where: str, error: type[ValueError]) -> float:
@@ -65,13 +65,6 @@ def read_json_number(raw: object, where: str, error: type[ValueError]) -> float:
     if not math.isfinite(value):
         raise error(f"{where} must be finite, got {raw!r}")
     return value
-
-
-def _cell(value: str, row_label: str, col_label: str) -> Interval:
-    try:
-        return parse_interval(value)
-    except IntervalError as exc:
-        raise MatrixError(f"cell ({row_label!r}, {col_label!r}): {exc}") from None
 
 
 def parse_matrix_text(text: str, fmt: str) -> DecisionMatrix:
@@ -106,8 +99,17 @@ def _parse_csv(text: str) -> DecisionMatrix:
     if len(header) < 2:
         raise MatrixError("header row needs at least one criterion label")
     criteria = tuple(label.strip() for label in header[1:])
-    alternatives: list[str] = []
-    cells: list[tuple[Interval, ...]] = []
+    label_column, *columns = zip(*rows[1:])
+    alternatives = tuple(map(str.strip, label_column))
+    if set(map(len, rows)) == {len(header)} and all(alternatives):
+        try:
+            lowers, uppers = zip(*map(parse_interval_columns, columns))
+        except IntervalError:
+            pass
+        else:
+            return DecisionMatrix(alternatives, criteria, lowers, uppers)
+    # A defect: raise the error of the first bad row or cell in row-major
+    # order, a row's length checked first, then its label, then its cells.
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise MatrixError(
@@ -116,11 +118,12 @@ def _parse_csv(text: str) -> DecisionMatrix:
         label = row[0].strip()
         if not label:
             raise MatrixError(f"row {lineno} is missing an alternative label")
-        alternatives.append(label)
-        cells.append(tuple(
-            _cell(value, label, criteria[j]) for j, value in enumerate(row[1:])
-        ))
-    return DecisionMatrix(tuple(alternatives), criteria, tuple(cells))
+        for col_label, value in zip(criteria, row[1:]):
+            try:
+                parse_interval_columns((value,))
+            except IntervalError as exc:
+                raise MatrixError(f"cell ({label!r}, {col_label!r}): {exc}") from None
+    raise AssertionError("a matrix the column pass refused has no defect")
 
 
 def _json_labels(data: dict, key: str) -> tuple[str, ...]:
@@ -146,31 +149,34 @@ def _parse_json(text: str) -> DecisionMatrix:
         if not isinstance(data[key], list):
             raise MatrixError(f"key {key!r} must be an array")
     alternatives = _json_labels(data, "alternatives")
+    for i, label in enumerate(alternatives):
+        if not label.strip():
+            raise MatrixError(f"alternatives[{i}] is missing an alternative label")
     criteria = _json_labels(data, "criteria")
     raw_rows = data["cells"]
     if len(raw_rows) != len(alternatives):
         raise MatrixError("one cell row per alternative required")
-    cells = []
+    pairs = []  # each cell's endpoints, row by row
     for label, raw_row in zip(alternatives, raw_rows):
         if not isinstance(raw_row, list) or len(raw_row) != len(criteria):
             count = len(raw_row) if isinstance(raw_row, list) else "no"
             raise MatrixError(
                 f"row {label!r} has {count} cells for {len(criteria)} criteria"
             )
-        row = []
         for col_label, raw in zip(criteria, raw_row):
             where = f"cell ({label!r}, {col_label!r})"
             if not isinstance(raw, list):
                 raw = [raw, raw]
             if len(raw) != 2:
                 raise MatrixError(f"{where}: expected a number or a two-element array")
-            ends = [read_json_number(v, where, MatrixError) for v in raw]
-            try:
-                row.append(Interval(*ends))
-            except IntervalError as exc:
-                raise MatrixError(f"{where}: {exc}") from None
-        cells.append(tuple(row))
-    return DecisionMatrix(alternatives, criteria, tuple(cells))
+            lower, upper = ends = [read_json_number(v, where, MatrixError) for v in raw]
+            if not 0.0 <= lower <= upper <= 1.0:
+                raise MatrixError(f"{where}: {endpoint_error(lower, upper)}")
+            pairs.append(ends)
+    n = len(criteria)
+    lowers = tuple(list(map(itemgetter(0), pairs[j::n])) for j in range(n))
+    uppers = tuple(list(map(itemgetter(1), pairs[j::n])) for j in range(n))
+    return DecisionMatrix(alternatives, criteria, lowers, uppers)
 
 
 def emit_matrix_text(matrix: DecisionMatrix, fmt: str) -> str:
@@ -178,14 +184,16 @@ def emit_matrix_text(matrix: DecisionMatrix, fmt: str) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("alternative", *matrix.criteria))
-        for label, row in zip(matrix.alternatives, matrix.cells):
-            writer.writerow((label, *(format_interval(c) for c in row)))
+        # Each cell in the text form of `format_interval`, a column at a time.
+        texts = (map("[{!r},{!r}]".format, lo, up) for lo, up in zip(matrix.lowers, matrix.uppers))
+        writer.writerows(zip(matrix.alternatives, *texts))
         return out.getvalue()
     if fmt == "json":
         payload = {
             "alternatives": list(matrix.alternatives),
             "criteria": list(matrix.criteria),
-            "cells": [[[c.lower, c.upper] for c in row] for row in matrix.cells],
+            "cells": [list(map(list, row))
+                      for row in zip(*map(zip, matrix.lowers, matrix.uppers))],
         }
         return json.dumps(payload, indent=2) + "\n"
     raise MatrixError(f"unknown matrix format {fmt!r}; expected csv or json")

@@ -12,6 +12,7 @@ the sample grid.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -410,22 +411,31 @@ class GowaOperator:
 
     def aggregate_rows(self, rows: Iterable[Sequence[Interval]]) -> Iterator[Interval]:
         """The operator at each row, in order, a block of rows at a time
-        (`_blocks`): each row sorted descending under the order (stable, as
-        `ranks_descending`), the pieces O(W_k, X_(k)) over the block's k-th
-        column held to the `Interval` invariant (`_split`), then the
-        aggregator's `columns`.  A block is evaluated whole before its first
-        aggregate is returned."""
-        o, n, key = self.overlap, self.arity, self.order.sort_key
+        (`_blocks`) through `columns`.  A block is evaluated whole before its
+        first aggregate is returned."""
+        n = self.arity
         for block in _blocks(rows):
             short = next((row for row in block if len(row) != n), None)
             if short is not None:
                 raise GowaError(f"operator expects {n} inputs, got {len(short)}")
-            ranked = [sorted(row, key=key, reverse=True) for row in block]
-            pieces = [_split(list(map(o.ends, itertools.repeat(w.lower), itertools.repeat(w.upper),
-                                      [x.lower for x in col], [x.upper for x in col])))
-                      for w, col in zip(self.weights, zip(*ranked))]
-            yield from map(Interval, *self.aggregator.columns([lo for lo, _ in pieces],
-                                                              [up for _, up in pieces]))
+            inputs = list(zip(*block))
+            yield from map(Interval, *self.columns([[x.lower for x in col] for col in inputs],
+                                                   [[x.upper for x in col] for col in inputs]))
+
+    def columns(self, lo_cols: Sequence[Sequence[float]],
+                up_cols: Sequence[Sequence[float]]) -> tuple[list[float], list[float]]:
+        """The operator at many rows given as endpoint columns, ``lo_cols[j]``
+        holding input j's lower endpoint in each row: each row's sort keys
+        (`AdmissibleOrder.key_column`) sorted descending, stable as
+        `ranks_descending`; O(W_k, X_(k)) over each rank column, checked by
+        `_split`; then the aggregator's `columns`."""
+        o, key_lo, key_up = self.overlap, *self.order.key_ends
+        keys = map(self.order.key_column, lo_cols, up_cols)
+        ranked = zip(*map(functools.partial(sorted, reverse=True), zip(*keys)))
+        pieces = [_split(list(map(o.ends, itertools.repeat(w.lower), itertools.repeat(w.upper),
+                                  map(key_lo, col), map(key_up, col))))
+                  for w, col in zip(self.weights, ranked)]
+        return self.aggregator.columns([lo for lo, _ in pieces], [up for _, up in pieces])
 
 
 def _paired_values(op: GowaOperator, pairs: Iterable[tuple]) -> Iterator[tuple]:

@@ -299,11 +299,7 @@ class TestAggregateCommand:
         base = json.loads(capsys.readouterr().out)
 
         m = parse_matrix_text(MATRIX_CSV, "csv")
-        flipped = DecisionMatrix(
-            m.alternatives,
-            (m.criteria[1], m.criteria[0]),
-            tuple((row[1], row[0]) for row in m.cells),
-        )
+        flipped = DecisionMatrix(m.alternatives, m.criteria[::-1], m.lowers[::-1], m.uppers[::-1])
         path = workdir / "flipped.csv"
         path.write_text(emit_matrix_text(flipped, "csv"))
         main(["aggregate", "--config", str(workdir / "config.json"),
@@ -528,6 +524,8 @@ class TestStrictInput:
         ("alternatives", [None], "alternatives[0] must be a string, got None"),
         ("criteria", ["c1", {"a": 1}], "criteria[1] must be a string, got {'a': 1}"),
         ("criteria", [["c1"], "c2"], "criteria[0] must be a string, got ['c1']"),
+        ("alternatives", ["", " "], "alternatives[0] is missing an alternative label"),
+        ("alternatives", ["a1", " \t"], "alternatives[1] is missing an alternative label"),
     ])
     def test_json_matrix_label_defect_exits_2(self, workdir, capsys, key, labels, needle):
         payload = json.loads(json_matrix_text("[0.1, 0.2]"))

@@ -2,15 +2,18 @@
 overlap ids.  Each input is read, or it is refused with the reader's own
 error, never with another exception."""
 
+import csv
+import io
 import json
 from collections import OrderedDict
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ivowa import sampling
 from ivowa.cli import CONFIG_KEYS, ConfigError, RunConfig, load_config
+from ivowa.intervals import IntervalError, parse_interval, parse_interval_columns
 from ivowa.iv_overlaps import ConstructionError, IVOverlap
 from ivowa.matrix import DecisionMatrix, MatrixError, parse_matrix_text
 from ivowa.registry import RegistryError, resolve_iv_overlap
@@ -114,6 +117,83 @@ def test_json_matrix_parses_or_raises_matrix_error(text):
         assert isinstance(parse_matrix_text(text, "json"), DecisionMatrix)
     except MatrixError:
         pass
+
+
+# Texts near the cell language: brackets, commas, padding and the words and
+# digit forms `float` reads.
+cell_language = st.one_of(
+    cell_texts,
+    st.text(alphabet="[], \t.0123456789e-+_naifINF", max_size=12),
+    st.builds("[{},{}]".format, st.text(alphabet=" .015e-_", max_size=5),
+              st.text(alphabet=" .015e-_", max_size=5)),
+)
+LANGUAGE_EXAMPLES = ["[0.1,0.2", "[1,2,3]", "[]", "nan", "1e-400", "[ 0 , 1 ]", "-0.0",
+                     "[0.6,0.2]", " [0.2 , 0.5] ", "0.2_5", "", "[", "]", "[,]", "1,0"]
+
+
+def _reference_cell(text):
+    """The cell language read one cell at a time, with `float` on each part:
+    the endpoints in float hex, or the message refusing the cell."""
+    s, malformed = text.strip(), f"malformed interval text {text!r}"
+    if s.startswith("["):
+        parts = s[1:-1].split(",")
+        if not s.endswith("]") or len(parts) != 2:
+            return malformed
+    else:
+        parts = [s, s]
+    try:
+        lo, up = map(float, parts)
+    except ValueError:
+        return malformed
+    if not 0.0 <= lo <= up <= 1.0:
+        return f"invalid interval endpoints [{lo}, {up}]"
+    return lo.hex(), up.hex()
+
+
+def _outcome(text):
+    """parse_interval on one text: its endpoints in float hex, or its message."""
+    try:
+        x = parse_interval(text)
+    except IntervalError as exc:
+        return str(exc)
+    return x.lower.hex(), x.upper.hex()
+
+
+@FUZZ
+@given(texts=st.lists(cell_language, min_size=1, max_size=6))
+@example(texts=LANGUAGE_EXAMPLES)
+@example(texts=LANGUAGE_EXAMPLES[::-1])
+def test_column_parser_reads_the_cell_language_of_parse_interval(texts):
+    # parse_interval reads each cell as the reference does; a column of
+    # cells, parsed at once and through a one-column CSV matrix, gives the
+    # endpoints parse_interval gives each cell, bit for bit, or the message
+    # of the first cell it refuses.
+    want = list(map(_outcome, texts))
+    assert want == list(map(_reference_cell, texts))
+    bad = next((w for w in want if isinstance(w, str)), None)
+    rows = [[f"a{i}", text] for i, text in enumerate(texts)]
+    out = io.StringIO()
+    csv.writer(out).writerows([["alternative", "c1"], *rows])
+    try:
+        echoed = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+    except csv.Error:
+        echoed = None
+    assume(echoed == rows)
+    try:
+        lowers, uppers = parse_interval_columns(texts)
+    except IntervalError as exc:
+        assert str(exc) == bad
+    else:
+        assert bad is None
+        assert list(zip(map(float.hex, lowers), map(float.hex, uppers))) == want
+    try:
+        m = parse_matrix_text(out.getvalue(), "csv")
+    except MatrixError as exc:
+        i = want.index(bad)
+        assert str(exc) == f"cell ('a{i}', 'c1'): {bad}"
+    else:
+        assert bad is None
+        assert list(zip(map(float.hex, *m.lowers), map(float.hex, *m.uppers))) == want
 
 
 @pytest.fixture(scope="module")

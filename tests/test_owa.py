@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 import random
@@ -18,10 +20,13 @@ from ivowa.intervals import (
     format_interval,
     join,
     leq_product,
+    parse_interval,
     power,
     product,
 )
 from ivowa import owa, sampling
+from ivowa.cli import RunConfig, rank_matrix
+from ivowa.matrix import parse_matrix_text
 from ivowa.iv_overlaps import IVOverlap, interval_product, migrative_canonical, representable
 from ivowa.owa import (
     GowaError,
@@ -410,6 +415,51 @@ def test_aggregate_rows_equal_the_interval_reference(name, oid, order):
         want = _hexes(map(reference, rows))
         assert _hexes(op.aggregate_rows(rows)) == want, count
     assert _hexes(map(op, rows[:100])) == want[:100]
+
+
+def _matrix_text(count):
+    """A seeded CSV matrix of three criteria over a pool of 31 cells, so that
+    cells and rows repeat; the pool holds [0,0] and [1,1], two cells that tie
+    under every order but for the sign of a zero, and two whose xuyager sum
+    and width collide.  A degenerate cell is now and then a bare number."""
+    rng = random.Random(count)
+    pool = SampleGrid(0.25).intervals() + [random_interval(rng) for _ in range(12)] + [
+        Interval(-0.0, 0.3), Interval(0.0, 0.3), Interval(0.22, 0.78),
+        Interval(0.22000000000000003, 0.78)]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["alternative", "c1", "c2", "c3"])
+    for i in range(count):
+        cells = [rng.choice(pool) for _ in range(3)]
+        writer.writerow([f"a{i}", *(repr(x.lower) if x.degenerate and rng.random() < 0.5
+                                    else format_interval(x) for x in cells)])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("order", AdmissibleOrder, ids=lambda order: order.value)
+@pytest.mark.parametrize("name,oid", GOWA_ACCEPTED)
+def test_rank_matrix_equals_the_interval_reference(name, oid, order):
+    # Bit for bit against a ranking written with intervals: each cell read by
+    # parse_interval, each row sorted descending, O(W_k, X_(k)) by the
+    # overlap's call, the aggregator's interval formula, then the aggregates
+    # sorted descending (stable, so ties keep matrix order).
+    config = RunConfig(name, oid, GOWA_WEIGHTS[name], order)
+    overlap, formula = resolve_iv_overlap(oid), AGGREGATOR_FORMULAS[name]
+
+    def hexes(rank, label, x, key):
+        return rank, label, x.lower.hex(), x.upper.hex(), [k.hex() for k in key]
+
+    for count in (1, 8, 9, 513):
+        text = _matrix_text(count)
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        aggregates = [formula([overlap(w, x) for w, x in zip(
+            config.weights, sorted(map(parse_interval, row[1:]), key=order.sort_key,
+                                   reverse=True))]) for row in rows]
+        ranks = sorted(range(count), key=lambda i: order.sort_key(aggregates[i]), reverse=True)
+        want = [hexes(pos + 1, rows[i][0], aggregates[i], order.sort_key(aggregates[i]))
+                for pos, i in enumerate(ranks)]
+        ranking, _ = rank_matrix(config, parse_matrix_text(text, "csv"))
+        assert [hexes(r.rank, r.alternative, r.aggregate, r.key) for r in ranking] == want, count
 
 
 def test_aggregate_rows_rejects_a_row_of_the_wrong_length_in_its_block():
