@@ -37,6 +37,7 @@ from .iv_overlaps import (
     interval_product,
     is_inclusion_monotonic,
     is_strongly_positive,
+    lifted,
     midpoint_example,
     migrative_canonical,
     migrative_from_generator,

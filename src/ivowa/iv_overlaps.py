@@ -11,16 +11,19 @@ inclusion monotonicity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from operator import gt, le
-from typing import Callable, Literal, Sequence
+from itertools import repeat
+from operator import gt, itemgetter, le, mul
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .intervals import (
     ExponentInterval,
     Interval,
     IntervalError,
+    endpoint_error,
     leq_product,
     subseteq,
 )
@@ -80,6 +83,7 @@ __all__ = [
     "neutral_element_holds",
     "verify_iv_axioms",
     "checked_ends",
+    "lifted",
     "value_row",
     "value_table",
 ]
@@ -89,28 +93,39 @@ class ConstructionError(ValueError):
     """A constructor precondition failed; the message names the condition."""
 
 
+def lifted(ends: Callable[..., tuple[float, float]]) -> Callable[..., tuple]:
+    """The column map of an endpoint map of one argument pair (an overlap's,
+    ``(xl, xu, yl, yu) -> (lower, upper)``) or of one interval (a generator's)."""
+
+    def columns(*cols: Iterable[float]) -> tuple[Iterator[float], Iterator[float]]:
+        values = list(map(ends, *cols))
+        return map(itemgetter(0), values), map(itemgetter(1), values)
+
+    return columns
+
+
 @dataclass(frozen=True, eq=False)
 class UnaryGenerator:
     """A monotone interval map fixing [0,0] and [1,1] and preserving the interior.
 
-    `fn` maps endpoint pairs, ``(lower, upper) -> (lower', upper')``, so a
-    migrative overlap applies it to the product's endpoints without building
-    the product interval; calling the generator maps an `Interval`.
+    Stored as its map over endpoint columns, ``columns(lowers, uppers) ->
+    (lowers', uppers')``, which a migrative overlap applies to the product's
+    endpoint columns; calling the generator maps one `Interval`.
     """
 
-    fn: Callable[[float, float], tuple[float, float]]
+    columns: Callable[[Iterable[float], Iterable[float]], tuple[Iterable[float], Iterable[float]]]
     name: str
 
     def __call__(self, x: Interval) -> Interval:
-        ends = self.fn(x.lower, x.upper)
+        (lo,), (up,) = self.columns((x.lower,), (x.upper,))
         # A fixed point returns its argument, so the identity builds nothing.
-        return x if ends == (x.lower, x.upper) else Interval(*ends)
+        return x if (lo, up) == (x.lower, x.upper) else Interval(lo, up)
 
 
 def _power_generator(k: ExponentInterval, name: str) -> UnaryGenerator:
-    """X -> X**K as an endpoint map, with `power`'s exponent placement."""
-    k_lower, k_upper = k.k2, k.k1
-    return UnaryGenerator(lambda lo, up: (lo**k_lower, up**k_upper), name)
+    """X -> X**K as a column map, with `power`'s exponent placement."""
+    k_lower, k_upper = repeat(k.k2), repeat(k.k1)
+    return UnaryGenerator(lambda lo, up: (map(pow, lo, k_lower), map(pow, up, k_upper)), name)
 
 
 IDENTITY = UnaryGenerator(lambda lo, up: (lo, up), "identity")
@@ -146,52 +161,57 @@ Provenance = Representable | SemiRepresentable | Migrative | Opaque
 
 @dataclass(frozen=True, eq=False)
 class IVOverlap:
-    """A binary interval function, stored as its endpoint map ``ends(xl, xu,
-    yl, yu) -> (lower, upper)``, plus how it was built and what it claims."""
+    """A binary interval function, stored as its map over endpoint columns,
+    ``columns(xl, xu, yl, yu) -> (lowers, uppers)``, plus how it was built
+    and what it claims.  A fixed argument's columns may be `repeat`s; each
+    column is read once, and the value columns may be lazy.  A call is the
+    one-pair case."""
 
-    ends: Callable[[float, float, float, float], tuple[float, float]]
+    columns: Callable[..., tuple[Iterable[float], Iterable[float]]]
     name: str
     provenance: Provenance
     claims: frozenset[str] = field(default_factory=frozenset)
 
     def __call__(self, x: Interval, y: Interval) -> Interval:
-        return Interval(*self.ends(x.lower, x.upper, y.lower, y.upper))
+        (lo,), (up,) = self.columns((x.lower,), (x.upper,), (y.lower,), (y.upper,))
+        return Interval(lo, up)
+
+
+def _checked(lows: Iterable[float], ups: Iterable[float], column: Callable = list) -> tuple:
+    """Value columns as two lists (or other `column`s), held to the
+    `Interval` invariant by C-level passes: the first value outside ``0 <=
+    lower <= upper <= 1`` raises the `IntervalError` that building it would."""
+    lows, ups = column(lows), column(ups)
+    if not (all(map(le, lows, ups)) and min(lows, default=0.0) >= 0.0
+            and max(ups, default=1.0) <= 1.0):
+        for pair in zip(lows, ups):
+            _check(*pair)
+    return lows, ups
 
 
 def _check(lo: float, up: float) -> None:
     if not 0.0 <= lo <= up <= 1.0:
-        raise IntervalError(f"invalid interval endpoints [{lo}, {up}]")
+        raise endpoint_error(lo, up)
+
+
+_doubles = functools.partial(array, "d")
 
 
 def checked_ends(o: IVOverlap, xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
-    """``o.ends(xl, xu, yl, yu)``, held to the `Interval` invariant: a value
-    outside ``0 <= lower <= upper <= 1`` raises the `IntervalError` that
-    building it as an interval would."""
-    lo, up = o.ends(xl, xu, yl, yu)
+    """The endpoints of `o` at one argument pair, the one-pair case of the
+    column check: a lone pair is tested directly, without column passes."""
+    (lo,), (up,) = o.columns((xl,), (xu,), (yl,), (yu,))
     _check(lo, up)
     return lo, up
-
-
-def _split(values: list[tuple[float, float]]) -> tuple[array, array]:
-    """The lower and the upper endpoints of `ends` values as two arrays of
-    doubles, held to the invariant of `checked_ends` by C-level passes; the
-    first value that breaks it raises."""
-    lows = array("d", [lo for lo, _ in values])
-    ups = array("d", [up for _, up in values])
-    if not (all(map(le, lows, ups)) and min(lows, default=0.0) >= 0.0
-            and max(ups, default=1.0) <= 1.0):
-        for lo, up in values:
-            _check(lo, up)
-    return lows, ups
 
 
 def value_row(
     o: IVOverlap, x: tuple[float, float], ys: Sequence[tuple[float, float]]
 ) -> tuple[array, array]:
     """The lower and the upper endpoints of ``checked_ends(o, *x, *y)`` for
-    each endpoint pair y in ys, as two arrays of doubles."""
-    ends, (xl, xu) = o.ends, x
-    return _split([ends(xl, xu, yl, yu) for yl, yu in ys])
+    each endpoint pair y in ys, as two arrays of doubles: one column call."""
+    return _checked(*o.columns(repeat(x[0]), repeat(x[1]), map(itemgetter(0), ys),
+                               map(itemgetter(1), ys)), _doubles)
 
 
 def _value_column(
@@ -199,8 +219,8 @@ def _value_column(
 ) -> tuple[array, array]:
     """`value_row` with the fixed pair in second place: ``checked_ends(o,
     *x, *y)`` for each x in xs."""
-    ends, (yl, yu) = o.ends, y
-    return _split([ends(xl, xu, yl, yu) for xl, xu in xs])
+    return _checked(*o.columns(map(itemgetter(0), xs), map(itemgetter(1), xs),
+                               repeat(y[0]), repeat(y[1])), _doubles)
 
 
 def value_table(
@@ -209,7 +229,7 @@ def value_table(
     ys: Sequence[tuple[float, float]],
 ) -> tuple[list[array], list[array]]:
     """The `checked_ends` endpoints at each (xs[i], ys[j]), as ``lows[i][j]``
-    and ``ups[i][j]``, in rows of doubles: the finest continuity stage holds
+    and ``ups[i][j]``, a value row per x: the finest continuity stage holds
     two 201 x 201 tables, which as lists of floats would raise peak memory."""
     rows = [value_row(o, x, ys) for x in xs]
     return [lo for lo, _ in rows], [up for _, up in rows]
@@ -247,11 +267,8 @@ def representable(
         claims.add("neutral-one")
     if {"associative"} <= g_lower.claims and {"associative"} <= g_upper.claims:
         claims.add("associative")
-
-    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
-        return g_lower.fn(xl, yl), g_upper.fn(xu, yu)
-
-    return IVOverlap(ends, name or f"rep({g_lower.name},{g_upper.name})",
+    return IVOverlap(lambda xl, xu, yl, yu: (map(g_lower.fn, xl, yl), map(g_upper.fn, xu, yu)),
+                     name or f"rep({g_lower.name},{g_upper.name})",
                      Representable(g_lower, g_upper), frozenset(claims))
 
 
@@ -318,13 +335,15 @@ def _semi_representable(
         return (m_lower(g1.fn(xl, yu), g2.fn(xu, yl), g3.fn(xl, yl), g4.fn(xu, yu)),
                 m_upper(g5.fn(xl, yu), g6.fn(xu, yl), g7.fn(xl, yl), g8.fn(xu, yu)))
 
-    op = IVOverlap(ends, name or f"semi({m_lower.name},{m_upper.name})",
+    op = IVOverlap(lifted(ends), name or f"semi({m_lower.name},{m_upper.name})",
                    SemiRepresentable(m_lower, m_upper, parts), frozenset())
     # The aggregated endpoints must be ordered on every reachable argument
     # tuple; literal pointwise comparison of the aggregators over [0,1]^4 is
     # the wrong test because their arguments are themselves ordered.
-    for x, y in itertools.product(DEFAULT_GRID.intervals(), repeat=2):
-        lo, up = ends(x.lower, x.upper, y.lower, y.upper)
+    pairs = list(itertools.product(DEFAULT_GRID.intervals(), repeat=2))
+    values = op.columns(*([getattr(v, end) for v in side]
+                          for side in zip(*pairs) for end in ("lower", "upper")))
+    for (x, y), lo, up in zip(pairs, *values):
         if not 0.0 <= lo <= up <= 1.0:
             raise ConstructionError(f"endpoint order: aggregated lower exceeds upper at ({x}, {y})")
     return op
@@ -334,7 +353,7 @@ def _validate_generator(g: UnaryGenerator, grid: SampleGrid) -> None:
     """g fixes [0,0] and [1,1], the first and the last grid interval, is
     monotone and keeps the interior off them: one evaluation per interval."""
     sample = grid.intervals()
-    images = list(zip(*_split([g.fn(x.lower, x.upper) for x in sample])))
+    images = list(zip(*_checked(*g.columns(*zip(*_ends_of(sample))))))
     if images[0] != (0.0, 0.0) or images[-1] != (1.0, 1.0):
         raise ConstructionError(f"generator boundary: {g.name} must fix [0,0] and [1,1]")
     for (a, (al, au)), (b, (bl, bu)) in itertools.product(zip(sample, images), repeat=2):
@@ -355,11 +374,8 @@ def migrative_from_generator(
 ) -> IVOverlap:
     """Build the migrative overlap X, Y -> g(XY) from a unary generator."""
     _validate_generator(g, grid)
-
-    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
-        return g.fn(xl * yl, xu * yu)
-
-    return IVOverlap(ends, name or f"mig({g.name})", Migrative(g), claims)
+    return IVOverlap(lambda xl, xu, yl, yu: g.columns(map(mul, xl, yl), map(mul, xu, yu)),
+                     name or f"mig({g.name})", Migrative(g), claims)
 
 
 @memoized
@@ -408,11 +424,10 @@ def power_transform(base: IVOverlap, n: int, direction: Literal["power", "root"]
         name = f"root({base.name},n={n})"
     else:
         raise ConstructionError(f"unknown transform direction {direction!r}")
-
-    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
-        return base.ends(xl**k, xu**k, yl**k, yu**k)
-
-    return IVOverlap(ends, name, Opaque(name), frozenset())
+    ks = repeat(k)
+    return IVOverlap(lambda xl, xu, yl, yu: base.columns(
+        map(pow, xl, ks), map(pow, xu, ks), map(pow, yl, ks), map(pow, yu, ks)),
+        name, Opaque(name), frozenset())
 
 
 def midpoint_closed_form(x: Interval, y: Interval) -> Interval:
@@ -439,19 +454,28 @@ def midpoint_example() -> IVOverlap:
         ym = (yl + yu) / 2.0
         return min((xl + xm) / 2.0, (yl + ym) / 2.0), min((xu + xm) / 2.0, (yu + ym) / 2.0)
 
-    return IVOverlap(ends, "midpoint", Opaque("midpoint"), frozenset())
+    return IVOverlap(lifted(ends), "midpoint", Opaque("midpoint"), frozenset())
+
+
+def _pointwise(pick: Callable[[float, float], float], o1: IVOverlap, o2: IVOverlap,
+               name: str) -> IVOverlap:
+    """`pick` of the two overlaps' values, endpoint by endpoint.  Both read
+    the argument columns, as tuples of one length: a `repeat` is cut."""
+
+    def columns(*cols):
+        cols = list(zip(*zip(*cols))) or [()] * 4
+        (lo1, up1), (lo2, up2) = o1.columns(*cols), o2.columns(*cols)
+        return map(pick, lo1, lo2), map(pick, up1, up2)
+
+    return IVOverlap(columns, name, Opaque(name), frozenset())
 
 
 def iv_join(o1: IVOverlap, o2: IVOverlap) -> IVOverlap:
-    name = f"join({o1.name},{o2.name})"
-    return IVOverlap(lambda *xy: tuple(map(max, o1.ends(*xy), o2.ends(*xy))),
-                     name, Opaque(name), frozenset())
+    return _pointwise(max, o1, o2, f"join({o1.name},{o2.name})")
 
 
 def iv_meet(o1: IVOverlap, o2: IVOverlap) -> IVOverlap:
-    name = f"meet({o1.name},{o2.name})"
-    return IVOverlap(lambda *xy: tuple(map(min, o1.ends(*xy), o2.ends(*xy))),
-                     name, Opaque(name), frozenset())
+    return _pointwise(min, o1, o2, f"meet({o1.name},{o2.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +637,10 @@ def check_idempotent(
 ) -> SampledResult:
     """f(X, X) == X, read from the diagonal of the value table."""
     sample = grid.intervals()
-    lows, ups = _split([f.ends(x.lower, x.upper, x.lower, x.upper) for x in sample])
-    return first_violation_in_rows(close_row(
-        lows, ups, [x.lower for x in sample], [x.upper for x in sample], tol,
-        lambda k: (sample[k], Interval(lows[k], ups[k]))))
+    diagonal = [x.lower for x in sample], [x.upper for x in sample]
+    lows, ups = _checked(*f.columns(*diagonal, *diagonal))
+    return first_violation_in_rows(close_row(lows, ups, *diagonal, tol, lambda k: (
+        sample[k], Interval(lows[k], ups[k]))))
 
 
 @memoized

@@ -3,8 +3,8 @@
 Rows are alternatives, columns are criteria.  CSV cells use the ``[a,b]``
 text form (quoted, since it contains a comma) or a bare number for a
 degenerate interval; JSON cells are two-element arrays.  A matrix is held as
-endpoint columns.  Parse errors name the offending cell: the first bad row or
-cell in row-major order.
+endpoint columns.  Parse errors name the offending label or cell: a blank or
+repeated criterion first, then the first bad row or cell in row-major order.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
 from .intervals import Interval, IntervalError, endpoint_error, parse_interval_columns
 
@@ -67,6 +68,23 @@ def read_json_number(raw: object, where: str, error: type[ValueError]) -> float:
     return value
 
 
+def _first_use(seen: dict, label: str, at: int, where: Callable[[int], str], kind: str) -> None:
+    """Record `label` as used at `at`; a label used before raises, naming both
+    places by `where`."""
+    first = seen.setdefault(label, at)
+    if first != at:
+        raise MatrixError(f"{where(at)} repeats the {kind} label {label!r} of {where(first)}")
+
+
+def _check_criteria(labels: tuple[str, ...], where: Callable[[int], str]) -> None:
+    """No criterion label is blank or repeats an earlier one."""
+    seen = {}
+    for i, label in enumerate(labels):
+        if not label.strip():
+            raise MatrixError(f"{where(i)} is missing a criterion label")
+        _first_use(seen, label, i, where, "criterion")
+
+
 def parse_matrix_text(text: str, fmt: str) -> DecisionMatrix:
     if fmt == "csv":
         return _parse_csv(text)
@@ -99,9 +117,11 @@ def _parse_csv(text: str) -> DecisionMatrix:
     if len(header) < 2:
         raise MatrixError("header row needs at least one criterion label")
     criteria = tuple(label.strip() for label in header[1:])
+    _check_criteria(criteria, lambda i: f"header column {i + 2}")
     label_column, *columns = zip(*rows[1:])
     alternatives = tuple(map(str.strip, label_column))
-    if set(map(len, rows)) == {len(header)} and all(alternatives):
+    if (set(map(len, rows)) == {len(header)} and all(alternatives)
+            and len(set(alternatives)) == len(alternatives)):
         try:
             lowers, uppers = zip(*map(parse_interval_columns, columns))
         except IntervalError:
@@ -110,6 +130,7 @@ def _parse_csv(text: str) -> DecisionMatrix:
             return DecisionMatrix(alternatives, criteria, lowers, uppers)
     # A defect: raise the error of the first bad row or cell in row-major
     # order, a row's length checked first, then its label, then its cells.
+    seen = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise MatrixError(
@@ -118,6 +139,7 @@ def _parse_csv(text: str) -> DecisionMatrix:
         label = row[0].strip()
         if not label:
             raise MatrixError(f"row {lineno} is missing an alternative label")
+        _first_use(seen, label, lineno, "row {}".format, "alternative")
         for col_label, value in zip(criteria, row[1:]):
             try:
                 parse_interval_columns((value,))
@@ -149,20 +171,23 @@ def _parse_json(text: str) -> DecisionMatrix:
         if not isinstance(data[key], list):
             raise MatrixError(f"key {key!r} must be an array")
     alternatives = _json_labels(data, "alternatives")
+    criteria = _json_labels(data, "criteria")
+    _check_criteria(criteria, "criteria[{}]".format)
     for i, label in enumerate(alternatives):
         if not label.strip():
             raise MatrixError(f"alternatives[{i}] is missing an alternative label")
-    criteria = _json_labels(data, "criteria")
     raw_rows = data["cells"]
     if len(raw_rows) != len(alternatives):
         raise MatrixError("one cell row per alternative required")
     pairs = []  # each cell's endpoints, row by row
-    for label, raw_row in zip(alternatives, raw_rows):
+    seen = {}
+    for i, (label, raw_row) in enumerate(zip(alternatives, raw_rows)):
         if not isinstance(raw_row, list) or len(raw_row) != len(criteria):
             count = len(raw_row) if isinstance(raw_row, list) else "no"
             raise MatrixError(
                 f"row {label!r} has {count} cells for {len(criteria)} criteria"
             )
+        _first_use(seen, label, i, "alternatives[{}]".format, "alternative")
         for col_label, raw in zip(criteria, raw_row):
             where = f"cell ({label!r}, {col_label!r})"
             if not isinstance(raw, list):

@@ -29,7 +29,7 @@ from .intervals import (
 )
 from .iv_overlaps import (
     IVOverlap,
-    _split,
+    _checked,
     interval_product,
     neutral_element_holds,
     value_row,
@@ -320,8 +320,8 @@ def check_distributivity(
                                          for side in (lows, ups)))
             agg_at = list(map(index_of.get, zip(agg_lo, agg_up)))
             if None in agg_at:
-                rhs = _split(list(map(o.ends, agg_lo, agg_up, map(lows.__getitem__, y_col),
-                                      map(ups.__getitem__, y_col))))
+                rhs = _checked(*o.columns(agg_lo, agg_up, map(lows.__getitem__, y_col),
+                                          map(ups.__getitem__, y_col)))
             else:
                 rhs = [list(_read(table, agg_at, y_col)) for table in (o_lo, o_up)]
             yield from close_row(*lhs, *rhs, tol, lambda k: tuple(map(decode, block[k])))
@@ -427,13 +427,14 @@ class GowaOperator:
         """The operator at many rows given as endpoint columns, ``lo_cols[j]``
         holding input j's lower endpoint in each row: each row's sort keys
         (`AdmissibleOrder.key_column`) sorted descending, stable as
-        `ranks_descending`; O(W_k, X_(k)) over each rank column, checked by
-        `_split`; then the aggregator's `columns`."""
-        o, key_lo, key_up = self.overlap, *self.order.key_ends
+        `ranks_descending`; O(W_k, X_(k)) over each rank column, one column
+        call of the overlap with W_k repeated, checked by `_checked`; then the
+        aggregator's `columns`."""
+        o, key_lo, key_up = self.overlap.columns, *self.order.key_ends
         keys = map(self.order.key_column, lo_cols, up_cols)
         ranked = zip(*map(functools.partial(sorted, reverse=True), zip(*keys)))
-        pieces = [_split(list(map(o.ends, itertools.repeat(w.lower), itertools.repeat(w.upper),
-                                  map(key_lo, col), map(key_up, col))))
+        pieces = [_checked(*o(itertools.repeat(w.lower), itertools.repeat(w.upper),
+                              map(key_lo, col), map(key_up, col)))
                   for w, col in zip(self.weights, ranked)]
         return self.aggregator.columns([lo for lo, _ in pieces], [up for _, up in pieces])
 

@@ -535,6 +535,50 @@ class TestStrictInput:
         assert code == 2
         assert needle in err
 
+    # Header defects come first; a repeated alternative label is its row's
+    # label defect, after the row's length and before its cells.
+    @pytest.mark.parametrize("matrix, fmt, needle", [
+        pytest.param('alternative,c1,c1\na1,0.1,0.2\na1,0.3,0.4\n', "csv",
+                     "header column 3 repeats the criterion label 'c1' of header column 2",
+                     id="csv-repeated-criterion"),
+        pytest.param('alternative,,\na1,0.1,0.2\n', "csv",
+                     "header column 2 is missing a criterion label", id="csv-blank-criteria"),
+        pytest.param('alternative,c1, \na1,0.1,0.2,0.3\n', "csv",
+                     "header column 3 is missing a criterion label", id="csv-blank-then-ragged"),
+        pytest.param('alternative,c1,c2\na1,0.1,0.2\na2,0.1,0.2\n a1 ,x,0.4\n', "csv",
+                     "row 4 repeats the alternative label 'a1' of row 2",
+                     id="csv-repeated-alternative"),
+        pytest.param('alternative,c1,c2\na1,x,0.2\na1,0.3,0.4\n', "csv",
+                     "cell ('a1', 'c1'): malformed interval text 'x'", id="csv-cell-then-repeat"),
+        pytest.param('alternative,c1,c2\na1,0.1,0.2\na1,0.3\n', "csv",
+                     "row 3 has 1 cells for 2 criteria", id="csv-ragged-repeat"),
+        pytest.param({"alternatives": ["a1", "a2"], "criteria": ["c1", "c1"],
+                      "cells": [[0.1, 0.2], [0.3]]}, "json",
+                     "criteria[1] repeats the criterion label 'c1' of criteria[0]",
+                     id="json-repeated-criterion"),
+        pytest.param({"alternatives": ["a1"], "criteria": [" "], "cells": [[0.1]]}, "json",
+                     "criteria[0] is missing a criterion label", id="json-blank-criterion"),
+        pytest.param({"alternatives": ["", "a2"], "criteria": ["c1", "c1"],
+                      "cells": [[0.1, 0.2], [0.3, 0.4]]}, "json",
+                     "criteria[1] repeats the criterion label 'c1' of criteria[0]",
+                     id="json-criterion-before-blank-alternative"),
+        pytest.param({"alternatives": ["a1", "a2", "a1"], "criteria": ["c1"],
+                      "cells": [[0.1], [0.2], [True]]}, "json",
+                     "alternatives[2] repeats the alternative label 'a1' of alternatives[0]",
+                     id="json-repeated-alternative"),
+        pytest.param({"alternatives": ["a1", "a1"], "criteria": ["c1"],
+                      "cells": [[True], [0.2]]}, "json",
+                     "cell ('a1', 'c1') must be a number, got True", id="json-cell-then-repeat"),
+        pytest.param({"alternatives": ["a1", "a1"], "criteria": ["c1"],
+                      "cells": [[0.1], []]}, "json",
+                     "row 'a1' has 0 cells for 1 criteria", id="json-ragged-repeat"),
+    ])
+    def test_defective_matrix_labels_exit_2(self, workdir, capsys, matrix, fmt, needle):
+        (workdir / f"labels.{fmt}").write_text(matrix if fmt == "csv" else json.dumps(matrix))
+        code, err = run_config_text(workdir, capsys, json.dumps(CONFIG_GEOMEAN), f"labels.{fmt}")
+        assert code == 2
+        assert f"error: {needle}\n" in err
+
     @pytest.mark.parametrize("payload, needle", [
         pytest.param({"alternatives": [], "criteria": ["c1", "c2"], "cells": []},
                      "key 'alternatives' must not be empty", id="no-alternatives"),

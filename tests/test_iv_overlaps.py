@@ -1,14 +1,18 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import assert_interval_close, intervals
 from ivowa.intervals import (
+    DEFAULT_ORDER,
     ExponentInterval,
     Interval,
     IntervalError,
     ONE,
     ZERO,
     contract_half,
+    endpoint_error,
     join,
     meet,
     power,
@@ -17,6 +21,8 @@ from ivowa.intervals import (
 )
 from ivowa.iv_overlaps import (
     IDENTITY,
+    SQRT,
+    SQUARE,
     ConstructionError,
     IVOverlap,
     Migrative,
@@ -27,11 +33,13 @@ from ivowa.iv_overlaps import (
     check_homogeneous,
     check_idempotent,
     check_migrative,
+    checked_ends,
     interval_product,
     is_inclusion_monotonic,
     is_strongly_positive,
     iv_join,
     iv_meet,
+    lifted,
     midpoint_closed_form,
     midpoint_example,
     migrative_canonical,
@@ -42,10 +50,11 @@ from ivowa.iv_overlaps import (
     reconstructs_from_projections,
     representable,
     semi_representable,
+    value_row,
     verify_iv_axioms,
 )
 from ivowa.overlaps import mean_of_components, projection_aggregator
-from ivowa.owa import builtin_aggregators, check_distributivity
+from ivowa.owa import GowaOperator, WeightVector, builtin_aggregators, check_distributivity
 from ivowa.registry import generator_catalog, real_catalog, resolve_iv_overlap, standard_overlaps
 from ivowa.sampling import CONTINUITY_STAGES, DEFAULT_GRID, SampleGrid, SampledResult
 
@@ -203,14 +212,14 @@ class TestMigrative:
         assert_interval_close(prod(x, y), 0.08, 0.4)
 
     def test_invalid_generator_rejected(self):
-        collapsing = UnaryGenerator(lambda lo, up: (1.0, 1.0), "always-one")
+        collapsing = UnaryGenerator(lifted(lambda lo, up: (1.0, 1.0)), "always-one")
         with pytest.raises(ConstructionError, match="boundary"):
             migrative_from_generator(collapsing)
 
         def collapse_interior(lo, up):
             return (lo, up) if (lo, up) in ((0.0, 0.0), (1.0, 1.0)) else (lo * 0.0, up * 0.0)
 
-        shrinking = UnaryGenerator(collapse_interior, "collapse-interior")
+        shrinking = UnaryGenerator(lifted(collapse_interior), "collapse-interior")
         with pytest.raises(ConstructionError, match="interior"):
             migrative_from_generator(shrinking)
 
@@ -334,10 +343,13 @@ def _semi_formula(m1, m2, parts):
     )
 
 
+def _power_of_product(k):
+    return lambda x, y: power(product(x, y), k)
+
+
 def _ends_cases():
-    """(overlap, the interval formula its endpoint map must reproduce) for
-    every constructor but the migrative ones, which
-    `test_catalog_migrative_equals_generator_of_product` pins."""
+    """(overlap, the interval formula its column map must reproduce) for
+    every constructor."""
     prod, mid = interval_product(), midpoint_example()
     rep_pp = representable(CAT["product"], CAT["product"])
     rep_mm = representable(CAT["min"], CAT["min"])
@@ -350,6 +362,12 @@ def _ends_cases():
                           ("xyp:p=2", "product"), ("lukasiewicz", "min"),
                           ("lukasiewicz", "lukasiewicz"))]
     return cases + [
+        (prod, product),
+        (migrative_from_generator(IDENTITY), product),
+        (migrative_from_generator(SQRT), _power_of_product(ExponentInterval.of(0.5))),
+        (migrative_from_generator(SQUARE), _power_of_product(two)),
+        *[(migrative_canonical(k), _power_of_product(k.halved()))
+          for k in (ExponentInterval(1.0, 1.0), ExponentInterval(1.0, 2.0), two)],
         (semi_representable(pick3, pick4, parts), _semi_formula(pick3, pick4, parts)),
         (semi_representable(pick3, mean34, parts), _semi_formula(pick3, mean34, parts)),
         (mid, lambda x, y: meet(contract_half(x), contract_half(y))),
@@ -367,15 +385,28 @@ def _ends_cases():
 ENDS_CASES = _ends_cases()
 
 
+def _hex(columns):
+    return list(zip(*(map(float.hex, col) for col in columns)))
+
+
 @pytest.mark.parametrize("op,formula", ENDS_CASES, ids=[op.name for op, _ in ENDS_CASES])
 def test_ends_equal_the_interval_formula(op, formula):
-    # The same bits, not just close values: each endpoint map keeps the float
-    # operations of its interval formula, in the same order.
-    for x in SAMPLE:
-        for y in SAMPLE:
-            got = op.ends(x.lower, x.upper, y.lower, y.upper)
-            want = formula(x, y)
-            assert tuple(map(float.hex, got)) == (want.lower.hex(), want.upper.hex()), (x, y)
+    # The same bits, not just close values: each column map keeps the float
+    # operations of its interval formula, in the same order, over the whole
+    # grid product in one call, and a row at a time with the first argument
+    # repeated and the second read once, as the operator kernel passes its
+    # weight and a rank column; the one-pair call and `checked_ends` agree.
+    pairs = list(itertools.product(SAMPLE, repeat=2))
+    want = [(v.lower.hex(), v.upper.hex()) for v in itertools.starmap(formula, pairs)]
+    xs, ys = zip(*pairs)
+    assert _hex(op.columns(*([getattr(v, end) for v in side]
+                             for side in (xs, ys) for end in ("lower", "upper")))) == want
+    y_lo, y_up = [y.lower for y in SAMPLE], [y.upper for y in SAMPLE]
+    assert [value for x in SAMPLE for value in _hex(op.columns(
+        itertools.repeat(x.lower), itertools.repeat(x.upper), iter(y_lo), iter(y_up)))] == want
+    assert [(v.lower.hex(), v.upper.hex()) for v in itertools.starmap(op, pairs)] == want
+    assert [tuple(map(float.hex, checked_ends(op, x.lower, x.upper, y.lower, y.upper)))
+            for x, y in pairs] == want
 
 
 def _inverted_at(o, x, y):
@@ -383,10 +414,20 @@ def _inverted_at(o, x, y):
     cell = (x.lower, x.upper, y.lower, y.upper)
 
     def ends(xl, xu, yl, yu):
-        lo, up = o.ends(xl, xu, yl, yu)
+        (lo,), (up,) = o.columns((xl,), (xu,), (yl,), (yu,))
         return (up, lo) if (xl, xu, yl, yu) == cell else (lo, up)
 
-    return IVOverlap(ends, f"inverted({o.name})", Opaque("inverted"))
+    return IVOverlap(lifted(ends), f"inverted({o.name})", Opaque("inverted"))
+
+
+def _ranking_first(o):
+    """The max operator over `o` whose first weight is [0.2,0.6]: a row whose
+    largest input is [0.3,0.9] evaluates `o` at the default cell below."""
+    return GowaOperator(builtin_aggregators(2)["max"], o,
+                        WeightVector.of(Interval(0.2, 0.6), ONE), DEFAULT_ORDER)
+
+
+_LOW, _TOP = Interval(0.1, 0.2), Interval(0.3, 0.9)
 
 
 # The default cell is read by every walk on the 0.1 grid; the others sit where
@@ -404,15 +445,27 @@ def _inverted_at(o, x, y):
     (neutral_element_holds, ((1.0, 1.0), (0.3, 0.9))),
     (neutral_element_holds, ((0.3, 0.9), (1.0, 1.0))),
     (check_idempotent, ((0.0, 0.1), (0.0, 0.1))),
+    (lambda o: _ranking_first(o).columns([[0.1], [0.3]], [[0.2], [0.9]]), None),
+    # The failing row sits mid-block.
+    (lambda o: list(_ranking_first(o).aggregate_rows(
+        [(_LOW, ZERO)] * 9 + [(_LOW, _TOP)] + [(ZERO, _LOW)] * 9)), None),
+    (lambda o: _ranking_first(o)((_TOP, ZERO)), None),
+    (lambda o: value_row(o, (0.2, 0.6), [(0.0, 0.1), (0.3, 0.9)]), None),
+    (lambda o: checked_ends(o, 0.2, 0.6, 0.3, 0.9), None),
+    (lambda o: o(Interval(0.2, 0.6), _TOP), None),
 ], ids=["axioms", "distributivity", "inclusion", "strong-positivity", "reconstruction",
-        "migrative", "homogeneous", "associative", "neutral-row", "neutral-column", "idempotent"])
+        "migrative", "homogeneous", "associative", "neutral-row", "neutral-column", "idempotent",
+        "operator-columns", "operator-rows", "operator-call", "value-row", "checked-ends",
+        "call"])
 def test_law_checks_raise_on_a_value_that_is_not_an_interval(check, cell):
-    # Endpoint maps build no Interval, so the value tables apply its check:
-    # one inverted grid cell is enough to raise.
-    x, y = cell or ((0.2, 0.6), (0.3, 0.9))
-    bad = _inverted_at(interval_product(), Interval(*x), Interval(*y))
-    with pytest.raises(IntervalError, match="invalid interval endpoints"):
+    # Column maps build no Interval, so the column check applies its invariant:
+    # one inverted grid cell is enough to raise, with the message building
+    # that value as an interval gives, on every path that evaluates it.
+    (xl, xu), (yl, yu) = cell or ((0.2, 0.6), (0.3, 0.9))
+    bad = _inverted_at(interval_product(), Interval(xl, xu), Interval(yl, yu))
+    with pytest.raises(IntervalError) as caught:
         check(bad)
+    assert str(caught.value) == str(endpoint_error(xu * yu, xl * yl))
 
 
 def two_probe_o5(o, stages=CONTINUITY_STAGES):
@@ -453,7 +506,7 @@ def lattice_overlaps():
 
 O5_TARGETS = [*standard_overlaps().values(), *lattice_overlaps()]
 # A flat lower projection lets the upper probe decide.
-FLAT_LOWER = IVOverlap(lambda xl, xu, yl, yu: (0.0, xu * yu),
+FLAT_LOWER = IVOverlap(lifted(lambda xl, xu, yl, yu: (0.0, xu * yu)),
                        "flat-lower", Opaque("flat-lower"))
 EARLY_EXIT_TARGETS = [interval_product(), FLAT_LOWER, representable(CAT["product"], CAT["min"])]
 

@@ -45,6 +45,7 @@ from ivowa.iv_overlaps import (
     interval_product,
     is_inclusion_monotonic,
     is_strongly_positive,
+    lifted,
     neutral_element_holds,
     reconstructs_from_projections,
     verify_iv_axioms,
@@ -77,12 +78,12 @@ def _nudged_at(o, x, y, end, delta):
     cell = (x.lower, x.upper, y.lower, y.upper)
 
     def ends(xl, xu, yl, yu):
-        lo, up = o.ends(xl, xu, yl, yu)
+        (lo,), (up,) = o.columns((xl,), (xu,), (yl,), (yu,))
         if (xl, xu, yl, yu) == cell:
             return (lo + delta, up) if end == 0 else (lo, up + delta)
         return lo, up
 
-    return IVOverlap(ends, f"nudged({o.name})", Opaque("nudged"))
+    return IVOverlap(lifted(ends), f"nudged({o.name})", Opaque("nudged"))
 
 
 OVERLAP_CHECKS = {

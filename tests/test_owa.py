@@ -239,7 +239,7 @@ class TestDistributivity:
 
 def _fresh_product() -> IVOverlap:
     """The interval product under a new identity, so no memo entry holds it."""
-    return IVOverlap(PRODUCT.ends, PRODUCT.name, PRODUCT.provenance, PRODUCT.claims)
+    return IVOverlap(PRODUCT.columns, PRODUCT.name, PRODUCT.provenance, PRODUCT.claims)
 
 
 def _count_tuple_samples(monkeypatch) -> list[int]:
