@@ -22,6 +22,17 @@ budget: distributivity at n = 3 and n = 6 on every catalog overlap, n = 3
 homogeneity of every catalog aggregator, and the product nudged at one cell
 so that the first failure lands on the first tuple of a block of the sample
 stream, on the last one, and on the first tuple of the next block.
+
+Then it pins whole rows of the law table, each run with one overlap nudged
+where the row builds it: the grid walks of migrative-commutativity,
+homogeneous-projection-orders, strongly-positive-projections (GO1-GO4 on the
+0.05 grid, GO5 on its 0.005 stage) and power-transform-sandwich, and the
+`:generator`, `:generator-laws` and `:interior` walks of
+canonical-family-uniqueness, generator-idempotent-contractive and
+migrative-generator-form.  Each walk fails on its first case that can fail,
+in the middle and on its last case that can fail; a record is the row's
+report, so a walk that fails after an earlier part of its row shows in the
+row's sample count.
 """
 
 import functools
@@ -33,7 +44,7 @@ from pathlib import Path
 
 import pytest
 
-from ivowa import sampling
+from ivowa import checks, sampling
 from ivowa.intervals import ExponentInterval, Interval, format_interval
 from ivowa.iv_overlaps import (
     IVOverlap,
@@ -45,7 +56,6 @@ from ivowa.iv_overlaps import (
     interval_product,
     is_inclusion_monotonic,
     is_strongly_positive,
-    lifted,
     neutral_element_holds,
     reconstructs_from_projections,
     verify_iv_axioms,
@@ -65,7 +75,7 @@ from ivowa.overlaps import (
 )
 from ivowa.owa import builtin_aggregators, check_distributivity, check_homogeneous_m, non_saturating
 from ivowa.registry import real_catalog, standard_overlaps
-from ivowa.sampling import REAL_GRID
+from ivowa.sampling import DEFAULT_GRID, REAL_GRID
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "law_walks.jsonl"
 AGGREGATORS = builtin_aggregators(2)
@@ -74,16 +84,19 @@ K2 = ExponentInterval(2.0, 2.0)
 
 def _nudged_at(o, x, y, end, delta):
     """`o` with one endpoint (0 lower, 1 upper) moved by `delta` at the one
-    argument pair (x, y)."""
+    argument pair (x, y).  `o` evaluates the whole columns, cut to one length
+    as `iv_join` cuts them, and the pair is patched where it occurs."""
     cell = (x.lower, x.upper, y.lower, y.upper)
 
-    def ends(xl, xu, yl, yu):
-        (lo,), (up,) = o.columns((xl,), (xu,), (yl,), (yu,))
-        if (xl, xu, yl, yu) == cell:
-            return (lo + delta, up) if end == 0 else (lo, up + delta)
-        return lo, up
+    def columns(*cols):
+        cols = list(zip(*zip(*cols))) or [()] * 4
+        values = tuple(map(list, o.columns(*cols)))
+        for k, args in enumerate(zip(*cols)):
+            if args == cell:
+                values[end][k] += delta
+        return values
 
-    return IVOverlap(lifted(ends), f"nudged({o.name})", Opaque("nudged"))
+    return IVOverlap(columns, f"nudged({o.name})", Opaque("nudged"))
 
 
 OVERLAP_CHECKS = {
@@ -207,6 +220,108 @@ SAMPLED_NUDGES = [
 ]
 
 
+# Rows of the law table whose grid walks evaluate an overlap they build
+# themselves, run with the overlap named `target` nudged where their source
+# (a name in `checks`) builds it: (row, source, target, nudges).  A nudge is
+# one or more (x, y, endpoint, delta) moves at one argument pair each.  Each
+# walk fails on its first case that can fail, in the middle and on its last
+# case that can fail; a walk that runs after a failing part of its row is
+# pinned by the row's sample count.
+_P55, _P95 = 0.55 * 0.55, 0.95 * 0.95
+ROW_NUDGES = [
+    ("migrative-commutativity", "standard_migrative", "product",
+     (((0.0, 0.0), (0.0, 0.1), 1, 1e-6),)),
+    ("migrative-commutativity", "standard_migrative", "product",
+     (((0.4, 0.7), (0.1, 0.9), 1, 1e-6),)),
+    ("migrative-commutativity", "standard_migrative", "product",
+     (((1.0, 1.0), (0.9, 1.0), 0, -1e-6),)),
+    # The projections at (a*x, a*y) over the 0.05 grid, a = x = y = 0 first.
+    ("homogeneous-projection-orders", "migrative_canonical", "canonical(K=[1.0,1.0])",
+     (((0.0, 0.0), (0.0, 0.0), 1, 2e-6), ((0.0, 0.0), (0.0, 0.0), 0, 1e-6))),
+    ("homogeneous-projection-orders", "migrative_canonical", "canonical(K=[1.0,1.0])",
+     (((_P55, _P55), (0.55 * 0.35, 0.55 * 0.35), 0, -1e-6),)),
+    ("homogeneous-projection-orders", "migrative_canonical", "canonical(K=[1.0,2.0])",
+     (((0.95, 0.95), (_P95, _P95), 1, 1e-6),)),
+    # GO2 on the first cell, GO1 inside the 0.05 grid, and GO5 on the 0.005
+    # stage only, of the lower and of the upper projection.
+    ("strongly-positive-projections", "representable", "rep(product,product)",
+     (((0.0, 0.0), (0.0, 0.0), 1, 1e-6),)),
+    ("strongly-positive-projections", "representable", "rep(product,product)",
+     (((0.3, 0.3), (0.65, 0.65), 0, -1e-6),)),
+    ("strongly-positive-projections", "representable", "rep(product,product)",
+     (((0.5, 0.5), (0.505, 0.505), 0, -0.05),)),
+    ("strongly-positive-projections", "representable", "rep(product,product)",
+     (((0.995, 0.995), (0.9, 0.9), 1, 0.03),)),
+    # The sandwich: the base, the lowered and the raised overlap.
+    ("power-transform-sandwich", "interval_product", "product",
+     (((0.1, 0.1), (0.1, 0.1), 1, 0.1),)),
+    ("power-transform-sandwich", "interval_product", "product",
+     (((0.3, 0.6), (0.5, 0.8), 0, -0.14),)),
+    ("power-transform-sandwich", "interval_product", "product",
+     (((0.9, 0.9), (0.9, 0.9), 0, -0.2),)),
+    ("power-transform-sandwich", "power_transform", "pow(product,n=2)",
+     (((0.1, 0.9), (0.1, 0.9), 0, 0.01),)),
+    ("power-transform-sandwich", "power_transform", "root(rep(min,min),n=3)",
+     (((0.9, 0.9), (0.9, 0.9), 0, -0.1),)),
+    # The generator at [1,1] beside a failing migration.
+    ("canonical-family-uniqueness", "migrative_canonical", "canonical(K=[1.0,2.0])",
+     (((1.0, 1.0), (0.0, 0.0), 1, 1e-6),)),
+    ("canonical-family-uniqueness", "migrative_canonical", "canonical(K=[1.0,2.0])",
+     (((1.0, 1.0), (0.3, 0.7), 1, 1e-6),)),
+    ("canonical-family-uniqueness", "migrative_canonical", "canonical(K=[1.0,2.0])",
+     (((1.0, 1.0), (1.0, 1.0), 0, -1e-6),)),
+    # g(X) = X * [1,1] outside X, and g(g(X)) away from g(X).
+    ("generator-idempotent-contractive", "_associative_targets", "product",
+     (((0.0, 0.0), (1.0, 1.0), 1, 1e-6),)),
+    ("generator-idempotent-contractive", "_associative_targets", "product",
+     (((0.3, 0.7), (1.0, 1.0), 1, -1e-6), ((0.3, 0.7 - 1e-6), (1.0, 1.0), 1, -1e-6))),
+    ("generator-idempotent-contractive", "_associative_targets", "product",
+     (((1.0, 1.0), (1.0, 1.0), 0, -1e-6),)),
+    # An interior X that [1,1] * X sends to [0,0] or to [1,1].
+    ("migrative-generator-form", "standard_migrative", "product",
+     (((1.0, 1.0), (0.1, 0.1), 1, -0.1), ((1.0, 1.0), (0.1, 0.1), 0, -0.1))),
+    ("migrative-generator-form", "standard_migrative", "product",
+     (((1.0, 1.0), (0.4, 0.6), 1, 0.4), ((1.0, 1.0), (0.4, 0.6), 0, 0.6))),
+    ("migrative-generator-form", "standard_migrative", "product",
+     (((1.0, 1.0), (0.9, 0.9), 1, -0.9), ((1.0, 1.0), (0.9, 0.9), 0, -0.9))),
+]
+
+
+def _swapped(source, target, nudges):
+    """`source` with the overlap named `target`, or each such one among the
+    overlaps it lists, nudged."""
+
+    def nudge(o):
+        if o.name != target:
+            return o
+        for x, y, end, delta in nudges:
+            o = _nudged_at(o, Interval(*x), Interval(*y), end, delta)
+        return o
+
+    def swapped(*args):
+        got = source(*args)
+        return list(map(nudge, got)) if isinstance(got, list) else nudge(got)
+
+    return swapped
+
+
+def _row_report(row, source, target, nudges):
+    """The report of one row of the law table, with its source swapped, as a
+    result: its verdict, its witness (the failing part first) and its
+    sample count."""
+    table = checks._THEOREM_CHECKS if row in checks._THEOREM_CHECKS else checks._LATTICE_CHECKS
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, source, _swapped(getattr(checks, source), target, nudges))
+        report = table[row](DEFAULT_GRID)
+    return sampling.SampledResult(report.verdict == "pass", report.witness, report.samples_used)
+
+
+def _row_label(row, target, nudges):
+    moves = "+".join(f"{format_interval(Interval(*x))}x{format_interval(Interval(*y))}"
+                     f":{'lu'[end]}{delta:+}" for x, y, end, delta in nudges)
+    return f"row:{row}/{target}/nudged@{moves}"
+
+
 @functools.cache
 def _real_axioms(name):
     return verify_overlap_axioms(real_catalog()[name])
@@ -260,6 +375,9 @@ def _cases():
         cases[_nudge_label(check, x, y, end, delta)] = (
             lambda check=check, x=x, y=y, end=end, delta=delta:
             SAMPLED_CHECKS[check](_nudged_at(interval_product(), x, y, end, delta)))
+    for row, source, target, nudges in ROW_NUDGES:
+        cases[_row_label(row, target, nudges)] = functools.partial(
+            _row_report, row, source, target, nudges)
     return cases
 
 
