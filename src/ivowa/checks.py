@@ -31,6 +31,7 @@ from .intervals import (
 )
 from .iv_overlaps import (
     IVOverlap,
+    _ends_of,
     _value_column,
     check_associative,
     check_homogeneous,
@@ -49,6 +50,7 @@ from .iv_overlaps import (
     reconstructs_from_projections,
     representable,
     semi_representable,
+    value_row,
     verify_iv_axioms,
 )
 from .overlaps import (
@@ -59,6 +61,7 @@ from .overlaps import (
     check_m3_component,
     check_m4_component,
     convex_sum,
+    go_axioms,
     lattice_join,
     lattice_meet,
     mean_of_components,
@@ -82,14 +85,18 @@ from .registry import (
     standard_representable,
 )
 from .sampling import (
+    CONTINUITY_STAGES,
     DEFAULT_GRID,
     EXACT,
+    LazyRows,
     POLY_TOLERANCE,
     ROOT_TOLERANCE,
     SampleGrid,
     SampledResult,
+    close_row,
     comparable_pairs,
     first_violation,
+    first_violation_in_rows,
     interior_intervals,
     nested_pairs,
     tuple_samples,
@@ -262,10 +269,6 @@ def _axioms(ops: Iterable, grid: SampleGrid) -> Iterator[Part]:
             yield f"{op.name}:{axiom}", res
 
 
-def _far(got: Interval, want: Interval, tol: float) -> bool:
-    return abs(got.lower - want.lower) > tol or abs(got.upper - want.upper) > tol
-
-
 def _fixes(op: IVOverlap, x: Interval) -> SampledResult:
     """The point identity op(x, x) == x."""
     value = op(x, x)
@@ -332,10 +335,14 @@ def _no_self_duality(grid):
 
 @_law("migrative-commutativity")
 def _migrative_commutativity(grid):
+    # Row x of the walk: op(x, y) against op(y, x) for y from x on.
     sample = grid.intervals()
+    pts = _ends_of(sample)
     for op in standard_migrative():
-        yield op.name, first_violation((x, y) if op(x, y) != op(y, x) else None
-                                       for i, x in enumerate(sample) for y in sample[i:])
+        yield op.name, first_violation_in_rows(
+            item for i, p in enumerate(pts)
+            for item in close_row(*value_row(op, p, pts[i:]), *_value_column(op, pts[i:], p),
+                                  EXACT, lambda k: (sample[i], sample[i + k])))
 
 
 @_law("homogeneous-zero-preservation")
@@ -383,10 +390,12 @@ def _canonical_uniqueness(grid):
         # The derivation pins the generator: evaluating at [1,1] must give
         # the half-exponent power of the argument.
         half = k.halved()
-        yield f"{op.name}:generator", first_violation(
-            (x, got, want) if _far(got, want, ROOT_TOLERANCE) else None
-            for x in grid.intervals() for got, want in [(op(ONE, x), power(x, half))]
-        )
+        sample = grid.intervals()
+        lows, ups = value_row(op, (1.0, 1.0), _ends_of(sample))
+        wants = [power(x, half) for x in sample]
+        yield f"{op.name}:generator", first_violation_in_rows(close_row(
+            lows, ups, [w.lower for w in wants], [w.upper for w in wants], ROOT_TOLERANCE,
+            lambda j: (sample[j], Interval(lows[j], ups[j]), wants[j])))
 
 
 def _associative_targets() -> list[IVOverlap]:
@@ -395,13 +404,18 @@ def _associative_targets() -> list[IVOverlap]:
 
 @_law("generator-idempotent-contractive", POLY_TOLERANCE)
 def _generator_laws(grid):
+    sample = grid.intervals()
     for op in _associative_targets():
         yield f"{op.name}:associative", check_associative(op)
+        # g(X) = op(X, [1,1]) and g(g(X)), a [1,1] column each.
+        gx = list(zip(*_value_column(op, _ends_of(sample), (1.0, 1.0))))
+        ggx = list(zip(*_value_column(op, gx, (1.0, 1.0))))
         yield f"{op.name}:generator-laws", first_violation(
-            (x, gx, ggx) if _far(ggx, gx, POLY_TOLERANCE)
-            else (x, gx) if not subseteq(gx, x)
+            (x, Interval(*g), Interval(*gg))
+            if abs(gg[0] - g[0]) > POLY_TOLERANCE or abs(gg[1] - g[1]) > POLY_TOLERANCE
+            else (x, Interval(*g)) if not (x.lower <= g[0] and g[1] <= x.upper)
             else None
-            for x in grid.intervals() for gx in [op(x, ONE)] for ggx in [op(gx, ONE)]
+            for x, g, gg in zip(sample, gx, ggx)
         )
 
 
@@ -414,8 +428,7 @@ def _associative_neutral(grid):
             continue
         # Surjectivity of the generator is not decidable from samples; only
         # the inclusion-monotonic branch is checked, on the [1,1] column.
-        image = dict(zip(sample, map(Interval, *_value_column(
-            op, [(x.lower, x.upper) for x in sample], (1.0, 1.0)))))
+        image = dict(zip(sample, map(Interval, *_value_column(op, _ends_of(sample), (1.0, 1.0)))))
         nested = first_violation(
             (inner, outer) if not subseteq(image[inner], image[outer]) else None
             for inner, outer in nested_pairs(sample)
@@ -439,24 +452,31 @@ def _migrative_generator_form(grid):
         yield f"{op.name}:migrative", check_migrative(op, grid, ROOT_TOLERANCE)
         gzero, gone = op(ZERO, ONE), op(ONE, ONE)
         yield f"{op.name}:boundary", _expect(gzero == ZERO and gone == ONE, (gzero, gone), 2)
+        interior = interior_intervals(grid.intervals())
         yield f"{op.name}:interior", first_violation(
-            (x, gx) if gx == ZERO or gx == ONE else None
-            for x in interior_intervals(grid.intervals()) for gx in [op(ONE, x)]
+            (x, Interval(lo, up)) if (lo, up) in ((0.0, 0.0), (1.0, 1.0)) else None
+            for x, lo, up in zip(interior, *value_row(op, (1.0, 1.0), _ends_of(interior)))
         )
 
 
 @_law("homogeneous-projection-orders", ROOT_TOLERANCE)
 def _homogeneous_projections(grid):
+    # A projection at (a*x, a*y) against a**order times its value at (x, y):
+    # a row per (a, x), read from the projection tables over the points
+    # scaled by a, each built on first use.
     pts = SampleGrid(0.05).endpoints()
     for k1, k2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0)):
         op = migrative_canonical(ExponentInterval(k1, k2))
-        for tag, fn, order in zip(("lower", "upper"), projections(op), (k2, k1)):
-            base = {(x, y): fn(x, y) for x in pts for y in pts}
-            yield f"{op.name}:{tag}-order-{order}", first_violation(
-                (a, x, y) if abs(fn(a * x, a * y) - a**order * base[x, y]) > ROOT_TOLERANCE
-                else None
-                for a in pts for x in pts for y in pts
-            )
+        base = projections(op, pts)
+        scaled = LazyRows(lambda a, op=op: projections(op, [a * p for p in pts]))
+        for end, tag, order in ((0, "lower", k2), (1, "upper", k1)):
+            # One endpoint, given to close_row as both endpoints of its rows.
+            yield f"{op.name}:{tag}-order-{order}", first_violation_in_rows(
+                item for a in pts for factor in [a**order]
+                for x, got, row in zip(pts, scaled[a][end], base[end])
+                for want in [[factor * v for v in row]]
+                for item in close_row(got, got, want, want, ROOT_TOLERANCE,
+                                      lambda j: (a, x, pts[j])))
 
 
 @_law("strongly-positive-projections")
@@ -464,8 +484,7 @@ def _strongly_positive_projections(grid):
     cat = real_catalog()
     positive = representable(cat["product"], cat["product"])
     yield f"{positive.name}:sp", is_strongly_positive(positive, grid)
-    yield from _axioms((RealOverlap(fn, f"{positive.name}:{tag}")
-                        for tag, fn in zip(("lower", "upper"), projections(positive))), grid)
+    yield from _projection_axioms(positive)
     # Necessity: with a zero-divisor lower component the projection is not an
     # overlap and strong positivity fails.
     weak = representable(cat["lukasiewicz"], cat["min"])
@@ -474,9 +493,18 @@ def _strongly_positive_projections(grid):
     docked = weak(Interval(0.4, 0.6), Interval(0.4, 0.6))
     yield f"{weak.name}:documented-witness", _expect(docked.lower == 0.0 and docked.upper > 0.0,
                                                      (docked,), 1)
-    go2 = verify_overlap_axioms(RealOverlap(projections(weak)[0], f"{weak.name}:lower"))["go2"]
+    go2 = go_axioms(lambda pts: projections(weak, pts)[0])["go2"]
     yield f"{weak.name}:lower:expected-go2-failure", _expect(not go2.ok, ("no violation",),
                                                              go2.samples)
+
+
+def _projection_axioms(o: IVOverlap, stages=CONTINUITY_STAGES) -> Iterator[Part]:
+    """GO1-GO5 of the lower and of the upper projection of `o`, read from its
+    projection tables, labelled `name:lower:axiom` and `name:upper:axiom`."""
+    for end, tag in enumerate(("lower", "upper")):
+        results = go_axioms(lambda pts: projections(o, pts)[end], stages=stages)
+        for axiom, res in results.items():
+            yield f"{o.name}:{tag}:{axiom}", res
 
 
 @_law("real-lattice-closure")
@@ -515,7 +543,8 @@ def _gowa_idempotency(grid):
     items = grid.intervals()
     for op in _valid_gowa_configs():
         yield _gowa_name(op), first_violation(
-            (c, got) if _far(got, c, POLY_TOLERANCE) else None
+            (c, got) if abs(got.lower - c.lower) > POLY_TOLERANCE
+            or abs(got.upper - c.upper) > POLY_TOLERANCE else None
             for c, got in zip(items, op.aggregate_rows([c] * op.arity for c in items))
         )
 
@@ -616,18 +645,20 @@ def _iv_lattice_closure(grid):
 def _power_transform_sandwich(grid):
     cat = real_catalog()
     interior = interior_intervals(grid.intervals())
+    pts = _ends_of(interior)
     for base in (interval_product(), representable(cat["min"], cat["min"])):
         for n in (2, 3):
             lowered = power_transform(base, n, "power")
             raised = power_transform(base, n, "root")
-            yield f"{base.name}:n={n}", first_violation(
-                (x, y, small, mid, big)
-                if not (small.lower < mid.lower and small.upper < mid.upper
-                        and mid.lower < big.lower and mid.upper < big.upper)
-                else None
-                for x in interior for y in interior
-                for small, mid, big in [(lowered(x, y), base(x, y), raised(x, y))]
-            )
+            # A row per x, from the three overlaps' value rows.
+            yield f"{base.name}:n={n}", first_violation_in_rows(
+                ((x, y, Interval(s_lo, s_up), Interval(m_lo, m_up), Interval(b_lo, b_up))
+                 if not (s_lo < m_lo and s_up < m_up and m_lo < b_lo and m_up < b_up)
+                 else None
+                 for y, s_lo, s_up, m_lo, m_up, b_lo, b_up in zip(
+                     interior, *value_row(lowered, p, pts), *value_row(base, p, pts),
+                     *value_row(raised, p, pts)))
+                for x, p in zip(interior, pts))
             for fixed in (ZERO, ONE):
                 same = lowered(fixed, fixed) == base(fixed, fixed) == raised(fixed, fixed)
                 yield f"{base.name}:n={n}:boundary-{fixed}", _expect(same, (fixed,), 1)

@@ -82,7 +82,6 @@ __all__ = [
     "check_homogeneous",
     "neutral_element_holds",
     "verify_iv_axioms",
-    "checked_ends",
     "lifted",
     "value_row",
     "value_table",
@@ -184,32 +183,20 @@ def _checked(lows: Iterable[float], ups: Iterable[float], column: Callable = lis
     lows, ups = column(lows), column(ups)
     if not (all(map(le, lows, ups)) and min(lows, default=0.0) >= 0.0
             and max(ups, default=1.0) <= 1.0):
-        for pair in zip(lows, ups):
-            _check(*pair)
+        for lo, up in zip(lows, ups):
+            if not 0.0 <= lo <= up <= 1.0:
+                raise endpoint_error(lo, up)
     return lows, ups
-
-
-def _check(lo: float, up: float) -> None:
-    if not 0.0 <= lo <= up <= 1.0:
-        raise endpoint_error(lo, up)
 
 
 _doubles = functools.partial(array, "d")
 
 
-def checked_ends(o: IVOverlap, xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
-    """The endpoints of `o` at one argument pair, the one-pair case of the
-    column check: a lone pair is tested directly, without column passes."""
-    (lo,), (up,) = o.columns((xl,), (xu,), (yl,), (yu,))
-    _check(lo, up)
-    return lo, up
-
-
 def value_row(
     o: IVOverlap, x: tuple[float, float], ys: Sequence[tuple[float, float]]
 ) -> tuple[array, array]:
-    """The lower and the upper endpoints of ``checked_ends(o, *x, *y)`` for
-    each endpoint pair y in ys, as two arrays of doubles: one column call."""
+    """The lower and the upper endpoints of `o` at (x, y) for each endpoint
+    pair y in ys, checked, as two arrays of doubles: one column call."""
     return _checked(*o.columns(repeat(x[0]), repeat(x[1]), map(itemgetter(0), ys),
                                map(itemgetter(1), ys)), _doubles)
 
@@ -217,8 +204,8 @@ def value_row(
 def _value_column(
     o: IVOverlap, xs: Sequence[tuple[float, float]], y: tuple[float, float]
 ) -> tuple[array, array]:
-    """`value_row` with the fixed pair in second place: ``checked_ends(o,
-    *x, *y)`` for each x in xs."""
+    """`value_row` with the fixed pair in second place: the endpoints of `o`
+    at (x, y) for each x in xs."""
     return _checked(*o.columns(map(itemgetter(0), xs), map(itemgetter(1), xs),
                                repeat(y[0]), repeat(y[1])), _doubles)
 
@@ -228,7 +215,7 @@ def value_table(
     xs: Sequence[tuple[float, float]],
     ys: Sequence[tuple[float, float]],
 ) -> tuple[list[array], list[array]]:
-    """The `checked_ends` endpoints at each (xs[i], ys[j]), as ``lows[i][j]``
+    """The checked endpoints of `o` at each (xs[i], ys[j]), as ``lows[i][j]``
     and ``ups[i][j]``, a value row per x: the finest continuity stage holds
     two 201 x 201 tables, which as lists of floats would raise peak memory."""
     rows = [value_row(o, x, ys) for x in xs]
@@ -483,13 +470,12 @@ def iv_meet(o1: IVOverlap, o2: IVOverlap) -> IVOverlap:
 # ---------------------------------------------------------------------------
 
 
-def projections(o: IVOverlap) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
-    """Left and right projections: endpoint values on degenerate inputs."""
-
-    def end(i: int) -> Callable[[float, float], float]:
-        return lambda x, y: checked_ends(o, x, x, y, y)[i]
-
-    return end(0), end(1)
+def projections(o: IVOverlap, pts: Sequence[float]) -> tuple[list[array], list[array]]:
+    """The lower and the upper projection of `o` over the points, as the two
+    value tables at the degenerate pairs: ``lows[i][j]`` is the lower
+    endpoint of o([p_i, p_i], [p_j, p_j])."""
+    points = [(p, p) for p in pts]
+    return value_table(o, points, points)
 
 
 @memoized
@@ -689,27 +675,12 @@ def check_associative(
 
 
 def _check_o5(o: IVOverlap, stages: tuple[tuple[float, float], ...]) -> SampledResult:
-    """The continuity probe of the lower projection, then of the upper one.
-
-    Each stage evaluates `o` once per degenerate grid point, and keeps the
-    upper endpoints for the second probe.
-    """
-    upper_tables = []
-
-    def lower_tables():
-        for step, bound in stages:
-            pts = SampleGrid(step).endpoints()
-            points = [(p, p) for p in pts]
-            lows, ups = value_table(o, points, points)
-            upper_tables.append((bound, pts, ups))
-            yield bound, pts, lows
-
-    res = jump_probe(lower_tables())
-    if not res.ok:
-        return res
-    # The lower probe passed every stage, so every upper table is built.
-    res_up = jump_probe(upper_tables)
-    return SampledResult(res_up.ok, res_up.witness, res.samples + res_up.samples)
+    """The continuity probe of the lower projection, then of the upper one:
+    one probe over the lower tables of the stages, then the upper ones, with
+    each stage's two projection tables built once."""
+    tables = LazyRows(lambda step: projections(o, SampleGrid(step).endpoints()))
+    return jump_probe((bound, SampleGrid(step).endpoints(), tables[step][end])
+                      for end in (0, 1) for step, bound in stages)
 
 
 @memoized

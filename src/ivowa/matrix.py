@@ -173,9 +173,6 @@ def _parse_json(text: str) -> DecisionMatrix:
     alternatives = _json_labels(data, "alternatives")
     criteria = _json_labels(data, "criteria")
     _check_criteria(criteria, "criteria[{}]".format)
-    for i, label in enumerate(alternatives):
-        if not label.strip():
-            raise MatrixError(f"alternatives[{i}] is missing an alternative label")
     raw_rows = data["cells"]
     if len(raw_rows) != len(alternatives):
         raise MatrixError("one cell row per alternative required")
@@ -187,6 +184,8 @@ def _parse_json(text: str) -> DecisionMatrix:
             raise MatrixError(
                 f"row {label!r} has {count} cells for {len(criteria)} criteria"
             )
+        if not label.strip():
+            raise MatrixError(f"alternatives[{i}] is missing an alternative label")
         _first_use(seen, label, i, "alternatives[{}]".format, "alternative")
         for col_label, raw in zip(criteria, raw_row):
             where = f"cell ({label!r}, {col_label!r})"

@@ -25,8 +25,8 @@ from .sampling import (
     REAL_GRID,
     SampleGrid,
     SampledResult,
-    continuity_probe,
     first_violation,
+    jump_probe,
 )
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "convex_sum",
     "real_owa",
     "verify_overlap_axioms",
+    "go_axioms",
     "pointwise_leq",
     "projection_aggregator",
     "mean_of_components",
@@ -188,12 +189,23 @@ def verify_overlap_axioms(
     grid: SampleGrid = REAL_GRID,
     stages: tuple[tuple[float, float], ...] = CONTINUITY_STAGES,
 ) -> dict[str, SampledResult]:
-    """GO1-GO4 read one value table of g over the grid: GO2 and GO3 as
-    biconditionals (value 0 exactly where the product is 0, value 1 exactly
-    where it is 1), GO4 along adjacent grid steps in each argument.  GO5 is
-    the continuity probe, on grids of its own."""
+    """GO1-GO5 of g, read from its value tables (`go_axioms`)."""
+    return go_axioms(lambda pts: [[g.fn(x, y) for y in pts] for x in pts], grid, stages)
+
+
+def go_axioms(
+    table: Callable[[list[float]], Sequence[Sequence[float]]],
+    grid: SampleGrid = REAL_GRID,
+    stages: tuple[tuple[float, float], ...] = CONTINUITY_STAGES,
+) -> dict[str, SampledResult]:
+    """GO1-GO5 of a binary function on [0, 1] given by its value tables,
+    ``table(pts)[i][j] = f(pts[i], pts[j])``.  GO1-GO4 read the grid's table
+    (GO2 and GO3 as biconditionals: value 0 exactly where the product is 0,
+    value 1 exactly where it is 1; GO4 along adjacent grid steps).  GO5 is
+    the grid-jump probe over the continuity stages' tables, built as it
+    reaches them: evidence of continuity, never a proof."""
     pts = grid.endpoints()
-    rows = [[g.fn(x, y) for y in pts] for x in pts]
+    rows = table(pts)
     cells = [(i, j, x, y) for i, x in enumerate(pts) for j, y in enumerate(pts)]
     return {
         "go1": first_violation((x, y) if rows[i][j] != rows[j][i] else None
@@ -208,7 +220,8 @@ def verify_overlap_axioms(
             else None
             for i, (a, b) in enumerate(zip(pts, pts[1:])) for j, y in enumerate(pts)
         ),
-        "go5": continuity_probe(g.fn, stages),
+        "go5": jump_probe((bound, stage, table(stage)) for step, bound in stages
+                          for stage in [SampleGrid(step).endpoints()]),
     }
 
 

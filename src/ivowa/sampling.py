@@ -344,20 +344,3 @@ def jump_probe(tables: Iterable[tuple[float, list[float], list[list[float]]]]) -
             return SampledResult(False, (*where, jump), total)
     return SampledResult(True, None, total)
 
-
-def continuity_probe(
-    fn: Callable[[float, float], float],
-    stages: tuple[tuple[float, float], ...] = CONTINUITY_STAGES,
-) -> SampledResult:
-    """Grid-jump continuity heuristic for a binary function on [0, 1]^2.
-
-    A bounded jump between adjacent grid points is evidence of continuity,
-    never a proof; a steep but continuous function can trip the probe.
-    """
-
-    def tables():
-        for step, bound in stages:
-            pts = SampleGrid(step).endpoints()
-            yield bound, pts, [[fn(x, y) for y in pts] for x in pts]
-
-    return jump_probe(tables())

@@ -528,8 +528,11 @@ class TestStrictInput:
         ("alternatives", ["a1", " \t"], "alternatives[1] is missing an alternative label"),
     ])
     def test_json_matrix_label_defect_exits_2(self, workdir, capsys, key, labels, needle):
+        # One cell row per alternative, so that the label is the one defect.
         payload = json.loads(json_matrix_text("[0.1, 0.2]"))
         payload[key] = labels
+        if key == "alternatives":
+            payload["cells"] *= len(labels)
         (workdir / "labels.json").write_text(json.dumps(payload))
         code, err = run_config_text(workdir, capsys, json.dumps(CONFIG_GEOMEAN), "labels.json")
         assert code == 2
@@ -572,6 +575,15 @@ class TestStrictInput:
         pytest.param({"alternatives": ["a1", "a1"], "criteria": ["c1"],
                       "cells": [[0.1], []]}, "json",
                      "row 'a1' has 0 cells for 1 criteria", id="json-ragged-repeat"),
+        # Row-major in both readers: the bad cell of row 2 before the blank
+        # label of row 3.
+        pytest.param('alternative,c1\na1,true\n,0.2\n', "csv",
+                     "cell ('a1', 'c1'): malformed interval text 'true'",
+                     id="csv-cell-then-blank-alternative"),
+        pytest.param({"alternatives": ["a1", ""], "criteria": ["c1"],
+                      "cells": [[True], [0.2]]}, "json",
+                     "cell ('a1', 'c1') must be a number, got True",
+                     id="json-cell-then-blank-alternative"),
     ])
     def test_defective_matrix_labels_exit_2(self, workdir, capsys, matrix, fmt, needle):
         (workdir / f"labels.{fmt}").write_text(matrix if fmt == "csv" else json.dumps(matrix))

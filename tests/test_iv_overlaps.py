@@ -33,7 +33,6 @@ from ivowa.iv_overlaps import (
     check_homogeneous,
     check_idempotent,
     check_migrative,
-    checked_ends,
     interval_product,
     is_inclusion_monotonic,
     is_strongly_positive,
@@ -53,7 +52,13 @@ from ivowa.iv_overlaps import (
     value_row,
     verify_iv_axioms,
 )
-from ivowa.overlaps import mean_of_components, projection_aggregator
+from ivowa.checks import _projection_axioms
+from ivowa.overlaps import (
+    RealOverlap,
+    mean_of_components,
+    projection_aggregator,
+    verify_overlap_axioms,
+)
 from ivowa.owa import GowaOperator, WeightVector, builtin_aggregators, check_distributivity
 from ivowa.registry import generator_catalog, real_catalog, resolve_iv_overlap, standard_overlaps
 from ivowa.sampling import CONTINUITY_STAGES, DEFAULT_GRID, SampleGrid, SampledResult
@@ -100,11 +105,31 @@ class TestRepresentable:
 
 class TestProjections:
     def test_projection_values(self):
-        lower, upper = projections(representable(CAT["product"], CAT["min"]))
-        assert lower(0.4, 0.6) == pytest.approx(0.24, abs=1e-12)
-        assert upper(0.4, 0.6) == pytest.approx(0.4, abs=1e-12)
-        assert lower(0.0, 0.9) == 0.0
-        assert upper(1.0, 1.0) == 1.0
+        # Points 0.0, 0.4, 0.6, 0.9, 1.0: lows[i][j] is the lower endpoint at
+        # ([p_i, p_i], [p_j, p_j]).
+        lows, ups = projections(representable(CAT["product"], CAT["min"]),
+                                [0.0, 0.4, 0.6, 0.9, 1.0])
+        assert lows[1][2] == pytest.approx(0.24, abs=1e-12)
+        assert ups[1][2] == pytest.approx(0.4, abs=1e-12)
+        assert lows[0][3] == 0.0
+        assert ups[4][4] == 1.0
+
+    # The catalog, and the zero-divisor overlap whose lower projection fails GO2.
+    @pytest.mark.parametrize("o", [*standard_overlaps().values(),
+                                   representable(CAT["lukasiewicz"], CAT["min"])],
+                             ids=lambda o: o.name)
+    def test_projection_axioms_equal_the_one_pair_reference(self, o):
+        # GO1-GO5 read from the projection tables, against the real-overlap
+        # walk over one call per degenerate pair; one continuity stage keeps
+        # it cheap.
+        stages = ((0.05, 0.2),)
+        want = {}
+        for tag in ("lower", "upper"):
+            end = RealOverlap(lambda x, y, tag=tag: getattr(o(Interval(x, x), Interval(y, y)), tag),
+                              f"{o.name}:{tag}")
+            for axiom, res in verify_overlap_axioms(end, stages=stages).items():
+                want[f"{end.name}:{axiom}"] = res
+        assert dict(_projection_axioms(o, stages)) == want
 
     def test_reconstruction_for_representable(self):
         assert reconstructs_from_projections(representable(CAT["product"], CAT["min"])).ok
@@ -395,7 +420,7 @@ def test_ends_equal_the_interval_formula(op, formula):
     # operations of its interval formula, in the same order, over the whole
     # grid product in one call, and a row at a time with the first argument
     # repeated and the second read once, as the operator kernel passes its
-    # weight and a rank column; the one-pair call and `checked_ends` agree.
+    # weight and a rank column; the one-pair call agrees.
     pairs = list(itertools.product(SAMPLE, repeat=2))
     want = [(v.lower.hex(), v.upper.hex()) for v in itertools.starmap(formula, pairs)]
     xs, ys = zip(*pairs)
@@ -405,8 +430,6 @@ def test_ends_equal_the_interval_formula(op, formula):
     assert [value for x in SAMPLE for value in _hex(op.columns(
         itertools.repeat(x.lower), itertools.repeat(x.upper), iter(y_lo), iter(y_up)))] == want
     assert [(v.lower.hex(), v.upper.hex()) for v in itertools.starmap(op, pairs)] == want
-    assert [tuple(map(float.hex, checked_ends(op, x.lower, x.upper, y.lower, y.upper)))
-            for x, y in pairs] == want
 
 
 def _inverted_at(o, x, y):
@@ -451,12 +474,10 @@ _LOW, _TOP = Interval(0.1, 0.2), Interval(0.3, 0.9)
         [(_LOW, ZERO)] * 9 + [(_LOW, _TOP)] + [(ZERO, _LOW)] * 9)), None),
     (lambda o: _ranking_first(o)((_TOP, ZERO)), None),
     (lambda o: value_row(o, (0.2, 0.6), [(0.0, 0.1), (0.3, 0.9)]), None),
-    (lambda o: checked_ends(o, 0.2, 0.6, 0.3, 0.9), None),
     (lambda o: o(Interval(0.2, 0.6), _TOP), None),
 ], ids=["axioms", "distributivity", "inclusion", "strong-positivity", "reconstruction",
         "migrative", "homogeneous", "associative", "neutral-row", "neutral-column", "idempotent",
-        "operator-columns", "operator-rows", "operator-call", "value-row", "checked-ends",
-        "call"])
+        "operator-columns", "operator-rows", "operator-call", "value-row", "call"])
 def test_law_checks_raise_on_a_value_that_is_not_an_interval(check, cell):
     # Column maps build no Interval, so the column check applies its invariant:
     # one inverted grid cell is enough to raise, with the message building
