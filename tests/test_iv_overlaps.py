@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_interval_close, intervals
+from ivowa.checks import _projection_axioms
 from ivowa.intervals import (
     DEFAULT_ORDER,
     ExponentInterval,
@@ -52,7 +53,6 @@ from ivowa.iv_overlaps import (
     value_row,
     verify_iv_axioms,
 )
-from ivowa.checks import _projection_axioms
 from ivowa.overlaps import (
     RealOverlap,
     mean_of_components,
