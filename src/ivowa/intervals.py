@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from contextlib import suppress
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import repeat
+from itertools import compress
 from operator import add, itemgetter, le, sub
 from typing import Iterator, Sequence
 
@@ -267,26 +268,32 @@ def parse_interval(text: str) -> Interval:
     return Interval(lower, upper)
 
 
+# The column's texts joined at NULs, each `[B,B]` or a bare `B`.
+_CELLS = re.compile(r"(?:\[B,B\]|B)(?:\x00(?:\[B,B\]|B))*".replace("B", r"[^\[\],\x00]*"))
+_TO_ENDS = str.maketrans("\x00", ",", "[]")
+_SEPARATORS = bytes.maketrans(b"\x00,", b"\x01\x00"), bytes(set(range(256)) - {0, 44})
+
+
 def parse_interval_columns(texts: Sequence[str]) -> tuple[list[float], list[float]]:
-    """The endpoints of many cells in the text form of `parse_interval`, by
-    C-level passes: each text stripped and split once at commas, its first
-    and last part read by `float`, the pairs held to the `Interval`
-    invariant.  The first bad cell raises the error it raises alone."""
-    stripped = list(map(str.strip, texts))
-    parts = list(map(str.split, stripped, repeat(",")))
-    boxed = list(map(str.startswith, stripped, repeat("[")))
+    """The endpoints of many cells in the text form of `parse_interval`, read
+    as one string: the stripped texts joined at NULs (`float` refuses a NUL)
+    and held to the cell shape, one `split` read by `float`, each cell's ends
+    picked by a mask of joiners and commas (no multi-byte UTF-8 character holds
+    either byte).  The first bad cell raises the error it raises alone."""
+    if not texts:
+        return [], []
+    joined = "\x00".join(map(str.strip, texts))
     lowers = uppers = None
-    if (list(map(str.endswith, stripped, repeat("]"))) == boxed
-            and list(map(len, parts)) == list(map((1).__add__, boxed))):
+    if joined.count("\x00") == len(texts) - 1 and _CELLS.fullmatch(joined):
         with suppress(ValueError):
-            lowers = list(map(float, map(str.removeprefix, map(itemgetter(0), parts),
-                                         repeat("["))))
-            uppers = list(map(float, map(str.removesuffix, map(itemgetter(-1), parts),
-                                         repeat("]"))))
-    if uppers is not None and (not uppers or all(map(le, lowers, uppers))
+            ends = list(map(float, joined.translate(_TO_ENDS).split(",")))
+            seps = joined.encode().translate(*_SEPARATORS)
+            lowers = list(compress(ends, b"\x01" + seps))
+            uppers = list(compress(ends, seps + b"\x01"))
+    if uppers is not None and (all(map(le, lowers, uppers))
                                and min(lowers) >= 0.0 and max(uppers) <= 1.0):
         return lowers, uppers
-    if len(stripped) != 1:
+    if len(texts) != 1:
         for text in texts:
             parse_interval_columns((text,))
     if uppers is None:

@@ -1,10 +1,11 @@
 """Decision matrices of interval scores: CSV/JSON parsing and emission.
 
 Rows are alternatives, columns are criteria.  CSV cells use the ``[a,b]``
-text form (quoted, since it contains a comma) or a bare number for a
-degenerate interval; JSON cells are two-element arrays.  A matrix is held as
-endpoint columns.  Parse errors name the offending label or cell: a blank or
-repeated criterion first, then the first bad row or cell in row-major order.
+text form (quoted, since it contains a comma; quoting is strict) or a bare
+number for a degenerate interval; JSON cells are two-element arrays.  A matrix
+is held as endpoint columns.  Parse errors name the offending label, row or
+cell, a CSV row by the line it starts on: a blank or repeated criterion first,
+then the first bad row or cell in row-major order.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def parse_matrix(path: str | Path, fmt: str | None = None) -> DecisionMatrix:
 
 
 def _parse_csv(text: str) -> DecisionMatrix:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text), strict=True)
     try:
         rows = [r for r in reader if r]
     except csv.Error as exc:
@@ -130,8 +131,10 @@ def _parse_csv(text: str) -> DecisionMatrix:
             return DecisionMatrix(alternatives, criteria, lowers, uppers)
     # A defect: raise the error of the first bad row or cell in row-major
     # order, a row's length checked first, then its label, then its cells.
+    reader = csv.reader(io.StringIO(text), strict=True)
+    starts = iter(lambda: reader.line_num + 1, None)  # drawn by `zip` before each row
     seen = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in [(start, row) for start, row in zip(starts, reader) if row][1:]:
         if len(row) != len(header):
             raise MatrixError(
                 f"row {lineno} has {len(row) - 1} cells for {len(criteria)} criteria"

@@ -555,6 +555,13 @@ class TestStrictInput:
                      "cell ('a1', 'c1'): malformed interval text 'x'", id="csv-cell-then-repeat"),
         pytest.param('alternative,c1,c2\na1,0.1,0.2\na1,0.3\n', "csv",
                      "row 3 has 1 cells for 2 criteria", id="csv-ragged-repeat"),
+        # A CSV row is named by the line it starts on, past blank lines and
+        # newlines inside quoted cells.
+        pytest.param('alternative,c1\n\na1,0.2\na2\n', "csv",
+                     "row 4 has 0 cells for 1 criteria", id="csv-ragged-after-blank-line"),
+        pytest.param('alternative,c1\na1,"[0.1,\n0.2]"\n\na1,0.3\n', "csv",
+                     "row 5 repeats the alternative label 'a1' of row 2",
+                     id="csv-repeat-after-quoted-newline"),
         pytest.param({"alternatives": ["a1", "a2"], "criteria": ["c1", "c1"],
                       "cells": [[0.1, 0.2], [0.3]]}, "json",
                      "criteria[1] repeats the criterion label 'c1' of criteria[0]",
@@ -611,6 +618,12 @@ class TestStrictInput:
         pytest.param(b'alternative,c1,c2\na1,"' + b"y" * 200_000 + b'",0.5\n', "CSV line 2",
                      id="field-over-csv-limit"),
         pytest.param(b"alternative,c1,c2\na1,0.5,\xff\n", "not UTF-8 text", id="not-utf8"),
+        # Quoting is strict: text after a closing quote, or a quote still
+        # open at the end of the file, is a defect, not part of the field.
+        pytest.param(b'alternative,c1\n"a1"x,0.2\n', "CSV line 2: ',' expected after '\"'",
+                     id="text-after-closing-quote"),
+        pytest.param(b'alternative,c1\na1,"0.2\n', "CSV line 2: unexpected end of data",
+                     id="unterminated-quote"),
     ])
     def test_csv_matrix_defect_exits_2(self, workdir, capsys, data, needle):
         (workdir / "bad.csv").write_bytes(data)

@@ -120,15 +120,19 @@ def test_json_matrix_parses_or_raises_matrix_error(text):
 
 
 # Texts near the cell language: brackets, commas, padding and the words and
-# digit forms `float` reads.
+# digit forms `float` reads, a non-ASCII digit among them; NULs, which the
+# column parser joins cells with; newlines, which a quoted CSV cell may hold;
+# and whitespace-only cells.
 cell_language = st.one_of(
     cell_texts,
-    st.text(alphabet="[], \t.0123456789e-+_naifINF", max_size=12),
-    st.builds("[{},{}]".format, st.text(alphabet=" .015e-_", max_size=5),
-              st.text(alphabet=" .015e-_", max_size=5)),
+    st.text(alphabet="[], \t\n\x00.0123456789\u0665e-+_naifINF", max_size=12),
+    st.builds("[{},{}]".format, st.text(alphabet=" \n\x00.015\u0665e-_", max_size=5),
+              st.text(alphabet=" \n\x00.015\u0665e-_", max_size=5)),
+    st.text(alphabet=" \t\n\r\x0b\x0c\x1c\u3000", max_size=3),
 )
 LANGUAGE_EXAMPLES = ["[0.1,0.2", "[1,2,3]", "[]", "nan", "1e-400", "[ 0 , 1 ]", "-0.0",
                      "[0.6,0.2]", " [0.2 , 0.5] ", "0.2_5", "", "[", "]", "[,]", "1,0"]
+MIXED_COLUMN = ["0.3", "[0.1,0.2]", " 0.5 ", "[ 0 , 1 ]", "\u0665e-1", "[0.2,\n0.4]", "1"]
 
 
 def _reference_cell(text):
@@ -163,14 +167,26 @@ def _outcome(text):
 @given(texts=st.lists(cell_language, min_size=1, max_size=6))
 @example(texts=LANGUAGE_EXAMPLES)
 @example(texts=LANGUAGE_EXAMPLES[::-1])
+@example(texts=["0.1\x000.2"])
+@example(texts=["[0.1,0.2]", "0.3\x00[0.1,0.2]"])
+@example(texts=["[0.1,\n0.2]"])
+@example(texts=MIXED_COLUMN)
 def test_column_parser_reads_the_cell_language_of_parse_interval(texts):
     # parse_interval reads each cell as the reference does; a column of
     # cells, parsed at once and through a one-column CSV matrix, gives the
     # endpoints parse_interval gives each cell, bit for bit, or the message
-    # of the first cell it refuses.
+    # of the first cell it refuses.  The column is parsed at once whether or
+    # not csv can echo it.
     want = list(map(_outcome, texts))
     assert want == list(map(_reference_cell, texts))
     bad = next((w for w in want if isinstance(w, str)), None)
+    try:
+        lowers, uppers = parse_interval_columns(texts)
+    except IntervalError as exc:
+        assert str(exc) == bad
+    else:
+        assert bad is None
+        assert list(zip(map(float.hex, lowers), map(float.hex, uppers))) == want
     rows = [[f"a{i}", text] for i, text in enumerate(texts)]
     out = io.StringIO()
     csv.writer(out).writerows([["alternative", "c1"], *rows])
@@ -179,13 +195,6 @@ def test_column_parser_reads_the_cell_language_of_parse_interval(texts):
     except csv.Error:
         echoed = None
     assume(echoed == rows)
-    try:
-        lowers, uppers = parse_interval_columns(texts)
-    except IntervalError as exc:
-        assert str(exc) == bad
-    else:
-        assert bad is None
-        assert list(zip(map(float.hex, lowers), map(float.hex, uppers))) == want
     try:
         m = parse_matrix_text(out.getvalue(), "csv")
     except MatrixError as exc:
