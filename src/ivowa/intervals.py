@@ -275,11 +275,10 @@ _SEPARATORS = bytes.maketrans(b"\x00,", b"\x01\x00"), bytes(set(range(256)) - {0
 
 
 def parse_interval_columns(texts: Sequence[str]) -> tuple[list[float], list[float]]:
-    """The endpoints of many cells in the text form of `parse_interval`, read
-    as one string: the stripped texts joined at NULs (`float` refuses a NUL)
-    and held to the cell shape, one `split` read by `float`, each cell's ends
-    picked by a mask of joiners and commas (no multi-byte UTF-8 character holds
-    either byte).  The first bad cell raises the error it raises alone."""
+    """The endpoints of many cells in the text form of `parse_interval`, read as
+    one string: texts stripped, joined at NULs (`float` refuses one), held to the
+    shape, split once, read by `float` and picked by a byte mask of joiners and
+    commas (in no multi-byte UTF-8 character).  The first bad cell raises its error."""
     if not texts:
         return [], []
     joined = "\x00".join(map(str.strip, texts))

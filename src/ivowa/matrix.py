@@ -1,11 +1,9 @@
 """Decision matrices of interval scores: CSV/JSON parsing and emission.
 
-Rows are alternatives, columns are criteria.  CSV cells use the ``[a,b]``
-text form (quoted, since it contains a comma; quoting is strict) or a bare
-number for a degenerate interval; JSON cells are two-element arrays.  A matrix
-is held as endpoint columns.  Parse errors name the offending label, row or
-cell, a CSV row by the line it starts on: a blank or repeated criterion first,
-then the first bad row or cell in row-major order.
+Rows are alternatives, columns are criteria; a matrix is held as endpoint
+columns.  CSV cells are ``[a,b]`` (quoted strictly) or a bare number for a
+degenerate interval, JSON cells two-element arrays.  Errors name the first bad
+label, row (by the CSV line it starts on) or cell in row-major order.
 """
 
 from __future__ import annotations
@@ -132,9 +130,12 @@ def _parse_csv(text: str) -> DecisionMatrix:
     # A defect: raise the error of the first bad row or cell in row-major
     # order, a row's length checked first, then its label, then its cells.
     reader = csv.reader(io.StringIO(text), strict=True)
-    starts = iter(lambda: reader.line_num + 1, None)  # drawn by `zip` before each row
-    seen = {}
-    for lineno, row in [(start, row) for start, row in zip(starts, reader) if row][1:]:
+    next(filter(None, reader))  # the header
+    seen, start = {}, reader.line_num + 1
+    for row in reader:
+        lineno, start = start, reader.line_num + 1  # the CSV line the row starts on
+        if not row:
+            continue
         if len(row) != len(header):
             raise MatrixError(
                 f"row {lineno} has {len(row) - 1} cells for {len(criteria)} criteria"

@@ -189,8 +189,9 @@ def test_column_parser_reads_the_cell_language_of_parse_interval(texts):
         assert list(zip(map(float.hex, lowers), map(float.hex, uppers))) == want
     rows = [[f"a{i}", text] for i, text in enumerate(texts)]
     out = io.StringIO()
-    csv.writer(out).writerows([["alternative", "c1"], *rows])
     try:
+        # Before Python 3.11, csv neither writes nor reads a NUL.
+        csv.writer(out).writerows([["alternative", "c1"], *rows])
         echoed = list(csv.reader(io.StringIO(out.getvalue())))[1:]
     except csv.Error:
         echoed = None
