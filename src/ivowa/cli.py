@@ -161,17 +161,8 @@ def rank_matrix(config: RunConfig, matrix: DecisionMatrix):
 def _cmd_aggregate(args) -> int:
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        matrix = parse_matrix(args.matrix, args.format)
-    except (MatrixError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ranking, operator = rank_matrix(config, matrix)
-    except ConfigError as exc:
+        ranking, operator = rank_matrix(config, parse_matrix(args.matrix, args.format))
+    except (ConfigError, MatrixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GowaError, WeightError) as exc:

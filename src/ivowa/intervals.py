@@ -293,8 +293,9 @@ def parse_interval_columns(texts: Sequence[str]) -> tuple[list[float], list[floa
                                and min(lowers) >= 0.0 and max(uppers) <= 1.0):
         return lowers, uppers
     if len(texts) != 1:
-        for text in texts:
-            parse_interval_columns((text,))
+        # A refusal is per cell, so the first refused half holds the first bad cell.
+        parse_interval_columns(texts[:len(texts) // 2])
+        parse_interval_columns(texts[len(texts) // 2:])
     if uppers is None:
         raise IntervalError(f"malformed interval text {texts[0]!r}")
     raise endpoint_error(lowers[0], uppers[0])

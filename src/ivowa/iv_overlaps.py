@@ -236,7 +236,6 @@ def representable(
     g_lower: RealOverlap,
     g_upper: RealOverlap,
     grid: SampleGrid = REAL_GRID,
-    name: str | None = None,
 ) -> IVOverlap:
     """Apply one real overlap to the lower endpoints and another to the upper.
 
@@ -255,7 +254,7 @@ def representable(
     if {"associative"} <= g_lower.claims and {"associative"} <= g_upper.claims:
         claims.add("associative")
     return IVOverlap(lambda xl, xu, yl, yu: (map(g_lower.fn, xl, yl), map(g_upper.fn, xu, yu)),
-                     name or f"rep({g_lower.name},{g_upper.name})",
+                     f"rep({g_lower.name},{g_upper.name})",
                      Representable(g_lower, g_upper), frozenset(claims))
 
 
@@ -263,7 +262,6 @@ def semi_representable(
     m_lower: RealAggregator,
     m_upper: RealAggregator,
     parts: Sequence[RealOverlap],
-    grid: SampleGrid = REAL_GRID,
     name: str | None = None,
 ) -> IVOverlap:
     """Eight real overlaps combined by two 4-ary aggregators.
@@ -273,7 +271,7 @@ def semi_representable(
     endpoint does the same with the last four.  Preconditions are verified by
     sampling and a violation is rejected with the failed condition named.
     """
-    return _semi_representable(m_lower, m_upper, tuple(parts), grid, name)
+    return _semi_representable(m_lower, m_upper, tuple(parts), name)
 
 
 @memoized
@@ -281,14 +279,13 @@ def _semi_representable(
     m_lower: RealAggregator,
     m_upper: RealAggregator,
     parts: tuple[RealOverlap, ...],
-    grid: SampleGrid,
     name: str | None,
 ) -> IVOverlap:
     if len(parts) != 8:
         raise ConstructionError(f"component count: expected 8 real overlaps, got {len(parts)}")
     if m_lower.arity != 4 or m_upper.arity != 4:
         raise ConstructionError("aggregator arity: both aggregators must be 4-ary")
-    pts = grid.endpoints()
+    pts = REAL_GRID.endpoints()
     for i in range(4):
         res = pointwise_leq(parts[i], parts[i + 4], pts)
         if not res.ok:
@@ -336,10 +333,10 @@ def _semi_representable(
     return op
 
 
-def _validate_generator(g: UnaryGenerator, grid: SampleGrid) -> None:
+def _validate_generator(g: UnaryGenerator) -> None:
     """g fixes [0,0] and [1,1], the first and the last grid interval, is
     monotone and keeps the interior off them: one evaluation per interval."""
-    sample = grid.intervals()
+    sample = DEFAULT_GRID.intervals()
     images = list(zip(*_checked(*g.columns(*zip(*_ends_of(sample))))))
     if images[0] != (0.0, 0.0) or images[-1] != (1.0, 1.0):
         raise ConstructionError(f"generator boundary: {g.name} must fix [0,0] and [1,1]")
@@ -355,12 +352,11 @@ def _validate_generator(g: UnaryGenerator, grid: SampleGrid) -> None:
 @memoized
 def migrative_from_generator(
     g: UnaryGenerator,
-    grid: SampleGrid = DEFAULT_GRID,
     name: str | None = None,
     claims: frozenset[str] = frozenset(),
 ) -> IVOverlap:
     """Build the migrative overlap X, Y -> g(XY) from a unary generator."""
-    _validate_generator(g, grid)
+    _validate_generator(g)
     return IVOverlap(lambda xl, xu, yl, yu: g.columns(map(mul, xl, yl), map(mul, xu, yu)),
                      name or f"mig({g.name})", Migrative(g), claims)
 
@@ -645,16 +641,12 @@ def neutral_element_holds(f: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> Samp
 
 
 @memoized
-def check_associative(
-    f: IVOverlap,
-    grid: SampleGrid = SampleGrid(0.2),
-    tol: float = POLY_TOLERANCE,
-) -> SampledResult:
-    """f(f(X, Y), Z) == f(X, f(Y, Z)), a row per (X, Y) with Z running over
-    the grid.  The inner values f(X, Y) and f(Y, Z) are read from the value
-    table; the outer sides are value rows, f(f(X, Y), .) once per distinct
-    f(X, Y), and f(X, .) over the row f(Y, .)."""
-    sample = grid.intervals()
+def check_associative(f: IVOverlap) -> SampledResult:
+    """f(f(X, Y), Z) == f(X, f(Y, Z)) within `POLY_TOLERANCE`, a row per
+    (X, Y) with Z running over the 0.2 grid.  The inner values f(X, Y) and
+    f(Y, Z) are read from the value table; the outer sides are value rows,
+    f(f(X, Y), .) once per distinct f(X, Y), and f(X, .) over the row f(Y, .)."""
+    sample = SampleGrid(0.2).intervals()
     pts = _ends_of(sample)
     lows, ups = value_table(f, pts, pts)
     inner = [list(zip(lo, up)) for lo, up in zip(lows, ups)]
@@ -663,7 +655,7 @@ def check_associative(
     def rows():
         for x, p, xys in zip(sample, pts, inner):
             for y, xy, yzs in zip(sample, xys, inner):
-                yield from close_row(*outer[xy], *value_row(f, p, yzs), tol,
+                yield from close_row(*outer[xy], *value_row(f, p, yzs), POLY_TOLERANCE,
                                      lambda k: (x, y, sample[k]))
 
     return first_violation_in_rows(rows())

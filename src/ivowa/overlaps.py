@@ -240,21 +240,21 @@ def pointwise_equal(g1: RealOverlap, g2: RealOverlap, pts: Sequence[float]) -> S
 # ---------------------------------------------------------------------------
 
 
-def projection_aggregator(index: int, arity: int = 4) -> RealAggregator:
-    """Aggregator picking its index-th argument (1-based)."""
-    if not 1 <= index <= arity:
-        raise OverlapError(f"projection index {index} out of range 1..{arity}")
+def projection_aggregator(index: int) -> RealAggregator:
+    """4-ary aggregator picking its index-th argument (1-based)."""
+    if not 1 <= index <= 4:
+        raise OverlapError(f"projection index {index} out of range 1..4")
     claims = {"m1", "m2", f"m3:arg{index}", f"m4:arg{index}"}
     if index > 2:
         claims.add("commutative-first-two")
-    return RealAggregator(lambda *xs: xs[index - 1], arity, f"pick:{index}", frozenset(claims))
+    return RealAggregator(lambda *xs: xs[index - 1], 4, f"pick:{index}", frozenset(claims))
 
 
-def mean_of_components(indices: Sequence[int], arity: int = 4) -> RealAggregator:
-    """Aggregator averaging the given (1-based) argument positions."""
+def mean_of_components(indices: Sequence[int]) -> RealAggregator:
+    """4-ary aggregator averaging the given (1-based) argument positions."""
     idx = tuple(indices)
-    if any(not 1 <= i <= arity for i in idx) or not idx:
-        raise OverlapError(f"component indices {indices} out of range 1..{arity}")
+    if any(not 1 <= i <= 4 for i in idx) or not idx:
+        raise OverlapError(f"component indices {indices} out of range 1..4")
     claims = {"m1", "m2"}
     claims.update(f"m3:arg{i}" for i in idx)
     claims.update(f"m4:arg{i}" for i in idx)
@@ -265,7 +265,7 @@ def mean_of_components(indices: Sequence[int], arity: int = 4) -> RealAggregator
     def fn(*xs: float) -> float:
         return math.fsum(xs[i - 1] for i in idx) / len(idx)
 
-    return RealAggregator(fn, arity, name, frozenset(claims))
+    return RealAggregator(fn, 4, name, frozenset(claims))
 
 
 def check_m1_boundary(m: RealAggregator) -> SampledResult:
@@ -308,38 +308,38 @@ def _first_step(
     return SampledResult(False, (args, j, jump), len(values))
 
 
-def check_m2_monotone(m: RealAggregator, step: float = 0.25) -> SampledResult:
-    """Nondecreasing along each adjacent grid step; the sample count is the
-    whole grid, whether or not a decrease is found."""
-    ok, witness, samples = _first_step(m, step, lambda moved, values: map(lt, moved, values))
+def check_m2_monotone(m: RealAggregator) -> SampledResult:
+    """Nondecreasing along each adjacent step of the 0.25 grid; the sample
+    count is the whole grid, whether or not a decrease is found."""
+    ok, witness, samples = _first_step(m, 0.25, lambda moved, values: map(lt, moved, values))
     return SampledResult(ok, witness and witness[:2], samples)
 
 
-def check_m3_component(m: RealAggregator, index: int, step: float = 0.25) -> SampledResult:
-    """Value 0 forces the index-th argument (1-based) to be 0."""
-    pts = SampleGrid(step).endpoints()
+def check_m3_component(m: RealAggregator, index: int) -> SampledResult:
+    """Value 0 forces the index-th argument (1-based) to be 0, on the 0.25 grid."""
+    pts = SampleGrid(0.25).endpoints()
     return first_violation(args if m(*args) == 0.0 and args[index - 1] != 0.0 else None
                            for args in itertools.product(pts, repeat=m.arity))
 
 
-def check_m4_component(m: RealAggregator, index: int, step: float = 0.25) -> SampledResult:
-    """Value 1 forces the index-th argument (1-based) to be 1."""
-    pts = SampleGrid(step).endpoints()
+def check_m4_component(m: RealAggregator, index: int) -> SampledResult:
+    """Value 1 forces the index-th argument (1-based) to be 1, on the 0.25 grid."""
+    pts = SampleGrid(0.25).endpoints()
     return first_violation(args if m(*args) == 1.0 and args[index - 1] != 1.0 else None
                            for args in itertools.product(pts, repeat=m.arity))
 
 
-def check_commutative_first_two(m: RealAggregator, step: float = 0.25) -> SampledResult:
+def check_commutative_first_two(m: RealAggregator) -> SampledResult:
     """m(x1, x2, ...) == m(x2, x1, ...), read from one table of m's values:
-    m is evaluated once per grid tuple."""
-    args = list(itertools.product(SampleGrid(step).endpoints(), repeat=m.arity))
+    m is evaluated once per tuple of the 0.25 grid."""
+    args = list(itertools.product(SampleGrid(0.25).endpoints(), repeat=m.arity))
     value = dict(zip(args, itertools.starmap(m.fn, args)))
     return first_violation(a if value[a] != value[(a[1], a[0], *a[2:])] else None for a in args)
 
 
-def check_nary_continuity(m: RealAggregator, step: float = 0.1) -> SampledResult:
-    """Grid-jump continuity heuristic: no step to a neighbouring grid point
-    jumps by 4 * step or more.  The witness is the first step that does."""
-    bound = 4.0 * step
-    return _first_step(m, step, lambda moved, values: map(
+def check_nary_continuity(m: RealAggregator) -> SampledResult:
+    """Grid-jump continuity heuristic: no step to a neighbouring point of the
+    0.1 grid jumps by 4 * 0.1 or more.  The witness is the first step that does."""
+    bound = 4.0 * 0.1
+    return _first_step(m, 0.1, lambda moved, values: map(
         ge, map(abs, map(sub, moved, values)), itertools.repeat(bound)))

@@ -235,12 +235,6 @@ def non_saturating(uppers: Iterable[float]) -> bool:
     return math.fsum(uppers) <= 1.0
 
 
-# Restriction applied when a kind distributes only on part of the space.
-DISTRIBUTIVITY_RESTRICTIONS: dict[AggregatorKind, Callable[[Iterable[float]], bool]] = {
-    AggregatorKind.TRUNCATED_SUM: non_saturating,
-}
-
-
 def _blocks(cases: Iterable[tuple]) -> Iterator[list[tuple]]:
     """A sample stream in blocks of 8, 16, ..., 512 tuples: most failing
     checks stop within a few tuples, and the cap bounds a block's memory."""
@@ -333,9 +327,7 @@ def check_distributivity(
 def check_homogeneous_m(
     m: IVAggregator,
     grid: SampleGrid = DEFAULT_GRID,
-    tol: float = ROOT_TOLERANCE,
     budget: int = 300_000,
-    seed: int = SAMPLE_SEED,
 ) -> SampledResult:
     """First-order homogeneity: scaling every input scales the output.
 
@@ -350,7 +342,7 @@ def check_homogeneous_m(
     # [alpha.lower*x.lower, alpha.upper*x.upper] are the interval product.
     scaled_lo, scaled_up = value_table(interval_product(), list(zip(lows, ups)),
                                        list(zip(lows, ups)))
-    cases = tuple_samples(range(len(items)), m.arity + 1, budget, seed)
+    cases = tuple_samples(range(len(items)), m.arity + 1, budget, SAMPLE_SEED)
     decode = items.__getitem__
     size, n = len(items), m.arity
 
@@ -367,7 +359,7 @@ def check_homogeneous_m(
             yield from close_row(
                 *over_xs(scaled_lo[a], scaled_up[a]),
                 list(map(mul, itertools.repeat(lows[a]), base_lo)),
-                list(map(mul, itertools.repeat(ups[a]), base_up)), tol, lambda k: (
+                list(map(mul, itertools.repeat(ups[a]), base_up)), ROOT_TOLERANCE, lambda k: (
                     alpha, *next(itertools.islice(itertools.product(items, repeat=n), k, None))))
 
     def block_rows():
@@ -380,16 +372,16 @@ def check_homogeneous_m(
                              for table in (scaled_lo, scaled_up))),
                 list(map(mul, map(lows.__getitem__, a_col), base_lo)),
                 list(map(mul, map(ups.__getitem__, a_col), base_up)),
-                tol, lambda k: tuple(map(decode, block[k])))
+                ROOT_TOLERANCE, lambda k: tuple(map(decode, block[k])))
 
     return first_violation_in_rows(rows() if cases.exhaustive else block_rows())
 
 
-def absorption_holds(m: IVAggregator, grid: SampleGrid = DEFAULT_GRID) -> SampledResult:
+def absorption_holds(m: IVAggregator) -> SampledResult:
     """A single input among [0,0] padding passes through unchanged, exactly."""
     pad = (ZERO,) * m.arity
     return first_violation((x, j) if m([*pad[:j], x, *pad[j + 1:]]) != x else None
-                           for x in grid.intervals() for j in range(m.arity))
+                           for x in DEFAULT_GRID.intervals() for j in range(m.arity))
 
 
 @dataclass(eq=False)
@@ -448,20 +440,17 @@ def _paired_values(op: GowaOperator, pairs: Iterable[tuple]) -> Iterator[tuple]:
 
 
 @memoized
-def _distributes(
-    m: IVAggregator,
-    o: IVOverlap,
-    grid: SampleGrid,
-    budget: int,
-    tol: float,
-) -> tuple[SampledResult, tuple | None]:
+def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResult, tuple | None]:
     """The distributivity verdict that admits the pair, and the witness found
-    outside the kind's restriction, if any (None when nothing is restricted)."""
-    restrict = DISTRIBUTIVITY_RESTRICTIONS.get(m.kind)
-    dist = check_distributivity(m, o, grid=grid, tol=tol, restrict=restrict, budget=budget)
+    outside the kind's restriction, if any (None when nothing is restricted):
+    the truncated sum is checked where it does not saturate, and the sample is
+    the full cross product for binary aggregators, a bounded one above."""
+    restrict = non_saturating if m.kind is AggregatorKind.TRUNCATED_SUM else None
+    budget = 300_000 if m.arity <= 2 else 100_000
+    dist = check_distributivity(m, o, tol=tol, restrict=restrict, budget=budget)
     if not dist.ok or restrict is None:
         return dist, None
-    return dist, check_distributivity(m, o, grid=grid, tol=tol, budget=budget).witness
+    return dist, check_distributivity(m, o, tol=tol, budget=budget).witness
 
 
 def make_gowa(
@@ -469,8 +458,6 @@ def make_gowa(
     o: IVOverlap,
     w: WeightVector,
     order: AdmissibleOrder = DEFAULT_ORDER,
-    grid: SampleGrid = DEFAULT_GRID,
-    budget: int | None = None,
     tol: float = ROOT_TOLERANCE,
 ) -> GowaOperator:
     """Validate the (aggregator, overlap, weights) triple and build the operator.
@@ -485,16 +472,13 @@ def make_gowa(
         raise GowaError(
             f"weights are not normalized for {m.name}: aggregate is {m(w.weights)}, not [1,1]"
         )
-    neutral = neutral_element_holds(o, grid)
+    neutral = neutral_element_holds(o)
     if not neutral.ok:
         raise GowaError(
             f"overlap {o.name} lacks the neutral element [1,1]; "
             f"witness {' '.join(map(format_interval, neutral.witness))}"
         )
-    if budget is None:
-        # Full cross product for binary aggregators; a bounded sample above.
-        budget = 300_000 if m.arity <= 2 else 100_000
-    dist, saturation = _distributes(m, o, grid, budget, tol)
+    dist, saturation = _distributes(m, o, tol)
     if not dist.ok:
         raise GowaError(
             f"aggregator {m.name} does not distribute over {o.name}; "
@@ -509,24 +493,20 @@ def iv_gowa(
     w: WeightVector,
     order: AdmissibleOrder,
     values: Sequence[Interval],
-    **kwargs,
 ) -> Interval:
     """One-shot form of the operator; precondition checks are cached per pair."""
-    return make_gowa(m, o, w, order, **kwargs)(values)
+    return make_gowa(m, o, w, order)(values)
 
 
-def check_order_monotonicity(
-    op: GowaOperator,
-    grid: SampleGrid = SampleGrid(0.25),
-) -> SampledResult:
-    """Is the operator monotone with respect to its own admissible order?
+def check_order_monotonicity(op: GowaOperator) -> SampledResult:
+    """Is the operator monotone in its own admissible order, on the 0.25 grid?
 
     Guaranteed only for the product partial order; under a total order some
     configurations genuinely fail, so this is an empirical per-configuration
     report, not an invariant.
     """
     order = op.order
-    items = grid.intervals()
+    items = SampleGrid(0.25).intervals()
     ordered = [(a, b) for a in items for b in items if a != b and order.leq(a, b)]
     pairs = (tuple(zip(*combo)) for combo in tuple_samples(ordered, op.arity, budget=20_000))
     return first_violation((*lo_vec, *hi_vec) if not order.leq(lo, hi) else None
@@ -538,7 +518,6 @@ def projection_owa(
     index: int,
     values: Sequence[Interval],
     order: AdmissibleOrder = DEFAULT_ORDER,
-    overlap: IVOverlap | None = None,
 ) -> Interval:
     """Select the index-th largest input (1-based) via a one-hot weight vector.
 
@@ -550,6 +529,5 @@ def projection_owa(
         x, j = absorb.witness
         raise GowaError(f"aggregator {m.name} does not absorb zero padding: "
                         f"{format_interval(x)} at position {j + 1}")
-    o = overlap if overlap is not None else interval_product()
     w = WeightVector.selector(m.arity, index)
-    return iv_gowa(m, o, w, order, values)
+    return iv_gowa(m, interval_product(), w, order, values)

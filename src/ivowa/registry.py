@@ -28,7 +28,7 @@ from .iv_overlaps import (
     representable,
 )
 from .overlaps import RealOverlap, builtin_overlaps
-from .owa import IVAggregator, builtin_aggregators
+from .owa import AggregatorKind, IVAggregator, builtin_aggregators
 from .sampling import memoized
 
 __all__ = [
@@ -45,8 +45,8 @@ __all__ = [
     "ORDER_IDS",
 ]
 
-AGGREGATOR_IDS = ("max", "tsum", "geomean", "dirac")
-ORDER_IDS = ("lex1", "lex2", "xuyager")
+AGGREGATOR_IDS = tuple(kind.value for kind in AggregatorKind)
+ORDER_IDS = tuple(order.value for order in AdmissibleOrder)
 
 # The deepest parenthesis nesting an interval-overlap id may have.  Resolving
 # recurses once per level and each pow/root overlap calls its base, so a far

@@ -111,7 +111,7 @@ class LazyRows(dict):
 # The one memo.  Sampled checks, operator validation, operator constructors
 # and catalogs are deterministic for fixed arguments, so their results are
 # kept here, least recently used first out once MEMO_SIZE entries are held.
-# A full `verify theorems lattice` run holds 96.
+# A full `verify theorems lattice` run holds 101.
 MEMO_SIZE = 512
 _MEMO: OrderedDict[tuple, object] = OrderedDict()
 

@@ -171,6 +171,8 @@ def _outcome(text):
 @example(texts=["[0.1,0.2]", "0.3\x00[0.1,0.2]"])
 @example(texts=["[0.1,\n0.2]"])
 @example(texts=MIXED_COLUMN)
+@example(texts=["0.5", "[0.9,0.1]", "0.2", "x", "0.4"])
+@example(texts=["0.5", "0.2", "[0.4", "0.1", "[0.9,0.1]"])
 def test_column_parser_reads_the_cell_language_of_parse_interval(texts):
     # parse_interval reads each cell as the reference does; a column of
     # cells, parsed at once and through a one-column CSV matrix, gives the

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_interval_close, intervals, random_interval
+from ivowa import intervals as intervals_module
 from ivowa.intervals import (
     AdmissibleOrder,
     ExponentInterval,
@@ -260,3 +261,20 @@ class TestTextForm:
     @given(intervals())
     def test_round_trip_exact(self, x):
         assert parse_interval(format_interval(x)) == x
+
+    @pytest.mark.parametrize("bad", [{1023: "x"}, {3: "[0.3,0.1]", 700: "y"}])
+    def test_refused_column_is_halved_to_its_first_bad_cell(self, monkeypatch, bad):
+        # A refused column is split in halves down to its first bad cell, so a
+        # 1,024-cell column takes at most 21 calls, not one per cell (1,025).
+        texts = ["[0.1,0.2]"] * 1024
+        for i, text in bad.items():
+            texts[i] = text
+        with pytest.raises(IntervalError) as first:
+            parse_interval(texts[min(bad)])
+        calls, parse = [], intervals_module.parse_interval_columns
+        monkeypatch.setattr(intervals_module, "parse_interval_columns",
+                            lambda texts: calls.append(len(texts)) or parse(texts))
+        with pytest.raises(IntervalError) as column:
+            intervals_module.parse_interval_columns(texts)
+        assert str(column.value) == str(first.value)
+        assert len(calls) <= 21
