@@ -45,6 +45,8 @@ __all__ = [
 class IntervalError(ValueError):
     """Endpoints violate an interval invariant, or a domain restriction."""
 
+    cell = 0  # the refused cell's index among the texts of `parse_interval_columns`
+
 
 class Interval:
     """A closed subinterval [lower, upper] of [0, 1].
@@ -294,8 +296,13 @@ def parse_interval_columns(texts: Sequence[str]) -> tuple[list[float], list[floa
         return lowers, uppers
     if len(texts) != 1:
         # A refusal is per cell, so the first refused half holds the first bad cell.
-        parse_interval_columns(texts[:len(texts) // 2])
-        parse_interval_columns(texts[len(texts) // 2:])
+        half = len(texts) // 2
+        parse_interval_columns(texts[:half])
+        try:
+            parse_interval_columns(texts[half:])
+        except IntervalError as exc:
+            exc.cell += half
+            raise
     if uppers is None:
         raise IntervalError(f"malformed interval text {texts[0]!r}")
     raise endpoint_error(lowers[0], uppers[0])

@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress, count
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -117,21 +118,25 @@ def _parse_csv(text: str) -> DecisionMatrix:
         raise MatrixError("header row needs at least one criterion label")
     criteria = tuple(label.strip() for label in header[1:])
     _check_criteria(criteria, lambda i: f"header column {i + 2}")
-    label_column, *columns = zip(*rows[1:])
-    alternatives = tuple(map(str.strip, label_column))
-    if (set(map(len, rows)) == {len(header)} and all(alternatives)
-            and len(set(alternatives)) == len(alternatives)):
+    # Each column of the rows before the first of the wrong length is parsed
+    # in one call; `bad` is the earliest row of a refused column's first bad cell.
+    body = rows[1:]
+    shaped = next(compress(count(), map(len(header).__ne__, map(len, body))), len(body))
+    columns, ends, bad = list(zip(*body[:shaped])), [], shaped
+    for column in columns[1:]:
         try:
-            lowers, uppers = zip(*map(parse_interval_columns, columns))
-        except IntervalError:
-            pass
-        else:
-            return DecisionMatrix(alternatives, criteria, lowers, uppers)
+            ends.append(parse_interval_columns(column))
+        except IntervalError as exc:
+            bad = min(bad, exc.cell)
+    alternatives = tuple(map(str.strip, columns[0])) if columns else ()
+    if bad == len(body) and all(alternatives) and len(set(alternatives)) == len(alternatives):
+        return DecisionMatrix(alternatives, criteria, *zip(*ends))
     # A defect: raise the error of the first bad row or cell in row-major
-    # order, a row's length checked first, then its label, then its cells.
+    # order, a row's length checked first, then its label, then its cells,
+    # which are parsed only in row `bad`.
     reader = csv.reader(io.StringIO(text), strict=True)
     next(filter(None, reader))  # the header
-    seen, start = {}, reader.line_num + 1
+    seen, start, index = {}, reader.line_num + 1, 0
     for row in reader:
         lineno, start = start, reader.line_num + 1  # the CSV line the row starts on
         if not row:
@@ -144,11 +149,13 @@ def _parse_csv(text: str) -> DecisionMatrix:
         if not label:
             raise MatrixError(f"row {lineno} is missing an alternative label")
         _first_use(seen, label, lineno, "row {}".format, "alternative")
-        for col_label, value in zip(criteria, row[1:]):
-            try:
-                parse_interval_columns((value,))
-            except IntervalError as exc:
-                raise MatrixError(f"cell ({label!r}, {col_label!r}): {exc}") from None
+        if index == bad:
+            for col_label, value in zip(criteria, row[1:]):
+                try:
+                    parse_interval_columns((value,))
+                except IntervalError as exc:
+                    raise MatrixError(f"cell ({label!r}, {col_label!r}): {exc}") from None
+        index += 1
     raise AssertionError("a matrix the column pass refused has no defect")
 
 

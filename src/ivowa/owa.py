@@ -230,7 +230,7 @@ def normalize_weights(m: IVAggregator, w: WeightVector) -> WeightVector:
 def non_saturating(uppers: Iterable[float]) -> bool:
     """Tuples whose upper endpoints sum within 1: the truncated sum never clamps.
 
-    A restriction reads the upper endpoints of a tuple's inputs x1..xn.
+    `check_distributivity`'s restriction, on the uppers of the inputs x1..xn.
     """
     return math.fsum(uppers) <= 1.0
 
@@ -255,20 +255,21 @@ def check_distributivity(
     o: IVOverlap,
     grid: SampleGrid = DEFAULT_GRID,
     tol: float = ROOT_TOLERANCE,
-    restrict: Callable[[Iterable[float]], bool] | None = None,
+    restrict: bool = False,
     budget: int = 300_000,
     seed: int = SAMPLE_SEED,
 ) -> SampledResult:
     """Does the aggregator distribute over the overlap?
 
     Verifies M(O(X1,Y), ..., O(Xn,Y)) == O(M(X1..Xn), Y) on sampled tuples;
-    an optional restriction predicate on the upper endpoints of X1..Xn
-    narrows the tuples checked.  The full cross product is walked a row per
-    xs the restriction keeps (asked once per xs), y running over the grid;
-    a sample a block at a time (`_blocks`), asked once per tuple.  The
-    right side of a block is read from the overlap's value rows when every
-    aggregate in it is a grid interval, as those of max and dirac always
-    are; otherwise it is evaluated once per tuple.
+    `restrict` keeps the tuples whose X1..Xn are `non_saturating`.  The full
+    cross product is walked a row per xs kept (asked once per xs), y running
+    over the grid; a sample a block at a time (`_blocks`), screened first
+    (`TupleSamples.screened`): grid upper endpoints are exactly k/D, so only
+    tuples whose numerators k sum to at most D can be kept, and only they are
+    asked.  The right side of a block is read from the overlap's value rows
+    when every aggregate in it is a grid interval, as those of max and dirac
+    always are; otherwise it is evaluated once per tuple.
     """
     items = grid.intervals()
     lows = [x.lower for x in items]
@@ -293,21 +294,20 @@ def check_distributivity(
     decode = items.__getitem__
     cases = tuple_samples(range(len(items)), m.arity + 1, budget, seed)
 
-    def kept(tuples: Iterable[tuple]) -> Iterable[tuple]:
-        """The tuples whose x1..xn the restriction keeps, asked in walk order."""
-        if restrict is None:
-            return tuples
-        return (t for t in tuples if restrict(map(ups.__getitem__, t[:m.arity])))
+    def kept(t: tuple) -> bool:
+        return non_saturating(map(ups.__getitem__, t[:m.arity]))
 
     def rows():
-        for xs in kept(itertools.product(range(len(items)), repeat=m.arity)):
+        xss = itertools.product(range(len(items)), repeat=m.arity)
+        for xs in filter(kept, xss) if restrict else xss:
             (agg_lo,), (agg_up,) = m.columns([[lows[x]] for x in xs], [[ups[x]] for x in xs])
             yield from close_row(*m.columns([o_lo[x] for x in xs], [o_up[x] for x in xs]),
                                  *rhs_rows[agg_lo, agg_up], tol,
                                  lambda k: (*map(decode, xs), items[k]))
 
     def block_rows():
-        for block in _blocks(kept(cases)):
+        screened = cases.screened([round(u * grid.divisions) for u in ups], grid.divisions, kept)
+        for block in _blocks(screened if restrict else cases):
             *x_cols, y_col = zip(*block)
             lhs = m.columns(*([_read(table, xc, y_col) for xc in x_cols] for table in (o_lo, o_up)))
             agg_lo, agg_up = m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
@@ -445,10 +445,10 @@ def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResu
     outside the kind's restriction, if any (None when nothing is restricted):
     the truncated sum is checked where it does not saturate, and the sample is
     the full cross product for binary aggregators, a bounded one above."""
-    restrict = non_saturating if m.kind is AggregatorKind.TRUNCATED_SUM else None
+    restrict = m.kind is AggregatorKind.TRUNCATED_SUM
     budget = 300_000 if m.arity <= 2 else 100_000
     dist = check_distributivity(m, o, tol=tol, restrict=restrict, budget=budget)
-    if not dist.ok or restrict is None:
+    if not dist.ok or not restrict:
         return dist, None
     return dist, check_distributivity(m, o, tol=tol, budget=budget).witness
 

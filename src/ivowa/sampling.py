@@ -17,7 +17,7 @@ import sys
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from operator import ge, gt, or_, sub
+from operator import ge, gt, le, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .intervals import Interval, leq_product, subseteq
@@ -202,10 +202,10 @@ class TupleSamples:
 
     Iterating yields the full cross product when it fits the budget,
     otherwise one constant tuple per item, the structured corner tuples and a
-    seeded random fill up to the budget.  Each iteration starts the stream
-    afresh, so a sample can be walked any number of times, and the fill
-    draws only as far as the caller reads.  The fill equals, tuple for tuple,
-    n calls of ``random.Random(seed).choice(items)`` per tuple.
+    seeded random fill up to the budget, equal tuple for tuple to n calls of
+    ``random.Random(seed).choice(items)``.  Each walk starts afresh and draws
+    only as far as the caller reads; `screened` walks a filtered sample,
+    rejecting most of the fill a block of draws at a time.
     """
 
     def __init__(self, items: Sequence, n: int, budget: int, seed: int) -> None:
@@ -236,36 +236,72 @@ class TupleSamples:
         fill = zip(*[_choices(items, self.seed)] * n)
         return itertools.chain(head, itertools.islice(fill, max(0, self.budget - len(head))))
 
+    def screened(self, weights: Sequence[int], bound: int,
+                 keep: Callable[[tuple], bool]) -> Iterator[tuple]:
+        """The sampled tuples that `keep` keeps, in order.  `keep` must refuse a
+        tuple whose first n - 1 items weigh over `bound` (``items[i]`` weighs
+        ``weights[i]`` <= min(bound, 255)); it is asked of the head and of the
+        fill tuples `_light` passes."""
+        items, n, head = self.items, self.n, len(self.items) + 6 * self.n
+        yield from filter(keep, itertools.islice(self, head))
+        table = bytes(weights).ljust(256, b"\0")
+        draws, todo, rest = _draws(len(items), self.seed), self.budget - head, b""
+        while todo > 0:
+            flat = rest + next(draws) if rest else next(draws)
+            count = min(len(flat) // n, todo)
+            light = flat.translate(table) if isinstance(flat, bytes) else bytes(map(
+                weights.__getitem__, flat))
+            for p in _light(light, n, count, bound):
+                t = tuple(map(items.__getitem__, flat[p * n:p * n + n]))
+                if keep(t):
+                    yield t
+            todo, rest = todo - count, flat[count * n:]
 
-def _choices(items: Sequence, seed: int) -> Iterator:
-    """The endless stream of ``random.Random(seed).choice(items)`` results,
-    drawn in blocks of 32-bit words.
 
-    ``choice`` takes the top ``b = len(items).bit_length()`` bits of one
-    Mersenne Twister word per try and rejects values >= len(items);
-    ``getrandbits(32 * k)`` returns k such words, least significant first,
-    from the same generator.
+def _light(weights: bytes, n: int, count: int, bound: int) -> Iterator[int]:
+    """The positions of the first `count` n-tuples of bytes, each at most
+    `bound`, whose first n - 1 bytes sum to at most `bound`: each column is
+    one integer of lanes too wide for a sum to carry into the next."""
+    lane, code = next((size, code) for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+                      if bound * (n - 1) < 1 << 8 * size)
+    low = lane - 1 if sys.byteorder == "big" else 0
+    total = 0
+    for j in range(n - 1):
+        column = bytearray(count * lane)
+        column[low::lane] = weights[j:count * n:n]
+        total += int.from_bytes(column, sys.byteorder)
+    sums = memoryview(total.to_bytes(count * lane, sys.byteorder)).cast(code)
+    return itertools.compress(range(count), map(le, sums, itertools.repeat(bound)))
+
+
+def _draws(size: int, seed: int) -> Iterator[bytes | list[int]]:
+    """The endless stream of ``random.Random(seed).choice(range(size))``
+    results, in blocks decoded from 32-bit words.
+
+    ``choice`` takes the top ``b = size.bit_length()`` bits of one Mersenne
+    Twister word per try and rejects values >= size; ``getrandbits(32 * k)``
+    returns k such words, least significant first, from the same generator.
 
     A pool of at most 255 items has ``b <= 8``, so those bits are the top
     byte of the word shifted right by ``8 - b``.  Written out little-endian,
     the top bytes of a block are every fourth byte from the fourth; one
     ``bytes.translate`` drops the rejected ones and shifts the rest into
-    indices, so no Python frame runs per word.  Larger pools decode the
-    words one by one.
+    indices, so no Python frame runs per word, and the block is bytes.
+    Larger pools decode the words one by one into a list.
     """
     rng = random.Random(seed)
-    bits = len(items).bit_length()
+    bits = size.bit_length()
 
     if bits <= 8:
         shift = 8 - bits
         table = bytes(v >> shift for v in range(256))
-        rejected = bytes(v for v in range(256) if v >> shift >= len(items))
+        rejected = bytes(v for v in range(256) if v >> shift >= size)
 
         def decode(raw: bytes) -> bytes:
             return raw[3::4].translate(table, rejected)
     else:
         shift = 32 - bits
-        limit = len(items) << shift
+        limit = size << shift
 
         def decode(raw: bytes) -> list[int]:
             block = array("I", raw)
@@ -274,16 +310,16 @@ def _choices(items: Sequence, seed: int) -> Iterator:
             return [w >> shift for w in block if w < limit]
 
     # Blocks start small because most failing checks stop within a few
-    # samples; chain.from_iterable keeps the per-item walk out of Python.
-    def blocks() -> Iterator:
-        words = 64
-        while True:
-            yield decode(rng.getrandbits(32 * words).to_bytes(4 * words, "little"))
-            words = min(2 * words, 1 << 14)
+    # samples, and stop growing at 2**14 words to bound a block's memory.
+    words = 64
+    while True:
+        yield decode(rng.getrandbits(32 * words).to_bytes(4 * words, "little"))
+        words = min(2 * words, 1 << 14)
 
-    indices = itertools.chain.from_iterable(blocks())
-    # An index pool (the sampled law checks walk grid indices) is its own
-    # decoding.
+
+def _choices(items: Sequence, seed: int) -> Iterator:
+    """``random.Random(seed).choice(items)`` forever: `_draws` chained in C."""
+    indices = itertools.chain.from_iterable(_draws(len(items), seed))
     return indices if items == range(len(items)) else map(items.__getitem__, indices)
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 import ivowa
 from conftest import nested_transform
+from ivowa import intervals as intervals_module
+from ivowa import matrix as matrix_module
 from ivowa.cli import main
 from ivowa.intervals import Interval
 from ivowa.matrix import (
@@ -204,6 +207,36 @@ class TestMatrixParsing:
     def test_ragged_row_rejected(self):
         with pytest.raises(MatrixError, match="row 3"):
             parse_matrix_text('alternative,c1,c2\na1,"[0,1]","[0,1]"\na2,"[0,1]"\n', "csv")
+
+    @pytest.mark.parametrize("edits, needle", [
+        pytest.param({(1023, 1): "x"}, "cell ('a1023', 'c1'): malformed interval text 'x'",
+                     id="last-cell"),
+        pytest.param({(700, 1): "x", (3, 2): '"[0.3,0.1]"'},
+                     "cell ('a3', 'c2'): invalid interval endpoints [0.3, 0.1]", id="two-columns"),
+        pytest.param({(500, 2): "x", (500, 1): "y", (900, 1): "z"},
+                     "cell ('a500', 'c1'): malformed interval text 'y'", id="row-major-in-a-row"),
+        pytest.param({(900, 2): None, (1000, 1): "x"}, "row 902 has 1 cells for 2 criteria",
+                     id="ragged-before-cell"),
+        pytest.param({(10, 1): "x", (900, 2): None}, "cell ('a10', 'c1')", id="cell-before-ragged"),
+        pytest.param({(10, 0): " ", (20, 1): "x"}, "row 12 is missing an alternative label",
+                     id="label-before-cell"),
+    ])
+    def test_refused_csv_columns_are_halved_to_their_first_bad_row(self, monkeypatch, edits,
+                                                                    needle):
+        # Each refused column is halved to its first bad row (about 2 log2
+        # 1,024 calls), and cells are parsed one by one only in the earliest
+        # such row: not one call per cell before it.
+        rows = [[f"a{i}", '"[0.1,0.2]"', "0.5"] for i in range(1024)]
+        for (i, j), cell in edits.items():
+            rows[i][j:j + 1] = [] if cell is None else [cell]
+        text = "alternative,c1,c2\n" + "".join(",".join(row) + "\n" for row in rows)
+        calls, parse = [], intervals_module.parse_interval_columns
+        counted = lambda texts: calls.append(len(texts)) or parse(texts)
+        monkeypatch.setattr(intervals_module, "parse_interval_columns", counted)
+        monkeypatch.setattr(matrix_module, "parse_interval_columns", counted)
+        with pytest.raises(MatrixError, match=re.escape(needle)):
+            parse_matrix_text(text, "csv")
+        assert len(calls) <= 2 * (2 * 10 + 1) + 2
 
     def test_json_round_trip_exact(self):
         m = parse_matrix_text(MATRIX_CSV, "csv")

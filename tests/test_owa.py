@@ -40,7 +40,6 @@ from ivowa.owa import (
     is_weighted_vector,
     iv_gowa,
     make_gowa,
-    non_saturating,
     normalize_weights,
     projection_owa,
 )
@@ -232,7 +231,7 @@ class TestDistributivity:
     def test_tsum_saturation(self):
         unrestricted = check_distributivity(AGG2["tsum"], PRODUCT)
         assert not unrestricted.ok
-        restricted = check_distributivity(AGG2["tsum"], PRODUCT, restrict=non_saturating)
+        restricted = check_distributivity(AGG2["tsum"], PRODUCT, restrict=True)
         assert restricted.ok
         assert restricted.samples > 0
 
@@ -261,7 +260,7 @@ class TestValidationMemo:
         first = check_distributivity(AGG2["dirac"], o, DEFAULT_GRID)
         assert calls[0] == 1
         again = check_distributivity(AGG2["dirac"], o, grid=DEFAULT_GRID, tol=ROOT_TOLERANCE,
-                                     restrict=None, budget=300_000, seed=SAMPLE_SEED)
+                                     restrict=False, budget=300_000, seed=SAMPLE_SEED)
         assert calls[0] == 1
         assert again == first
 
@@ -547,33 +546,61 @@ def interval_homogeneity(m, grid=DEFAULT_GRID, tol=ROOT_TOLERANCE, budget=300_00
     return first_violation(outcomes())
 
 
-@pytest.mark.parametrize("grid", [DEFAULT_GRID, REAL_GRID], ids=["0.1", "0.05"])
-@pytest.mark.parametrize("n", range(2, 11))
-def test_restriction_keeps_the_tuples_the_interval_predicate_kept(monkeypatch, grid, n):
-    # A memo of its own, so the recording restriction pins nothing.
+def assert_restriction_keeps_what_the_interval_predicate_kept(monkeypatch, grid, n, budget):
+    # A memo of its own, so the walk runs rather than hitting an entry.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
-    budget = 300_000 if n <= 2 else 100_000
-    verdicts = []
-
-    def recording(uppers):
-        verdicts.append(non_saturating(uppers))
-        return verdicts[-1]
-
+    asked, walked = [], []
+    predicate, blocks = owa.non_saturating, owa._blocks
+    monkeypatch.setattr(owa, "non_saturating",
+                        lambda uppers: asked.append(predicate(uppers)) or asked[-1])
+    monkeypatch.setattr(owa, "_blocks",
+                        lambda cases: (walked.extend(b) or b for b in blocks(cases)))
     res = check_distributivity(builtin_aggregators(n)["tsum"], PRODUCT, grid=grid,
-                               restrict=recording, budget=budget)
-    cases = tuple_samples(grid.intervals(), n + 1, budget)
+                               restrict=True, budget=budget)
+    items = grid.intervals()
+    cases = tuple_samples(items, n + 1, budget)
     if cases.exhaustive:
         # The restriction reads x1..xn only: it is asked once per xs, in
         # product order, and keeps or drops the whole row of ys.
-        items = grid.intervals()
         want = [interval_non_saturating(xs, None)
                 for xs in itertools.product(items, repeat=n)]
-        assert verdicts == want
+        assert asked == want
         assert res == SampledResult(True, None, sum(want) * len(items))
     else:
-        want = [interval_non_saturating(t[:-1], t[-1]) for t in cases]
-        assert verdicts == want
-        assert res == SampledResult(True, None, sum(want))
+        kept = [t for t in cases if interval_non_saturating(t[:-1], t[-1])]
+        assert [tuple(map(items.__getitem__, t)) for t in walked] == kept
+        assert res == SampledResult(True, None, len(kept))
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, REAL_GRID], ids=["0.1", "0.05"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_restriction_keeps_the_tuples_the_interval_predicate_kept(monkeypatch, grid, n):
+    budget = 300_000 if n <= 2 else 100_000
+    assert_restriction_keeps_what_the_interval_predicate_kept(monkeypatch, grid, n, budget)
+
+
+# n = 26 at step 0.1 sums 26 numerators of up to 10 in two-byte lanes; the
+# 351 intervals of the 0.04 grid are drawn as index lists, not bytes.
+@pytest.mark.parametrize("grid,n,budget", [
+    (DEFAULT_GRID, 26, 3_000),
+    (SampleGrid(1 / 25), 3, 20_000),
+    (SampleGrid(1 / 25), 9, 5_000),
+])
+def test_restriction_screens_wide_lanes_and_large_pools(monkeypatch, grid, n, budget):
+    assert_restriction_keeps_what_the_interval_predicate_kept(monkeypatch, grid, n, budget)
+
+
+def test_failing_restricted_walk_draws_at_most_one_fill_block(monkeypatch):
+    # rep(min,min) fails the restricted tsum walk on its second tuple, which
+    # the head holds: the screen must not draw the fill ahead of the walk.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    drawn, draws = [], sampling._draws
+    monkeypatch.setattr(sampling, "_draws",
+                        lambda *args: (drawn.append(b) or b for b in draws(*args)))
+    res = check_distributivity(builtin_aggregators(6)["tsum"], resolve_iv_overlap("rep(min,min)"),
+                               restrict=True, budget=100_000)
+    assert (res.ok, res.samples) == (False, 2)
+    assert len(drawn) <= 1
 
 
 # n=2 walks the whole cross product; n=3 a sample, at a smaller budget to
@@ -658,8 +685,7 @@ PIN_OVERLAPS = {
 @pytest.mark.parametrize("name,n,overlap,restriction,ok,witness,samples", DISTRIBUTIVITY_PINS)
 def test_distributivity_verdicts_are_pinned(name, n, overlap, restriction, ok, witness, samples):
     m = builtin_aggregators(n)[name]
-    restrict = {None: None, "non_saturating": non_saturating}[restriction]
-    res = check_distributivity(m, PIN_OVERLAPS[overlap], restrict=restrict,
+    res = check_distributivity(m, PIN_OVERLAPS[overlap], restrict=restriction is not None,
                                budget=300_000 if n <= 2 else 100_000)
     got = None if res.witness is None else " ".join(map(format_interval, res.witness))
     assert (res.ok, got, res.samples) == (ok, witness, samples)
