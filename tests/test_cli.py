@@ -238,6 +238,43 @@ class TestMatrixParsing:
             parse_matrix_text(text, "csv")
         assert len(calls) <= 2 * (2 * 10 + 1) + 2
 
+    @pytest.mark.parametrize("count, edits, needle", [
+        pytest.param(1100, {1: "a1,x,0.5", 898: '"a898"x,0.1,0.5'},
+                     "CSV line 900: ',' expected after '\"'", id="quote-error-after-cell"),
+        pytest.param(1100, {10: "a10,x,0.5", 600: "a600,0.1"},
+                     "cell ('a10', 'c1'): malformed interval text 'x'",
+                     id="cell-in-block-1-before-ragged-in-block-2"),
+        pytest.param(1100, {512: 'a512,0.1,"[0.3,0.1]"', 700: "a700,y,0.5"},
+                     "cell ('a512', 'c2'): invalid interval endpoints [0.3, 0.1]",
+                     id="cell-in-first-row-of-block-2"),
+        pytest.param(1100, {700: "a5,0.1,0.5"},
+                     "row 702 repeats the alternative label 'a5' of row 7",
+                     id="label-in-block-2-repeats-block-1"),
+        pytest.param(1100, {511: "\na511,0.1,0.5", 513: "\n\na513,0.1,0.5", 520: " ,x,0.5"},
+                     "row 525 is missing an alternative label", id="blank-lines-straddle-block-edge"),
+        pytest.param(1100, {511: "\na511,0.1,0.5", 513: "\n\na513,0.1,0.5", 530: "a3,x,0.5"},
+                     "row 535 repeats the alternative label 'a3' of row 5",
+                     id="blank-lines-then-repeat-with-bad-cell"),
+        pytest.param(1536, {1300: "a1300,0.1,x"}, "cell ('a1300', 'c2'): malformed interval text 'x'",
+                     id="cell-in-block-3"),
+    ])
+    def test_csv_defect_order_across_blocks(self, monkeypatch, count, edits, needle):
+        # Whichever 512-row blocks hold the defects, the first in row-major
+        # order is named, a row by the line it starts on; a CSV syntax error
+        # anywhere wins over a bad cell before it; a refused column is still
+        # halved to its first bad row.
+        lines = [f'a{i},"[0.1,0.2]",0.5' for i in range(count)]
+        for i, line in edits.items():
+            lines[i] = line
+        text = "alternative,c1,c2\n" + "".join(line + "\n" for line in lines)
+        calls, parse = [], intervals_module.parse_interval_columns
+        counted = lambda texts: calls.append(len(texts)) or parse(texts)
+        monkeypatch.setattr(intervals_module, "parse_interval_columns", counted)
+        monkeypatch.setattr(matrix_module, "parse_interval_columns", counted)
+        with pytest.raises(MatrixError, match=f"^{re.escape(needle)}$"):
+            parse_matrix_text(text, "csv")
+        assert len(calls) <= 2 * (2 * (count - 1).bit_length() + 1) + 2
+
     def test_json_round_trip_exact(self):
         m = parse_matrix_text(MATRIX_CSV, "csv")
         again = parse_matrix_text(emit_matrix_text(m, "json"), "json")

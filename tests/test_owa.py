@@ -416,6 +416,22 @@ def test_aggregate_rows_equal_the_interval_reference(name, oid, order):
     assert _hexes(map(op, rows[:100])) == want[:100]
 
 
+@pytest.mark.parametrize("order", AdmissibleOrder, ids=lambda order: order.value)
+@pytest.mark.parametrize("name", ["max", "tsum", "geomean"])
+def test_operator_columns_equal_aggregate_rows_across_blocks(name, order):
+    # 1,300 rows cross two 512-row block edges of the kernel; every 50th row
+    # holds keys that tie but for the sign of a zero endpoint.
+    op = make_gowa(builtin_aggregators(3)[name], PRODUCT, GOWA_WEIGHTS[name], order)
+    rows = _gowa_rows(1300)
+    for i in range(0, 1300, 50):
+        rows[i] = [Interval(-0.0, 0.3), Interval(0.0, 0.3), rows[i][2]]
+    cols = list(zip(*rows))
+    lowers, uppers = op.columns([[x.lower for x in col] for col in cols],
+                                [[x.upper for x in col] for col in cols])
+    assert list(zip(map(float.hex, lowers), map(float.hex, uppers))) == _hexes(
+        op.aggregate_rows(rows))
+
+
 def _matrix_text(count):
     """A seeded CSV matrix of three criteria over a pool of 31 cells, so that
     cells and rows repeat; the pool holds [0,0] and [1,1], two cells that tie
