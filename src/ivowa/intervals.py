@@ -270,6 +270,10 @@ def parse_interval(text: str) -> Interval:
     return Interval(lower, upper)
 
 
+# Rows per block where many rows are worked on as columns (the CSV reader, the
+# operator kernel, the sampled walks' cap): a block's objects stay in cache.
+BLOCK_ROWS = 512
+
 # The column's texts joined at NULs, each `[B,B]` or a bare `B`.
 _CELLS = re.compile(r"(?:\[B,B\]|B)(?:\x00(?:\[B,B\]|B))*".replace("B", r"[^\[\],\x00]*"))
 _TO_ENDS = str.maketrans("\x00", ",", "[]")

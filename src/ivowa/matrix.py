@@ -13,12 +13,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
-from .intervals import Interval, IntervalError, endpoint_error, parse_interval_columns
+from .intervals import BLOCK_ROWS, Interval, IntervalError, endpoint_error, parse_interval_columns
 
 __all__ = [
     "DecisionMatrix",
@@ -106,31 +106,41 @@ def parse_matrix(path: str | Path, fmt: str | None = None) -> DecisionMatrix:
 
 
 def _parse_csv(text: str) -> DecisionMatrix:
+    """Rows are read `BLOCK_ROWS` at a time, and each column of a block's rows
+    before its first ragged row is parsed in one call.  After a defect the
+    rest is read, not parsed, so a CSV syntax error anywhere still wins."""
     reader = csv.reader(io.StringIO(text), strict=True)
+    rows = filter(None, reader)
+    alternatives, total, bad = [], 0, None
     try:
-        rows = [r for r in reader if r]
+        header = next(rows, [])
+        ends = [([], []) for _ in header[1:]]
+        for block in iter(lambda: list(islice(rows, BLOCK_ROWS)), []):
+            if bad is None:
+                shaped = next(compress(count(), map(len(header).__ne__, map(len, block))),
+                              len(block))
+                columns = list(zip(*block[:shaped]))
+                for (lows, ups), column in zip(ends, columns[1:]):
+                    try:
+                        lo, up = parse_interval_columns(column)
+                    except IntervalError as exc:
+                        shaped = min(shaped, exc.cell)
+                    else:
+                        lows += lo
+                        ups += up
+                alternatives += map(str.strip, columns[0]) if columns else ()
+                bad = total + shaped if shaped < len(block) else None
+            total += len(block)
     except csv.Error as exc:
         raise MatrixError(f"CSV line {reader.line_num}: {exc}") from None
-    if len(rows) < 2:
+    if not total:
         raise MatrixError("matrix needs a header row and at least one alternative row")
-    header = rows[0]
     if len(header) < 2:
         raise MatrixError("header row needs at least one criterion label")
     criteria = tuple(label.strip() for label in header[1:])
     _check_criteria(criteria, lambda i: f"header column {i + 2}")
-    # Each column of the rows before the first of the wrong length is parsed
-    # in one call; `bad` is the earliest row of a refused column's first bad cell.
-    body = rows[1:]
-    shaped = next(compress(count(), map(len(header).__ne__, map(len, body))), len(body))
-    columns, ends, bad = list(zip(*body[:shaped])), [], shaped
-    for column in columns[1:]:
-        try:
-            ends.append(parse_interval_columns(column))
-        except IntervalError as exc:
-            bad = min(bad, exc.cell)
-    alternatives = tuple(map(str.strip, columns[0])) if columns else ()
-    if bad == len(body) and all(alternatives) and len(set(alternatives)) == len(alternatives):
-        return DecisionMatrix(alternatives, criteria, *zip(*ends))
+    if bad is None and all(alternatives) and len(set(alternatives)) == total:
+        return DecisionMatrix(tuple(alternatives), criteria, *zip(*ends))
     # A defect: raise the error of the first bad row or cell in row-major
     # order, a row's length checked first, then its label, then its cells,
     # which are parsed only in row `bad`.

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import (
     AdmissibleOrder,
+    BLOCK_ROWS,
     DEFAULT_ORDER,
     Interval,
     ONE,
@@ -236,12 +237,12 @@ def non_saturating(uppers: Iterable[float]) -> bool:
 
 
 def _blocks(cases: Iterable[tuple]) -> Iterator[list[tuple]]:
-    """A sample stream in blocks of 8, 16, ..., 512 tuples: most failing
+    """A sample stream in blocks of 8, 16, ..., `BLOCK_ROWS` tuples: most failing
     checks stop within a few tuples, and the cap bounds a block's memory."""
     stream, size = iter(cases), 8
     while block := list(itertools.islice(stream, size)):
         yield block
-        size = min(2 * size, 512)
+        size = min(2 * size, BLOCK_ROWS)
 
 
 def _read(table: Sequence[Sequence[float]], rows: Iterable[int], cols: Iterable[int]) -> Iterator:
@@ -421,7 +422,12 @@ class GowaOperator:
         (`AdmissibleOrder.key_column`) sorted descending, stable as
         `ranks_descending`; O(W_k, X_(k)) over each rank column, one column
         call of the overlap with W_k repeated, checked by `_checked`; then the
-        aggregator's `columns`."""
+        aggregator's `columns`; past `BLOCK_ROWS` rows, a slice of that many at a time."""
+        if len(lo_cols[0]) > BLOCK_ROWS:
+            cuts = [slice(i, i + BLOCK_ROWS) for i in range(0, len(lo_cols[0]), BLOCK_ROWS)]
+            lo, up = zip(*(self.columns([c[cut] for c in lo_cols], [c[cut] for c in up_cols])
+                           for cut in cuts))
+            return list(itertools.chain.from_iterable(lo)), list(itertools.chain.from_iterable(up))
         o, key_lo, key_up = self.overlap.columns, *self.order.key_ends
         keys = map(self.order.key_column, lo_cols, up_cols)
         ranked = zip(*map(functools.partial(sorted, reverse=True), zip(*keys)))

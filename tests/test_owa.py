@@ -477,6 +477,37 @@ def test_rank_matrix_equals_the_interval_reference(name, oid, order):
         assert [hexes(r.rank, r.alternative, r.aggregate, r.key) for r in ranking] == want, count
 
 
+def test_parse_and_rank_hold_one_block_of_rows_at_a_time():
+    # A 5,000 x 10 tsum x product xuyager job, validated first.  The reader
+    # holds one block of csv rows and the kernel one block of keys and sorted
+    # rows, not the whole matrix's: whole-matrix forms peaked at 11.1 MB in
+    # the parse and 13.0 MB in the rank.
+    rng = random.Random(5000)
+
+    def cell():
+        a, b = sorted(round(rng.random(), 3) for _ in range(2))
+        return repr(a) if rng.random() < 0.15 else f'"[{a!r},{b!r}]"'
+
+    lines = ["alternative," + ",".join(f"c{j}" for j in range(10))]
+    lines += [",".join([f"a{i}", *(cell() for _ in range(10))]) for i in range(5000)]
+    text = "\n".join(lines) + "\n"
+    config = RunConfig("tsum", "product", WeightVector.uniform(10), AdmissibleOrder.XU_YAGER,
+                       normalize=True)
+    rank_matrix(config, parse_matrix_text("\n".join(lines[:3]), "csv"))
+    tracemalloc.start()
+    try:
+        matrix = parse_matrix_text(text, "csv")
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ranking, _ = rank_matrix(config, matrix)
+        rank_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ranking) == 5000
+    assert parse_peak <= 9_000_000
+    assert rank_peak <= 8_000_000
+
+
 def test_aggregate_rows_rejects_a_row_of_the_wrong_length_in_its_block():
     op = make_gowa(AGG2["tsum"], PRODUCT, WeightVector.uniform(2))
     values = op.aggregate_rows([[ONE, ONE]] * 9 + [[ONE]])
