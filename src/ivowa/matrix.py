@@ -106,9 +106,9 @@ def parse_matrix(path: str | Path, fmt: str | None = None) -> DecisionMatrix:
 
 
 def _parse_csv(text: str) -> DecisionMatrix:
-    """Rows are read `BLOCK_ROWS` at a time, and each column of a block's rows
-    before its first ragged row is parsed in one call.  After a defect the
-    rest is read, not parsed, so a CSV syntax error anywhere still wins."""
+    """Rows are read `BLOCK_ROWS` at a time; each column of a block's rows before
+    its first ragged row is parsed in one call.  After a defect (the file's row
+    `bad`) the rest is read, not parsed, so a later CSV syntax error still wins."""
     reader = csv.reader(io.StringIO(text), strict=True)
     rows = filter(None, reader)
     alternatives, total, bad = [], 0, None
