@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intervals import (
     ExponentInterval,
@@ -115,8 +115,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     target: str
     verdict: str  # "pass" | "fail" | "skipped"

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .checks import (
@@ -43,8 +42,7 @@ from .sampling import ROOT_TOLERANCE, SampleGrid
 __all__ = ["main", "RunConfig", "load_config", "rank_matrix"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     aggregator_id: str
     overlap_id: str
     weights: WeightVector

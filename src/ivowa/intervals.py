@@ -13,12 +13,13 @@ import enum
 import math
 import re
 from contextlib import suppress
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import compress
 from operator import add, itemgetter, le, sub
 from typing import Iterator, Sequence
 
 __all__ = [
+    "Slotted",
+    "SlottedValue",
     "Interval",
     "ExponentInterval",
     "IntervalError",
@@ -48,15 +49,57 @@ class IntervalError(ValueError):
     cell = 0  # the refused cell's index among the texts of `parse_interval_columns`
 
 
-class Interval:
+class Slotted:
+    """Base of the hand-written slotted classes: a subclass's fields are its
+    ``__slots__``, set once by its ``__init__`` (`_init`).  Repr, copies and
+    pickles go by those fields, equality and hash by identity, and assignment
+    or deletion raises ``FrozenInstanceError``, as on a frozen dataclass."""
+
+    __slots__ = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # only on this error path
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return (type(self), tuple(map(self.__getattribute__, self.__slots__)))
+
+
+class SlottedValue(Slotted):
+    """A `Slotted` class equal to one of its own class with equal fields, and hashed by them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__reduce__()[1] == other.__reduce__()[1]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+
+class Interval(Slotted):
     """A closed subinterval [lower, upper] of [0, 1].
 
     Invariant: 0 <= lower <= upper <= 1.  An interval with lower == upper is
     *degenerate* and embeds an ordinary real number of the unit interval.
 
-    A slotted immutable value: a hand-written class costs less per
-    construction than a frozen dataclass while keeping its value semantics
-    (equality and hash by endpoints, assignment raising ``FrozenInstanceError``).
+    A `Slotted` value with equality and hash by endpoints.  Built once per
+    value, it sets its endpoints through their slot descriptors, not `_init`,
+    which costs less per construction.
     """
 
     __slots__ = ("lower", "upper")
@@ -83,12 +126,6 @@ class Interval:
         if not (0.0 <= lo <= up <= 1.0):
             raise endpoint_error(lo, up)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Interval):
             return self.lower == other.lower and self.upper == other.upper
@@ -96,12 +133,6 @@ class Interval:
 
     def __hash__(self) -> int:
         return hash((self.lower, self.upper))
-
-    def __repr__(self) -> str:
-        return f"Interval(lower={self.lower!r}, upper={self.upper!r})"
-
-    def __reduce__(self) -> tuple:
-        return (Interval, (self.lower, self.upper))
 
     @property
     def degenerate(self) -> bool:
@@ -119,20 +150,19 @@ def endpoint_error(lower: float, upper: float) -> IntervalError:
     return IntervalError(f"invalid interval endpoints [{lower}, {upper}]")
 
 
-@dataclass(frozen=True, slots=True)
-class ExponentInterval:
+class ExponentInterval(SlottedValue):
     """An interval exponent [k1, k2] with 0 < k1 <= k2."""
+
+    __slots__ = ("k1", "k2")
 
     k1: float
     k2: float
 
-    def __post_init__(self) -> None:
-        a = float(self.k1)
-        b = float(self.k2)
+    def __init__(self, k1: float, k2: float) -> None:
+        a, b = float(k1), float(k2)
         if not (0.0 < a <= b) or math.isinf(b):
-            raise IntervalError(f"invalid exponent interval [{self.k1}, {self.k2}]")
-        object.__setattr__(self, "k1", a)
-        object.__setattr__(self, "k2", b)
+            raise IntervalError(f"invalid exponent interval [{k1}, {k2}]")
+        self._init(a, b)
 
     @classmethod
     def of(cls, k: float) -> "ExponentInterval":

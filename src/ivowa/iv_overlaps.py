@@ -14,15 +14,15 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import gt, itemgetter, le, mul
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .intervals import (
     ExponentInterval,
     Interval,
     IntervalError,
+    Slotted,
     endpoint_error,
     leq_product,
     subseteq,
@@ -103,8 +103,7 @@ def lifted(ends: Callable[..., tuple[float, float]]) -> Callable[..., tuple]:
     return columns
 
 
-@dataclass(frozen=True, eq=False)
-class UnaryGenerator:
+class UnaryGenerator(Slotted):
     """A monotone interval map fixing [0,0] and [1,1] and preserving the interior.
 
     Stored as its map over endpoint columns, ``columns(lowers, uppers) ->
@@ -112,8 +111,10 @@ class UnaryGenerator:
     endpoint columns; calling the generator maps one `Interval`.
     """
 
-    columns: Callable[[Iterable[float], Iterable[float]], tuple[Iterable[float], Iterable[float]]]
-    name: str
+    __slots__ = ("columns", "name")
+
+    def __init__(self, columns: Callable[..., tuple], name: str) -> None:
+        self._init(columns, name)
 
     def __call__(self, x: Interval) -> Interval:
         (lo,), (up,) = self.columns((x.lower,), (x.upper,))
@@ -132,44 +133,40 @@ SQRT = _power_generator(ExponentInterval.of(0.5), "sqrt")
 SQUARE = _power_generator(ExponentInterval.of(2.0), "square")
 
 
-@dataclass(frozen=True)
-class Representable:
+class Representable(NamedTuple):
     lower: RealOverlap
     upper: RealOverlap
 
 
-@dataclass(frozen=True)
-class SemiRepresentable:
+class SemiRepresentable(NamedTuple):
     m_lower: RealAggregator
     m_upper: RealAggregator
     parts: tuple[RealOverlap, ...]
 
 
-@dataclass(frozen=True)
-class Migrative:
+class Migrative(NamedTuple):
     generator: UnaryGenerator
 
 
-@dataclass(frozen=True)
-class Opaque:
+class Opaque(NamedTuple):
     label: str
 
 
 Provenance = Representable | SemiRepresentable | Migrative | Opaque
 
 
-@dataclass(frozen=True, eq=False)
-class IVOverlap:
+class IVOverlap(Slotted):
     """A binary interval function, stored as its map over endpoint columns,
     ``columns(xl, xu, yl, yu) -> (lowers, uppers)``, plus how it was built
     and what it claims.  A fixed argument's columns may be `repeat`s; each
     column is read once, and the value columns may be lazy.  A call is the
     one-pair case."""
 
-    columns: Callable[..., tuple[Iterable[float], Iterable[float]]]
-    name: str
-    provenance: Provenance
-    claims: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ("columns", "name", "provenance", "claims")
+
+    def __init__(self, columns: Callable[..., tuple[Iterable[float], Iterable[float]]], name: str,
+                 provenance: Provenance, claims: frozenset[str] = frozenset()) -> None:
+        self._init(columns, name, provenance, claims)
 
     def __call__(self, x: Interval, y: Interval) -> Interval:
         (lo,), (up,) = self.columns((x.lower,), (x.upper,), (y.lower,), (y.upper,))

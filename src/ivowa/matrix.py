@@ -12,11 +12,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .intervals import BLOCK_ROWS, Interval, IntervalError, endpoint_error, parse_interval_columns
 
@@ -34,8 +33,7 @@ class MatrixError(ValueError):
     """The matrix file is malformed; the message locates the problem."""
 
 
-@dataclass(frozen=True)
-class DecisionMatrix:
+class DecisionMatrix(NamedTuple):
     """Alternatives scored on criteria, held as endpoint columns:
     ``lowers[j][i]`` and ``uppers[j][i]`` bound alternative i's score on
     criterion j."""

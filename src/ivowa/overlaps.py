@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
 from operator import ge, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
+from .intervals import Slotted
 from .sampling import (
     CONTINUITY_STAGES,
     POLY_TOLERANCE,
@@ -50,16 +50,17 @@ class OverlapError(ValueError):
     """A construction precondition failed."""
 
 
-@dataclass(frozen=True, eq=False)
-class RealOverlap:
+class RealOverlap(Slotted):
     """A named binary function on [0,1] with the axioms it claims to satisfy.
 
     Claims are metadata; `verify_overlap_axioms` is the arbiter.
     """
 
-    fn: Callable[[float, float], float]
-    name: str
-    claims: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ("fn", "name", "claims")
+
+    def __init__(self, fn: Callable[[float, float], float], name: str,
+                 claims: frozenset[str] = frozenset()) -> None:
+        self._init(fn, name, claims)
 
     def __call__(self, x: float, y: float) -> float:
         return self.fn(x, y)
@@ -68,14 +69,14 @@ class RealOverlap:
         return {"go1", "go2", "go3", "go4", "go5"} <= self.claims
 
 
-@dataclass(frozen=True, eq=False)
-class RealAggregator:
+class RealAggregator(Slotted):
     """An n-ary aggregation function on [0,1] with claimed side properties."""
 
-    fn: Callable[..., float]
-    arity: int
-    name: str
-    claims: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ("fn", "arity", "name", "claims")
+
+    def __init__(self, fn: Callable[..., float], arity: int, name: str,
+                 claims: frozenset[str] = frozenset()) -> None:
+        self._init(fn, arity, name, claims)
 
     def __call__(self, *xs: float) -> float:
         if len(xs) != self.arity:

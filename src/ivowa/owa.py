@@ -15,7 +15,6 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import contains, getitem, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -25,6 +24,8 @@ from .intervals import (
     DEFAULT_ORDER,
     Interval,
     ONE,
+    Slotted,
+    SlottedValue,
     ZERO,
     format_interval,
 )
@@ -86,17 +87,17 @@ class AggregatorKind(enum.Enum):
     DIRAC = "dirac"
 
 
-@dataclass(frozen=True, eq=False)
-class IVAggregator:
+class IVAggregator(Slotted):
     """An n-ary interval aggregation function, stored as its map over many
     tuples in C-level maps, ``columns(lo_cols, up_cols) -> (lowers,
     uppers)``, ``lo_cols[i]`` holding input i's lower endpoints; a call is
     its one-tuple case."""
 
-    columns: Callable[..., tuple[list[float], list[float]]]
-    arity: int
-    kind: AggregatorKind
-    name: str
+    __slots__ = ("columns", "arity", "kind", "name")
+
+    def __init__(self, columns: Callable[..., tuple[list[float], list[float]]], arity: int,
+                 kind: AggregatorKind, name: str) -> None:
+        self._init(columns, arity, kind, name)
 
     def __call__(self, values: Sequence[Interval]) -> Interval:
         if len(values) != self.arity:
@@ -105,16 +106,18 @@ class IVAggregator:
         return Interval(lower, upper)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(SlottedValue):
     """A tuple of interval weights."""
+
+    __slots__ = ("weights",)
 
     weights: tuple[Interval, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights:
+    def __init__(self, weights: Iterable[Interval]) -> None:
+        weights = tuple(weights)
+        if not weights:
             raise WeightError("weight vector must not be empty")
+        self._init(weights)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -385,15 +388,17 @@ def absorption_holds(m: IVAggregator) -> SampledResult:
                            for x in DEFAULT_GRID.intervals() for j in range(m.arity))
 
 
-@dataclass(eq=False)
-class GowaOperator:
+class GowaOperator(Slotted):
     """A validated ordered-weighted aggregation operator over intervals."""
 
-    aggregator: IVAggregator
-    overlap: IVOverlap
-    weights: WeightVector
-    order: AdmissibleOrder
-    saturation_witness: tuple | None = None
+    __slots__ = ("aggregator", "overlap", "weights", "order", "saturation_witness")
+    # Unlike the other `Slotted` classes, its fields may be reassigned.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, aggregator: IVAggregator, overlap: IVOverlap, weights: WeightVector,
+                 order: AdmissibleOrder, saturation_witness: tuple | None = None) -> None:
+        self._init(aggregator, overlap, weights, order, saturation_witness)
 
     @property
     def arity(self) -> int:

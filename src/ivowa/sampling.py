@@ -9,18 +9,16 @@ order is fixed, which makes every verdict and witness reproducible.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 import random
 import sys
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
 from operator import ge, gt, le, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .intervals import Interval, leq_product, subseteq
+from .intervals import Interval, SlottedValue, leq_product, subseteq
 
 SAMPLE_SEED = 20260808
 
@@ -116,22 +114,44 @@ MEMO_SIZE = 512
 _MEMO: OrderedDict[tuple, object] = OrderedDict()
 
 
+def memo_key(fn: Callable, args: tuple, kwargs: dict) -> tuple | None:
+    """The memo key of the call ``fn(*args, **kwargs)``: `fn`, then its
+    arguments in parameter order, the defaults of ``fn.__defaults__`` filling
+    the ones not passed; None when the call does not bind (an argument
+    missing, unknown or given twice, or too many of them)."""
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+    rest = names[len(args):]
+    if len(args) > len(names) or kwargs.keys() - rest:
+        return None
+    defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
+    try:
+        return (fn, *args, *[kwargs[name] if name in kwargs else defaults[name] for name in rest])
+    except KeyError:  # a parameter without a default is missing
+        return None
+
+
 def memoized(fn: Callable) -> Callable:
     """Keep the results of a deterministic function in the one memo.
 
-    The key is the function plus its arguments bound with their defaults
-    applied, so ``f(m, o, grid)`` and ``f(m, o, grid=grid, tol=ROOT_TOLERANCE)``
-    share one entry.  Operators hash by identity, so an entry pins the objects
-    it was computed for.  A dict result is handed out as a copy, so callers
-    cannot change what later calls get.
+    The key is `memo_key`: the function plus its arguments in parameter
+    order with their defaults applied, so ``f(m, o, grid)`` and ``f(m, o,
+    grid=grid, tol=ROOT_TOLERANCE)`` share one entry.  It is read from the
+    function's code object, so `fn` takes neither positional-only nor
+    keyword-only parameters, ``*args`` nor ``**kwargs``.  A call that does
+    not bind goes to `fn` unkeyed, to raise its own TypeError, and stores
+    nothing.  Operators hash by identity, so an entry pins the objects it was
+    computed for.  A dict result is handed out as a copy, so callers cannot
+    change what later calls get.
     """
-    signature = inspect.signature(fn)
+    code = fn.__code__
+    if code.co_posonlyargcount or code.co_kwonlyargcount or code.co_flags & 0x0C:  # *args, **kwargs
+        raise TypeError(f"memoized takes plain parameters only: {fn.__qualname__}")
 
     @functools.wraps(fn)
     def cached(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        key = (fn, *bound.arguments.values())
+        key = memo_key(fn, args, kwargs)
+        if key is None:
+            return fn(*args, **kwargs)
         if key in _MEMO:
             _MEMO.move_to_end(key)
             result = _MEMO[key]
@@ -144,8 +164,7 @@ def memoized(fn: Callable) -> Callable:
     return cached
 
 
-@dataclass(frozen=True)
-class SampleGrid:
+class SampleGrid(SlottedValue):
     """Evenly spaced endpoint grid on [0, 1], boundaries always included.
 
     The step must be 1/n for an integer n so that grid points are generated
@@ -153,17 +172,20 @@ class SampleGrid:
     library walks itself (the second continuity stage, 0.005).
     """
 
-    endpoint_step: float = 0.1
+    __slots__ = ("endpoint_step",)
 
-    def __post_init__(self) -> None:
-        step = self.endpoint_step
+    endpoint_step: float
+
+    def __init__(self, endpoint_step: float = 0.1) -> None:
+        step = endpoint_step
         # A step that is not > 0, or whose reciprocal overflows, has no n.
         n = round(1.0 / step) if step > 0.0 and 1.0 / step < math.inf else 0
         if n < 1 or abs(1.0 / n - step) > 1e-12:
-            raise ValueError(f"endpoint_step must be 1/n, got {self.endpoint_step}")
+            raise ValueError(f"endpoint_step must be 1/n, got {endpoint_step}")
         if n > 200:
             raise ValueError(f"endpoint_step {step} gives {(n + 1) * (n + 2) // 2} grid intervals;"
                              " the finest step is 0.005 (1/200, 20301 intervals)")
+        self._init(endpoint_step)
 
     @property
     def divisions(self) -> int:

@@ -1,15 +1,20 @@
 """The lazy sample stream against the eager list it replaced, the
 first-violation policy every sampled check shares, and the one memo."""
 
+import importlib
+import inspect
 import itertools
 import math
 import random
+import re
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ivowa
 from ivowa import sampling
 from ivowa.cli import RunConfig, rank_matrix
 from ivowa.iv_overlaps import representable, verify_iv_axioms
@@ -205,6 +210,83 @@ def test_memo_stays_within_its_cap(monkeypatch):
     # Keys hold the undecorated function; the oldest arities were evicted.
     assert (builtin_aggregators.__wrapped__, sampling.MEMO_SIZE + 50) in sampling._MEMO
     assert (builtin_aggregators.__wrapped__, 50) not in sampling._MEMO
+
+
+def _memoized_functions():
+    """Every function the package decorates with `memoized`, found in its source."""
+    for path in sorted(Path(ivowa.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"ivowa.{path.stem}") if path.stem != "__init__" else ivowa
+        for name in re.findall(r"^@memoized\ndef (\w+)", path.read_text(encoding="utf-8"), re.M):
+            yield getattr(module, name)
+
+
+MEMOIZED = list(_memoized_functions())
+
+
+def test_every_memoized_function_is_found():
+    sources = Path(ivowa.__file__).parent.glob("*.py")
+    assert len(MEMOIZED) == sum(p.read_text(encoding="utf-8").count("@memoized") for p in sources) == 20
+
+
+def _inspect_key(raw, args, kwargs):
+    bound = inspect.signature(raw).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return (raw, *bound.arguments.values())
+
+
+@pytest.mark.parametrize("fn", MEMOIZED, ids=lambda fn: fn.__name__)
+def test_memo_key_equals_the_signature_binding(fn):
+    raw = fn.__wrapped__
+    params = list(inspect.signature(raw).parameters.values())
+    values = [object() for _ in params]
+    names = [p.name for p in params]
+    required = sum(p.default is p.empty for p in params)
+    calls = [
+        (values, {}),
+        ([], dict(zip(names, values))),
+        (values[:required], {}),
+        (values[:1], dict(zip(names[1:required], values[1:required]))),
+        # The defaulted parameters by keyword, in reverse order.
+        (values[:required], dict(reversed(list(zip(names[required:], values[required:]))))),
+    ]
+    calls += [(values[:required], {names[k]: values[k]}) for k in range(required, len(params))]
+    for args, kwargs in calls:
+        assert sampling.memo_key(raw, tuple(args), kwargs) == _inspect_key(raw, args, kwargs)
+
+
+@pytest.mark.parametrize("fn", MEMOIZED, ids=lambda fn: fn.__name__)
+def test_a_call_that_does_not_bind_raises_the_functions_own_error(fn, monkeypatch):
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    raw = fn.__wrapped__
+    params = list(inspect.signature(raw).parameters.values())
+    values = [object() for _ in params]
+    required = sum(p.default is p.empty for p in params)
+    calls = [((*values, object()), {}), (values[:required], {"unknown": 1})]
+    if required:
+        calls += [(values[:required - 1], {}), (values[:required], {params[0].name: values[0]})]
+    for args, kwargs in calls:
+        assert sampling.memo_key(raw, tuple(args), kwargs) is None
+        with pytest.raises(TypeError) as own:
+            raw(*args, **kwargs)
+        with pytest.raises(TypeError) as got:
+            fn(*args, **kwargs)
+        assert str(got.value) == str(own.value)
+    assert not sampling._MEMO
+
+
+def _kw_only(a, *, b):
+    return a
+
+
+def _positional_only(a, /):
+    return a
+
+
+@pytest.mark.parametrize("fn", [lambda *a: a, lambda **k: k, _kw_only, _positional_only],
+                         ids=["var-positional", "var-keyword", "keyword-only", "positional-only"])
+def test_memoized_refuses_parameters_its_key_cannot_bind(fn):
+    with pytest.raises(TypeError, match="memoized takes plain parameters only"):
+        sampling.memoized(fn)
 
 
 @pytest.mark.parametrize("token", ["pow(product,n=2)", "root(rep(product,min),n=3)"])
