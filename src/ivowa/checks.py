@@ -56,6 +56,7 @@ from .iv_overlaps import (
 from .overlaps import (
     RealAggregator,
     RealOverlap,
+    builtin_overlaps,
     check_m1_boundary,
     check_m2_monotone,
     check_m3_component,
@@ -78,18 +79,14 @@ from .owa import (
     is_weighted_vector,
     make_gowa,
 )
-from .registry import (
-    real_catalog,
-    standard_migrative,
-    standard_overlaps,
-    standard_representable,
-)
+from .registry import standard_migrative, standard_overlaps, standard_representable
 from .sampling import (
     CONTINUITY_STAGES,
     DEFAULT_GRID,
     EXACT,
     LazyRows,
     POLY_TOLERANCE,
+    REAL_GRID,
     ROOT_TOLERANCE,
     SampleGrid,
     SampledResult,
@@ -181,7 +178,7 @@ def overlap_property_reports(op: IVOverlap, grid: SampleGrid | None = None) -> l
 def run_axiom_suite(target, grid: SampleGrid | None = None) -> list[CheckReport]:
     """One report per applicable axiom of the target."""
     if isinstance(target, RealOverlap):
-        results = verify_overlap_axioms(target, grid or SampleGrid(0.05))
+        results = verify_overlap_axioms(target, grid or REAL_GRID)
         return [_report(axiom, target.name, res, EXACT) for axiom, res in results.items()]
     if isinstance(target, IVOverlap):
         results = verify_iv_axioms(target, grid or DEFAULT_GRID)
@@ -276,7 +273,7 @@ def _fixes(op: IVOverlap, x: Interval) -> SampledResult:
 
 def _semi_configs():
     """A collapsing and a blended upper aggregator over the pick3 lower one."""
-    prod = real_catalog()["product"]
+    prod = builtin_overlaps()["product"]
     pick3 = projection_aggregator(3)
     uppers = (("pick4", projection_aggregator(4)), ("mean34", mean_of_components((3, 4))))
     return [semi_representable(pick3, m, (prod,) * 8, name=f"semi(pick3,{label})")
@@ -463,7 +460,7 @@ def _homogeneous_projections(grid):
     # A projection at (a*x, a*y) against a**order times its value at (x, y):
     # a row per (a, x), read from the projection tables over the points
     # scaled by a, each built on first use.
-    pts = SampleGrid(0.05).endpoints()
+    pts = REAL_GRID.endpoints()
     for k1, k2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0)):
         op = migrative_canonical(ExponentInterval(k1, k2))
         base = projections(op, pts)
@@ -480,7 +477,7 @@ def _homogeneous_projections(grid):
 
 @_law("strongly-positive-projections")
 def _strongly_positive_projections(grid):
-    cat = real_catalog()
+    cat = builtin_overlaps()
     positive = representable(cat["product"], cat["product"])
     yield f"{positive.name}:sp", is_strongly_positive(positive, grid)
     yield from _projection_axioms(positive)
@@ -508,7 +505,7 @@ def _projection_axioms(o: IVOverlap, stages=CONTINUITY_STAGES) -> Iterator[Part]
 
 @_law("real-lattice-closure")
 def _real_lattice_closure(grid):
-    cat = real_catalog()
+    cat = builtin_overlaps()
     pairs = ((cat["product"], cat["min"]), (cat["minmax:p=2"], cat["xyp:p=2"]))
     return _axioms((c for g1, g2 in pairs for c in (lattice_join(g1, g2), lattice_meet(g1, g2))),
                    grid)
@@ -516,7 +513,7 @@ def _real_lattice_closure(grid):
 
 @_law("real-convex-closure")
 def _real_convex_closure(grid):
-    cat = real_catalog()
+    cat = builtin_overlaps()
     return _axioms((convex_sum(0.5, 0.5, cat["product"], cat["min"]),
                     convex_sum(0.25, 0.75, cat["minmax:p=2"], cat["product"])), grid)
 
@@ -633,7 +630,7 @@ def _weighted_vector_laws(grid):
 
 @_law("iv-lattice-closure", table=_LATTICE_CHECKS)
 def _iv_lattice_closure(grid):
-    cat = real_catalog()
+    cat = builtin_overlaps()
     rep_pp = representable(cat["product"], cat["product"])
     rep_mm = representable(cat["min"], cat["min"])
     pairs = ((rep_pp, rep_mm), (interval_product(), midpoint_example()))
@@ -642,7 +639,7 @@ def _iv_lattice_closure(grid):
 
 @_law("power-transform-sandwich", table=_LATTICE_CHECKS)
 def _power_transform_sandwich(grid):
-    cat = real_catalog()
+    cat = builtin_overlaps()
     interior = interior_intervals(grid.intervals())
     pts = _ends_of(interior)
     for base in (interval_product(), representable(cat["min"], cat["min"])):

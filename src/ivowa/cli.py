@@ -24,14 +24,14 @@ from .checks import (
 )
 from .intervals import AdmissibleOrder, DEFAULT_ORDER, Interval, IntervalError, format_interval
 from .iv_overlaps import ConstructionError
-from .matrix import DecisionMatrix, MatrixError, parse_matrix, read_json_number
+from .matrix import DecisionMatrix, MatrixError, parse_matrix, read_json_number, unique_keys
+from .overlaps import builtin_overlaps
 from .owa import GowaError, WeightError, WeightVector, make_gowa, normalize_weights
 from .registry import (
     AGGREGATOR_IDS,
     ORDER_IDS,
     RegistryError,
     generator_catalog,
-    real_catalog,
     resolve_aggregator,
     resolve_iv_overlap,
     resolve_order,
@@ -68,7 +68,7 @@ def _reject_unknown_keys(data: dict, known: tuple[str, ...], where: str) -> None
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys("config"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except (ValueError, RecursionError) as exc:
@@ -196,7 +196,7 @@ def _verify_one(target_id: str, grid: SampleGrid) -> list[CheckReport]:
         return run_theorem_suite(grid)
     if target_id == "lattice":
         return lattice_order_checks(grid)
-    real = real_catalog()
+    real = builtin_overlaps()
     if target_id in real:
         return run_axiom_suite(real[target_id])
     if target_id in AGGREGATOR_IDS:
@@ -235,7 +235,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_catalog(args) -> int:
     print("real overlaps:")
-    for name in real_catalog():
+    for name in builtin_overlaps():
         print(f"  {name}")
     print("interval overlaps:")
     for name in standard_overlaps():

@@ -150,6 +150,13 @@ def endpoint_error(lower: float, upper: float) -> IntervalError:
     return IntervalError(f"invalid interval endpoints [{lower}, {upper}]")
 
 
+def valid_columns(lowers: Sequence[float], uppers: Sequence[float]) -> bool:
+    """Whether every pair of two endpoint columns keeps the `Interval` invariant
+    ``0 <= lower <= upper <= 1`` (a NaN fails it), decided by C-level passes."""
+    return (all(map(le, lowers, uppers))
+            and min(lowers, default=0.0) >= 0.0 and max(uppers, default=1.0) <= 1.0)
+
+
 class ExponentInterval(SlottedValue):
     """An interval exponent [k1, k2] with 0 < k1 <= k2."""
 
@@ -325,8 +332,7 @@ def parse_interval_columns(texts: Sequence[str]) -> tuple[list[float], list[floa
             seps = joined.encode().translate(*_SEPARATORS)
             lowers = list(compress(ends, b"\x01" + seps))
             uppers = list(compress(ends, seps + b"\x01"))
-    if uppers is not None and (all(map(le, lowers, uppers))
-                               and min(lowers) >= 0.0 and max(uppers) <= 1.0):
+    if uppers is not None and valid_columns(lowers, uppers):
         return lowers, uppers
     if len(texts) != 1:
         # A refusal is per cell, so the first refused half holds the first bad cell.

@@ -15,7 +15,7 @@ import functools
 import itertools
 from array import array
 from itertools import repeat
-from operator import gt, itemgetter, le, mul
+from operator import gt, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .intervals import (
@@ -26,6 +26,7 @@ from .intervals import (
     endpoint_error,
     leq_product,
     subseteq,
+    valid_columns,
 )
 from .overlaps import (
     RealAggregator,
@@ -175,11 +176,10 @@ class IVOverlap(Slotted):
 
 def _checked(lows: Iterable[float], ups: Iterable[float], column: Callable = list) -> tuple:
     """Value columns as two lists (or other `column`s), held to the
-    `Interval` invariant by C-level passes: the first value outside ``0 <=
+    `Interval` invariant by `valid_columns`: the first value outside ``0 <=
     lower <= upper <= 1`` raises the `IntervalError` that building it would."""
     lows, ups = column(lows), column(ups)
-    if not (all(map(le, lows, ups)) and min(lows, default=0.0) >= 0.0
-            and max(ups, default=1.0) <= 1.0):
+    if not valid_columns(lows, ups):
         for lo, up in zip(lows, ups):
             if not 0.0 <= lo <= up <= 1.0:
                 raise endpoint_error(lo, up)

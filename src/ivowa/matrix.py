@@ -26,6 +26,7 @@ __all__ = [
     "parse_matrix_text",
     "emit_matrix_text",
     "read_json_number",
+    "unique_keys",
 ]
 
 
@@ -64,6 +65,20 @@ def read_json_number(raw: object, where: str, error: type[ValueError]) -> float:
     if not math.isfinite(value):
         raise error(f"{where} must be finite, got {raw!r}")
     return value
+
+
+def unique_keys(where: str) -> Callable[[list[tuple[str, object]]], dict]:
+    """`json.load`'s ``object_pairs_hook`` for the `where` text (config or matrix):
+    a key given twice, which `json` reads as its last value, raises a ValueError."""
+    def hook(pairs: list[tuple[str, object]]) -> dict:
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            seen = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise ValueError(f"repeated key {key!r} in the {where}")
+        return data
+
+    return hook
 
 
 def _first_use(seen: dict, label: str, at: int, where: Callable[[int], str], kind: str) -> None:
@@ -179,7 +194,7 @@ def _json_labels(data: dict, key: str) -> tuple[str, ...]:
 
 def _parse_json(text: str) -> DecisionMatrix:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys("matrix"))
     except (ValueError, RecursionError) as exc:
         raise MatrixError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):

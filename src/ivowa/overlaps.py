@@ -27,6 +27,7 @@ from .sampling import (
     SampledResult,
     first_violation,
     jump_probe,
+    memoized,
 )
 
 __all__ = [
@@ -122,8 +123,9 @@ def _lukasiewicz(x: float, y: float) -> float:
 _GO_ALL = frozenset({"go1", "go2", "go3", "go4", "go5"})
 
 
+@memoized
 def builtin_overlaps() -> dict[str, RealOverlap]:
-    """The catalog of real binary functions, addressable by string id."""
+    """The catalog of real binary functions, addressable by string id; built once."""
     entries = [
         # Builtins where one will do: a representable overlap maps its
         # components over endpoint columns, and a builtin is mapped in C.

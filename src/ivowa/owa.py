@@ -392,9 +392,6 @@ class GowaOperator(Slotted):
     """A validated ordered-weighted aggregation operator over intervals."""
 
     __slots__ = ("aggregator", "overlap", "weights", "order", "saturation_witness")
-    # Unlike the other `Slotted` classes, its fields may be reassigned.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
     def __init__(self, aggregator: IVAggregator, overlap: IVOverlap, weights: WeightVector,
                  order: AdmissibleOrder, saturation_witness: tuple | None = None) -> None:

@@ -33,7 +33,6 @@ from .sampling import memoized
 
 __all__ = [
     "RegistryError",
-    "real_catalog",
     "generator_catalog",
     "standard_overlaps",
     "resolve_real_overlap",
@@ -58,11 +57,6 @@ class RegistryError(ValueError):
     """An operator id does not resolve."""
 
 
-@memoized
-def real_catalog() -> dict[str, RealOverlap]:
-    return builtin_overlaps()
-
-
 def generator_catalog() -> dict[str, UnaryGenerator]:
     return {g.name: g for g in (IDENTITY, SQRT, SQUARE)}
 
@@ -70,7 +64,7 @@ def generator_catalog() -> dict[str, UnaryGenerator]:
 @memoized
 def standard_overlaps() -> dict[str, IVOverlap]:
     """The shipped interval-overlap instances exercised by the law suite."""
-    cat = real_catalog()
+    cat = builtin_overlaps()
     gens = generator_catalog()
     ops = [
         interval_product(),
@@ -111,34 +105,24 @@ def _split_top(text: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
+def _lookup(catalog: dict, token: str, kind: str):
+    if token.strip() not in catalog:
+        raise RegistryError(f"unknown {kind} id {token!r}; known: {', '.join(catalog)}")
+    return catalog[token.strip()]
+
+
 def resolve_real_overlap(token: str) -> RealOverlap:
-    cat = real_catalog()
-    key = token.strip()
-    if key not in cat:
-        raise RegistryError(f"unknown real overlap id {token!r}; known: {', '.join(cat)}")
-    return cat[key]
+    return _lookup(builtin_overlaps(), token, "real overlap")
 
 
 def resolve_generator(token: str) -> UnaryGenerator:
-    gens = generator_catalog()
-    key = token.strip()
-    if key not in gens:
-        raise RegistryError(f"unknown generator id {token!r}; known: {', '.join(gens)}")
-    return gens[key]
-
-
-def _parse_call(token: str, head: str) -> str | None:
-    if token.startswith(head + "(") and token.endswith(")"):
-        return token[len(head) + 1 : -1]
-    return None
+    return _lookup(generator_catalog(), token, "generator")
 
 
 def _parse_exponent(text: str) -> ExponentInterval:
     body = text.strip()
-    if not (body.startswith("K=[") and body.endswith("]")):
-        raise RegistryError(f"malformed exponent spec {text!r}; expected K=[k1,k2]")
     nums = body[3:-1].split(",")
-    if len(nums) != 2:
+    if not (body.startswith("K=[") and body.endswith("]")) or len(nums) != 2:
         raise RegistryError(f"malformed exponent spec {text!r}; expected K=[k1,k2]")
     try:
         return ExponentInterval(float(nums[0]), float(nums[1]))
@@ -179,26 +163,24 @@ def resolve_iv_overlap(token: str) -> IVOverlap:
         return interval_product()
     if key == "midpoint":
         return midpoint_example()
-    inner = _parse_call(key, "rep")
-    if inner is not None:
-        parts = _split_top(inner)
-        if len(parts) != 2:
-            raise RegistryError(f"rep(...) takes two real overlap ids, got {token!r}")
-        return representable(resolve_real_overlap(parts[0]), resolve_real_overlap(parts[1]))
-    inner = _parse_call(key, "mig")
-    if inner is not None:
-        return migrative_from_generator(resolve_generator(inner))
-    inner = _parse_call(key, "canonical")
-    if inner is not None:
-        return migrative_canonical(_parse_exponent(inner))
-    for head, direction in (("pow", "power"), ("root", "root")):
-        inner = _parse_call(key, head)
-        if inner is not None:
+    # A composite id is head(inner): the head ends at the first "(", the call at the last ")".
+    head, paren, inner = key[:-1].partition("(")
+    if paren and key.endswith(")"):
+        if head == "rep":
+            parts = _split_top(inner)
+            if len(parts) != 2:
+                raise RegistryError(f"rep(...) takes two real overlap ids, got {token!r}")
+            return representable(resolve_real_overlap(parts[0]), resolve_real_overlap(parts[1]))
+        if head == "mig":
+            return migrative_from_generator(resolve_generator(inner))
+        if head == "canonical":
+            return migrative_canonical(_parse_exponent(inner))
+        if head in ("pow", "root"):
             parts = _split_top(inner)
             if len(parts) != 2:
                 raise RegistryError(f"{head}(...) takes an overlap id and n=<k>, got {token!r}")
-            base = resolve_iv_overlap(parts[0])
-            return power_transform(base, _parse_degree(parts[1]), direction)
+            direction = "power" if head == "pow" else "root"
+            return power_transform(resolve_iv_overlap(parts[0]), _parse_degree(parts[1]), direction)
     raise RegistryError(f"unknown interval overlap id {token!r}")
 
 

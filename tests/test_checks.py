@@ -16,12 +16,11 @@ from ivowa.checks import (
 from ivowa import checks
 from ivowa.intervals import Interval
 from ivowa.iv_overlaps import midpoint_example, representable
-from ivowa.overlaps import projection_aggregator
+from ivowa.overlaps import builtin_overlaps, projection_aggregator
 from ivowa.owa import builtin_aggregators
-from ivowa.registry import real_catalog
 from ivowa.sampling import DEFAULT_GRID, POLY_TOLERANCE, SampledResult
 
-CAT = real_catalog()
+CAT = builtin_overlaps()
 
 # `verify theorems lattice --json` as recorded by the benchmark; read only.
 VERIFY_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify.jsonl"

@@ -540,11 +540,32 @@ class TestStrictInput:
         pytest.param(f'[[{HUGE}, 1], [1, 1]]', "is not valid JSON", id="weight-5000-digits"),
     ])
     def test_config_defect_exits_2(self, workdir, capsys, tail, needle):
-        # Later keys win in JSON objects, so `tail` can also replace "overlap".
-        text = '{"aggregator": "geomean", "overlap": "product", "weights": %s}' % tail
+        # The overlap is "product" unless `tail` gives one: a key may not repeat.
+        overlap = "" if '"overlap"' in tail else ', "overlap": "product"'
+        text = '{"aggregator": "geomean", "weights": %s%s}' % (tail, overlap)
         code, err = run_config_text(workdir, capsys, text)
         assert code == 2
         assert needle in err
+
+    @pytest.mark.parametrize("config, matrix, message", [
+        pytest.param('{"aggregator": "max", "overlap": "product", "weights": [[1, 1], [0, 0]], '
+                     '"weights": [[0, 0], [1, 1]]}', "matrix.csv",
+                     "repeated key 'weights' in the config", id="config-top-level"),
+        pytest.param('{"aggregator": "max", "overlap": "product", "weights": [[1, 1], [0, 0]], '
+                     '"tolerances": {"distributivity": 1e-9, "distributivity": 1}}', "matrix.csv",
+                     "repeated key 'distributivity' in the config", id="config-tolerances"),
+        pytest.param(json.dumps(TOP_CELL), "repeated.json",
+                     "repeated key 'cells' in the matrix", id="matrix"),
+    ])
+    def test_repeated_json_key_exits_2(self, workdir, capsys, config, matrix, message):
+        # A JSON reader keeps a repeated key's last value, which would change
+        # the weights, a tolerance or the cells without a word.
+        (workdir / "repeated.json").write_text(
+            '{"alternatives": ["a1"], "criteria": ["c1", "c2"], "cells": [[0.1, 0.2]], '
+            '"cells": [[0.2, 0.1]]}')
+        code, err = run_config_text(workdir, capsys, config, matrix)
+        assert code == 2
+        assert err.endswith(f"{message}\n")
 
     def test_deeply_nested_config_exits_2(self, workdir, capsys):
         code, err = run_config_text(workdir, capsys, "[" * 100_000)

@@ -57,15 +57,16 @@ from ivowa.iv_overlaps import (
 )
 from ivowa.overlaps import (
     RealOverlap,
+    builtin_overlaps,
     mean_of_components,
     projection_aggregator,
     verify_overlap_axioms,
 )
 from ivowa.owa import GowaOperator, WeightVector, builtin_aggregators, check_distributivity
-from ivowa.registry import generator_catalog, real_catalog, resolve_iv_overlap, standard_overlaps
+from ivowa.registry import generator_catalog, resolve_iv_overlap, standard_overlaps
 from ivowa.sampling import CONTINUITY_STAGES, DEFAULT_GRID, SampleGrid, SampledResult
 
-CAT = real_catalog()
+CAT = builtin_overlaps()
 SAMPLE = DEFAULT_GRID.intervals()
 
 

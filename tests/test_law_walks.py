@@ -62,6 +62,7 @@ from ivowa.iv_overlaps import (
 )
 from ivowa.overlaps import (
     RealAggregator,
+    builtin_overlaps,
     check_commutative_first_two,
     check_m2_monotone,
     check_m3_component,
@@ -74,7 +75,7 @@ from ivowa.overlaps import (
     verify_overlap_axioms,
 )
 from ivowa.owa import builtin_aggregators, check_distributivity, check_homogeneous_m
-from ivowa.registry import real_catalog, standard_overlaps
+from ivowa.registry import standard_overlaps
 from ivowa.sampling import DEFAULT_GRID, REAL_GRID
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "law_walks.jsonl"
@@ -324,7 +325,7 @@ def _row_label(row, target, nudges):
 
 @functools.cache
 def _real_axioms(name):
-    return verify_overlap_axioms(real_catalog()[name])
+    return verify_overlap_axioms(builtin_overlaps()[name])
 
 
 def _nudge_label(check, x, y, end, delta):
@@ -346,7 +347,7 @@ def _cases():
     for name, o in standard_overlaps().items():
         for check, run in GRID_CHECKS.items():
             cases[f"{check}/{name}"] = lambda run=run, o=o: run(o)
-    reals = real_catalog()
+    reals = builtin_overlaps()
     for name in reals:
         for axiom in ("go1", "go2", "go3", "go4", "go5"):
             cases[f"{axiom}/{name}"] = lambda name=name, axiom=axiom: _real_axioms(name)[axiom]

@@ -28,6 +28,7 @@ from ivowa import owa, sampling
 from ivowa.cli import RunConfig, rank_matrix
 from ivowa.matrix import parse_matrix_text
 from ivowa.iv_overlaps import IVOverlap, interval_product, migrative_canonical, representable
+from ivowa.overlaps import builtin_overlaps
 from ivowa.owa import (
     GowaError,
     WeightError,
@@ -43,7 +44,7 @@ from ivowa.owa import (
     normalize_weights,
     projection_owa,
 )
-from ivowa.registry import real_catalog, resolve_aggregator, resolve_iv_overlap
+from ivowa.registry import resolve_aggregator, resolve_iv_overlap
 from ivowa.sampling import (
     DEFAULT_GRID,
     REAL_GRID,
@@ -333,7 +334,7 @@ class TestGowaOperator:
             make_gowa(AGG2["geomean"], sqrt_overlap, WeightVector.of(ONE, ONE))
 
     def test_rejects_non_distributive_pair(self):
-        cat = real_catalog()
+        cat = builtin_overlaps()
         min_overlap = representable(cat["min"], cat["min"])
         with pytest.raises(GowaError, match="distribute"):
             make_gowa(AGG2["geomean"], min_overlap, WeightVector.of(ONE, ONE))

@@ -4,8 +4,8 @@ Value records and validated values compare and hash by their fields;
 operators (overlaps, aggregators, generators, the OWA operator) compare and
 hash by identity, so a memo entry pins the very object it was computed for.
 Every class builds positionally and by keyword with the same defaults, has a
-field-by-field repr, copies, and pickles when its fields do.  All of them but
-the OWA operator refuse assignment.
+field-by-field repr, copies, and pickles when its fields do.  All of them
+refuse assignment and deletion of their fields.
 """
 
 import copy
@@ -17,10 +17,14 @@ import pytest
 from ivowa.checks import CheckReport
 from ivowa.cli import RunConfig
 from ivowa.intervals import DEFAULT_ORDER, ONE, ZERO, AdmissibleOrder, ExponentInterval, Interval, IntervalError
-from ivowa.iv_overlaps import IVOverlap, Migrative, Opaque, Representable, SemiRepresentable, UnaryGenerator
+from ivowa.iv_overlaps import (
+    IVOverlap, Migrative, Opaque, Representable, SemiRepresentable, UnaryGenerator, interval_product,
+)
 from ivowa.matrix import DecisionMatrix
 from ivowa.overlaps import RealAggregator, RealOverlap
-from ivowa.owa import AggregatorKind, GowaOperator, IVAggregator, WeightError, WeightVector
+from ivowa.owa import (
+    AggregatorKind, GowaOperator, IVAggregator, WeightError, WeightVector, builtin_aggregators, make_gowa,
+)
 from ivowa.registry import resolve_iv_overlap
 from ivowa.sampling import SampleGrid
 
@@ -100,16 +104,12 @@ def test_record_contract(cls, kind, fields, args, defaults):
         assert hash(a) == object.__hash__(a)
     assert a != object()
 
-    if cls is GowaOperator:
-        a.saturation_witness = (ONE,)
-        assert a.saturation_witness == (ONE,)
-    else:
-        for name in fields:
-            with pytest.raises(AttributeError):
-                setattr(a, name, None)
-            with pytest.raises(AttributeError):
-                delattr(a, name)
-        assert _fields(a, fields) == want
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert _fields(a, fields) == want
 
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(twin) is cls and _same(twin, a)
@@ -124,6 +124,19 @@ def test_interval_assignment_raises_frozen_instance_error():
         x.lower = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         del x.upper
+
+
+@pytest.mark.parametrize("field", CLASSES[GowaOperator])
+def test_a_validated_operator_is_frozen(field):
+    # Its weights, overlap and aggregator were validated together by make_gowa,
+    # so none of them can be swapped for one that was not.
+    op = make_gowa(builtin_aggregators(2)["max"], interval_product(), WeightVector.of(ONE, ZERO))
+    before = getattr(op, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(op, field, WeightVector.of(ZERO, ZERO))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(op, field)
+    assert getattr(op, field) is before
 
 
 def test_resolving_a_canonical_overlap_twice_gives_one_object():

@@ -14,11 +14,11 @@ from ivowa.iv_overlaps import (
     Representable,
     representable,
 )
+from ivowa.overlaps import builtin_overlaps
 from ivowa.registry import (
     MAX_ID_DEPTH,
     RegistryError,
     generator_catalog,
-    real_catalog,
     resolve_aggregator,
     resolve_generator,
     resolve_iv_overlap,
@@ -51,7 +51,7 @@ class TestIdGrammar:
     def test_equal_specs_share_one_operator(self, monkeypatch):
         # A memo of its own, so no entry this test reads can have been evicted.
         monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
-        cat = real_catalog()
+        cat = builtin_overlaps()
         op = representable(cat["product"], cat["min"])
         assert representable(cat["product"], cat["min"], sampling.REAL_GRID) is op
         assert resolve_iv_overlap("rep(product,min)") is op
@@ -59,6 +59,14 @@ class TestIdGrammar:
         assert resolve_iv_overlap("pow(rep(product,min),n=2)").name == "pow(rep(product,min),n=2)"
         assert resolve_iv_overlap("pow(rep(product,min),n=2)") is \
             resolve_iv_overlap(" pow(rep(product, min), n=2) ")
+
+    def test_the_real_catalog_is_built_once(self):
+        # One catalog, so an operator built from its entries by hand is the
+        # memo entry that the id resolves to.
+        assert builtin_overlaps()["product"] is builtin_overlaps()["product"]
+        assert representable(builtin_overlaps()["product"], builtin_overlaps()["min"]) is \
+            resolve_iv_overlap("rep(product,min)")
+        assert resolve_real_overlap("min") is builtin_overlaps()["min"]
 
     def test_generator_catalog_holds_the_module_generators(self):
         assert generator_catalog() == {"identity": IDENTITY, "sqrt": SQRT, "square": SQUARE}
@@ -92,6 +100,20 @@ class TestIdGrammar:
     def test_malformed_ids_rejected(self, bad):
         with pytest.raises(RegistryError):
             resolve_iv_overlap(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("rep(a)(b)", "rep(...) takes two real overlap ids, got 'rep(a)(b)'"),
+        ("rep (product,min)", "unknown interval overlap id 'rep (product,min)'"),
+        ("pow(product,n=2))", "malformed transform degree 'n=2)'"),
+        ("(x)", "unknown interval overlap id '(x)'"),
+        ("rep(product,min)x", "unknown interval overlap id 'rep(product,min)x'"),
+    ])
+    def test_malformed_id_messages(self, bad, message):
+        # An id's head is the text before its first "(", and the call must
+        # close at the id's last character.
+        with pytest.raises(RegistryError) as caught:
+            resolve_iv_overlap(bad)
+        assert str(caught.value) == message
 
     def test_real_and_order_and_aggregator_lookup(self):
         assert resolve_real_overlap("minmax:p=2").name == "minmax:p=2"

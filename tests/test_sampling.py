@@ -19,8 +19,9 @@ from ivowa import sampling
 from ivowa.cli import RunConfig, rank_matrix
 from ivowa.iv_overlaps import representable, verify_iv_axioms
 from ivowa.matrix import parse_matrix_text
+from ivowa.overlaps import builtin_overlaps
 from ivowa.owa import GowaError, WeightVector, builtin_aggregators
-from ivowa.registry import real_catalog, resolve_iv_overlap
+from ivowa.registry import resolve_iv_overlap
 from ivowa.sampling import SAMPLE_SEED, SampledResult, SampleGrid, first_violation, tuple_samples
 
 
@@ -191,7 +192,7 @@ def test_screen_never_drops_a_tuple_the_predicate_keeps(divisions, n, seed):
 
 
 def test_memo_hands_out_copies_of_dict_results():
-    op = representable(real_catalog()["product"], real_catalog()["min"])
+    op = representable(builtin_overlaps()["product"], builtin_overlaps()["min"])
     before = verify_iv_axioms(op)
     expected = dict(before)
     before["o1"] = SampledResult(False, ("changed",), 0)
