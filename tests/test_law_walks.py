@@ -29,10 +29,17 @@ homogeneous-projection-orders, strongly-positive-projections (GO1-GO4 on the
 0.05 grid, GO5 on its 0.005 stage) and power-transform-sandwich, and the
 `:generator`, `:generator-laws` and `:interior` walks of
 canonical-family-uniqueness, generator-idempotent-contractive and
-migrative-generator-form.  Each walk fails on its first case that can fail,
-in the middle and on its last case that can fail; a record is the row's
-report, so a walk that fails after an earlier part of its row shows in the
-row's sample count.
+migrative-generator-form, and the operator walks of gowa-boundary-aggregation
+and gowa-projection-selection, with the product nudged where `make_gowa`
+does not read it.  Each walk fails on its first case that can fail, in the
+middle and on its last case that can fail; a record is the row's report, so
+a walk that fails after an earlier part of its row shows in the row's sample
+count.
+
+Last, it pins O1-O4 on the product nudged at one or two argument pairs, on
+the first case that can fail, at the start or in the middle of a later row,
+and on the last case that can fail; one O4 walk first fails on a comparable
+pair that is not a covering pair.
 """
 
 import functools
@@ -285,7 +292,56 @@ ROW_NUDGES = [
      (((1.0, 1.0), (0.4, 0.6), 1, 0.4), ((1.0, 1.0), (0.4, 0.6), 0, 0.6))),
     ("migrative-generator-form", "standard_migrative", "product",
      (((1.0, 1.0), (0.9, 0.9), 1, -0.9), ((1.0, 1.0), (0.9, 0.9), 0, -0.9))),
+    # The operators' values O(W_k, X) at 0.25-grid X off the 0.1 grid, which
+    # `make_gowa` does not read: geomean's [1,1] weights first, tsum's [0.5,0.5].
+    ("gowa-boundary-aggregation", "interval_product", "product",
+     (((1.0, 1.0), (0.0, 0.75), 1, 0.1),)),
+    ("gowa-boundary-aggregation", "interval_product", "product",
+     (((1.0, 1.0), (0.25, 0.5), 0, -0.1),)),
+    ("gowa-boundary-aggregation", "interval_product", "product",
+     (((0.5, 0.5), (0.0, 0.25), 1, 0.1),)),
+    ("gowa-boundary-aggregation", "interval_product", "product",
+     (((0.5, 0.5), (0.75, 1.0), 1, 0.1),)),
+    # The selected input (weight [1,1]) and a dropped one (weight [0,0]); the
+    # last fails the first selector nowhere and the second one late.
+    ("gowa-projection-selection", "interval_product", "product",
+     (((1.0, 1.0), (0.0, 0.25), 1, 0.1),)),
+    ("gowa-projection-selection", "interval_product", "product",
+     (((0.0, 0.0), (0.25, 0.5), 1, 0.1),)),
+    ("gowa-projection-selection", "interval_product", "product",
+     (((0.0, 0.0), (0.75, 1.0), 1, 0.1),)),
 ]
+
+# O1-O4 of the product nudged at one or two argument pairs: each fails on its
+# first case that can fail, on the first case of a later row or in the middle
+# of one, and on its last case that can fail.  O1 fails first at the mirror
+# case of the earlier row, and the third O4 nudge fails first on a comparable
+# pair two grid steps apart, past the covering pairs of its row.
+AXIOM_NUDGES = [
+    ("o1", (((0.0, 0.0), (0.0, 0.1), 1, 1e-6),)),
+    ("o1", (((0.4, 0.7), (0.1, 0.9), 1, 1e-6),)),
+    ("o1", (((0.9, 1.0), (1.0, 1.0), 0, -1e-6),)),
+    ("o2", (((0.0, 0.0), (0.0, 0.0), 1, 1e-6),)),
+    ("o2", (((0.4, 0.7), (0.0, 0.0), 1, 1e-6),)),
+    ("o2", (((0.0, 0.0), (0.4, 0.7), 1, 1e-6),)),
+    ("o2", (((1.0, 1.0), (1.0, 1.0), 0, -1.0), ((1.0, 1.0), (1.0, 1.0), 1, -1.0))),
+    ("o3", (((0.0, 0.0), (0.0, 0.0), 1, 1.0), ((0.0, 0.0), (0.0, 0.0), 0, 1.0))),
+    ("o3", (((0.5, 1.0), (0.0, 0.0), 1, 1.0), ((0.5, 1.0), (0.0, 0.0), 0, 1.0))),
+    ("o3", (((0.5, 1.0), (0.5, 1.0), 0, 0.75),)),
+    ("o3", (((1.0, 1.0), (1.0, 1.0), 0, -1e-6),)),
+    ("o4", (((0.0, 0.0), (0.0, 0.0), 1, 1e-6),)),
+    ("o4", (((0.4, 0.7), (0.0, 0.0), 1, 0.1),)),
+    ("o4", (((0.4, 0.7), (0.5, 0.7), 0, -1e-6),)),
+    ("o4", (((0.4, 0.7), (0.5, 0.6), 0, -1e-6),)),
+    ("o4", (((1.0, 1.0), (1.0, 1.0), 0, -0.05), ((1.0, 1.0), (0.9, 1.0), 0, 0.06))),
+]
+
+
+def _nudged(o, nudges):
+    """`o` nudged by each (x, y, endpoint, delta) move in turn."""
+    for x, y, end, delta in nudges:
+        o = _nudged_at(o, Interval(*x), Interval(*y), end, delta)
+    return o
 
 
 def _swapped(source, target, nudges):
@@ -293,11 +349,7 @@ def _swapped(source, target, nudges):
     overlaps it lists, nudged."""
 
     def nudge(o):
-        if o.name != target:
-            return o
-        for x, y, end, delta in nudges:
-            o = _nudged_at(o, Interval(*x), Interval(*y), end, delta)
-        return o
+        return _nudged(o, nudges) if o.name == target else o
 
     def swapped(*args):
         got = source(*args)
@@ -317,10 +369,13 @@ def _row_report(row, source, target, nudges):
     return sampling.SampledResult(report.verdict == "pass", report.witness, report.samples_used)
 
 
+def _moves(nudges):
+    return "+".join(f"{format_interval(Interval(*x))}x{format_interval(Interval(*y))}"
+                    f":{'lu'[end]}{delta:+}" for x, y, end, delta in nudges)
+
+
 def _row_label(row, target, nudges):
-    moves = "+".join(f"{format_interval(Interval(*x))}x{format_interval(Interval(*y))}"
-                     f":{'lu'[end]}{delta:+}" for x, y, end, delta in nudges)
-    return f"row:{row}/{target}/nudged@{moves}"
+    return f"row:{row}/{target}/nudged@{_moves(nudges)}"
 
 
 @functools.cache
@@ -379,6 +434,10 @@ def _cases():
     for row, source, target, nudges in ROW_NUDGES:
         cases[_row_label(row, target, nudges)] = functools.partial(
             _row_report, row, source, target, nudges)
+    for axiom, nudges in AXIOM_NUDGES:
+        cases[f"{axiom}/nudged@{_moves(nudges)}"] = (
+            lambda axiom=axiom, nudges=nudges:
+            GRID_CHECKS[axiom](_nudged(interval_product(), nudges)))
     return cases
 
 

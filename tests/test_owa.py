@@ -1,12 +1,14 @@
 import csv
 import io
 import itertools
+import json
 import math
 import random
 import tracemalloc
 from array import array
 from collections import OrderedDict
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -52,7 +54,6 @@ from ivowa.sampling import (
     SAMPLE_SEED,
     SampleGrid,
     SampledResult,
-    first_violation,
     tuple_samples,
 )
 
@@ -574,24 +575,10 @@ class TestOrderMonotonicityReport:
         assert not op.order.leq(op(lo_vec), op(hi_vec))
 
 
-# The sampled checks walk grid indices; these reference walks are the
-# Interval forms they replaced, kept as oracles.
+# The sampled checks walk grid indices; this reference predicate is the
+# Interval form it replaced, kept as an oracle.
 def interval_non_saturating(xs, y):
     return math.fsum(x.upper for x in xs) <= 1.0
-
-
-def interval_homogeneity(m, grid=DEFAULT_GRID, tol=ROOT_TOLERANCE, budget=300_000):
-    def outcomes():
-        for t in tuple_samples(grid.intervals(), m.arity + 1, budget):
-            alpha, xs = t[0], t[1:]
-            al, au = alpha.lower, alpha.upper
-            left = m([Interval(al * x.lower, au * x.upper) for x in xs])
-            base = m(xs)
-            far = (abs(left.lower - al * base.lower) > tol
-                   or abs(left.upper - au * base.upper) > tol)
-            yield t if far else None
-
-    return first_violation(outcomes())
 
 
 def assert_restriction_keeps_what_the_interval_predicate_kept(monkeypatch, grid, n, budget):
@@ -651,13 +638,32 @@ def test_failing_restricted_walk_draws_at_most_one_fill_block(monkeypatch):
     assert len(drawn) <= 1
 
 
-# n=2 walks the whole cross product; n=3 a sample, at a smaller budget to
-# keep the reference walk short.
+# The verdicts of the Interval form of the homogeneity walk, recorded once:
+# over each drawn (alpha, x1..xn), M([alpha.lower * x.lower, alpha.upper *
+# x.upper] for each x) against alpha times M(x1..xn), endpoint by endpoint,
+# within ROOT_TOLERANCE; the witness is the first tuple outside it, as
+# endpoint pairs, which JSON keeps exactly.  n=2 walks the whole cross
+# product; n=3 a sample, at a smaller budget.
+HOMOGENEITY_GOLDEN = Path(__file__).resolve().parent / "golden" / "homogeneity_m.jsonl"
+HOMOGENEITY_PINNED = {rec["id"]: rec for rec in map(json.loads,
+                                                     HOMOGENEITY_GOLDEN.read_text().splitlines())}
+HOMOGENEITY_CASES = [(name, n, budget) for n, budget in [(2, 300_000), (3, 30_000)]
+                     for name in ["max", "tsum", "geomean", "dirac"]]
+
+
+def test_every_homogeneity_case_is_pinned():
+    assert list(HOMOGENEITY_PINNED) == [f"{name}/n={n}/budget={budget}"
+                                        for name, n, budget in HOMOGENEITY_CASES]
+
+
 @pytest.mark.parametrize("n,budget", [(2, 300_000), (3, 30_000)])
 @pytest.mark.parametrize("name", ["max", "tsum", "geomean", "dirac"])
 def test_homogeneity_matches_the_interval_walk(name, n, budget):
+    rec = HOMOGENEITY_PINNED[f"{name}/n={n}/budget={budget}"]
+    witness = None if rec["witness"] is None else tuple(Interval(*x) for x in rec["witness"])
     m = builtin_aggregators(n)[name]
-    assert check_homogeneous_m(m, budget=budget) == interval_homogeneity(m, budget=budget)
+    assert check_homogeneous_m(m, budget=budget) == SampledResult(rec["ok"], witness,
+                                                                  rec["samples"])
 
 
 def test_sampled_homogeneity_walk_stores_no_aggregate_per_tuple(monkeypatch):
