@@ -14,12 +14,14 @@ as silently passing.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
 from .intervals import (
+    DEFAULT_ORDER,
     ExponentInterval,
     Interval,
     ONE,
@@ -547,17 +549,21 @@ def _gowa_idempotency(grid):
 
 @_law("gowa-boundary-aggregation")
 def _gowa_boundary(grid):
-    pairs = comparable_pairs(SampleGrid(0.25).intervals())
+    items = SampleGrid(0.25).intervals()
+    pairs = [(i, j) for i, a in enumerate(items) for j, b in enumerate(items)
+             if leq_product(a, b)]
     for op in _valid_gowa_configs():
         name = _gowa_name(op)
         yield f"{name}:boundary", _boundary(op, op.arity)
         # Product-order monotonicity, on vector pairs whose descending sort
-        # permutations agree.
+        # permutations agree: the permutation of each of the 225 vectors,
+        # on first use.
         if op.arity == 2:
-            ranks = op.order.ranks_descending
-            vector_pairs = (((a_lo, b_lo), (a_hi, b_hi))
+            ranks = LazyRows(lambda ab, order=op.order: order.ranks_descending(
+                (items[ab[0]], items[ab[1]])))
+            vector_pairs = (((items[a_lo], items[b_lo]), (items[a_hi], items[b_hi]))
                             for a_lo, a_hi in pairs for b_lo, b_hi in pairs
-                            if ranks((a_lo, b_lo)) == ranks((a_hi, b_hi)))
+                            if ranks[a_lo, b_lo] == ranks[a_hi, b_hi])
             yield f"{name}:monotone", first_violation(
                 (*low, *high) if not leq_product(lo, hi) else None
                 for (low, high), lo, hi in _paired_values(op, vector_pairs)
@@ -567,15 +573,18 @@ def _gowa_boundary(grid):
 @_law("gowa-projection-selection")
 def _gowa_projection(grid):
     prod = interval_product()
-    vectors = tuple_samples(SampleGrid(0.25).intervals(), 3, budget=4000)
+    vectors = list(tuple_samples(SampleGrid(0.25).intervals(), 3, budget=4000))
+    # Each vector sorted descending in make_gowa's default order, once, for
+    # all six selectors, on first use.
+    descending = LazyRows(lambda k: sorted(vectors[k], key=DEFAULT_ORDER.sort_key, reverse=True))
     for kind in ("tsum", "max"):
         m = builtin_aggregators(3)[kind]
         for index in (1, 2, 3):
-            op = make_gowa(m, prod, WeightVector.selector(3, index))
+            op = make_gowa(m, prod, WeightVector.selector(3, index), DEFAULT_ORDER)
             yield f"select:{kind}:i={index}", first_violation(
                 (*vec, got, want) if got != want else None
-                for vec, got in zip(vectors, op.aggregate_rows(vectors))
-                for want in [sorted(vec, key=op.order.sort_key, reverse=True)[index - 1]]
+                for k, vec, got in zip(itertools.count(), vectors, op.aggregate_rows(vectors))
+                for want in [descending[k][index - 1]]
             )
 
 

@@ -15,7 +15,7 @@ import functools
 import itertools
 from array import array
 from itertools import repeat
-from operator import gt, itemgetter, mul
+from operator import add, and_, eq, gt, itemgetter, mul, ne, or_, truediv
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .intervals import (
@@ -52,6 +52,7 @@ from .sampling import (
     first_violation_in_rows,
     jump_probe,
     memoized,
+    row_items,
 )
 
 __all__ = [
@@ -175,15 +176,18 @@ class IVOverlap(Slotted):
 
 
 def _checked(lows: Iterable[float], ups: Iterable[float], column: Callable = list) -> tuple:
-    """Value columns as two lists (or other `column`s), held to the
-    `Interval` invariant by `valid_columns`: the first value outside ``0 <=
-    lower <= upper <= 1`` raises the `IntervalError` that building it would."""
-    lows, ups = column(lows), column(ups)
+    """Value columns built as two lists and held to the `Interval` invariant
+    by `valid_columns` (the first value outside ``0 <= lower <= upper <= 1``
+    raises the `IntervalError` that building it would), then packed into two
+    `column`s, unless `column` is `list`.  A list is built from a lazy column
+    in about half the time an array is, so value rows pack their arrays of
+    doubles from checked lists."""
+    lows, ups = list(lows), list(ups)
     if not valid_columns(lows, ups):
         for lo, up in zip(lows, ups):
             if not 0.0 <= lo <= up <= 1.0:
                 raise endpoint_error(lo, up)
-    return lows, ups
+    return (lows, ups) if column is list else (column(lows), column(ups))
 
 
 _doubles = functools.partial(array, "d")
@@ -221,6 +225,12 @@ def value_table(
 
 def _ends_of(intervals: Sequence[Interval]) -> list[tuple[float, float]]:
     return [(x.lower, x.upper) for x in intervals]
+
+
+def _cut(cols: Sequence[Iterable[float]]) -> list[tuple[float, ...]]:
+    """Argument columns as tuples of one length, for a column map that reads
+    an argument column more than once: a `repeat` is cut to the others."""
+    return list(zip(*zip(*cols))) or [()] * len(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +322,14 @@ def _semi_representable(
 
     g1, g2, g3, g4, g5, g6, g7, g8 = parts
 
-    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
-        return (m_lower(g1.fn(xl, yu), g2.fn(xu, yl), g3.fn(xl, yl), g4.fn(xu, yu)),
-                m_upper(g5.fn(xl, yu), g6.fn(xu, yl), g7.fn(xl, yl), g8.fn(xu, yu)))
+    def columns(*cols):
+        xl, xu, yl, yu = _cut(cols)
+        return (map(m_lower.fn, map(g1.fn, xl, yu), map(g2.fn, xu, yl), map(g3.fn, xl, yl),
+                    map(g4.fn, xu, yu)),
+                map(m_upper.fn, map(g5.fn, xl, yu), map(g6.fn, xu, yl), map(g7.fn, xl, yl),
+                    map(g8.fn, xu, yu)))
 
-    op = IVOverlap(lifted(ends), name or f"semi({m_lower.name},{m_upper.name})",
+    op = IVOverlap(columns, name or f"semi({m_lower.name},{m_upper.name})",
                    SemiRepresentable(m_lower, m_upper, parts), frozenset())
     # The aggregated endpoints must be ordered on every reachable argument
     # tuple; literal pointwise comparison of the aggregators over [0,1]^4 is
@@ -428,13 +441,17 @@ def midpoint_example() -> IVOverlap:
     representable by endpoint projections.
     """
 
-    def ends(xl: float, xu: float, yl: float, yu: float) -> tuple[float, float]:
-        # `contract_half` of each argument, then their `meet`.
-        xm = (xl + xu) / 2.0
-        ym = (yl + yu) / 2.0
-        return min((xl + xm) / 2.0, (yl + ym) / 2.0), min((xu + xm) / 2.0, (yu + ym) / 2.0)
+    def halves(a: Iterable[float], b: Iterable[float]) -> Iterator[float]:
+        return map(truediv, map(add, a, b), repeat(2.0))
 
-    return IVOverlap(lifted(ends), "midpoint", Opaque("midpoint"), frozenset())
+    def columns(*cols):
+        # `contract_half` of each argument, then their `meet`.
+        xl, xu, yl, yu = _cut(cols)
+        xm, ym = list(halves(xl, xu)), list(halves(yl, yu))
+        return (map(min, halves(xl, xm), halves(yl, ym)),
+                map(min, halves(xu, xm), halves(yu, ym)))
+
+    return IVOverlap(columns, "midpoint", Opaque("midpoint"), frozenset())
 
 
 def _pointwise(pick: Callable[[float, float], float], o1: IVOverlap, o2: IVOverlap,
@@ -443,7 +460,7 @@ def _pointwise(pick: Callable[[float, float], float], o1: IVOverlap, o2: IVOverl
     the argument columns, as tuples of one length: a `repeat` is cut."""
 
     def columns(*cols):
-        cols = list(zip(*zip(*cols))) or [()] * 4
+        cols = _cut(cols)
         (lo1, up1), (lo2, up2) = o1.columns(*cols), o2.columns(*cols)
         return map(pick, lo1, lo2), map(pick, up1, up2)
 
@@ -679,30 +696,54 @@ def verify_iv_axioms(
     stages: tuple[tuple[float, float], ...] = CONTINUITY_STAGES,
 ) -> dict[str, SampledResult]:
     """All five axiom checks; the continuity entry is a heuristic probe of the
-    degenerate-input slices, not a proof."""
+    degenerate-input slices, not a proof.
+
+    O1-O4 are decided a row of the value table at a time, row i holding the
+    cases (sample[i], y) in enumeration order, each by C-level passes: O1
+    against column i, O2 and O3 against the endpoint products, and O4 along
+    the covering pairs (y, y'), y' being y with one endpoint a grid step
+    higher.  Every comparable pair is a chain of covering pairs, and checked
+    values hold no NaN, so `<=` is transitive and a row is monotone on its
+    comparable pairs exactly when it is on its covering ones.  Only a row
+    that fails is compared on its comparable pairs, for its first witness."""
     sample = grid.intervals()
-    cells = list(itertools.product(range(len(sample)), repeat=2))
+    size = len(sample)
     lows, ups = value_table(o, _ends_of(sample), _ends_of(sample))
-    o1 = first_violation(
-        (sample[i], sample[j]) if lows[i][j] != lows[j][i] or ups[i][j] != ups[j][i] else None
-        for i, j in cells
-    )
-    o2 = first_violation(
-        (sample[i], sample[j])
-        if (lows[i][j] == 0.0 and ups[i][j] == 0.0) != (sample[i].upper * sample[j].upper == 0.0)
-        else None
-        for i, j in cells
-    )
-    o3 = first_violation(
-        (sample[i], sample[j])
-        if (lows[i][j] == 1.0 and ups[i][j] == 1.0) != (sample[i].lower * sample[j].lower == 1.0)
-        else None
-        for i, j in cells
-    )
+    cols_lo, cols_up = list(zip(*lows)), list(zip(*ups))
+    lowers, uppers = [x.lower for x in sample], [x.upper for x in sample]
+
+    def equal(value: float, column: Iterable[float]) -> Iterator[bool]:
+        return map(eq, column, repeat(value))
+
+    def cells(fails: Callable[[int], Iterator[bool]]) -> SampledResult:
+        return first_violation_in_rows(item for i in range(size) for item in row_items(
+            fails(i), size, lambda j: (sample[i], sample[j])))
+
+    o1 = cells(lambda i: map(or_, map(ne, lows[i], cols_lo[i]), map(ne, ups[i], cols_up[i])))
+    o2 = cells(lambda i: map(ne, map(and_, equal(0.0, lows[i]), equal(0.0, ups[i])),
+                             equal(0.0, map(mul, repeat(uppers[i]), uppers))))
+    o3 = cells(lambda i: map(ne, map(and_, equal(1.0, lows[i]), equal(1.0, ups[i])),
+                             equal(1.0, map(mul, repeat(lowers[i]), lowers))))
+
     cmp_pairs = [(j, k) for j, a in enumerate(sample) for k, b in enumerate(sample)
                  if leq_product(a, b)]
-    o4 = first_violation(
-        (x, sample[j], sample[k]) if row_lo[j] > row_lo[k] or row_up[j] > row_up[k] else None
-        for x, row_lo, row_up in zip(sample, lows, ups) for j, k in cmp_pairs
-    )
+    rank = {p: r for r, p in enumerate(grid.endpoints())}
+    steps = [rank[x.lower] + rank[x.upper] for x in sample]
+    covering = list(zip(*[(j, k) for j, k in cmp_pairs if steps[k] - steps[j] == 1]))
+    comparable = list(zip(*cmp_pairs))
+
+    def falls(row_lo, row_up, js, ks):
+        """Per pair (j, k) of the index columns: is the row's value at k below that at j?"""
+        return map(or_, map(gt, map(row_lo.__getitem__, js), map(row_lo.__getitem__, ks)),
+                   map(gt, map(row_up.__getitem__, js), map(row_up.__getitem__, ks)))
+
+    def monotone_rows():
+        for x, row_lo, row_up in zip(sample, lows, ups):
+            if not any(falls(row_lo, row_up, *covering)):
+                yield len(cmp_pairs)
+                continue
+            yield from row_items(falls(row_lo, row_up, *comparable), len(cmp_pairs), lambda n: (
+                x, *map(sample.__getitem__, cmp_pairs[n])))
+
+    o4 = first_violation_in_rows(monotone_rows())
     return {"o1": o1, "o2": o2, "o3": o3, "o4": o4, "o5": _check_o5(o, stages)}

@@ -192,8 +192,9 @@ def verify_overlap_axioms(
     grid: SampleGrid = REAL_GRID,
     stages: tuple[tuple[float, float], ...] = CONTINUITY_STAGES,
 ) -> dict[str, SampledResult]:
-    """GO1-GO5 of g, read from its value tables (`go_axioms`)."""
-    return go_axioms(lambda pts: [[g.fn(x, y) for y in pts] for x in pts], grid, stages)
+    """GO1-GO5 of g, read from its value tables (`go_axioms`), a C-level map per row."""
+    return go_axioms(lambda pts: [list(map(g.fn, itertools.repeat(x), pts)) for x in pts],
+                     grid, stages)
 
 
 def go_axioms(

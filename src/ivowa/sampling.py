@@ -87,8 +87,16 @@ def close_row(
     size = len(a_lo)
     if math.dist(a_lo, b_lo) <= tol / 2 and math.dist(a_up, b_up) <= tol / 2:
         return (size,)
-    fails = map(or_, map(gt, map(abs, map(sub, a_lo, b_lo)), itertools.repeat(tol)),
-                map(gt, map(abs, map(sub, a_up, b_up)), itertools.repeat(tol)))
+    return row_items(map(or_, map(gt, map(abs, map(sub, a_lo, b_lo)), itertools.repeat(tol)),
+                         map(gt, map(abs, map(sub, a_up, b_up)), itertools.repeat(tol))),
+                     size, witness)
+
+
+def row_items(fails: Iterable[bool], size: int, witness: Callable[[int], tuple]) -> tuple:
+    """One row of `size` cases as items of `first_violation_in_rows`, from
+    its per-case failures in order (C-level maps, read by one C-level pass):
+    the row's size when none fails, else the number of cases before the first
+    failing case k, then ``witness(k)``."""
     k = next(itertools.compress(itertools.count(), fails), None)
     return (size,) if k is None else (k, (witness(k),))
 

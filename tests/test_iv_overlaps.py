@@ -1,12 +1,16 @@
 import itertools
 import json
+import math
+import random
+from array import array
+from itertools import repeat
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import assert_interval_close, intervals
-from ivowa.checks import _projection_axioms
+from ivowa.checks import _projection_axioms, _semi_configs
 from ivowa.intervals import (
     DEFAULT_ORDER,
     ExponentInterval,
@@ -17,6 +21,7 @@ from ivowa.intervals import (
     contract_half,
     endpoint_error,
     join,
+    leq_product,
     meet,
     power,
     product,
@@ -53,6 +58,7 @@ from ivowa.iv_overlaps import (
     representable,
     semi_representable,
     value_row,
+    value_table,
     verify_iv_axioms,
 )
 from ivowa.overlaps import (
@@ -64,7 +70,13 @@ from ivowa.overlaps import (
 )
 from ivowa.owa import GowaOperator, WeightVector, builtin_aggregators, check_distributivity
 from ivowa.registry import generator_catalog, resolve_iv_overlap, standard_overlaps
-from ivowa.sampling import CONTINUITY_STAGES, DEFAULT_GRID, SampleGrid, SampledResult
+from ivowa.sampling import (
+    CONTINUITY_STAGES,
+    DEFAULT_GRID,
+    SampleGrid,
+    SampledResult,
+    first_violation,
+)
 
 CAT = builtin_overlaps()
 SAMPLE = DEFAULT_GRID.intervals()
@@ -433,6 +445,124 @@ def test_ends_equal_the_interval_formula(op, formula):
     assert [value for x in SAMPLE for value in _hex(op.columns(
         itertools.repeat(x.lower), itertools.repeat(x.upper), iter(y_lo), iter(y_up)))] == want
     assert [(v.lower.hex(), v.upper.hex()) for v in itertools.starmap(op, pairs)] == want
+
+
+def _semi_pairs(m_lower, m_upper, parts):
+    """The semi-representable endpoint map of one argument pair."""
+    g1, g2, g3, g4, g5, g6, g7, g8 = parts
+
+    def ends(xl, xu, yl, yu):
+        return (m_lower(g1.fn(xl, yu), g2.fn(xu, yl), g3.fn(xl, yl), g4.fn(xu, yu)),
+                m_upper(g5.fn(xl, yu), g6.fn(xu, yl), g7.fn(xl, yl), g8.fn(xu, yu)))
+
+    return ends
+
+
+def _midpoint_pairs(xl, xu, yl, yu):
+    """The midpoint overlap's endpoint map of one argument pair."""
+    xm = (xl + xu) / 2.0
+    ym = (yl + yu) / 2.0
+    return min((xl + xm) / 2.0, (yl + ym) / 2.0), min((xu + xm) / 2.0, (yu + ym) / 2.0)
+
+
+def _column_map_cases():
+    ops = _semi_configs()
+    return [*((op, lifted(_semi_pairs(*op.provenance))) for op in ops),
+            (midpoint_example(), lifted(_midpoint_pairs))]
+
+
+def _argument_columns(points):
+    """Makers of argument columns over every pair of `points`, each call a
+    fresh set: whole columns, a row at a time with the first pair repeated, a
+    column at a time with the second pair repeated, and empty columns with
+    and without a repeated side."""
+    pairs = list(itertools.product(points, repeat=2))
+    whole = [[p[i] for p in side] for side in zip(*pairs) for i in (0, 1)]
+    yield lambda: map(iter, whole)
+    lows, ups = [p[0] for p in points], [p[1] for p in points]
+    for lo, up in points:
+        yield lambda lo=lo, up=up: (repeat(lo), repeat(up), iter(lows), iter(ups))
+        yield lambda lo=lo, up=up: (iter(lows), iter(ups), repeat(lo), repeat(up))
+    yield lambda: ((), (), (), ())
+    yield lambda: (repeat(0.5), repeat(1.0), (), ())
+    yield lambda: ((), (), repeat(0.5), repeat(1.0))
+
+
+COLUMN_MAP_CASES = _column_map_cases()
+
+
+@pytest.mark.parametrize("op,pairs", COLUMN_MAP_CASES, ids=[op.name for op, _ in COLUMN_MAP_CASES])
+@pytest.mark.parametrize("points", [
+    [(x.lower, x.upper) for x in SAMPLE],
+    [(p, p) for p in SampleGrid(CONTINUITY_STAGES[-1][0]).endpoints()],
+], ids=["grid-pairs", "finest-degenerate-points"])
+def test_column_maps_equal_their_pair_maps(op, pairs, points):
+    # Bit for bit: the column maps of the semi-representable and midpoint
+    # overlaps keep the float operations of their one-pair endpoint maps, in
+    # the same order, on the 66 x 66 grid pairs and the 201 x 201 degenerate
+    # points of the finest continuity stage.
+    for columns in _argument_columns(points):
+        got = [array("d", col).tobytes() for col in op.columns(*columns())]
+        assert got == [array("d", col).tobytes() for col in pairs(*columns())]
+
+
+def _table_overlap(table, name):
+    """The overlap whose value at an argument pair is ``table[pair]``, the
+    product's off the table."""
+
+    def columns(*cols):
+        values = [table.get(args) or (args[0] * args[2], args[1] * args[3])
+                  for args in zip(*cols)]
+        return [lo for lo, _ in values], [up for _, up in values]
+
+    return IVOverlap(columns, name, Opaque(name))
+
+
+def _random_table(seed):
+    """A seeded value table on the grid pairs: random in every cell when the
+    seed is a multiple of 7; else monotone in the second argument (a
+    nondecreasing lower and upper endpoint per row, with ties), and, unless
+    the seed is a multiple of 4, with one to three cells set at random and,
+    at even odds, one lower endpoint moved a single ulp down."""
+    rng = random.Random(seed)
+    rank = {p: r for r, p in enumerate(DEFAULT_GRID.endpoints())}
+    table = {}
+    for x in SAMPLE:
+        lows = sorted(rng.choice((0.0, 0.1, 0.25, 0.5)) for _ in rank)
+        ups = sorted(rng.choice((0.5, 0.75, 0.9, 1.0)) for _ in rank)
+        for y in SAMPLE:
+            table[x.lower, x.upper, y.lower, y.upper] = lows[rank[y.lower]], ups[rank[y.upper]]
+    cells = list(table)
+    if seed % 7 == 0:
+        return {cell: tuple(sorted((rng.random(), rng.random()))) for cell in cells}
+    if seed % 4:
+        for cell in rng.sample(cells, rng.randint(1, 3)):
+            table[cell] = tuple(sorted((rng.random(), rng.random())))
+        cell = rng.choice(cells)
+        lo, up = table[cell]
+        if rng.random() < 0.5 and lo > 0.0:
+            table[cell] = math.nextafter(lo, 0.0), up
+    return table
+
+
+def comparable_pair_o4(o):
+    """O4 walked case by case: for each x, the value rows at every product
+    comparable pair (y, y') of the grid, in enumeration order."""
+    ends = [(x.lower, x.upper) for x in SAMPLE]
+    lows, ups = value_table(o, ends, ends)
+    pairs = [(j, k) for j, a in enumerate(SAMPLE) for k, b in enumerate(SAMPLE)
+             if leq_product(a, b)]
+    return first_violation(
+        (x, SAMPLE[j], SAMPLE[k]) if row_lo[j] > row_lo[k] or row_up[j] > row_up[k] else None
+        for x, row_lo, row_up in zip(SAMPLE, lows, ups) for j, k in pairs)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_o4_covering_pairs_decide_as_the_comparable_pairs(seed):
+    # A row is decided on its covering pairs and walked on its comparable
+    # pairs only when it fails: the same verdict, witness and sample count.
+    o = _table_overlap(_random_table(seed), f"table-{seed}")
+    assert verify_iv_axioms(o, stages=((1.0, 1.0),))["o4"] == comparable_pair_o4(o)
 
 
 def _inverted_at(o, x, y):
