@@ -14,7 +14,6 @@ as silently passing.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Callable, Iterable, Iterator
@@ -583,7 +582,7 @@ def _gowa_projection(grid):
             op = make_gowa(m, prod, WeightVector.selector(3, index), DEFAULT_ORDER)
             yield f"select:{kind}:i={index}", first_violation(
                 (*vec, got, want) if got != want else None
-                for k, vec, got in zip(itertools.count(), vectors, op.aggregate_rows(vectors))
+                for k, (vec, got) in enumerate(zip(vectors, op.aggregate_rows(vectors)))
                 for want in [descending[k][index - 1]]
             )
 
