@@ -303,7 +303,7 @@ ROW_NUDGES = [
     ("gowa-boundary-aggregation", "interval_product", "product",
      (((0.5, 0.5), (0.75, 1.0), 1, 0.1),)),
     # The selected input (weight [1,1]) and a dropped one (weight [0,0]); the
-    # last fails the first selector nowhere and the second one late.
+    # last holds in the first selector's walk and fails in the second's.
     ("gowa-projection-selection", "interval_product", "product",
      (((1.0, 1.0), (0.0, 0.25), 1, 0.1),)),
     ("gowa-projection-selection", "interval_product", "product",

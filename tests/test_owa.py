@@ -656,8 +656,7 @@ def test_every_homogeneity_case_is_pinned():
                                         for name, n, budget in HOMOGENEITY_CASES]
 
 
-@pytest.mark.parametrize("n,budget", [(2, 300_000), (3, 30_000)])
-@pytest.mark.parametrize("name", ["max", "tsum", "geomean", "dirac"])
+@pytest.mark.parametrize("name,n,budget", HOMOGENEITY_CASES)
 def test_homogeneity_matches_the_interval_walk(name, n, budget):
     rec = HOMOGENEITY_PINNED[f"{name}/n={n}/budget={budget}"]
     witness = None if rec["witness"] is None else tuple(Interval(*x) for x in rec["witness"])
