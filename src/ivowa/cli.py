@@ -14,6 +14,8 @@ import sys
 from typing import NamedTuple
 
 from .checks import (
+    SUITE_ROWS,
+    WORKER_ROWS,
     CheckReport,
     lattice_order_checks,
     overlap_property_reports,
@@ -21,6 +23,7 @@ from .checks import (
     reports_to_json,
     run_axiom_suite,
     run_theorem_suite,
+    sort_reports,
 )
 from .intervals import AdmissibleOrder, DEFAULT_ORDER, Interval, IntervalError, format_interval
 from .iv_overlaps import ConstructionError
@@ -191,11 +194,12 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
-def _verify_one(target_id: str, grid: SampleGrid) -> list[CheckReport]:
+def _verify_one(target_id: str, grid: SampleGrid, rows=None) -> list[CheckReport]:
+    """The reports of one target; of a suite, only those of `rows` if given."""
     if target_id == "theorems":
-        return run_theorem_suite(grid)
+        return run_theorem_suite(grid, rows)
     if target_id == "lattice":
-        return lattice_order_checks(grid)
+        return lattice_order_checks(grid, rows)
     real = builtin_overlaps()
     if target_id in real:
         return run_axiom_suite(real[target_id])
@@ -207,19 +211,132 @@ def _verify_one(target_id: str, grid: SampleGrid) -> list[CheckReport]:
     return reports
 
 
+class WorkerError(RuntimeError):
+    pass
+
+
+def _splits(targets: list[str]) -> bool:
+    """Run the suites in two processes?  Only when the requested suite rows
+    fall on both sides of WORKER_ROWS and the process can fork onto a second
+    CPU."""
+    rows = set().union(*(SUITE_ROWS.get(target, ()) for target in targets))
+    if not (rows & WORKER_ROWS and rows - WORKER_ROWS and hasattr(os, "fork")):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+class _Worker:
+    """A forked process running the WORKER_ROWS of the requested suites.
+
+    It pickles its reports, a list per target, or the exception that stopped
+    it with its traceback text, to a pipe, and leaves through os._exit, so
+    none of this process's exit handlers run twice.  The command runs no
+    threads, so forking it is safe.  `close` kills and reaps a worker whose
+    reports were never read.
+    """
+
+    def __init__(self, targets: list[str], grid: SampleGrid) -> None:
+        import pickle  # before the fork, and only on this path
+
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _serve(targets, grid, write_fd)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def reports(self) -> list[list[CheckReport]]:
+        """The worker's reports per target; raises what stopped the worker."""
+        import pickle
+
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            import signal
+
+            raise WorkerError(f"verify worker was killed by {signal.Signals(-code).name}")
+        if code:
+            raise WorkerError(f"verify worker exited with status {code}")
+        result, trace = pickle.loads(data)
+        if trace is not None:
+            raise result from WorkerError(f"in the verify worker:\n{trace}")
+        return result
+
+    def close(self) -> None:
+        if self.pid:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        self.pipe.close()
+
+
+def _serve(targets: list[str], grid: SampleGrid, write_fd: int) -> None:
+    """The worker's whole life, after the fork; it never returns."""
+    import pickle
+
+    code = 1
+    try:
+        try:
+            data = pickle.dumps(([_verify_one(target, grid, WORKER_ROWS)
+                                  if target in SUITE_ROWS else [] for target in targets], None))
+        except Exception as exc:
+            import traceback
+
+            trace = traceback.format_exc()
+            try:
+                data = pickle.dumps((exc, trace))
+                pickle.loads(data)  # this process must be able to raise it
+            except Exception:
+                data = pickle.dumps((WorkerError(repr(exc)), trace))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _cmd_verify(args) -> int:
     try:
         grid = SampleGrid(args.step)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports: list[CheckReport] = []
-    for target_id in args.targets:
+    worker = None
+    if _splits(args.targets):
         try:
-            reports.extend(_verify_one(target_id, grid))
-        except (RegistryError, ConstructionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            worker = _Worker(args.targets, grid)
+        except OSError:  # no process to be had: every row runs here
+            pass
+    # With a worker, each suite here runs only the rows outside WORKER_ROWS,
+    # and the worker's reports are merged in, in the suite's order.
+    rows = None if worker is None else set().union(*SUITE_ROWS.values()) - WORKER_ROWS
+    try:
+        parts = [_verify_one(target_id, grid, rows) for target_id in args.targets]
+        if worker is not None:
+            parts = [sort_reports(mine + theirs) if theirs else mine
+                     for mine, theirs in zip(parts, worker.reports())]
+    except (RegistryError, ConstructionError, WorkerError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if worker is not None:
+            worker.close()
+    reports = [report for part in parts for report in part]
     if args.json:
         for line in reports_to_json(reports):
             print(line)

@@ -620,8 +620,9 @@ def check_homogeneous(
             # f(a*x, a*y) over y, once per distinct a*x of this alpha.
             scaled_rows = LazyRows(lambda p, scaled=scaled: value_row(f, p, scaled))
             for x, p, b_lo, b_up in zip(sample, scaled, base_lo, base_up):
-                yield from close_row(*scaled_rows[p], [sl * b for b in b_lo],
-                                     [su * b for b in b_up], tol, lambda j: (alpha, x, sample[j]))
+                yield from close_row(*scaled_rows[p], list(map(mul, repeat(sl), b_lo)),
+                                     list(map(mul, repeat(su), b_up)), tol,
+                                     lambda j: (alpha, x, sample[j]))
 
     return first_violation_in_rows(rows())
 

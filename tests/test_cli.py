@@ -1,19 +1,25 @@
+import errno
 import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ivowa
 from conftest import nested_transform
+from ivowa import checks
 from ivowa import intervals as intervals_module
 from ivowa import matrix as matrix_module
+from ivowa.checks import lattice_order_checks, reports_to_json, run_theorem_suite
 from ivowa.cli import main
 from ivowa.intervals import Interval
+from ivowa.iv_overlaps import ConstructionError
 from ivowa.matrix import (
     DecisionMatrix,
     MatrixError,
@@ -816,6 +822,146 @@ class TestVerifyCommand:
         assert main(["verify", *targets, "--json"]) == 1
         golden = Path(__file__).resolve().parent / "golden" / "verify_catalog.jsonl"
         assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+class TestVerifySplit:
+    """`verify` runs the WORKER_ROWS of the requested suites in a forked
+    worker and the rest in its own process, with the serial path's output."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # A case that waits on its worker for two minutes fails instead.
+        def timeout(signum, frame):
+            raise TimeoutError("verify still runs after 120 s")
+
+        handler = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two CPUs to run on, and the pids of the workers forked."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pids, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @pytest.fixture
+    def stub_rows(self, monkeypatch):
+        """Every theorem row replaced by one passing report, so a case runs in
+        milliseconds; returns a function that replaces one row."""
+        for row in checks._THEOREM_CHECKS:
+            report = checks.CheckReport(row, "catalog", "pass", None, 1, 0.0)
+            monkeypatch.setitem(checks._THEOREM_CHECKS, row, lambda grid, report=report: report)
+        monkeypatch.setattr(checks, "_check_semi_items", lambda grid: [])
+        return lambda row, fn: monkeypatch.setitem(checks._THEOREM_CHECKS, row, fn)
+
+    def run(self, capsys, *targets):
+        try:
+            code = main(["verify", *targets, "--json"])
+        except RuntimeError as exc:
+            code = repr(exc)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.fixture(scope="class")
+    def in_process(self):
+        return {"theorems": reports_to_json(run_theorem_suite()),
+                "lattice": reports_to_json(lattice_order_checks())}
+
+    @pytest.mark.parametrize("targets", [["theorems"], ["lattice"], ["theorems", "lattice"]])
+    def test_records_equal_the_in_process_suites(self, capsys, forks, in_process, targets):
+        expected = [line for target in targets for line in in_process[target]]
+        code, out, err = self.run(capsys, *targets)
+        assert (code, out.splitlines(), err) == (0, expected, "")
+        # The lattice suite alone is all worker rows: nothing is left to
+        # share, so it runs in this process.
+        assert len(forks) == ("theorems" in targets)
+
+    @pytest.mark.parametrize("unavailable", ["one-cpu", "no-fork", "fork-fails"])
+    def test_serial_without_a_second_cpu_or_fork(self, capsys, monkeypatch, forks, stub_rows,
+                                                 unavailable):
+        split = self.run(capsys, "theorems")
+        assert len(forks) == 1
+        if unavailable == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        elif unavailable == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def fork_fails():
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", fork_fails)
+        assert self.run(capsys, "theorems") == split
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("error", [ConstructionError("no such row"), RuntimeError("boom")],
+                             ids=["construction-error", "runtime-error"])
+    def test_worker_row_error_matches_the_serial_path(self, capsys, monkeypatch, forks,
+                                                      stub_rows, error):
+        assert "gowa-idempotency" in checks.WORKER_ROWS
+
+        def fails(grid):
+            raise error
+
+        stub_rows("gowa-idempotency", fails)
+        split = self.run(capsys, "theorems", "lattice")
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert self.run(capsys, "theorems", "lattice") == split
+        assert len(forks) == 1
+        assert split[0] == (2 if isinstance(error, ConstructionError) else repr(error))
+
+    @pytest.mark.parametrize("death, status", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+    ], ids=["exit-3", "sigkill"])
+    def test_dead_worker_exits_2_naming_its_status(self, capsys, forks, stub_rows, death, status):
+        parent = os.getpid()
+
+        def dies(grid):
+            assert os.getpid() != parent, "the row ran in the test process"
+            death()
+
+        stub_rows("gowa-idempotency", dies)
+        assert self.run(capsys, "theorems") == (2, "", f"error: verify worker {status}\n")
+
+    def test_worker_is_reaped_when_this_process_fails(self, capsys, forks, stub_rows):
+        stub_rows("gowa-idempotency", lambda grid: time.sleep(60))
+        code, out, err = self.run(capsys, "theorems", "rep(nope,product)")
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert len(forks) == 1
+
+    def test_partition_names_rows_of_both_sides(self):
+        rows = set().union(*checks.SUITE_ROWS.values())
+        assert checks.SUITE_ROWS == {
+            "theorems": {*checks._THEOREM_CHECKS, checks.SEMI_ROW},
+            "lattice": set(checks._LATTICE_CHECKS),
+        }
+        assert checks.WORKER_ROWS <= rows
+        # Each process keeps at least one theorem row.
+        assert checks.WORKER_ROWS & checks.SUITE_ROWS["theorems"]
+        assert checks.SUITE_ROWS["theorems"] - checks.WORKER_ROWS
+
+    def test_import_loads_no_pickle(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(ivowa.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", "import sys, ivowa.cli; print(sorted("
+                               "{'pickle', 'multiprocessing'} & set(sys.modules)))"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stdout == "[]\n"
 
 
 class TestCatalogCommand:
