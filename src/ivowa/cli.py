@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Container
 from typing import NamedTuple
 
 from .checks import (
@@ -194,7 +195,8 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
-def _verify_one(target_id: str, grid: SampleGrid, rows=None) -> list[CheckReport]:
+def _verify_one(target_id: str, grid: SampleGrid,
+                rows: Container[str] | None = None) -> list[CheckReport]:
     """The reports of one target; of a suite, only those of `rows` if given."""
     if target_id == "theorems":
         return run_theorem_suite(grid, rows)
@@ -300,8 +302,7 @@ def _serve(targets: list[str], grid: SampleGrid, write_fd: int) -> None:
             trace = traceback.format_exc()
             try:
                 data = pickle.dumps((exc, trace))
-                pickle.loads(data)  # this process must be able to raise it
-            except Exception:
+            except Exception:  # an exception that cannot be sent is named
                 data = pickle.dumps((WorkerError(repr(exc)), trace))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(data)
