@@ -50,6 +50,7 @@ from .sampling import (
     close_row,
     first_violation,
     first_violation_in_rows,
+    grid_pairs,
     jump_probe,
     memoized,
     row_items,
@@ -350,9 +351,10 @@ def _validate_generator(g: UnaryGenerator) -> None:
     images = list(zip(*_checked(*g.columns(*zip(*_ends_of(sample))))))
     if images[0] != (0.0, 0.0) or images[-1] != (1.0, 1.0):
         raise ConstructionError(f"generator boundary: {g.name} must fix [0,0] and [1,1]")
-    for (a, (al, au)), (b, (bl, bu)) in itertools.product(zip(sample, images), repeat=2):
-        if leq_product(a, b) and not (al <= bl and au <= bu):
-            raise ConstructionError(f"generator monotonicity: {g.name} decreases on ({a}, {b})")
+    for i, j in grid_pairs(DEFAULT_GRID, leq_product):
+        if any(map(gt, images[i], images[j])):  # checked images hold no NaN
+            raise ConstructionError(
+                f"generator monotonicity: {g.name} decreases on ({sample[i]}, {sample[j]})")
     for x, image in zip(sample[1:-1], images[1:-1]):
         if image in ((0.0, 0.0), (1.0, 1.0)):
             raise ConstructionError(
@@ -539,8 +541,7 @@ def is_inclusion_monotonic(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> Sam
     """
     sample = grid.intervals()
     lows, ups = value_table(o, _ends_of(sample), _ends_of(sample))
-    pairs = [(i, j) for i, a in enumerate(sample) for j, b in enumerate(sample)
-             if subseteq(a, b)]
+    pairs = grid_pairs(grid, subseteq)
     around = [[j for i, j in pairs if i == inner] for inner in range(len(sample))]
     hulls = LazyRows(lambda r: (array("d", [max(map(lows[r].__getitem__, js)) for js in around]),
                                 array("d", [min(map(ups[r].__getitem__, js)) for js in around])))
@@ -726,8 +727,7 @@ def verify_iv_axioms(
     o3 = cells(lambda i: map(ne, map(and_, equal(1.0, lows[i]), equal(1.0, ups[i])),
                              equal(1.0, map(mul, repeat(lowers[i]), lowers))))
 
-    cmp_pairs = [(j, k) for j, a in enumerate(sample) for k, b in enumerate(sample)
-                 if leq_product(a, b)]
+    cmp_pairs = grid_pairs(grid, leq_product)
     rank = {p: r for r, p in enumerate(grid.endpoints())}
     steps = [rank[x.lower] + rank[x.upper] for x in sample]
     covering = list(zip(*[(j, k) for j, k in cmp_pairs if steps[k] - steps[j] == 1]))

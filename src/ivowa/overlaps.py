@@ -247,6 +247,7 @@ def pointwise_equal(g1: RealOverlap, g2: RealOverlap, pts: Sequence[float]) -> S
 # ---------------------------------------------------------------------------
 
 
+@memoized
 def projection_aggregator(index: int) -> RealAggregator:
     """4-ary aggregator picking its index-th argument (1-based)."""
     if not 1 <= index <= 4:
@@ -262,9 +263,12 @@ def mean_of_components(indices: Sequence[int]) -> RealAggregator:
     idx = tuple(indices)
     if any(not 1 <= i <= 4 for i in idx) or not idx:
         raise OverlapError(f"component indices {indices} out of range 1..4")
-    claims = {"m1", "m2"}
-    claims.update(f"m3:arg{i}" for i in idx)
-    claims.update(f"m4:arg{i}" for i in idx)
+    return _mean_of_components(idx)
+
+
+@memoized
+def _mean_of_components(idx: tuple[int, ...]) -> RealAggregator:
+    claims = {"m1", "m2", *(f"m{k}:arg{i}" for k in (3, 4) for i in idx)}
     if all(i > 2 for i in idx):
         claims.add("commutative-first-two")
     name = "mean:" + "+".join(str(i) for i in idx)

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from operator import ge, gt, le, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .intervals import Interval, SlottedValue, leq_product, subseteq
+from .intervals import Interval, SlottedValue
 
 SAMPLE_SEED = 20260808
 
@@ -117,7 +117,7 @@ class LazyRows(dict):
 # The one memo.  Sampled checks, operator validation, operator constructors
 # and catalogs are deterministic for fixed arguments, so their results are
 # kept here, least recently used first out once MEMO_SIZE entries are held.
-# A full `verify theorems lattice` run holds 101.
+# A full `verify theorems lattice` run holds 104.
 MEMO_SIZE = 512
 _MEMO: OrderedDict[tuple, object] = OrderedDict()
 
@@ -213,14 +213,13 @@ DEFAULT_GRID = SampleGrid(0.1)
 REAL_GRID = SampleGrid(0.05)
 
 
-def nested_pairs(intervals: Sequence[Interval]) -> list[tuple[Interval, Interval]]:
-    """All (inner, outer) pairs with inner a subset of outer."""
-    return [(a, b) for a in intervals for b in intervals if subseteq(a, b)]
-
-
-def comparable_pairs(intervals: Sequence[Interval]) -> list[tuple[Interval, Interval]]:
-    """All (x, y) pairs with x <= y in the product order."""
-    return [(a, b) for a in intervals for b in intervals if leq_product(a, b)]
+def grid_pairs(grid: SampleGrid, relation: Callable[[Interval, Interval], bool]
+               ) -> list[tuple[int, int]]:
+    """The index pairs (i, j) into ``grid.intervals()`` whose intervals stand
+    in `relation`, ordered by i, then j: `leq_product` gives the comparable
+    pairs, `subseteq` the (inner, outer) nested ones."""
+    sample = grid.intervals()
+    return [(i, j) for i, a in enumerate(sample) for j, b in enumerate(sample) if relation(a, b)]
 
 
 def interior_intervals(intervals: Sequence[Interval]) -> list[Interval]:

@@ -91,6 +91,20 @@ class TestTheoremSuite:
         assert tuple(r.check_id for r in reports) == LATTICE_CHECK_IDS
         assert all(r.verdict == "pass" for r in reports)
 
+    def test_every_row_reports_under_its_own_id(self, theorem_reports):
+        # The rows after the suite ran: each returns one report, the suite's.
+        by_id = {r.check_id: r for r in theorem_reports + lattice_order_checks()}
+        for table in (checks._THEOREM_CHECKS, checks._LATTICE_CHECKS):
+            for row, check in table.items():
+                assert check(DEFAULT_GRID) == by_id[row]
+
+    def test_a_semi_representable_row_runs_alone(self, theorem_reports):
+        row = "semi-representable-continuity"
+        assert run_theorem_suite(rows={row}) == [r for r in theorem_reports if r.check_id == row]
+
+    def test_semi_representable_rows_share_their_overlaps(self):
+        assert all(a is b for a, b in zip(checks._semi_configs(), checks._semi_configs()))
+
     def test_witness_present_exactly_on_failure(self, theorem_reports):
         reports = (theorem_reports + lattice_order_checks()
                    + run_axiom_suite(CAT["lukasiewicz"])

@@ -205,6 +205,14 @@ class TestSemiRepresentable:
         assert all(res.ok for res in verify_iv_axioms(op).values())
         assert not reconstructs_from_projections(op).ok
 
+    def test_equal_specs_return_one_operator(self):
+        def build():
+            return semi_representable(
+                projection_aggregator(3), projection_aggregator(4), (CAT["product"],) * 8
+            )
+
+        assert build() is build()
+
     def test_swapped_aggregators_rejected(self):
         with pytest.raises(ConstructionError, match="endpoint order"):
             semi_representable(

@@ -156,6 +156,12 @@ class TestFourAryAggregators:
             projection_aggregator(5)
         with pytest.raises(OverlapError):
             mean_of_components((0, 2))
+        with pytest.raises(OverlapError, match=r"^component indices \[0, 5\] out of range 1\.\.4$"):
+            mean_of_components([0, 5])
+
+    def test_equal_specs_return_one_aggregator(self):
+        assert projection_aggregator(3) is projection_aggregator(3)
+        assert mean_of_components([3, 4]) is mean_of_components((3, 4))
 
     def test_arity_enforced(self):
         pick = projection_aggregator(1)

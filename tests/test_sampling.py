@@ -16,13 +16,21 @@ from hypothesis import strategies as st
 
 import ivowa
 from ivowa import sampling
+from ivowa.intervals import leq_product, subseteq
 from ivowa.cli import RunConfig, rank_matrix
 from ivowa.iv_overlaps import representable, verify_iv_axioms
 from ivowa.matrix import parse_matrix_text
 from ivowa.overlaps import builtin_overlaps
 from ivowa.owa import GowaError, WeightVector, builtin_aggregators
 from ivowa.registry import resolve_iv_overlap
-from ivowa.sampling import SAMPLE_SEED, SampledResult, SampleGrid, first_violation, tuple_samples
+from ivowa.sampling import (
+    SAMPLE_SEED,
+    SampledResult,
+    SampleGrid,
+    first_violation,
+    grid_pairs,
+    tuple_samples,
+)
 
 
 def reference_samples(items, n, budget, seed=SAMPLE_SEED):
@@ -146,6 +154,19 @@ def test_finest_continuity_stage_is_the_finest_grid():
     assert grid.divisions == 200 and len(grid.endpoints()) == 201
 
 
+@pytest.mark.parametrize("step", [0.5, 0.25, 0.1])
+def test_grid_pairs_are_the_related_pairs_in_product_order(step):
+    # Brute force on endpoint indices: interval k is (i, j) with i <= j.
+    grid = SampleGrid(step)
+    ends = [(i, j) for i in range(grid.divisions + 1) for j in range(i, grid.divisions + 1)]
+    pairs = list(itertools.product(range(len(ends)), repeat=2))
+    comparable = [(a, b) for a, b in pairs
+                  if ends[a][0] <= ends[b][0] and ends[a][1] <= ends[b][1]]
+    nested = [(a, b) for a, b in pairs if ends[b][0] <= ends[a][0] and ends[a][1] <= ends[b][1]]
+    assert grid_pairs(grid, leq_product) == comparable
+    assert grid_pairs(grid, subseteq) == nested
+
+
 def test_every_grid_upper_endpoint_is_an_exact_quotient():
     # The restricted distributivity screen reads each upper endpoint u of a
     # SampleGrid(1/D) as the numerator round(u * D) of the quotient k/D.
@@ -226,7 +247,7 @@ MEMOIZED = list(_memoized_functions())
 
 def test_every_memoized_function_is_found():
     sources = Path(ivowa.__file__).parent.glob("*.py")
-    assert len(MEMOIZED) == sum(p.read_text(encoding="utf-8").count("@memoized") for p in sources) == 20
+    assert len(MEMOIZED) == sum(p.read_text(encoding="utf-8").count("@memoized") for p in sources) == 22
 
 
 def _inspect_key(raw, args, kwargs):
