@@ -11,8 +11,8 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Container
-from typing import NamedTuple
+from collections.abc import Callable, Container
+from typing import BinaryIO, NamedTuple
 
 from .checks import (
     SUITE_ROWS,
@@ -213,102 +213,38 @@ def _verify_one(target_id: str, grid: SampleGrid,
     return reports
 
 
-class WorkerError(RuntimeError):
-    pass
+def _fork(run: Callable[[], object]) -> tuple[int, BinaryIO] | None:
+    """Call `run` in a forked process: its pid and the pipe to read from, or
+    None when the fork fails.
 
-
-def _splits(targets: list[str]) -> bool:
-    """Run the suites in two processes?  Only when the requested suite rows
-    fall on both sides of WORKER_ROWS and the process can fork onto a second
-    CPU."""
-    rows = set().union(*(SUITE_ROWS.get(target, ()) for target in targets))
-    if not (rows & WORKER_ROWS and rows - WORKER_ROWS and hasattr(os, "fork")):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-class _Worker:
-    """A forked process running the WORKER_ROWS of the requested suites.
-
-    It pickles its reports, a list per target, or the exception that stopped
-    it with its traceback text, to a pipe, and leaves through os._exit, so
-    none of this process's exit handlers run twice.  The command runs no
-    threads, so forking it is safe.  `close` kills and reaps a worker whose
-    reports were never read.
+    The child pickles what `run` returns to the pipe and exits 0, or exits 1
+    having written nothing.  It leaves through os._exit, so none of this
+    process's exit handlers run twice.  The command runs no threads, so
+    forking it is safe.
     """
+    import pickle  # before the fork, and only on this path
 
-    def __init__(self, targets: list[str], grid: SampleGrid) -> None:
-        import pickle  # before the fork, and only on this path
-
-        sys.stdout.flush()
-        sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            os.close(read_fd)
-            _serve(targets, grid, write_fd)
-        os.close(write_fd)
-        self.pipe = os.fdopen(read_fd, "rb")
-
-    def reports(self) -> list[list[CheckReport]]:
-        """The worker's reports per target; raises what stopped the worker."""
-        import pickle
-
-        with self.pipe:
-            data = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = 0
-        code = os.waitstatus_to_exitcode(status)
-        if code < 0:
-            import signal
-
-            raise WorkerError(f"verify worker was killed by {signal.Signals(-code).name}")
-        if code:
-            raise WorkerError(f"verify worker exited with status {code}")
-        result, trace = pickle.loads(data)
-        if trace is not None:
-            raise result from WorkerError(f"in the verify worker:\n{trace}")
-        return result
-
-    def close(self) -> None:
-        if self.pid:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
-        self.pipe.close()
-
-
-def _serve(targets: list[str], grid: SampleGrid, write_fd: int) -> None:
-    """The worker's whole life, after the fork; it never returns."""
-    import pickle
-
-    code = 1
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
     try:
+        pid = os.fork()
+    except OSError:  # no process to be had
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
         try:
-            data = pickle.dumps(([_verify_one(target, grid, WORKER_ROWS)
-                                  if target in SUITE_ROWS else [] for target in targets], None))
-        except Exception as exc:
-            import traceback
-
-            trace = traceback.format_exc()
-            try:
-                data = pickle.dumps((exc, trace))
-            except Exception:  # an exception that cannot be sent is named
-                data = pickle.dumps((WorkerError(repr(exc)), trace))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
+            os.close(read_fd)
+            data = pickle.dumps(run())
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
 
 
 def _cmd_verify(args) -> int:
@@ -317,26 +253,46 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    worker = None
-    if _splits(args.targets):
-        try:
-            worker = _Worker(args.targets, grid)
-        except OSError:  # no process to be had: every row runs here
-            pass
-    # With a worker, each suite here runs only the rows outside WORKER_ROWS,
-    # and the worker's reports are merged in, in the suite's order.
-    rows = None if worker is None else set().union(*SUITE_ROWS.values()) - WORKER_ROWS
+
+    def worker_parts() -> list[list[CheckReport]]:
+        return [_verify_one(target, grid, WORKER_ROWS) if target in SUITE_ROWS else []
+                for target in args.targets]
+
+    # When the requested suites have rows on both sides of WORKER_ROWS and a
+    # second CPU is there, a forked worker runs the WORKER_ROWS and this
+    # process the rest, and the worker's reports are merged into each suite
+    # in the suite's order.  A worker that fails in any way has its rows run
+    # again here, so its failure leaves the output, exit code and message
+    # those of one process: the split is only a speed-up.
+    rows = set().union(*(SUITE_ROWS.get(target, ()) for target in args.targets))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    worker = (_fork(worker_parts) if rows & WORKER_ROWS and rows - WORKER_ROWS
+              and hasattr(os, "fork") and cpus > 1 else None)
     try:
-        parts = [_verify_one(target_id, grid, rows) for target_id in args.targets]
+        parts = [_verify_one(target_id, grid, None if worker is None else rows - WORKER_ROWS)
+                 for target_id in args.targets]
         if worker is not None:
-            parts = [sort_reports(mine + theirs) if theirs else mine
-                     for mine, theirs in zip(parts, worker.reports())]
-    except (RegistryError, ConstructionError, WorkerError) as exc:
+            import pickle
+
+            pid, pipe = worker
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)  # 0 only after exit status 0
+            worker = None
+            theirs = pickle.loads(data) if status == 0 else worker_parts()
+            parts = [sort_reports(mine + other) if other else mine
+                     for mine, other in zip(parts, theirs)]
+    except (RegistryError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if worker is not None:
-            worker.close()
+        if worker is not None:  # its reports are never read
+            import signal
+
+            os.kill(worker[0], signal.SIGKILL)
+            os.waitpid(worker[0], 0)
+            worker[1].close()
     reports = [report for part in parts for report in part]
     if args.json:
         for line in reports_to_json(reports):

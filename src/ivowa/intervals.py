@@ -245,10 +245,14 @@ class Ordering(enum.Enum):
 
 
 class AdmissibleOrder(enum.Enum):
-    """Total orders on intervals refining the product order.
+    """Total orders on intervals.
 
     LEX1 compares lower endpoints first, LEX2 upper endpoints first, and
-    XU_YAGER compares the endpoint sum first and breaks ties by width.
+    XU_YAGER compares the endpoint sum first and breaks ties by width.  LEX1
+    and LEX2 refine the product order.  XU_YAGER does on exact sums but not
+    in binary64: x = [0.9999999999999999,1.0] is below y = [1,1] in the
+    product order, yet both sums round to 2.0 and x's larger width ranks it
+    above y, so `XU_YAGER.leq(x, y)` is False (ROADMAP X).
     """
 
     LEX1 = "lex1"

@@ -161,9 +161,9 @@ def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
 
     root = 1.0 / n
 
-    # [1,1] tops the product order, which every admissible order refines, so
-    # it is the largest input under any of them exactly when it is an input;
-    # an input is [1,1] exactly when its lower endpoint is 1.
+    # [1,1] tops the product order, so it is the largest input under any order
+    # that refines it exactly when it is an input (binary64 xuyager does not,
+    # ROADMAP X); an input is [1,1] exactly when its lower endpoint is 1.
     def dirac_columns(lo_cols: Sequence[Iterable[float]], _) -> tuple[list[float], list[float]]:
         ends = list(map(float, map(contains, zip(*lo_cols), itertools.repeat(1.0))))
         return ends, ends

@@ -924,19 +924,30 @@ class TestVerifySplit:
         assert len(forks) == 1
         assert split[0] == (2 if isinstance(error, ConstructionError) else repr(error))
 
-    @pytest.mark.parametrize("death, status", [
-        (lambda: os._exit(3), "exited with status 3"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
-    ], ids=["exit-3", "sigkill"])
-    def test_dead_worker_exits_2_naming_its_status(self, capsys, forks, stub_rows, death, status):
-        parent = os.getpid()
+    @pytest.mark.parametrize("death", [
+        lambda: os._exit(3),
+        lambda: os.kill(os.getpid(), signal.SIGKILL),
+        lambda: 1 / 0,
+    ], ids=["exit-3", "sigkill", "raises"])
+    def test_failed_worker_rows_run_again_here(self, capsys, monkeypatch, forks, stub_rows,
+                                               death):
+        parent, ran_here = os.getpid(), []
 
-        def dies(grid):
-            assert os.getpid() != parent, "the row ran in the test process"
-            death()
+        def dies_in_the_worker(grid):
+            if os.getpid() != parent:
+                death()
+            ran_here.append(grid)
+            return checks.CheckReport("gowa-idempotency", "catalog", "fail",
+                                      (Interval(0.0, 1.0),), 1, 0.0)
 
-        stub_rows("gowa-idempotency", dies)
-        assert self.run(capsys, "theorems") == (2, "", f"error: verify worker {status}\n")
+        stub_rows("gowa-idempotency", dies_in_the_worker)
+        split = self.run(capsys, "theorems", "lattice")
+        assert len(forks) == 1 and len(ran_here) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = self.run(capsys, "theorems", "lattice")
+        assert len(forks) == 1 and len(ran_here) == 2
+        assert split == serial
+        assert split[0] == 1 and split[2] == "" and '"gowa-idempotency"' in split[1]
 
     def test_worker_is_reaped_when_this_process_fails(self, capsys, forks, stub_rows):
         stub_rows("gowa-idempotency", lambda grid: time.sleep(60))
