@@ -160,16 +160,16 @@ Provenance = Representable | SemiRepresentable | Migrative | Opaque
 
 class IVOverlap(Slotted):
     """A binary interval function, stored as its map over endpoint columns,
-    ``columns(xl, xu, yl, yu) -> (lowers, uppers)``, plus how it was built
-    and what it claims.  A fixed argument's columns may be `repeat`s; each
-    column is read once, and the value columns may be lazy.  A call is the
-    one-pair case."""
+    ``columns(xl, xu, yl, yu) -> (lowers, uppers)``, plus how it was built.
+    It carries no claims: the laws it satisfies are what `verify` reports.
+    A fixed argument's columns may be `repeat`s; each column is read once,
+    and the value columns may be lazy.  A call is the one-pair case."""
 
-    __slots__ = ("columns", "name", "provenance", "claims")
+    __slots__ = ("columns", "name", "provenance")
 
     def __init__(self, columns: Callable[..., tuple[Iterable[float], Iterable[float]]], name: str,
-                 provenance: Provenance, claims: frozenset[str] = frozenset()) -> None:
-        self._init(columns, name, provenance, claims)
+                 provenance: Provenance) -> None:
+        self._init(columns, name, provenance)
 
     def __call__(self, x: Interval, y: Interval) -> Interval:
         (lo,), (up,) = self.columns((x.lower,), (x.upper,), (y.lower,), (y.upper,))
@@ -240,30 +240,20 @@ def _cut(cols: Sequence[Iterable[float]]) -> list[tuple[float, ...]]:
 
 
 @memoized
-def representable(
-    g_lower: RealOverlap,
-    g_upper: RealOverlap,
-    grid: SampleGrid = REAL_GRID,
-) -> IVOverlap:
+def representable(g_lower: RealOverlap, g_upper: RealOverlap) -> IVOverlap:
     """Apply one real overlap to the lower endpoints and another to the upper.
 
-    Requires g_lower <= g_upper pointwise (checked on the grid), otherwise the
-    result would not be a valid interval everywhere.
+    Requires g_lower <= g_upper pointwise (checked on `REAL_GRID`), otherwise
+    the result would not be a valid interval everywhere.
     """
-    order = pointwise_leq(g_lower, g_upper, grid.endpoints())
+    order = pointwise_leq(g_lower, g_upper, REAL_GRID.endpoints())
     if not order.ok:
         x, y, lo, up = order.witness
         raise ConstructionError(
             f"lower component exceeds upper component at ({x!r}, {y!r}): {lo!r} > {up!r}"
         )
-    claims = set()
-    if {"neutral-1"} <= g_lower.claims and {"neutral-1"} <= g_upper.claims:
-        claims.add("neutral-one")
-    if {"associative"} <= g_lower.claims and {"associative"} <= g_upper.claims:
-        claims.add("associative")
     return IVOverlap(lambda xl, xu, yl, yu: (map(g_lower.fn, xl, yl), map(g_upper.fn, xu, yu)),
-                     f"rep({g_lower.name},{g_upper.name})",
-                     Representable(g_lower, g_upper), frozenset(claims))
+                     f"rep({g_lower.name},{g_upper.name})", Representable(g_lower, g_upper))
 
 
 def semi_representable(
@@ -331,7 +321,7 @@ def _semi_representable(
                     map(g8.fn, xu, yu)))
 
     op = IVOverlap(columns, name or f"semi({m_lower.name},{m_upper.name})",
-                   SemiRepresentable(m_lower, m_upper, parts), frozenset())
+                   SemiRepresentable(m_lower, m_upper, parts))
     # The aggregated endpoints must be ordered on every reachable argument
     # tuple; literal pointwise comparison of the aggregators over [0,1]^4 is
     # the wrong test because their arguments are themselves ordered.
@@ -362,23 +352,17 @@ def _validate_generator(g: UnaryGenerator) -> None:
 
 
 @memoized
-def migrative_from_generator(
-    g: UnaryGenerator,
-    name: str | None = None,
-    claims: frozenset[str] = frozenset(),
-) -> IVOverlap:
+def migrative_from_generator(g: UnaryGenerator, name: str | None = None) -> IVOverlap:
     """Build the migrative overlap X, Y -> g(XY) from a unary generator."""
     _validate_generator(g)
     return IVOverlap(lambda xl, xu, yl, yu: g.columns(map(mul, xl, yl), map(mul, xu, yu)),
-                     name or f"mig({g.name})", Migrative(g), claims)
+                     name or f"mig({g.name})", Migrative(g))
 
 
 @memoized
 def interval_product() -> IVOverlap:
     """The interval product as an overlap; migrative with the identity generator."""
-    return migrative_from_generator(
-        IDENTITY, name="product", claims=frozenset({"associative", "neutral-one"})
-    )
+    return migrative_from_generator(IDENTITY, name="product")
 
 
 @memoized
@@ -389,13 +373,8 @@ def migrative_canonical(k: ExponentInterval) -> IVOverlap:
         half = k.halved()
     except IntervalError:
         raise ConstructionError(f"exponent {k} has no half in binary64") from None
-    g = _power_generator(half, f"pow:{half}")
-    claims = set()
-    if k.k1 == k.k2 == 2.0:
-        claims.update({"associative", "neutral-one"})
-    return migrative_from_generator(
-        g, name=f"canonical(K=[{k.k1!r},{k.k2!r}])", claims=frozenset(claims)
-    )
+    return migrative_from_generator(_power_generator(half, f"pow:{half}"),
+                                    name=f"canonical(K=[{k.k1!r},{k.k2!r}])")
 
 
 @memoized
@@ -422,7 +401,7 @@ def power_transform(base: IVOverlap, n: int, direction: Literal["power", "root"]
     ks = repeat(k)
     return IVOverlap(lambda xl, xu, yl, yu: base.columns(
         map(pow, xl, ks), map(pow, xu, ks), map(pow, yl, ks), map(pow, yu, ks)),
-        name, Opaque(name), frozenset())
+        name, Opaque(name))
 
 
 def midpoint_closed_form(x: Interval, y: Interval) -> Interval:
@@ -453,7 +432,7 @@ def midpoint_example() -> IVOverlap:
         return (map(min, halves(xl, xm), halves(yl, ym)),
                 map(min, halves(xu, xm), halves(yu, ym)))
 
-    return IVOverlap(columns, "midpoint", Opaque("midpoint"), frozenset())
+    return IVOverlap(columns, "midpoint", Opaque("midpoint"))
 
 
 def _pointwise(pick: Callable[[float, float], float], o1: IVOverlap, o2: IVOverlap,
@@ -466,7 +445,7 @@ def _pointwise(pick: Callable[[float, float], float], o1: IVOverlap, o2: IVOverl
         (lo1, up1), (lo2, up2) = o1.columns(*cols), o2.columns(*cols)
         return map(pick, lo1, lo2), map(pick, up1, up2)
 
-    return IVOverlap(columns, name, Opaque(name), frozenset())
+    return IVOverlap(columns, name, Opaque(name))
 
 
 def iv_join(o1: IVOverlap, o2: IVOverlap) -> IVOverlap:

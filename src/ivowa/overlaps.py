@@ -52,26 +52,22 @@ class OverlapError(ValueError):
 
 
 class RealOverlap(Slotted):
-    """A named binary function on [0,1] with the axioms it claims to satisfy.
+    """A named binary function on [0,1].  It carries no claims: which
+    axioms it satisfies is what `verify_overlap_axioms` reports."""
 
-    Claims are metadata; `verify_overlap_axioms` is the arbiter.
-    """
+    __slots__ = ("fn", "name")
 
-    __slots__ = ("fn", "name", "claims")
-
-    def __init__(self, fn: Callable[[float, float], float], name: str,
-                 claims: frozenset[str] = frozenset()) -> None:
-        self._init(fn, name, claims)
+    def __init__(self, fn: Callable[[float, float], float], name: str) -> None:
+        self._init(fn, name)
 
     def __call__(self, x: float, y: float) -> float:
         return self.fn(x, y)
 
-    def claims_overlap(self) -> bool:
-        return {"go1", "go2", "go3", "go4", "go5"} <= self.claims
-
 
 class RealAggregator(Slotted):
-    """An n-ary aggregation function on [0,1] with claimed side properties."""
+    """An n-ary aggregation function on [0,1].  Its `claims` are only the
+    ``m3:argI`` and ``m4:argI`` pins, the component checks that
+    `run_axiom_suite` runs besides M1 and M2."""
 
     __slots__ = ("fn", "arity", "name", "claims")
 
@@ -120,29 +116,22 @@ def _lukasiewicz(x: float, y: float) -> float:
     return max(0.0, min(x - (1.0 - y), y - (1.0 - x)))
 
 
-_GO_ALL = frozenset({"go1", "go2", "go3", "go4", "go5"})
-
-
 @memoized
 def builtin_overlaps() -> dict[str, RealOverlap]:
     """The catalog of real binary functions, addressable by string id; built once."""
     entries = [
         # Builtins where one will do: a representable overlap maps its
         # components over endpoint columns, and a builtin is mapped in C.
-        RealOverlap(mul, "product",
-                    _GO_ALL | {"migrative", "homogeneous:2", "neutral-1", "associative"}),
-        RealOverlap(min, "min",
-                    _GO_ALL | {"homogeneous:1", "neutral-1", "associative"}),
-        RealOverlap(_minmax(1), "minmax:p=1",
-                    _GO_ALL | {"migrative", "homogeneous:2", "neutral-1", "associative"}),
-        RealOverlap(_minmax(2), "minmax:p=2", _GO_ALL | {"homogeneous:3", "neutral-1"}),
-        RealOverlap(_minmax(3), "minmax:p=3", _GO_ALL | {"homogeneous:4", "neutral-1"}),
-        RealOverlap(_product_power(2), "xyp:p=2", _GO_ALL | {"migrative", "homogeneous:4"}),
-        RealOverlap(_product_power(3), "xyp:p=3", _GO_ALL | {"migrative", "homogeneous:6"}),
-        RealOverlap(_half_sum_poly, "mig:poly", _GO_ALL | {"migrative"}),
+        RealOverlap(mul, "product"),
+        RealOverlap(min, "min"),
+        RealOverlap(_minmax(1), "minmax:p=1"),
+        RealOverlap(_minmax(2), "minmax:p=2"),
+        RealOverlap(_minmax(3), "minmax:p=3"),
+        RealOverlap(_product_power(2), "xyp:p=2"),
+        RealOverlap(_product_power(3), "xyp:p=3"),
+        RealOverlap(_half_sum_poly, "mig:poly"),
         # Not an overlap: it has zero divisors, e.g. value 0 at (0.5, 0.5).
-        RealOverlap(_lukasiewicz, "lukasiewicz",
-                    frozenset({"go1", "go3", "go4", "go5", "associative"})),
+        RealOverlap(_lukasiewicz, "lukasiewicz"),
     ]
     return {g.name: g for g in entries}
 
@@ -150,13 +139,13 @@ def builtin_overlaps() -> dict[str, RealOverlap]:
 def lattice_join(g1: RealOverlap, g2: RealOverlap) -> RealOverlap:
     """Pointwise maximum; overlaps are closed under it."""
     return RealOverlap(lambda x, y: max(g1.fn(x, y), g2.fn(x, y)),
-                       f"join({g1.name},{g2.name})", g1.claims & g2.claims & _GO_ALL)
+                       f"join({g1.name},{g2.name})")
 
 
 def lattice_meet(g1: RealOverlap, g2: RealOverlap) -> RealOverlap:
     """Pointwise minimum; overlaps are closed under it."""
     return RealOverlap(lambda x, y: min(g1.fn(x, y), g2.fn(x, y)),
-                       f"meet({g1.name},{g2.name})", g1.claims & g2.claims & _GO_ALL)
+                       f"meet({g1.name},{g2.name})")
 
 
 def convex_sum(w1: float, w2: float, g1: RealOverlap, g2: RealOverlap) -> RealOverlap:
@@ -166,8 +155,7 @@ def convex_sum(w1: float, w2: float, g1: RealOverlap, g2: RealOverlap) -> RealOv
     if abs((w1 + w2) - 1.0) > POLY_TOLERANCE:
         raise OverlapError(f"convex weights must sum to 1, got {w1 + w2!r}")
     return RealOverlap(lambda x, y: w1 * g1.fn(x, y) + w2 * g2.fn(x, y),
-                       f"convex({w1!r}*{g1.name}+{w2!r}*{g2.name})",
-                       g1.claims & g2.claims & _GO_ALL)
+                       f"convex({w1!r}*{g1.name}+{w2!r}*{g2.name})")
 
 
 def real_owa(weights: Sequence[float], xs: Sequence[float]) -> float:
@@ -252,10 +240,8 @@ def projection_aggregator(index: int) -> RealAggregator:
     """4-ary aggregator picking its index-th argument (1-based)."""
     if not 1 <= index <= 4:
         raise OverlapError(f"projection index {index} out of range 1..4")
-    claims = {"m1", "m2", f"m3:arg{index}", f"m4:arg{index}"}
-    if index > 2:
-        claims.add("commutative-first-two")
-    return RealAggregator(lambda *xs: xs[index - 1], 4, f"pick:{index}", frozenset(claims))
+    return RealAggregator(lambda *xs: xs[index - 1], 4, f"pick:{index}",
+                          frozenset({f"m3:arg{index}", f"m4:arg{index}"}))
 
 
 def mean_of_components(indices: Sequence[int]) -> RealAggregator:
@@ -268,15 +254,13 @@ def mean_of_components(indices: Sequence[int]) -> RealAggregator:
 
 @memoized
 def _mean_of_components(idx: tuple[int, ...]) -> RealAggregator:
-    claims = {"m1", "m2", *(f"m{k}:arg{i}" for k in (3, 4) for i in idx)}
-    if all(i > 2 for i in idx):
-        claims.add("commutative-first-two")
+    claims = frozenset(f"m{k}:arg{i}" for k in (3, 4) for i in idx)
     name = "mean:" + "+".join(str(i) for i in idx)
 
     def fn(*xs: float) -> float:
         return math.fsum(xs[i - 1] for i in idx) / len(idx)
 
-    return RealAggregator(fn, 4, name, frozenset(claims))
+    return RealAggregator(fn, 4, name, claims)
 
 
 def check_m1_boundary(m: RealAggregator) -> SampledResult:

@@ -41,7 +41,6 @@ from .sampling import (
     DEFAULT_GRID,
     LazyRows,
     ROOT_TOLERANCE,
-    SAMPLE_SEED,
     SampleGrid,
     SampledResult,
     close_row,
@@ -261,7 +260,6 @@ def check_distributivity(
     tol: float = ROOT_TOLERANCE,
     restrict: bool = False,
     budget: int = 300_000,
-    seed: int = SAMPLE_SEED,
 ) -> SampledResult:
     """Does the aggregator distribute over the overlap?
 
@@ -296,7 +294,7 @@ def check_distributivity(
     rhs_rows = LazyRows(lambda agg: (o_lo[index_of[agg]], o_up[index_of[agg]])
                         if agg in index_of else value_row(o, agg, pts))
     decode = items.__getitem__
-    cases = tuple_samples(range(len(items)), m.arity + 1, budget, seed)
+    cases = tuple_samples(range(len(items)), m.arity + 1, budget)
 
     def kept(t: tuple) -> bool:
         return non_saturating(map(ups.__getitem__, t[:m.arity]))
@@ -346,7 +344,7 @@ def check_homogeneous_m(
     # [alpha.lower*x.lower, alpha.upper*x.upper] are the interval product.
     scaled_lo, scaled_up = value_table(interval_product(), list(zip(lows, ups)),
                                        list(zip(lows, ups)))
-    cases = tuple_samples(range(len(items)), m.arity + 1, budget, SAMPLE_SEED)
+    cases = tuple_samples(range(len(items)), m.arity + 1, budget)
     decode = items.__getitem__
     size, n = len(items), m.arity
 

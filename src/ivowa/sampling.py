@@ -232,16 +232,15 @@ class TupleSamples:
     Iterating yields the full cross product when it fits the budget,
     otherwise one constant tuple per item, the structured corner tuples and a
     seeded random fill up to the budget, equal tuple for tuple to n calls of
-    ``random.Random(seed).choice(items)``.  Each walk starts afresh and draws
-    only as far as the caller reads; `screened` walks a filtered sample,
-    rejecting most of the fill a block of draws at a time.
+    ``random.Random(SAMPLE_SEED).choice(items)``.  Each walk starts afresh
+    and draws only as far as the caller reads; `screened` walks a filtered
+    sample, rejecting most of the fill a block of draws at a time.
     """
 
-    def __init__(self, items: Sequence, n: int, budget: int, seed: int) -> None:
+    def __init__(self, items: Sequence, n: int, budget: int) -> None:
         self.items = items
         self.n = n
         self.budget = budget
-        self.seed = seed
         self.exhaustive = len(items) ** n <= budget
 
     def __len__(self) -> int:
@@ -262,7 +261,7 @@ class TupleSamples:
                     t = [c] * n
                     t[j] = special
                     head.append(tuple(t))
-        fill = zip(*[_choices(items, self.seed)] * n)
+        fill = zip(*[_choices(items)] * n)
         return itertools.chain(head, itertools.islice(fill, max(0, self.budget - len(head))))
 
     def screened(self, weights: Sequence[int], bound: int,
@@ -274,7 +273,7 @@ class TupleSamples:
         items, n, head = self.items, self.n, len(self.items) + 6 * self.n
         yield from filter(keep, itertools.islice(self, head))
         table = bytes(weights).ljust(256, b"\0")
-        draws, todo, rest = _draws(len(items), self.seed), self.budget - head, b""
+        draws, todo, rest = _draws(len(items)), self.budget - head, b""
         while todo > 0:
             flat = rest + next(draws) if rest else next(draws)
             count = min(len(flat) // n, todo)
@@ -303,8 +302,8 @@ def _light(weights: bytes, n: int, count: int, bound: int) -> Iterator[int]:
     return itertools.compress(range(count), map(le, sums, itertools.repeat(bound)))
 
 
-def _draws(size: int, seed: int) -> Iterator[bytes | list[int]]:
-    """The endless stream of ``random.Random(seed).choice(range(size))``
+def _draws(size: int) -> Iterator[bytes | list[int]]:
+    """The endless stream of ``random.Random(SAMPLE_SEED).choice(range(size))``
     results, in blocks decoded from 32-bit words.
 
     ``choice`` takes the top ``b = size.bit_length()`` bits of one Mersenne
@@ -318,7 +317,7 @@ def _draws(size: int, seed: int) -> Iterator[bytes | list[int]]:
     indices, so no Python frame runs per word, and the block is bytes.
     Larger pools decode the words one by one into a list.
     """
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     bits = size.bit_length()
 
     if bits <= 8:
@@ -346,23 +345,19 @@ def _draws(size: int, seed: int) -> Iterator[bytes | list[int]]:
         words = min(2 * words, 1 << 14)
 
 
-def _choices(items: Sequence, seed: int) -> Iterator:
-    """``random.Random(seed).choice(items)`` forever: `_draws` chained in C."""
-    indices = itertools.chain.from_iterable(_draws(len(items), seed))
+def _choices(items: Sequence) -> Iterator:
+    """``random.Random(SAMPLE_SEED).choice(items)`` forever: `_draws` chained in C."""
+    indices = itertools.chain.from_iterable(_draws(len(items)))
     return indices if items == range(len(items)) else map(items.__getitem__, indices)
 
 
-def tuple_samples(
-    items: Sequence,
-    n: int,
-    budget: int = 300_000,
-    seed: int = SAMPLE_SEED,
-) -> TupleSamples:
+def tuple_samples(items: Sequence, n: int, budget: int = 300_000) -> TupleSamples:
     """Deterministic n-tuples over items: the full cross product when it fits
-    the budget, otherwise structured corner tuples plus a seeded random fill.
-    The result is a lazy, re-iterable sequence with a length.
+    the budget, otherwise structured corner tuples plus a random fill seeded
+    with `SAMPLE_SEED`.  The result is a lazy, re-iterable sequence with a
+    length.
     """
-    return TupleSamples(items, n, budget, seed)
+    return TupleSamples(items, n, budget)
 
 
 def max_jump(pts: list[float], rows: list[list[float]]) -> tuple[float, tuple]:

@@ -15,9 +15,10 @@ from ivowa.checks import (
 )
 from ivowa import checks
 from ivowa.intervals import Interval
-from ivowa.iv_overlaps import midpoint_example, representable
+from ivowa.iv_overlaps import check_associative, midpoint_example, representable
 from ivowa.overlaps import builtin_overlaps, projection_aggregator
 from ivowa.owa import builtin_aggregators
+from ivowa.registry import standard_overlaps
 from ivowa.sampling import DEFAULT_GRID, POLY_TOLERANCE, SampledResult
 
 CAT = builtin_overlaps()
@@ -101,6 +102,13 @@ class TestTheoremSuite:
     def test_a_semi_representable_row_runs_alone(self, theorem_reports):
         row = "semi-representable-continuity"
         assert run_theorem_suite(rows={row}) == [r for r in theorem_reports if r.check_id == row]
+
+    def test_associative_list_names_the_associative_standard_overlaps(self):
+        # Both ways: a listed overlap that stopped being associative, or an
+        # associative one left off the list, fails here and not silently.
+        passing = tuple(name for name, op in standard_overlaps().items()
+                        if check_associative(op).ok)
+        assert checks._ASSOCIATIVE == passing
 
     def test_semi_representable_rows_share_their_overlaps(self):
         assert all(a is b for a, b in zip(checks._semi_configs(), checks._semi_configs()))

@@ -29,9 +29,9 @@ from ivowa.registry import resolve_iv_overlap
 from ivowa.sampling import SampleGrid
 
 # Builtin callables keep every record picklable.
-_REAL_MIN = RealOverlap(min, "min", frozenset({"go1"}))
+_REAL_MIN = RealOverlap(min, "min")
 _REAL_MAX = RealAggregator(max, 2, "max")
-_OVERLAP = IVOverlap(max, "o", Opaque("x"), frozenset({"claim"}))
+_OVERLAP = IVOverlap(max, "o", Opaque("x"))
 _AGGREGATOR = IVAggregator(min, 2, AggregatorKind.MAX, "max")
 _WEIGHTS = WeightVector((ONE, ZERO))
 
@@ -53,11 +53,10 @@ RECORDS = [
     (ExponentInterval, "value", ("k1", "k2"), (0.5, 2.0), {}),
     (SampleGrid, "value", ("endpoint_step",), (), {"endpoint_step": 0.1}),
     (WeightVector, "value", ("weights",), ((ONE, ZERO),), {}),
-    (IVOverlap, "identity", ("columns", "name", "provenance", "claims"),
-     (max, "o", Opaque("x")), {"claims": frozenset()}),
+    (IVOverlap, "identity", ("columns", "name", "provenance"), (max, "o", Opaque("x")), {}),
     (IVAggregator, "identity", ("columns", "arity", "kind", "name"),
      (min, 2, AggregatorKind.MAX, "max"), {}),
-    (RealOverlap, "identity", ("fn", "name", "claims"), (min, "min"), {"claims": frozenset()}),
+    (RealOverlap, "identity", ("fn", "name"), (min, "min"), {}),
     (RealAggregator, "identity", ("fn", "arity", "name", "claims"), (max, 2, "max"),
      {"claims": frozenset()}),
     (UnaryGenerator, "identity", ("columns", "name"), (abs, "g"), {}),

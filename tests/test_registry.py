@@ -53,7 +53,6 @@ class TestIdGrammar:
         monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
         cat = builtin_overlaps()
         op = representable(cat["product"], cat["min"])
-        assert representable(cat["product"], cat["min"], sampling.REAL_GRID) is op
         assert resolve_iv_overlap("rep(product,min)") is op
         assert standard_overlaps()["rep(product,min)"] is op
         assert resolve_iv_overlap("pow(rep(product,min),n=2)").name == "pow(rep(product,min),n=2)"
