@@ -8,7 +8,10 @@ catalog overlap, n=2 homogeneity of every catalog aggregator, and the
 interval product nudged by 1e-6 at one cell.  The nudged cells make a walk
 fail on the first case of a row, in the middle of one, and on the last case
 of the latest row that can fail: every one of these walks ends on a case that
-compares a value with itself.
+compares a value with itself.  The n=2 distributivity walks of `max`,
+`geomean` and restricted `tsum` decide a block of xs rows at a time, so
+their nudges also land on the first case that can fail, on both sides of a
+block boundary, and on the last case that can fail.
 
 It also pins, on every catalog overlap, associativity, the reconstruction
 from the projections, the neutral element, idempotency, O1-O5 and strong
@@ -142,6 +145,27 @@ NUDGES = [
     ("distributivity-max", (0.9, 1.0), (0.0, 0.0), 1, 1e-6),
     ("distributivity-max", (0.6, 1.0), (0.6, 0.8), 0, 1e-6),
     ("distributivity-max", (0.9, 0.9), (1.0, 1.0), 0, -1e-6),
+    # The n=2 walks decide 7 xs rows (462 cases) at a time.  Each first fails
+    # on its first case that can fail, on the last case of a block and on the
+    # first case of the next one, and on its last case that can fail.  Rows
+    # whose xs all hold [0,0] (the first 66 kept rows) fail, if at all, on
+    # their first row, and no block boundary of the `max` walk is both the
+    # last and the first case that can fail: its nudges take the first block
+    # whose last case can fail (the 29th) and the first block whose first
+    # case can (the 43rd).  geomean and tsum fail last off the grid, on a
+    # right side O(M(xs), y) of the aggregate [sqrt(0.9),1] and [0.2+0.4,0.9].
+    ("distributivity-max", (0.0, 0.0), (0.0, 0.0), 1, 1e-6),
+    ("distributivity-max", (0.0, 0.3), (1.0, 1.0), 0, 1e-6),
+    ("distributivity-max", (0.3, 0.3), (0.0, 0.0), 1, 1e-6),
+    ("distributivity-max", (1.0, 1.0), (0.9, 1.0), 1, -1e-6),
+    ("distributivity-geomean", (0.0, 0.0), (0.0, 0.0), 1, 1e-6),
+    ("distributivity-geomean", (0.0, 0.3), (1.0, 1.0), 1, 1e-6),
+    ("distributivity-geomean", (0.0, 0.2), (0.0, 0.0), 1, 1e-6),
+    ("distributivity-geomean", (0.9 ** 0.5, 1.0), (1.0, 1.0), 0, 1e-6),
+    ("distributivity-tsum-restricted", (0.0, 0.0), (0.0, 0.0), 1, 1e-6),
+    ("distributivity-tsum-restricted", (0.0, 0.3), (1.0, 1.0), 0, 1e-6),
+    ("distributivity-tsum-restricted", (0.0, 0.5), (0.0, 0.0), 1, 1e-6),
+    ("distributivity-tsum-restricted", (0.2 + 0.4, 0.9), (1.0, 1.0), 0, 1e-6),
 ]
 
 
