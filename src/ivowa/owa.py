@@ -15,7 +15,7 @@ import enum
 import functools
 import itertools
 import math
-from operator import contains, getitem, mul
+from operator import contains, getitem, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import (
@@ -39,6 +39,7 @@ from .iv_overlaps import (
 )
 from .sampling import (
     DEFAULT_GRID,
+    EXACT,
     LazyRows,
     ROOT_TOLERANCE,
     SampleGrid,
@@ -154,9 +155,10 @@ def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
     if n < 1:
         raise WeightError(f"aggregator arity must be >= 1, got {n}")
 
-    # A column map runs `each`, a map over the input tuples, on both ends.
-    def both(each: Callable[[Iterator[tuple]], Iterable[float]]) -> Callable:
-        return lambda lo_cols, up_cols: (list(each(zip(*lo_cols))), list(each(zip(*up_cols))))
+    # A column map runs `each`, a map over the input columns, on both ends;
+    # it reads each column once, as the sampled walks pass one-shot maps.
+    def both(each: Callable[[Sequence[Iterable[float]]], Iterable[float]]) -> Callable:
+        return lambda lo_cols, up_cols: (list(each(lo_cols)), list(each(up_cols)))
 
     root = 1.0 / n
 
@@ -168,11 +170,14 @@ def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
         return ends, ends
 
     entries = [
-        IVAggregator(both(lambda ts: map(max, ts)), n, AggregatorKind.MAX, "max"),
-        IVAggregator(both(lambda ts: map(min, itertools.repeat(1.0), map(math.fsum, ts))),
+        IVAggregator(both((lambda cols: map(max, *cols)) if n > 1 else itemgetter(0)),
+                     n, AggregatorKind.MAX, "max"),
+        IVAggregator(both(lambda cols: map(min, itertools.repeat(1.0), map(math.fsum, zip(*cols)))),
                      n, AggregatorKind.TRUNCATED_SUM, "tsum"),
-        # The product of the inputs, a left fold, raised to the n-th root.
-        IVAggregator(both(lambda ts: map(pow, map(math.prod, ts), itertools.repeat(root))),
+        # The product of the inputs, the left fold of `math.prod` (whose start
+        # 1 multiplies exactly), raised to the n-th root.
+        IVAggregator(both(lambda cols: map(pow, functools.reduce(functools.partial(map, mul), cols),
+                                           itertools.repeat(root))),
                      n, AggregatorKind.GEOMETRIC_MEAN, "geomean"),
         IVAggregator(dirac_columns, n, AggregatorKind.DIRAC, "dirac"),
     ]
@@ -265,13 +270,18 @@ def check_distributivity(
 
     Verifies M(O(X1,Y), ..., O(Xn,Y)) == O(M(X1..Xn), Y) on sampled tuples;
     `restrict` keeps the tuples whose X1..Xn are `non_saturating`.  The full
-    cross product is walked a row per xs kept (asked once per xs), y running
-    over the grid; a sample a block at a time (`_blocks`), screened first
+    cross product is walked a block of kept xs rows at a time (each xs asked
+    once), y running over the grid in each row, ``max(1, BLOCK_ROWS //
+    |grid|)`` rows to a block: one aggregator call gives the block's
+    aggregates, one its left sides, and its right sides are the rows
+    O(M(xs), .) joined end to end, decided by one `close_row`.  A sample is
+    walked a block at a time too (`_blocks`), screened first
     (`TupleSamples.screened`): grid upper endpoints are exactly k/D, so only
     tuples whose numerators k sum to at most D can be kept, and only they are
     asked.  The right side of a block is read from the overlap's value rows
     when every aggregate in it is a grid interval, as those of max and dirac
-    always are; otherwise it is evaluated once per tuple.
+    always are; otherwise it is evaluated once per tuple.  The walk is of the
+    arity given: `make_gowa` decides `max` by its binary walk (`_distributes`).
     """
     items = grid.intervals()
     lows = [x.lower for x in items]
@@ -301,11 +311,17 @@ def check_distributivity(
 
     def rows():
         xss = itertools.product(range(len(items)), repeat=m.arity)
-        for xs in filter(kept, xss) if restrict else xss:
-            (agg_lo,), (agg_up,) = m.columns([[lows[x]] for x in xs], [[ups[x]] for x in xs])
-            yield from close_row(*m.columns([o_lo[x] for x in xs], [o_up[x] for x in xs]),
-                                 *rhs_rows[agg_lo, agg_up], tol,
-                                 lambda k: (*map(decode, xs), items[k]))
+        xss, size = filter(kept, xss) if restrict else xss, len(items)
+        flat = itertools.chain.from_iterable
+        while chunk := list(itertools.islice(xss, max(1, BLOCK_ROWS // size))):
+            x_cols = list(zip(*chunk))
+            aggs = zip(*m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
+                                    for side in (lows, ups))))
+            lhs = m.columns(*([flat(map(table.__getitem__, xc)) for xc in x_cols]
+                              for table in (o_lo, o_up)))
+            rhs = [list(flat(side)) for side in zip(*map(rhs_rows.__getitem__, aggs))]
+            yield from close_row(*lhs, *rhs, tol, lambda k: (
+                *map(decode, chunk[k // size]), items[k % size]))
 
     def block_rows():
         screened = cases.screened([round(u * grid.divisions) for u in ups], grid.divisions, kept)
@@ -450,7 +466,19 @@ def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResu
     """The distributivity verdict that admits the pair, and the witness found
     outside the kind's restriction, if any (None when nothing is restricted):
     the truncated sum is checked where it does not saturate, and the sample is
-    the full cross product for binary aggregators, a bounded one above."""
+    the full cross product for binary aggregators, a bounded one above.
+
+    `max` of any arity is first decided by the binary walk at tolerance 0:
+    `max` of grid intervals is a grid interval and ``max_n = max_2(max_{n-1},
+    .)`` in the same floats, so a binary pass is, by induction on n, a pass on
+    every grid tuple up to the sign of a zero, which `max` keeps.  Within a
+    positive tolerance the error could grow a tolerance per step, so a binary
+    walk that fails at 0 decides nothing, and the check below runs as if it
+    had not: a rejection names the witness of the n-ary check."""
+    if m.kind is AggregatorKind.MAX and tol >= EXACT:
+        binary = check_distributivity(builtin_aggregators(2)["max"], o, tol=EXACT)
+        if binary.ok:
+            return binary, None
     restrict = m.kind is AggregatorKind.TRUNCATED_SUM
     budget = 300_000 if m.arity <= 2 else 100_000
     dist = check_distributivity(m, o, tol=tol, restrict=restrict, budget=budget)

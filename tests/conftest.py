@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ivowa.intervals import Interval
+from ivowa.iv_overlaps import IVOverlap, Opaque
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -32,3 +33,20 @@ def nested_transform(head: str, depth: int) -> str:
     for _ in range(depth):
         token = f"{head}({token},n=2)"
     return token
+
+
+def nudged_at(o, x, y, end, delta):
+    """`o` with one endpoint (0 lower, 1 upper) moved by `delta` at the one
+    argument pair (x, y).  `o` evaluates the whole columns, cut to one length
+    as `iv_join` cuts them, and the pair is patched where it occurs."""
+    cell = (x.lower, x.upper, y.lower, y.upper)
+
+    def columns(*cols):
+        cols = list(zip(*zip(*cols))) or [()] * 4
+        values = tuple(map(list, o.columns(*cols)))
+        for k, args in enumerate(zip(*cols)):
+            if args == cell:
+                values[end][k] += delta
+        return values
+
+    return IVOverlap(columns, f"nudged({o.name})", Opaque("nudged"))

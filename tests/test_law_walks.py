@@ -54,11 +54,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import nudged_at
 from ivowa import checks, sampling
 from ivowa.intervals import ExponentInterval, Interval, format_interval
 from ivowa.iv_overlaps import (
-    IVOverlap,
-    Opaque,
     check_associative,
     check_homogeneous,
     check_idempotent,
@@ -91,23 +90,6 @@ from ivowa.sampling import DEFAULT_GRID, REAL_GRID
 GOLDEN = Path(__file__).resolve().parent / "golden" / "law_walks.jsonl"
 AGGREGATORS = builtin_aggregators(2)
 K2 = ExponentInterval(2.0, 2.0)
-
-
-def _nudged_at(o, x, y, end, delta):
-    """`o` with one endpoint (0 lower, 1 upper) moved by `delta` at the one
-    argument pair (x, y).  `o` evaluates the whole columns, cut to one length
-    as `iv_join` cuts them, and the pair is patched where it occurs."""
-    cell = (x.lower, x.upper, y.lower, y.upper)
-
-    def columns(*cols):
-        cols = list(zip(*zip(*cols))) or [()] * 4
-        values = tuple(map(list, o.columns(*cols)))
-        for k, args in enumerate(zip(*cols)):
-            if args == cell:
-                values[end][k] += delta
-        return values
-
-    return IVOverlap(columns, f"nudged({o.name})", Opaque("nudged"))
 
 
 OVERLAP_CHECKS = {
@@ -364,7 +346,7 @@ AXIOM_NUDGES = [
 def _nudged(o, nudges):
     """`o` nudged by each (x, y, endpoint, delta) move in turn."""
     for x, y, end, delta in nudges:
-        o = _nudged_at(o, Interval(*x), Interval(*y), end, delta)
+        o = nudged_at(o, Interval(*x), Interval(*y), end, delta)
     return o
 
 
@@ -422,7 +404,7 @@ def _cases():
         x, y = Interval(*x), Interval(*y)
         cases[_nudge_label(check, x, y, end, delta)] = (
             lambda check=check, x=x, y=y, end=end, delta=delta:
-            OVERLAP_CHECKS[check](_nudged_at(interval_product(), x, y, end, delta)))
+            OVERLAP_CHECKS[check](nudged_at(interval_product(), x, y, end, delta)))
     for name, o in standard_overlaps().items():
         for check, run in GRID_CHECKS.items():
             cases[f"{check}/{name}"] = lambda run=run, o=o: run(o)
@@ -444,7 +426,7 @@ def _cases():
         x, y = Interval(*x), Interval(*y)
         cases[_nudge_label(check, x, y, end, delta)] = (
             lambda check=check, x=x, y=y, end=end, delta=delta:
-            GRID_CHECKS[check](_nudged_at(interval_product(), x, y, end, delta)))
+            GRID_CHECKS[check](nudged_at(interval_product(), x, y, end, delta)))
     for name, o in standard_overlaps().items():
         for check, run in SAMPLED_CHECKS.items():
             cases[f"{check}/{name}"] = lambda run=run, o=o: run(o)
@@ -454,7 +436,7 @@ def _cases():
         x, y = Interval(*x), Interval(*y)
         cases[_nudge_label(check, x, y, end, delta)] = (
             lambda check=check, x=x, y=y, end=end, delta=delta:
-            SAMPLED_CHECKS[check](_nudged_at(interval_product(), x, y, end, delta)))
+            SAMPLED_CHECKS[check](nudged_at(interval_product(), x, y, end, delta)))
     for row, source, target, nudges in ROW_NUDGES:
         cases[_row_label(row, target, nudges)] = functools.partial(
             _row_report, row, source, target, nudges)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_interval_close, random_interval
+from conftest import assert_interval_close, nudged_at, random_interval
 from ivowa.intervals import (
     AdmissibleOrder,
     ExponentInterval,
@@ -144,6 +144,11 @@ def test_aggregator_columns_equal_the_interval_formula(name, n):
     calls = [m(t) for t in tuples]
     assert _first_difference(tuples, [x.lower for x in calls], [x.upper for x in calls],
                              want) is None
+    # The sampled walks pass one-shot maps, so a column map reads each
+    # column once.
+    once = m.columns([iter([x.lower for x in col]) for col in zip(*tuples)],
+                     [iter([x.upper for x in col]) for col in zip(*tuples)])
+    assert _first_difference(tuples, *once, want) is None
 
 
 class TestWeightedVectors:
@@ -278,6 +283,59 @@ class TestValidationMemo:
                        AdmissibleOrder.XU_YAGER)
         assert calls[0] == drawn
         assert xu.saturation_witness == lex.saturation_witness
+
+
+def test_max_is_decided_by_one_binary_walk(monkeypatch):
+    # `max` passes the binary walk at tolerance 0 over the product, which
+    # decides it at every arity: one walk, shared by n = 2..10.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    for n in range(2, 11):
+        make_gowa(builtin_aggregators(n)["max"], PRODUCT, WeightVector.selector(n, 1))
+    walks = [key[1:] for key in sampling._MEMO if key[0] is check_distributivity.__wrapped__]
+    assert walks == [(builtin_aggregators(2)["max"], PRODUCT, DEFAULT_GRID, 0.0, False, 300_000)]
+
+
+# The product nudged at the upper endpoint of O([0.3,0.7], [0.5,0.6]).  By
+# 1e-6, the binary `max` walk fails at ([0.0,0.7], [0.3,0.3], [0.5,0.6]) and
+# the sampled walks above n = 2 fail too, on these witnesses; by 1e-12,
+# within ROOT_TOLERANCE, it fails at tolerance 0 only.
+MAX_NUDGE = (Interval(0.3, 0.7), Interval(0.5, 0.6), 1)
+MAX_REJECTIONS = {
+    3: "[0.3,0.7] [0.5,0.6] [0.4,0.6] [0.5,0.6]",
+    10: "[0.5,0.5] [0.4,0.7] [0.0,0.7] [0.5,0.6] [0.6,0.6] [0.3,0.7] [0.1,0.1] [0.0,0.6] "
+        "[0.5,0.5] [0.2,0.5] [0.5,0.6]",
+}
+
+
+@pytest.mark.parametrize("n", MAX_REJECTIONS)
+def test_max_failing_the_binary_walk_is_rejected_by_its_own_walk(n):
+    o = nudged_at(PRODUCT, *MAX_NUDGE, 1e-6)
+    binary = check_distributivity(AGG2["max"], o, tol=0.0)
+    assert " ".join(map(format_interval, binary.witness)) == "[0.0,0.7] [0.3,0.3] [0.5,0.6]"
+    m = builtin_aggregators(n)["max"]
+    with pytest.raises(GowaError) as rejected:
+        make_gowa(m, o, WeightVector.selector(n, 1))
+    assert str(rejected.value) == ("aggregator max does not distribute over nudged(product); "
+                                   f"witness {MAX_REJECTIONS[n]}")
+    # The binary witness (A, B, Y) lifts to the n-ary case (A, B, ..., B, Y):
+    # the same max of the same values.
+    a, b, y = binary.witness
+    xs = [a, *[b] * (n - 1)]
+    lhs, rhs = m([o(x, y) for x in xs]), o(m(xs), y)
+    assert max(abs(lhs.lower - rhs.lower), abs(lhs.upper - rhs.upper)) > ROOT_TOLERANCE
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_max_within_the_tolerance_is_accepted_by_its_own_walk(n):
+    o = nudged_at(PRODUCT, *MAX_NUDGE, 1e-12)
+    assert not check_distributivity(AGG2["max"], o, tol=0.0).ok
+    make_gowa(builtin_aggregators(n)["max"], o, WeightVector.selector(n, 1))
+
+
+def test_max_below_tolerance_zero_is_not_reduced():
+    # A pass at tolerance 0 is a pass at every tolerance of at least 0 only.
+    with pytest.raises(GowaError, match="does not distribute"):
+        make_gowa(builtin_aggregators(3)["max"], PRODUCT, WeightVector.selector(3, 1), tol=-1.0)
 
 
 class TestHomogeneity:
