@@ -310,9 +310,9 @@ def check_distributivity(
         return non_saturating(map(ups.__getitem__, t[:m.arity]))
 
     def rows():
-        xss = itertools.product(range(len(items)), repeat=m.arity)
-        xss, size = filter(kept, xss) if restrict else xss, len(items)
-        flat = itertools.chain.from_iterable
+        size, flat = len(items), itertools.chain.from_iterable
+        xss = itertools.product(range(size), repeat=m.arity)
+        xss = filter(kept, xss) if restrict else xss
         while chunk := list(itertools.islice(xss, max(1, BLOCK_ROWS // size))):
             x_cols = list(zip(*chunk))
             aggs = zip(*m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
@@ -468,13 +468,14 @@ def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResu
     the truncated sum is checked where it does not saturate, and the sample is
     the full cross product for binary aggregators, a bounded one above.
 
-    `max` of any arity is first decided by the binary walk at tolerance 0:
-    `max` of grid intervals is a grid interval and ``max_n = max_2(max_{n-1},
-    .)`` in the same floats, so a binary pass is, by induction on n, a pass on
-    every grid tuple up to the sign of a zero, which `max` keeps.  Within a
-    positive tolerance the error could grow a tolerance per step, so a binary
-    walk that fails at 0 decides nothing, and the check below runs as if it
-    had not: a rejection names the witness of the n-ary check."""
+    `max` of any arity, under a tolerance of at least 0, is first decided by
+    the binary walk at tolerance 0: `max` of grid intervals is a grid
+    interval and ``max_n = max_2(max_{n-1}, .)`` in the same floats, so a
+    binary pass is, by induction on n, a pass on every grid tuple up to the
+    sign of a zero, which `max` keeps.  Within a positive tolerance the
+    error could grow a tolerance per step, so a binary walk that fails at 0
+    decides nothing, and the check below runs as if it had not: a rejection
+    names the witness of the n-ary check."""
     if m.kind is AggregatorKind.MAX and tol >= EXACT:
         binary = check_distributivity(builtin_aggregators(2)["max"], o, tol=EXACT)
         if binary.ok:
