@@ -11,7 +11,9 @@ of the latest row that can fail: every one of these walks ends on a case that
 compares a value with itself.  The n=2 distributivity walks of `max`,
 `geomean` and restricted `tsum` decide a block of xs rows at a time, so
 their nudges also land on the first case that can fail, on both sides of a
-block boundary, and on the last case that can fail.
+block boundary, and on the last case that can fail; and on a witness row
+after rows with x1 > x2 (by grid index) in its block, after a block of only
+such rows, and on the diagonal x1 = x2.
 
 It also pins, on every catalog overlap, associativity, the reconstruction
 from the projections, the neutral element, idempotency, O1-O5 and strong
@@ -148,6 +150,17 @@ NUDGES = [
     ("distributivity-tsum-restricted", (0.0, 0.3), (1.0, 1.0), 0, 1e-6),
     ("distributivity-tsum-restricted", (0.0, 0.5), (0.0, 0.0), 1, 1e-6),
     ("distributivity-tsum-restricted", (0.2 + 0.4, 0.9), (1.0, 1.0), 0, 1e-6),
+    # Rows with x1 > x2 (by grid index) come before the witness row in its
+    # block, or fill the whole block before the witness's block: the first
+    # `max` nudge fails at (7, 8) after the block of rows (7, 0..6), the
+    # second at (9, 11) after the block (9, 1..7) and the row (9, 8) of its
+    # own; tsum fails on the diagonal (1, 1), after the row (1, 0), on its
+    # right side O([0,0.2], y).  No single-cell nudge makes max or geomean
+    # fail on the diagonal: max(x, x) = x, geomean(x, x) = x on this grid, so
+    # both sides read the same cell.
+    ("distributivity-max", (0.0, 0.7), (0.0, 0.0), 1, 1e-6),
+    ("distributivity-max", (0.0, 0.9), (1.0, 1.0), 1, 1e-6),
+    ("distributivity-tsum-restricted", (0.0, 0.2), (1.0, 1.0), 1, 1e-6),
 ]
 
 
