@@ -91,7 +91,12 @@ class IVAggregator(Slotted):
     """An n-ary interval aggregation function, stored as its map over many
     tuples in C-level maps, ``columns(lo_cols, up_cols) -> (lowers,
     uppers)``, ``lo_cols[i]`` holding input i's lower endpoints; a call is
-    its one-tuple case."""
+    its one-tuple case.
+
+    A binary aggregator is symmetric in binary64: swapping its two input
+    columns gives the same floats, up to the sign of a zero.  The exhaustive
+    n=2 walks of `check_distributivity` and `check_homogeneous_m` rely on
+    it, deciding only the cases with x1 <= x2."""
 
     __slots__ = ("columns", "arity", "kind", "name")
 
@@ -274,7 +279,11 @@ def check_distributivity(
     once), y running over the grid in each row, ``max(1, BLOCK_ROWS //
     |grid|)`` rows to a block: one aggregator call gives the block's
     aggregates, one its left sides, and its right sides are the rows
-    O(M(xs), .) joined end to end, decided by one `close_row`.  A sample is
+    O(M(xs), .) joined end to end, decided by one `close_row`.  At n = 2 a
+    block decides only its rows with x1 <= x2 (by grid index), and a block
+    without one adds its size uncalled: M is symmetric (`IVAggregator`) and
+    overlap values hold no NaN, so (b, a, y) holds exactly when (a, b, y),
+    which comes first, does, and the first failure has x1 <= x2.  A sample is
     walked a block at a time too (`_blocks`), screened first
     (`TupleSamples.screened`): grid upper endpoints are exactly k/D, so only
     tuples whose numerators k sum to at most D can be kept, and only they are
@@ -314,14 +323,24 @@ def check_distributivity(
         xss = itertools.product(range(size), repeat=m.arity)
         xss = filter(kept, xss) if restrict else xss
         while chunk := list(itertools.islice(xss, max(1, BLOCK_ROWS // size))):
-            x_cols = list(zip(*chunk))
+            # The block's rows to decide, by position: at n = 2 those with
+            # x1 <= x2, as a row (b, a) holds exactly when (a, b) does; above
+            # n = 2 all, as geomean's product is not symmetric there.
+            at = [i for i, xs in enumerate(chunk) if m.arity != 2 or xs[0] <= xs[1]]
+            if not at:
+                yield len(chunk) * size
+                continue
+            decided = list(map(chunk.__getitem__, at))
+            x_cols = list(zip(*decided))
             aggs = zip(*m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
                                     for side in (lows, ups))))
             lhs = m.columns(*([flat(map(table.__getitem__, xc)) for xc in x_cols]
                               for table in (o_lo, o_up)))
             rhs = [list(flat(side)) for side in zip(*map(rhs_rows.__getitem__, aggs))]
-            yield from close_row(*lhs, *rhs, tol, lambda k: (
-                *map(decode, chunk[k // size]), items[k % size]))
+            head, *witness = close_row(*lhs, *rhs, tol, lambda k: (
+                *map(decode, decided[k // size]), items[k % size]))
+            yield at[head // size] * size + head % size if witness else len(chunk) * size
+            yield from witness
 
     def block_rows():
         screened = cases.screened([round(u * grid.divisions) for u in ups], grid.divisions, kept)
@@ -350,8 +369,11 @@ def check_homogeneous_m(
     """First-order homogeneity: scaling every input scales the output.
 
     The full cross product is walked a row at a time: one row per alpha,
-    with x1..xn running over the grid's cross product; a sample is walked a
-    block at a time (`_blocks`).
+    with x1..xn running over the grid's cross product, read from the value
+    rows by index columns; at n = 2 a row decides only its cases with x1 <=
+    x2, as `check_distributivity` does, and a failure is counted by its
+    case's rank in product order.  A sample is walked a block at a time
+    (`_blocks`).
     """
     items = grid.intervals()
     lows = [x.lower for x in items]
@@ -364,21 +386,24 @@ def check_homogeneous_m(
     decode = items.__getitem__
     size, n = len(items), m.arity
 
-    def over_xs(row_lo, row_up):
-        """M of the rows' entries at each x1..xn, in product order: column i
-        repeats each entry size ** (n-1-i) times, size ** i times over."""
-        return m.columns(*([list(itertools.chain.from_iterable(map(
-            itertools.repeat, row, itertools.repeat(size ** (n - 1 - i))))) * size ** i
-            for i in range(n)] for row in (row_lo, row_up)))
+    def over(row_lo, row_up, x_cols):
+        """M of the rows' entries at each index tuple of `x_cols`."""
+        return m.columns(*([map(row.__getitem__, xc) for xc in x_cols] for row in (row_lo, row_up)))
 
     def rows():
-        base_lo, base_up = over_xs(lows, ups)
+        # The x1..xn to decide, in product order: at n = 2 those with
+        # x1 <= x2, as (b, a) holds exactly when (a, b) does.
+        xss = [xs for xs in itertools.product(range(size), repeat=n) if n != 2 or xs[0] <= xs[1]]
+        x_cols = list(zip(*xss))
+        base_lo, base_up = over(lows, ups, x_cols)
         for a, alpha in enumerate(items):
-            yield from close_row(
-                *over_xs(scaled_lo[a], scaled_up[a]),
+            head, *witness = close_row(
+                *over(scaled_lo[a], scaled_up[a], x_cols),
                 list(map(mul, itertools.repeat(lows[a]), base_lo)),
-                list(map(mul, itertools.repeat(ups[a]), base_up)), ROOT_TOLERANCE, lambda k: (
-                    alpha, *next(itertools.islice(itertools.product(items, repeat=n), k, None))))
+                list(map(mul, itertools.repeat(ups[a]), base_up)), ROOT_TOLERANCE,
+                lambda k: (alpha, *map(decode, xss[k])))
+            yield functools.reduce(lambda r, x: r * size + x, xss[head]) if witness else size ** n
+            yield from witness
 
     def block_rows():
         for block in _blocks(cases):
@@ -468,18 +493,26 @@ def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResu
     the truncated sum is checked where it does not saturate, and the sample is
     the full cross product for binary aggregators, a bounded one above.
 
-    `max` of any arity, under a tolerance of at least 0, is first decided by
-    the binary walk at tolerance 0: `max` of grid intervals is a grid
-    interval and ``max_n = max_2(max_{n-1}, .)`` in the same floats, so a
-    binary pass is, by induction on n, a pass on every grid tuple up to the
-    sign of a zero, which `max` keeps.  Within a positive tolerance the
-    error could grow a tolerance per step, so a binary walk that fails at 0
-    decides nothing, and the check below runs as if it had not: a rejection
-    names the witness of the n-ary check."""
-    if m.kind is AggregatorKind.MAX and tol >= EXACT:
-        binary = check_distributivity(builtin_aggregators(2)["max"], o, tol=EXACT)
+    `max` of any arity is first decided by the binary walk at tolerance 0:
+    `max` of grid intervals is a grid interval and ``max_n = max_2(max_{n-1},
+    .)`` in the same floats, so a binary pass is, by induction on n, a pass on
+    every grid tuple up to the sign of a zero, which `max` keeps.  Within a
+    positive tolerance the error could grow a tolerance per step, so a binary
+    walk that fails at 0 decides nothing above n = 2, and the check below
+    runs as if it had not: a rejection names the witness of the n-ary check.
+    At n = 2 its witness is decided again at `tol`: every earlier case held
+    at 0, so a witness that fails at `tol` too is the first failure of the
+    walk at `tol`."""
+    if m.kind is AggregatorKind.MAX:
+        m2 = builtin_aggregators(2)["max"]
+        binary = check_distributivity(m2, o, tol=EXACT)
         if binary.ok:
             return binary, None
+        if m.arity == 2:
+            a, b, y = binary.witness
+            lhs, rhs = m2([o(a, y), o(b, y)]), o(m2([a, b]), y)
+            if abs(lhs.lower - rhs.lower) > tol or abs(lhs.upper - rhs.upper) > tol:
+                return binary, None
     restrict = m.kind is AggregatorKind.TRUNCATED_SUM
     budget = 300_000 if m.arity <= 2 else 100_000
     dist = check_distributivity(m, o, tol=tol, restrict=restrict, budget=budget)
@@ -500,7 +533,11 @@ def make_gowa(
     Rejections name the failed precondition; when a restriction narrows the
     distributivity sample, any witness found outside the restriction is kept
     on the operator as `saturation_witness` rather than silently dropped.
+    The distributivity tolerance must be a number of at least 0: under NaN
+    every case would hold, under a negative one none.
     """
+    if not tol >= 0.0:
+        raise GowaError(f"distributivity tolerance must be a number >= 0, got {tol!r}")
     if len(w) != m.arity:
         raise GowaError(f"weight count {len(w)} does not match aggregator arity {m.arity}")
     if not is_weighted_vector(m, w):

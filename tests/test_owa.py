@@ -8,6 +8,7 @@ import tracemalloc
 from array import array
 from collections import OrderedDict
 from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -46,7 +47,7 @@ from ivowa.owa import (
     normalize_weights,
     projection_owa,
 )
-from ivowa.registry import resolve_aggregator, resolve_iv_overlap
+from ivowa.registry import resolve_aggregator, resolve_iv_overlap, standard_overlaps
 from ivowa.sampling import (
     DEFAULT_GRID,
     REAL_GRID,
@@ -332,10 +333,27 @@ def test_max_within_the_tolerance_is_accepted_by_its_own_walk(n):
     make_gowa(builtin_aggregators(n)["max"], o, WeightVector.selector(n, 1))
 
 
-def test_max_below_tolerance_zero_is_not_reduced():
-    # A pass at tolerance 0 is a pass at every tolerance of at least 0 only.
-    with pytest.raises(GowaError, match="does not distribute"):
-        make_gowa(builtin_aggregators(3)["max"], PRODUCT, WeightVector.selector(3, 1), tol=-1.0)
+@pytest.mark.parametrize("overlap", ["midpoint", "nudged"])
+def test_binary_max_failing_at_its_tolerance_is_walked_once(monkeypatch, overlap):
+    # The walk at tolerance 0 fails on a case that fails at ROOT_TOLERANCE
+    # too, so it is the walk at ROOT_TOLERANCE's first failure: no second walk.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    m = builtin_aggregators(2)["max"]
+    o = nudged_at(PRODUCT, *MAX_NUDGE, 1e-6) if overlap == "nudged" else resolve_iv_overlap(overlap)
+    dist, saturation = owa._distributes(m, o, ROOT_TOLERANCE)
+    walks = [key[1:] for key in sampling._MEMO if key[0] is check_distributivity.__wrapped__]
+    assert walks == [(m, o, DEFAULT_GRID, 0.0, False, 300_000)]
+    assert (dist, saturation) == (check_distributivity(m, o), None)
+    assert not dist.ok
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+def test_a_nan_or_negative_tolerance_is_refused(tol):
+    # Under NaN every distributivity case would hold, so dirac, which cannot
+    # distribute over the product (README), was accepted; under a negative
+    # tolerance every aggregator was rejected as not distributing.
+    with pytest.raises(GowaError, match=f"tolerance must be a number >= 0, got {tol!r}"):
+        make_gowa(AGG2["dirac"], PRODUCT, WeightVector.of(ONE, Interval(0.2, 0.5)), tol=tol)
 
 
 class TestHomogeneity:
@@ -800,3 +818,83 @@ def test_distributivity_verdicts_are_pinned(name, n, overlap, restriction, ok, w
                                budget=300_000 if n <= 2 else 100_000)
     got = None if res.witness is None else " ".join(map(format_interval, res.witness))
     assert (res.ok, got, res.samples) == (ok, witness, samples)
+
+
+# The n=2 walks decide only their cases with x1 <= x2.  The reference decides
+# every case, one at a time in product order, with lone calls.
+GRID_25 = SampleGrid(0.25)
+NUDGES_25 = [
+    ((0.0, 0.25), (0.5, 1.0), 1, 1e-6),
+    ((0.25, 0.5), (0.0, 0.25), 0, 1e-6),
+    ((0.5, 0.75), (1.0, 1.0), 1, -1e-6),
+    ((0.75, 1.0), (0.25, 0.75), 0, 1e-6),
+    ((1.0, 1.0), (0.5, 0.5), 0, -1e-6),
+    ((0.0, 0.5), (0.0, 0.0), 1, 1e-6),
+]
+OVERLAPS_25 = {
+    **{name: (lambda name=name: standard_overlaps()[name]) for name in standard_overlaps()},
+    **{f"nudged@{x}x{y}:{'lu'[end]}{delta:+}":
+       (lambda x=x, y=y, end=end, delta=delta:
+        nudged_at(PRODUCT, Interval(*x), Interval(*y), end, delta))
+       for x, y, end, delta in NUDGES_25},
+}
+
+
+def first_failure_by_case(cases, fails):
+    """The verdict of a walk that decides every case in order."""
+    count = 0
+    for count, case in enumerate(cases, 1):
+        if fails(case):
+            return SampledResult(False, case, count)
+    return SampledResult(True, None, count)
+
+
+def outside(lhs, rhs, tol=ROOT_TOLERANCE):
+    return abs(lhs.lower - rhs.lower) > tol or abs(lhs.upper - rhs.upper) > tol
+
+
+@pytest.mark.parametrize("overlap", OVERLAPS_25)
+@pytest.mark.parametrize("name,restrict", [("max", False), ("tsum", False), ("tsum", True),
+                                           ("geomean", False), ("dirac", False)])
+def test_binary_distributivity_equals_the_walk_of_every_case(name, restrict, overlap):
+    m, o = AGG2[name], OVERLAPS_25[overlap]()
+    cases = (case for case in itertools.product(GRID_25.intervals(), repeat=3)
+             if not restrict or interval_non_saturating(case[:2], None))
+    want = first_failure_by_case(cases, lambda case: outside(
+        m([o(case[0], case[2]), o(case[1], case[2])]), o(m(case[:2]), case[2])))
+    assert check_distributivity(m, o, grid=GRID_25, restrict=restrict) == want
+
+
+# The product of the two inputs, symmetric and homogeneous of order 2: its
+# walk first fails on the diagonal, at x1 = x2 = [0,0.25].
+PRODUCT_AGGREGATOR = owa.IVAggregator(lambda lo, up: (list(map(mul, *lo)), list(map(mul, *up))),
+                                      2, owa.AggregatorKind.GEOMETRIC_MEAN, "product")
+
+
+@pytest.mark.parametrize("name", [*AGG2, "product"])
+def test_binary_homogeneity_equals_the_walk_of_every_case(name):
+    m = AGG2.get(name, PRODUCT_AGGREGATOR)
+
+    def fails(case):
+        alpha, *xs = case
+        base = m(xs)
+        return outside(m([product(alpha, x) for x in xs]),
+                       Interval(alpha.lower * base.lower, alpha.upper * base.upper))
+
+    want = first_failure_by_case(itertools.product(GRID_25.intervals(), repeat=3), fails)
+    assert check_homogeneous_m(m, grid=GRID_25) == want
+
+
+def test_binary_aggregators_are_symmetric_bit_for_bit():
+    # Over every pair of 0.1-grid intervals and of intervals with a signed
+    # zero endpoint: swapping the inputs gives the same floats, `max` up to
+    # the sign of a zero, which the walks cannot see.
+    pool = [*DEFAULT_GRID.intervals(), Interval(-0.0, -0.0), Interval(-0.0, 0.5)]
+    firsts, seconds = zip(*itertools.product(pool, repeat=2))
+    ends = [([x.lower for x in col], [x.upper for x in col]) for col in (firsts, seconds)]
+    for name, m in AGG2.items():
+        (lo1, up1), (lo2, up2) = ends
+        got = m.columns([lo1, lo2], [up1, up2])
+        swapped = m.columns([lo2, lo1], [up2, up1])
+        for a, b in zip(itertools.chain(*got), itertools.chain(*swapped)):
+            assert a.hex() == b.hex() or (name == "max" and a == b == 0.0), (name, a, b)
