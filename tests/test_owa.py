@@ -832,10 +832,9 @@ NUDGES_25 = [
     ((0.0, 0.5), (0.0, 0.0), 1, 1e-6),
 ]
 OVERLAPS_25 = {
-    **{name: (lambda name=name: standard_overlaps()[name]) for name in standard_overlaps()},
+    **standard_overlaps(),
     **{f"nudged@{x}x{y}:{'lu'[end]}{delta:+}":
-       (lambda x=x, y=y, end=end, delta=delta:
-        nudged_at(PRODUCT, Interval(*x), Interval(*y), end, delta))
+       nudged_at(PRODUCT, Interval(*x), Interval(*y), end, delta)
        for x, y, end, delta in NUDGES_25},
 }
 
@@ -857,7 +856,7 @@ def outside(lhs, rhs, tol=ROOT_TOLERANCE):
 @pytest.mark.parametrize("name,restrict", [("max", False), ("tsum", False), ("tsum", True),
                                            ("geomean", False), ("dirac", False)])
 def test_binary_distributivity_equals_the_walk_of_every_case(name, restrict, overlap):
-    m, o = AGG2[name], OVERLAPS_25[overlap]()
+    m, o = AGG2[name], OVERLAPS_25[overlap]
     cases = (case for case in itertools.product(GRID_25.intervals(), repeat=3)
              if not restrict or interval_non_saturating(case[:2], None))
     want = first_failure_by_case(cases, lambda case: outside(
