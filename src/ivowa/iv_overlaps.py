@@ -65,6 +65,7 @@ __all__ = [
     "Representable",
     "SemiRepresentable",
     "Migrative",
+    "Transformed",
     "Opaque",
     "ConstructionError",
     "interval_product",
@@ -73,6 +74,7 @@ __all__ = [
     "migrative_from_generator",
     "migrative_canonical",
     "power_transform",
+    "endpoint_maps",
     "midpoint_example",
     "midpoint_closed_form",
     "iv_join",
@@ -111,13 +113,18 @@ class UnaryGenerator(Slotted):
 
     Stored as its map over endpoint columns, ``columns(lowers, uppers) ->
     (lowers', uppers')``, which a migrative overlap applies to the product's
-    endpoint columns; calling the generator maps one `Interval`.
+    endpoint columns; calling the generator maps one `Interval`.  `endwise`
+    is the pair of maps ``(f_l, f_u)`` over one endpoint column each when the
+    generator maps each endpoint on its own, ``columns(lowers, uppers) ==
+    (f_l(lowers), f_u(uppers))``, as the identity and the powers do; None for
+    a generator given only as columns.
     """
 
-    __slots__ = ("columns", "name")
+    __slots__ = ("columns", "name", "endwise")
 
-    def __init__(self, columns: Callable[..., tuple], name: str) -> None:
-        self._init(columns, name)
+    def __init__(self, columns: Callable[..., tuple], name: str,
+                 endwise: tuple[Callable, Callable] | None = None) -> None:
+        self._init(columns, name, endwise)
 
     def __call__(self, x: Interval) -> Interval:
         (lo,), (up,) = self.columns((x.lower,), (x.upper,))
@@ -125,13 +132,24 @@ class UnaryGenerator(Slotted):
         return x if (lo, up) == (x.lower, x.upper) else Interval(lo, up)
 
 
+def _power(e: float) -> Callable[[Iterable[float]], Iterator[float]]:
+    """t -> t**e over one endpoint column."""
+    es = repeat(e)
+    return lambda col: map(pow, col, es)
+
+
 def _power_generator(k: ExponentInterval, name: str) -> UnaryGenerator:
     """X -> X**K as a column map, with `power`'s exponent placement."""
-    k_lower, k_upper = repeat(k.k2), repeat(k.k1)
-    return UnaryGenerator(lambda lo, up: (map(pow, lo, k_lower), map(pow, up, k_upper)), name)
+    lower = _power(k.k2)
+    upper = lower if k.k1 == k.k2 else _power(k.k1)
+    return UnaryGenerator(lambda lo, up: (lower(lo), upper(up)), name, (lower, upper))
 
 
-IDENTITY = UnaryGenerator(lambda lo, up: (lo, up), "identity")
+def _unchanged(col: Iterable[float]) -> Iterable[float]:
+    return col
+
+
+IDENTITY = UnaryGenerator(lambda lo, up: (lo, up), "identity", (_unchanged, _unchanged))
 SQRT = _power_generator(ExponentInterval.of(0.5), "sqrt")
 SQUARE = _power_generator(ExponentInterval.of(2.0), "square")
 
@@ -151,11 +169,19 @@ class Migrative(NamedTuple):
     generator: UnaryGenerator
 
 
+class Transformed(NamedTuple):
+    """`power_transform`: the base overlap at the arguments' endpoints raised
+    to `exponent` (n for the power direction, 1/n for the root)."""
+
+    base: "IVOverlap"
+    exponent: float
+
+
 class Opaque(NamedTuple):
     label: str
 
 
-Provenance = Representable | SemiRepresentable | Migrative | Opaque
+Provenance = Representable | SemiRepresentable | Migrative | Transformed | Opaque
 
 
 class IVOverlap(Slotted):
@@ -163,7 +189,12 @@ class IVOverlap(Slotted):
     ``columns(xl, xu, yl, yu) -> (lowers, uppers)``, plus how it was built.
     It carries no claims: the laws it satisfies are what `verify` reports.
     A fixed argument's columns may be `repeat`s; each column is read once,
-    and the value columns may be lazy.  A call is the one-pair case."""
+    and the value columns may be lazy.  A call is the one-pair case.
+
+    The provenance is the constructor's record of how `columns` was built,
+    and `endpoint_maps` reads the overlap's endpoint maps from it: an
+    overlap built by hand with a `Representable`, `Migrative` or
+    `Transformed` provenance claims the columns of that construction."""
 
     __slots__ = ("columns", "name", "provenance")
 
@@ -401,7 +432,39 @@ def power_transform(base: IVOverlap, n: int, direction: Literal["power", "root"]
     ks = repeat(k)
     return IVOverlap(lambda xl, xu, yl, yu: base.columns(
         map(pow, xl, ks), map(pow, xu, ks), map(pow, yl, ks), map(pow, yu, ks)),
-        name, Opaque(name))
+        name, Transformed(base, k))
+
+
+@memoized
+def endpoint_maps(o: IVOverlap) -> tuple[Callable, Callable] | None:
+    """The endpoint maps ``(g_l, g_u)`` of an endpoint-separable overlap,
+    ``O(X, Y) = [g_l(x_l, y_l), g_u(x_u, y_u)]``, each a map over two real
+    columns, ``g(xs, ys) -> values``, that computes the overlap's own floats;
+    one map twice when both ends are one function.  None when the overlap is
+    not separable by construction.
+
+    Decided by provenance, not by a test on a grid, since the laws that use
+    it evaluate the overlap off the grid: a `Representable` overlap, a
+    `Migrative` one whose generator maps each endpoint on its own (the
+    identity and the powers), and a `Transformed` one of a separable base
+    are separable; semi-representable overlaps, `midpoint`, lattice joins
+    and meets, generators given only as columns and every `Opaque` overlap
+    are not."""
+    p = o.provenance
+    if isinstance(p, Representable):
+        return _shared(p.lower, p.upper, lambda g: functools.partial(map, g.fn))
+    if isinstance(p, Migrative) and p.generator.endwise is not None:
+        return _shared(*p.generator.endwise, lambda f: lambda xs, ys: f(map(mul, xs, ys)))
+    if isinstance(p, Transformed) and (base := endpoint_maps(p.base)) is not None:
+        ks = repeat(p.exponent)
+        return _shared(*base, lambda g: lambda xs, ys: g(map(pow, xs, ks), map(pow, ys, ks)))
+    return None
+
+
+def _shared(lower, upper, build: Callable) -> tuple:
+    """``(build(lower), build(upper))``, one object twice when `lower` is `upper`."""
+    built = build(lower)
+    return built, built if upper is lower else build(upper)
 
 
 def midpoint_closed_form(x: Interval, y: Interval) -> Interval:

@@ -28,10 +28,12 @@ from .intervals import (
     SlottedValue,
     ZERO,
     format_interval,
+    valid_columns,
 )
 from .iv_overlaps import (
     IVOverlap,
     _checked,
+    endpoint_maps,
     interval_product,
     neutral_element_holds,
     value_row,
@@ -48,6 +50,7 @@ from .sampling import (
     first_violation,
     first_violation_in_rows,
     memoized,
+    row_items,
     tuple_samples,
 )
 
@@ -96,13 +99,20 @@ class IVAggregator(Slotted):
     A binary aggregator is symmetric in binary64: swapping its two input
     columns gives the same floats, up to the sign of a zero.  The exhaustive
     n=2 walks of `check_distributivity` and `check_homogeneous_m` rely on
-    it, deciding only the cases with x1 <= x2."""
+    it, deciding only the cases with x1 <= x2.
 
-    __slots__ = ("columns", "arity", "kind", "name")
+    `endwise` is the map over one end's input columns when the aggregator
+    acts on each end on its own, ``columns(lo_cols, up_cols) ==
+    (list(endwise(lo_cols)), list(endwise(up_cols)))``, as max, tsum and
+    geomean do; None otherwise (both ends of dirac read the lowers).  The
+    real distributivity walks take the `endwise` map of a MAX or
+    TRUNCATED_SUM aggregator to be symmetric in all its inputs."""
+
+    __slots__ = ("columns", "arity", "kind", "name", "endwise")
 
     def __init__(self, columns: Callable[..., tuple[list[float], list[float]]], arity: int,
-                 kind: AggregatorKind, name: str) -> None:
-        self._init(columns, arity, kind, name)
+                 kind: AggregatorKind, name: str, endwise: Callable | None = None) -> None:
+        self._init(columns, arity, kind, name, endwise)
 
     def __call__(self, values: Sequence[Interval]) -> Interval:
         if len(values) != self.arity:
@@ -160,10 +170,13 @@ def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
     if n < 1:
         raise WeightError(f"aggregator arity must be >= 1, got {n}")
 
-    # A column map runs `each`, a map over the input columns, on both ends;
-    # it reads each column once, as the sampled walks pass one-shot maps.
-    def both(each: Callable[[Sequence[Iterable[float]]], Iterable[float]]) -> Callable:
-        return lambda lo_cols, up_cols: (list(each(lo_cols)), list(each(up_cols)))
+    # An endpoint-wise aggregator runs `each`, a map over the input columns,
+    # on both ends; it reads each column once, as the sampled walks pass
+    # one-shot maps.
+    def both(each: Callable[[Sequence[Iterable[float]]], Iterable[float]], kind: AggregatorKind,
+             name: str) -> IVAggregator:
+        return IVAggregator(lambda lo_cols, up_cols: (list(each(lo_cols)), list(each(up_cols))),
+                            n, kind, name, each)
 
     root = 1.0 / n
 
@@ -175,15 +188,14 @@ def builtin_aggregators(n: int) -> dict[str, IVAggregator]:
         return ends, ends
 
     entries = [
-        IVAggregator(both((lambda cols: map(max, *cols)) if n > 1 else itemgetter(0)),
-                     n, AggregatorKind.MAX, "max"),
-        IVAggregator(both(lambda cols: map(min, itertools.repeat(1.0), map(math.fsum, zip(*cols)))),
-                     n, AggregatorKind.TRUNCATED_SUM, "tsum"),
+        both((lambda cols: map(max, *cols)) if n > 1 else itemgetter(0), AggregatorKind.MAX, "max"),
+        both(lambda cols: map(min, itertools.repeat(1.0), map(math.fsum, zip(*cols))),
+             AggregatorKind.TRUNCATED_SUM, "tsum"),
         # The product of the inputs, the left fold of `math.prod` (whose start
         # 1 multiplies exactly), raised to the n-th root.
-        IVAggregator(both(lambda cols: map(pow, functools.reduce(functools.partial(map, mul), cols),
-                                           itertools.repeat(root))),
-                     n, AggregatorKind.GEOMETRIC_MEAN, "geomean"),
+        both(lambda cols: map(pow, functools.reduce(functools.partial(map, mul), cols),
+                              itertools.repeat(root)),
+             AggregatorKind.GEOMETRIC_MEAN, "geomean"),
         IVAggregator(dirac_columns, n, AggregatorKind.DIRAC, "dirac"),
     ]
     return {m.name: m for m in entries}
@@ -284,13 +296,14 @@ def check_distributivity(
     without one adds its size uncalled: M is symmetric (`IVAggregator`) and
     overlap values hold no NaN, so (b, a, y) holds exactly when (a, b, y),
     which comes first, does, and the first failure has x1 <= x2.  A sample is
-    walked a block at a time too (`_blocks`), screened first
-    (`TupleSamples.screened`): grid upper endpoints are exactly k/D, so only
-    tuples whose numerators k sum to at most D can be kept, and only they are
-    asked.  The right side of a block is read from the overlap's value rows
-    when every aggregate in it is a grid interval, as those of max and dirac
-    always are; otherwise it is evaluated once per tuple.  The walk is of the
-    arity given: `make_gowa` decides `max` by its binary walk (`_distributes`).
+    walked a block at a time too (`_blocks`), the restriction asked of each
+    drawn tuple.  The right side of a block is read from the overlap's value
+    rows when every aggregate in it is a grid interval, as those of max and
+    dirac always are; otherwise it is evaluated once per tuple.
+
+    This is the interval walk, of the arity given.  `make_gowa` decides an
+    endpoint-separable overlap by real walks first, and `max` by its binary
+    walk (`_distributes`); this walk names the witness when they fail.
     """
     items = grid.intervals()
     lows = [x.lower for x in items]
@@ -343,8 +356,7 @@ def check_distributivity(
             yield from witness
 
     def block_rows():
-        screened = cases.screened([round(u * grid.divisions) for u in ups], grid.divisions, kept)
-        for block in _blocks(screened if restrict else cases):
+        for block in _blocks(filter(kept, cases) if restrict else cases):
             *x_cols, y_col = zip(*block)
             lhs = m.columns(*([_read(table, xc, y_col) for xc in x_cols] for table in (o_lo, o_up)))
             agg_lo, agg_up = m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
@@ -486,23 +498,138 @@ def _paired_values(op: GowaOperator, pairs: Iterable[tuple]) -> Iterator[tuple]:
     return zip(pairs, values, values)
 
 
+def _light_multisets(n: int, bound: int, low: int = 0) -> Iterator[tuple[int, ...]]:
+    """The nondecreasing n-tuples of integers from `low` up that sum to at
+    most `bound`, in lexicographic order: 139 of them for n >= 10 and bound
+    10, where the nondecreasing n-tuples of 0..10 number 184,756 at n = 10."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(low, bound // n + 1):
+        for rest in _light_multisets(n - 1, bound - first, first):
+            yield (first, *rest)
+
+
+@memoized
+def _real_distributes(
+    m: IVAggregator,
+    g: Callable,
+    grid: SampleGrid = DEFAULT_GRID,
+    tol: float = ROOT_TOLERANCE,
+    restrict: bool = False,
+) -> SampledResult:
+    """The real law m(g(x1, y), ..., g(xn, y)) == g(m(x1..xn), y) within
+    `tol` on the grid's endpoints: `m` acts on one end of an endpoint-wise
+    aggregator (`IVAggregator.endwise`) and `g` is one endpoint map of a
+    separable overlap (`endpoint_maps`).  `restrict` keeps the tuples whose
+    x1..xn are `non_saturating`.  The witness is a real tuple (x1..xn, y).
+
+    The values g(x, y) on the grid are one value table, and each of them and
+    each right side must lie in [0, 1], as an interval endpoint must: a value
+    outside, or NaN, fails the walk (with no witness when it is in the
+    table), so that the interval walk decides.  max and tsum are symmetric
+    in binary64, max selecting an input and fsum rounding the exact sum
+    once, so their walk takes x1..xn as nondecreasing index tuples; under
+    the restriction, only those whose numerators sum to at most D, since
+    grid endpoints are exactly k/D and the others sum above 1.  Other
+    aggregators walk every real tuple when they number at most 300,000
+    (n <= 4 on the 0.1 grid), otherwise a sample of 100,000, the interval
+    walk's budget above n = 2 (`tuple_samples`), from the top of the grid
+    down: geomean is 0 wherever an input is, so over an overlap with
+    O(0, y) = 0 the cases with x1 = 0, which lead in ascending order, all
+    hold, and a failure shows sooner among large inputs.  Walked a block at
+    a time (`_blocks`)."""
+    pts = grid.endpoints()
+    size, n, each = len(pts), m.arity, m.endwise
+    table = [list(g(itertools.repeat(x), pts)) for x in pts]
+    if not all(valid_columns(row, row) for row in table):
+        return SampledResult(False, None, 0)
+
+    def kept(t: tuple) -> bool:
+        return non_saturating(map(pts.__getitem__, t[:n]))
+
+    if m.kind in (AggregatorKind.MAX, AggregatorKind.TRUNCATED_SUM):
+        xss = (filter(kept, _light_multisets(n, grid.divisions)) if restrict
+               else itertools.combinations_with_replacement(range(size), n))
+        cases = (xs + (y,) for xs in xss for y in range(size))
+    else:
+        total = size ** (n + 1)
+        cases = tuple_samples(range(size - 1, -1, -1), n + 1,
+                              total if total <= 300_000 else 100_000)
+        cases = filter(kept, cases) if restrict else cases
+
+    def rows():
+        for block in _blocks(cases):
+            *x_cols, y_col = zip(*block)
+            lhs = list(each([_read(table, xc, y_col) for xc in x_cols]))
+            rhs = list(g(each([map(pts.__getitem__, xc) for xc in x_cols]),
+                         map(pts.__getitem__, y_col)))
+            if valid_columns(rhs, rhs) and math.dist(lhs, rhs) <= tol / 2:
+                yield len(block)
+                continue
+            fails = (not 0.0 <= b <= 1.0 or abs(a - b) > tol for a, b in zip(lhs, rhs))
+            yield from row_items(fails, len(block),
+                                 lambda k: tuple(map(pts.__getitem__, block[k])))
+
+    return first_violation_in_rows(rows())
+
+
 @memoized
 def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResult, tuple | None]:
     """The distributivity verdict that admits the pair, and the witness found
     outside the kind's restriction, if any (None when nothing is restricted):
-    the truncated sum is checked where it does not saturate, and the sample is
-    the full cross product for binary aggregators, a bounded one above.
+    the truncated sum is checked where it does not saturate, and the interval
+    walk's sample is the full cross product for binary aggregators, a
+    bounded one above.
 
-    `max` of any arity is first decided by the binary walk at tolerance 0:
-    `max` of grid intervals is a grid interval and ``max_n = max_2(max_{n-1},
-    .)`` in the same floats, so a binary pass is, by induction on n, a pass on
-    every grid tuple up to the sign of a zero, which `max` keeps.  Within a
-    positive tolerance the error could grow a tolerance per step, so a binary
-    walk that fails at 0 decides nothing above n = 2, and the check below
-    runs as if it had not: a rejection names the witness of the n-ary check.
-    At n = 2 its witness is decided again at `tol`: every earlier case held
-    at 0, so a witness that fails at `tol` too is the first failure of the
-    walk at `tol`."""
+    An endpoint-separable overlap (`endpoint_maps`) under an endpoint-wise
+    aggregator is first decided by real walks (`_real_distributes`).  An
+    interval case (X1..Xn, Y) compares M(O(Xi, Y)) with O(M(X), Y) endpoint
+    by endpoint, within the same tolerance; its lower endpoints are the real
+    case (x1..xn, y) of the lower ends under g_l, its upper endpoints that of
+    the upper ends under g_u, so it holds exactly when both real cases do.
+    Every real grid tuple is the lower and the upper tuple of a degenerate
+    grid-interval tuple, so the interval law holds on every grid tuple
+    exactly when both real laws hold on every real grid tuple.  The
+    restriction carries over: the lowers of a tuple sum to at most its
+    uppers and fsum rounds monotonically, so the lower tuples of the kept
+    interval tuples are the real tuples whose fsum is within 1, as are their
+    upper tuples.  One real walk serves both ends when they are one map, and
+    `max` is walked at n = 2 and tolerance 0, by the induction below.  Above
+    n = 4, geomean's real walk is a sample of 100,000 of the 11^(n+1) real
+    tuples, where the interval walk drew 100,000 of 66^(n+1).  A real walk
+    that passes decides the pair; one that fails decides nothing, and the
+    interval walks below run as if it had not, so that a rejection names
+    the witness the interval walk meets first.  The
+    unrestricted truncated sum, whose witness is kept, is an interval walk:
+    over an overlap with a neutral element it fails within a few cases.
+
+    Otherwise `max` of any arity is first decided by the binary interval walk
+    at tolerance 0: `max` of grid intervals is a grid interval and ``max_n =
+    max_2(max_{n-1}, .)`` in the same floats, so a binary pass is, by
+    induction on n, a pass on every grid tuple up to the sign of a zero,
+    which `max` keeps.  Within a positive tolerance the error could grow a
+    tolerance per step, so a binary walk that fails at 0 decides nothing
+    above n = 2, and the check below runs as if it had not: a rejection names
+    the witness of the n-ary check.  At n = 2 its witness is decided again at
+    `tol`: every earlier case held at 0, so a witness that fails at `tol` too
+    is the first failure of the walk at `tol`."""
+    restrict = m.kind is AggregatorKind.TRUNCATED_SUM
+    budget = 300_000 if m.arity <= 2 else 100_000
+    ends = endpoint_maps(o) if m.endwise is not None else None
+    if ends is not None:
+        walk, walk_tol = ((builtin_aggregators(2)["max"], EXACT) if m.kind is AggregatorKind.MAX
+                          else (m, tol))
+        samples = 0
+        for g in dict.fromkeys(ends):
+            real = _real_distributes(walk, g, tol=walk_tol, restrict=restrict)
+            if not real.ok:
+                break
+            samples += real.samples
+        else:
+            saturation = (check_distributivity(m, o, tol=tol, budget=budget).witness
+                          if restrict else None)
+            return SampledResult(True, None, samples), saturation
     if m.kind is AggregatorKind.MAX:
         m2 = builtin_aggregators(2)["max"]
         binary = check_distributivity(m2, o, tol=EXACT)
@@ -513,8 +640,6 @@ def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResu
             lhs, rhs = m2([o(a, y), o(b, y)]), o(m2([a, b]), y)
             if abs(lhs.lower - rhs.lower) > tol or abs(lhs.upper - rhs.upper) > tol:
                 return binary, None
-    restrict = m.kind is AggregatorKind.TRUNCATED_SUM
-    budget = 300_000 if m.arity <= 2 else 100_000
     dist = check_distributivity(m, o, tol=tol, restrict=restrict, budget=budget)
     if not dist.ok or not restrict:
         return dist, None
@@ -573,9 +698,12 @@ def iv_gowa(
 def check_order_monotonicity(op: GowaOperator) -> SampledResult:
     """Is the operator monotone in its own admissible order, on the 0.25 grid?
 
-    Guaranteed only for the product partial order; under a total order some
-    configurations genuinely fail, so this is an empirical per-configuration
-    report, not an invariant.
+    Nothing guarantees it, and some configurations genuinely fail, so this is
+    an empirical per-configuration report, not an invariant.  Nor is the
+    operator monotone in the product order: `max` over the product with
+    weights ([1,1], [0.5,0.5]) under lex1 maps ([0,0], [0,0.5]) to [0,0.5],
+    and ([0.25,0.25], [0,0.5]), above those inputs in the product order, to
+    [0.25,0.25], which is not above [0,0.5] in it.
     """
     order = op.order
     items = SampleGrid(0.25).intervals()

@@ -15,7 +15,7 @@ import random
 import sys
 from array import array
 from collections import OrderedDict
-from operator import ge, gt, le, or_, sub
+from operator import ge, gt, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .intervals import Interval, SlottedValue
@@ -117,7 +117,7 @@ class LazyRows(dict):
 # The one memo.  Sampled checks, operator validation, operator constructors
 # and catalogs are deterministic for fixed arguments, so their results are
 # kept here, least recently used first out once MEMO_SIZE entries are held.
-# A full `verify theorems lattice` run holds 104.
+# A full `verify theorems lattice` run holds 106.
 MEMO_SIZE = 512
 _MEMO: OrderedDict[tuple, object] = OrderedDict()
 
@@ -233,8 +233,7 @@ class TupleSamples:
     otherwise one constant tuple per item, the structured corner tuples and a
     seeded random fill up to the budget, equal tuple for tuple to n calls of
     ``random.Random(SAMPLE_SEED).choice(items)``.  Each walk starts afresh
-    and draws only as far as the caller reads; `screened` walks a filtered
-    sample, rejecting most of the fill a block of draws at a time.
+    and draws only as far as the caller reads.
     """
 
     def __init__(self, items: Sequence, n: int, budget: int) -> None:
@@ -263,43 +262,6 @@ class TupleSamples:
                     head.append(tuple(t))
         fill = zip(*[_choices(items)] * n)
         return itertools.chain(head, itertools.islice(fill, max(0, self.budget - len(head))))
-
-    def screened(self, weights: Sequence[int], bound: int,
-                 keep: Callable[[tuple], bool]) -> Iterator[tuple]:
-        """The sampled tuples that `keep` keeps, in order.  `keep` must refuse a
-        tuple whose first n - 1 items weigh over `bound` (``items[i]`` weighs
-        ``weights[i]`` <= min(bound, 255)); it is asked of the head and of the
-        fill tuples `_light` passes."""
-        items, n, head = self.items, self.n, len(self.items) + 6 * self.n
-        yield from filter(keep, itertools.islice(self, head))
-        table = bytes(weights).ljust(256, b"\0")
-        draws, todo, rest = _draws(len(items)), self.budget - head, b""
-        while todo > 0:
-            flat = rest + next(draws) if rest else next(draws)
-            count = min(len(flat) // n, todo)
-            light = flat.translate(table) if isinstance(flat, bytes) else bytes(map(
-                weights.__getitem__, flat))
-            for p in _light(light, n, count, bound):
-                t = tuple(map(items.__getitem__, flat[p * n:p * n + n]))
-                if keep(t):
-                    yield t
-            todo, rest = todo - count, flat[count * n:]
-
-
-def _light(weights: bytes, n: int, count: int, bound: int) -> Iterator[int]:
-    """The positions of the first `count` n-tuples of bytes, each at most
-    `bound`, whose first n - 1 bytes sum to at most `bound`: each column is
-    one integer of lanes too wide for a sum to carry into the next."""
-    lane, code = next((size, code) for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
-                      if bound * (n - 1) < 1 << 8 * size)
-    low = lane - 1 if sys.byteorder == "big" else 0
-    total = 0
-    for j in range(n - 1):
-        column = bytearray(count * lane)
-        column[low::lane] = weights[j:count * n:n]
-        total += int.from_bytes(column, sys.byteorder)
-    sums = memoryview(total.to_bytes(count * lane, sys.byteorder)).cast(code)
-    return itertools.compress(range(count), map(le, sums, itertools.repeat(bound)))
 
 
 def _draws(size: int) -> Iterator[bytes | list[int]]:

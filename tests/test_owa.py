@@ -27,10 +27,22 @@ from ivowa.intervals import (
     power,
     product,
 )
-from ivowa import owa, sampling
+from ivowa import checks, owa, sampling
 from ivowa.cli import RunConfig, rank_matrix
 from ivowa.matrix import parse_matrix_text
-from ivowa.iv_overlaps import IVOverlap, interval_product, migrative_canonical, representable
+from ivowa.iv_overlaps import (
+    IVOverlap,
+    Opaque,
+    UnaryGenerator,
+    endpoint_maps,
+    interval_product,
+    iv_join,
+    lifted,
+    midpoint_example,
+    migrative_canonical,
+    migrative_from_generator,
+    representable,
+)
 from ivowa.overlaps import builtin_overlaps
 from ivowa.owa import (
     GowaError,
@@ -286,14 +298,27 @@ class TestValidationMemo:
         assert xu.saturation_witness == lex.saturation_witness
 
 
+def _opaque_product() -> IVOverlap:
+    """The interval product's columns under an `Opaque` provenance: not
+    separable by construction, so validated by the interval walks."""
+    return IVOverlap(PRODUCT.columns, PRODUCT.name, Opaque("product"))
+
+
 def test_max_is_decided_by_one_binary_walk(monkeypatch):
     # `max` passes the binary walk at tolerance 0 over the product, which
-    # decides it at every arity: one walk, shared by n = 2..10.
+    # decides it at every arity: one walk, shared by n = 2..10.  Over the
+    # separable product it is one real walk; over the same columns under an
+    # opaque provenance, one interval walk.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
-    for n in range(2, 11):
-        make_gowa(builtin_aggregators(n)["max"], PRODUCT, WeightVector.selector(n, 1))
+    opaque = _opaque_product()
+    for o in (PRODUCT, opaque):
+        for n in range(2, 11):
+            make_gowa(builtin_aggregators(n)["max"], o, WeightVector.selector(n, 1))
+    m2 = builtin_aggregators(2)["max"]
     walks = [key[1:] for key in sampling._MEMO if key[0] is check_distributivity.__wrapped__]
-    assert walks == [(builtin_aggregators(2)["max"], PRODUCT, DEFAULT_GRID, 0.0, False, 300_000)]
+    assert walks == [(m2, opaque, DEFAULT_GRID, 0.0, False, 300_000)]
+    real = [key[1:] for key in sampling._MEMO if key[0] is owa._real_distributes.__wrapped__]
+    assert real == [(m2, endpoint_maps(PRODUCT)[0], DEFAULT_GRID, 0.0, False)]
 
 
 # The product nudged at the upper endpoint of O([0.3,0.7], [0.5,0.6]).  By
@@ -650,6 +675,22 @@ class TestOrderMonotonicityReport:
         assert all(op.order.leq(a, b) for a, b in zip(lo_vec, hi_vec))
         assert not op.order.leq(op(lo_vec), op(hi_vec))
 
+    @pytest.mark.parametrize("order", AdmissibleOrder, ids=lambda order: order.value)
+    def test_product_order_monotonicity_is_not_guaranteed(self, order):
+        # Raising the first input from [0,0] to [0.25,0.25] moves it ahead of
+        # [0,0.5] under lex1, so [0,0.5] meets the weight [0.5,0.5]: the value
+        # falls from [0,0.5] to [0.25,0.25], not above it in the product
+        # order.  lex2 and xuyager rank [0,0.5] first either way.
+        op = make_gowa(AGG2["max"], PRODUCT, WeightVector.of(ONE, Interval(0.5, 0.5)), order)
+        low, high = [ZERO, Interval(0.0, 0.5)], [Interval(0.25, 0.25), Interval(0.0, 0.5)]
+        assert all(map(leq_product, low, high))
+        got = op(low), op(high)
+        if order is AdmissibleOrder.LEX1:
+            assert got == (Interval(0.0, 0.5), Interval(0.25, 0.25))
+            assert not leq_product(*got)
+        else:
+            assert leq_product(*got)
+
 
 # The sampled checks walk grid indices; this reference predicate is the
 # Interval form it replaced, kept as an oracle.
@@ -690,20 +731,20 @@ def test_restriction_keeps_the_tuples_the_interval_predicate_kept(monkeypatch, g
     assert_restriction_keeps_what_the_interval_predicate_kept(monkeypatch, grid, n, budget)
 
 
-# n = 26 at step 0.1 sums 26 numerators of up to 10 in two-byte lanes; the
-# 351 intervals of the 0.04 grid are drawn as index lists, not bytes.
+# Long tuples (n = 26 at step 0.1), and the 351 intervals of the 0.04 grid,
+# which are drawn as index lists, not bytes.
 @pytest.mark.parametrize("grid,n,budget", [
     (DEFAULT_GRID, 26, 3_000),
     (SampleGrid(1 / 25), 3, 20_000),
     (SampleGrid(1 / 25), 9, 5_000),
 ])
-def test_restriction_screens_wide_lanes_and_large_pools(monkeypatch, grid, n, budget):
+def test_restriction_on_long_tuples_and_large_pools(monkeypatch, grid, n, budget):
     assert_restriction_keeps_what_the_interval_predicate_kept(monkeypatch, grid, n, budget)
 
 
 def test_failing_restricted_walk_draws_at_most_one_fill_block(monkeypatch):
     # rep(min,min) fails the restricted tsum walk on its second tuple, which
-    # the head holds: the screen must not draw the fill ahead of the walk.
+    # the head holds: the restricted walk must not draw the fill ahead of it.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
     drawn, draws = [], sampling._draws
     monkeypatch.setattr(sampling, "_draws",
@@ -897,3 +938,110 @@ def test_binary_aggregators_are_symmetric_bit_for_bit():
         swapped = m.columns([lo2, lo1], [up2, up1])
         for a, b in zip(itertools.chain(*got), itertools.chain(*swapped)):
             assert a.hex() == b.hex() or (name == "max" and a == b == 0.0), (name, a, b)
+
+
+# The endpoint-separable overlaps: the catalog's, and transforms of separable
+# bases.  The others keep the interval walks.
+SEPARABLE = {
+    **{name: o for name, o in standard_overlaps().items() if name != "midpoint"},
+    **{token: resolve_iv_overlap(token)
+       for token in ("pow(product,n=2)", "root(rep(min,min),n=3)")},
+}
+ONE_MAP = {"product", "rep(product,product)", "rep(min,min)", "mig(sqrt)", "mig(square)",
+           "canonical(K=[1.0,1.0])", "canonical(K=[2.0,2.0])", "pow(product,n=2)",
+           "root(rep(min,min),n=3)"}
+
+
+def _not_separable():
+    lifted_identity = UnaryGenerator(lifted(lambda lo, up: (lo, up)), "lifted-identity")
+    return [midpoint_example(), resolve_iv_overlap("pow(midpoint,n=2)"),
+            iv_join(PRODUCT, PRODUCT), _opaque_product(), nudged_at(PRODUCT, *MAX_NUDGE, 1e-6),
+            migrative_from_generator(lifted_identity), checks._semi_configs()[0]]
+
+
+def test_separability_is_decided_by_construction():
+    assert all(endpoint_maps(o) is not None for o in SEPARABLE.values())
+    assert {name for name, o in SEPARABLE.items() if len(set(endpoint_maps(o))) == 1} == ONE_MAP
+    assert [endpoint_maps(o) for o in _not_separable()] == [None] * 7
+
+
+@pytest.mark.parametrize("overlap", SEPARABLE)
+def test_endpoint_maps_compute_the_overlaps_own_floats(overlap):
+    # Bit for bit, on the 0.05 grid and off it.
+    o, rng = SEPARABLE[overlap], random.Random(overlap)
+    pool = REAL_GRID.intervals() + [random_interval(rng) for _ in range(200)]
+    xs, ys = zip(*(rng.sample(pool, 2) for _ in range(2000)))
+    xl, xu, yl, yu = ([getattr(v, end) for v in side]
+                      for side in (xs, ys) for end in ("lower", "upper"))
+    g_l, g_u = endpoint_maps(o)
+    lows, ups = o.columns(xl, xu, yl, yu)
+    assert list(map(float.hex, lows)) == list(map(float.hex, g_l(xl, yl)))
+    assert list(map(float.hex, ups)) == list(map(float.hex, g_u(xu, yu)))
+
+
+@pytest.mark.parametrize("grid,n", [(DEFAULT_GRID, 2), (GRID_25, 3)], ids=["n2-0.1", "n3-0.25"])
+@pytest.mark.parametrize("restrict", [False, True], ids=["all", "restricted"])
+@pytest.mark.parametrize("name,tol", [("max", 0.0), ("tsum", ROOT_TOLERANCE),
+                                      ("geomean", ROOT_TOLERANCE)])
+@pytest.mark.parametrize("overlap", SEPARABLE)
+def test_real_walks_agree_with_the_exhaustive_interval_walk(overlap, name, tol, restrict, grid, n):
+    m, o = builtin_aggregators(n)[name], SEPARABLE[overlap]
+    assert len(grid.intervals()) ** (n + 1) <= 300_000
+    interval = check_distributivity(m, o, grid, tol, restrict)
+    real = [owa._real_distributes(m, g, grid, tol, restrict)
+            for g in dict.fromkeys(endpoint_maps(o))]
+    assert all(r.ok for r in real) == interval.ok
+
+
+def test_a_nudged_product_keeps_the_interval_walk_and_its_witness(monkeypatch):
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    o = nudged_at(PRODUCT, *MAX_NUDGE, 1e-6)
+    assert endpoint_maps(o) is None
+    with pytest.raises(GowaError) as rejected:
+        make_gowa(builtin_aggregators(3)["max"], o, WeightVector.selector(3, 1))
+    assert str(rejected.value).endswith(f"witness {MAX_REJECTIONS[3]}")
+    assert not [key for key in sampling._MEMO if key[0] is owa._real_distributes.__wrapped__]
+
+
+@pytest.mark.parametrize("name,n", [("geomean", 3), ("geomean", 6), ("tsum", 3), ("tsum", 10)])
+def test_a_failing_real_walk_stops_at_its_first_failing_case(monkeypatch, name, n):
+    # The real walk over rep(min,min)'s one map fails, in the block of its
+    # first failing case; then the interval walk names today's witness.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    sizes, blocks = [], owa._blocks
+    monkeypatch.setattr(owa, "_blocks",
+                        lambda cases: (sizes.append(len(b)) or b for b in blocks(cases)))
+    m, o, restrict = builtin_aggregators(n)[name], resolve_iv_overlap("rep(min,min)"), name == "tsum"
+    pts = DEFAULT_GRID.endpoints()
+    if restrict:
+        xss = (xs for xs in itertools.combinations_with_replacement(pts, n) if math.fsum(xs) <= 1.0)
+        cases = ((*xs, y) for xs in xss for y in pts)
+    else:
+        cases = tuple_samples(pts[::-1], n + 1, 300_000)
+
+    def fails(case):
+        *xs, y = (Interval(v, v) for v in case)
+        return outside(m([o(x, y) for x in xs]), o(m(xs), y))
+
+    want = first_failure_by_case(cases, fails)
+    real = owa._real_distributes(m, endpoint_maps(o)[0], restrict=restrict)
+    assert not want.ok and real == want
+    assert sum(sizes[:-1]) < real.samples <= sum(sizes)
+    dist, _ = owa._distributes(m, o, ROOT_TOLERANCE)
+    assert dist == check_distributivity(m, o, restrict=restrict, budget=100_000) and not dist.ok
+
+
+def test_separable_validation_makes_no_passing_interval_walk(monkeypatch):
+    # Only tsum's unrestricted saturation walk is an interval walk, and it
+    # fails within its first block of 8 tuples.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    for name, n in [*(("tsum", n) for n in range(3, 11)), ("geomean", 2), ("geomean", 3)]:
+        m = builtin_aggregators(n)[name]
+        w = WeightVector((ONE,) * n) if name == "geomean" else WeightVector.uniform(n)
+        assert make_gowa(m, PRODUCT, w).saturation_witness is not None or name == "geomean"
+    walks = [(key[1:], res) for key, res in sampling._MEMO.items()
+             if key[0] is check_distributivity.__wrapped__]
+    assert len(walks) == 8
+    for (m, o, grid, tol, restrict, budget), res in walks:
+        assert (m.name, o, restrict, res.ok) == ("tsum", PRODUCT, False, False)
+        assert res.samples <= 8

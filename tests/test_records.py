@@ -18,7 +18,8 @@ from ivowa.checks import CheckReport
 from ivowa.cli import RunConfig
 from ivowa.intervals import DEFAULT_ORDER, ONE, ZERO, AdmissibleOrder, ExponentInterval, Interval, IntervalError
 from ivowa.iv_overlaps import (
-    IVOverlap, Migrative, Opaque, Representable, SemiRepresentable, UnaryGenerator, interval_product,
+    IVOverlap, Migrative, Opaque, Representable, SemiRepresentable, Transformed, UnaryGenerator,
+    interval_product,
 )
 from ivowa.matrix import DecisionMatrix
 from ivowa.overlaps import RealAggregator, RealOverlap
@@ -49,17 +50,18 @@ RECORDS = [
     (SemiRepresentable, "value", ("m_lower", "m_upper", "parts"),
      (_REAL_MAX, _REAL_MAX, (_REAL_MIN,)), {}),
     (Migrative, "value", ("generator",), (UnaryGenerator(abs, "g"),), {}),
+    (Transformed, "value", ("base", "exponent"), (_OVERLAP, 2.0), {}),
     (Opaque, "value", ("label",), ("inverted",), {}),
     (ExponentInterval, "value", ("k1", "k2"), (0.5, 2.0), {}),
     (SampleGrid, "value", ("endpoint_step",), (), {"endpoint_step": 0.1}),
     (WeightVector, "value", ("weights",), ((ONE, ZERO),), {}),
     (IVOverlap, "identity", ("columns", "name", "provenance"), (max, "o", Opaque("x")), {}),
-    (IVAggregator, "identity", ("columns", "arity", "kind", "name"),
-     (min, 2, AggregatorKind.MAX, "max"), {}),
+    (IVAggregator, "identity", ("columns", "arity", "kind", "name", "endwise"),
+     (min, 2, AggregatorKind.MAX, "max"), {"endwise": None}),
     (RealOverlap, "identity", ("fn", "name"), (min, "min"), {}),
     (RealAggregator, "identity", ("fn", "arity", "name", "claims"), (max, 2, "max"),
      {"claims": frozenset()}),
-    (UnaryGenerator, "identity", ("columns", "name"), (abs, "g"), {}),
+    (UnaryGenerator, "identity", ("columns", "name", "endwise"), (abs, "g"), {"endwise": None}),
     (GowaOperator, "identity", ("aggregator", "overlap", "weights", "order", "saturation_witness"),
      (_AGGREGATOR, _OVERLAP, _WEIGHTS, AdmissibleOrder.XU_YAGER), {"saturation_witness": None}),
 ]
