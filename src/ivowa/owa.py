@@ -297,13 +297,12 @@ def check_distributivity(
     overlap values hold no NaN, so (b, a, y) holds exactly when (a, b, y),
     which comes first, does, and the first failure has x1 <= x2.  A sample is
     walked a block at a time too (`_blocks`), the restriction asked of each
-    drawn tuple.  The right side of a block is read from the overlap's value
-    rows when every aggregate in it is a grid interval, as those of max and
-    dirac always are; otherwise it is evaluated once per tuple.
+    drawn tuple, and the right sides of a block are one column call of the
+    overlap.
 
-    This is the interval walk, of the arity given.  `make_gowa` decides an
-    endpoint-separable overlap by real walks first, and `max` by its binary
-    walk (`_distributes`); this walk names the witness when they fail.
+    This is the interval walk, of the arity given.  `make_gowa` runs it as
+    the reduction walk over an overlap that is not separable, and to name
+    the witness when a reduction walk fails (`_distributes`).
     """
     items = grid.intervals()
     lows = [x.lower for x in items]
@@ -359,14 +358,10 @@ def check_distributivity(
         for block in _blocks(filter(kept, cases) if restrict else cases):
             *x_cols, y_col = zip(*block)
             lhs = m.columns(*([_read(table, xc, y_col) for xc in x_cols] for table in (o_lo, o_up)))
-            agg_lo, agg_up = m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
-                                         for side in (lows, ups)))
-            agg_at = list(map(index_of.get, zip(agg_lo, agg_up)))
-            if None in agg_at:
-                rhs = _checked(*o.columns(agg_lo, agg_up, map(lows.__getitem__, y_col),
-                                          map(ups.__getitem__, y_col)))
-            else:
-                rhs = [list(_read(table, agg_at, y_col)) for table in (o_lo, o_up)]
+            aggs = m.columns(*([map(side.__getitem__, xc) for xc in x_cols]
+                               for side in (lows, ups)))
+            rhs = _checked(*o.columns(*aggs, *(map(side.__getitem__, y_col)
+                                               for side in (lows, ups))))
             yield from close_row(*lhs, *rhs, tol, lambda k: tuple(map(decode, block[k])))
 
     return first_violation_in_rows(rows() if cases.exhaustive else block_rows())
@@ -578,72 +573,43 @@ def _real_distributes(
 def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResult, tuple | None]:
     """The distributivity verdict that admits the pair, and the witness found
     outside the kind's restriction, if any (None when nothing is restricted):
-    the truncated sum is checked where it does not saturate, and the interval
-    walk's sample is the full cross product for binary aggregators, a
-    bounded one above.
+    the truncated sum is checked where it does not saturate.
 
-    An endpoint-separable overlap (`endpoint_maps`) under an endpoint-wise
-    aggregator is first decided by real walks (`_real_distributes`).  An
-    interval case (X1..Xn, Y) compares M(O(Xi, Y)) with O(M(X), Y) endpoint
-    by endpoint, within the same tolerance; its lower endpoints are the real
-    case (x1..xn, y) of the lower ends under g_l, its upper endpoints that of
-    the upper ends under g_u, so it holds exactly when both real cases do.
-    Every real grid tuple is the lower and the upper tuple of a degenerate
-    grid-interval tuple, so the interval law holds on every grid tuple
-    exactly when both real laws hold on every real grid tuple.  The
-    restriction carries over: the lowers of a tuple sum to at most its
-    uppers and fsum rounds monotonically, so the lower tuples of the kept
-    interval tuples are the real tuples whose fsum is within 1, as are their
-    upper tuples.  One real walk serves both ends when they are one map, and
-    `max` is walked at n = 2 and tolerance 0, by the induction below.  Above
-    n = 4, geomean's real walk is a sample of 100,000 of the 11^(n+1) real
-    tuples, where the interval walk drew 100,000 of 66^(n+1).  A real walk
-    that passes decides the pair; one that fails decides nothing, and the
-    interval walks below run as if it had not, so that a rejection names
-    the witness the interval walk meets first.  The
-    unrestricted truncated sum, whose witness is kept, is an interval walk:
-    over an overlap with a neutral element it fails within a few cases.
-
-    Otherwise `max` of any arity is first decided by the binary interval walk
-    at tolerance 0: `max` of grid intervals is a grid interval and ``max_n =
-    max_2(max_{n-1}, .)`` in the same floats, so a binary pass is, by
-    induction on n, a pass on every grid tuple up to the sign of a zero,
-    which `max` keeps.  Within a positive tolerance the error could grow a
-    tolerance per step, so a binary walk that fails at 0 decides nothing
-    above n = 2, and the check below runs as if it had not: a rejection names
-    the witness of the n-ary check.  At n = 2 its witness is decided again at
-    `tol`: every earlier case held at 0, so a witness that fails at `tol` too
-    is the first failure of the walk at `tol`."""
+    One rule.  A reduction walk, which can only decide a pass, runs first:
+    the real walks of the endpoint maps (`_real_distributes`) when the
+    overlap is separable (`endpoint_maps`) and the aggregator acts on each
+    end on its own (`IVAggregator.endwise`), otherwise the interval walk
+    (`check_distributivity`).  `max` above n = 2 walks the binary `max` at
+    tolerance 0; every other pair walks itself at `tol`.  A pass decides the
+    pair: the interval law holds on every grid tuple exactly when the real
+    laws hold on every real grid tuple, and a binary `max` pass at 0 is one
+    at every arity, by induction on n (README, "How `make_gowa` decides
+    distributivity", gives both arguments).  A failing
+    reduction decides nothing, and the pair's own interval walk at `tol`
+    names the witness, a memo hit when it was the reduction walk; its sample
+    is the full cross product for binary aggregators, a bounded one above.
+    A passing truncated sum then takes its unrestricted walk, whose witness
+    is kept."""
     restrict = m.kind is AggregatorKind.TRUNCATED_SUM
-    budget = 300_000 if m.arity <= 2 else 100_000
+    walk, walk_tol = ((builtin_aggregators(2)["max"], EXACT)
+                      if m.kind is AggregatorKind.MAX and m.arity > 2 else (m, tol))
+
+    def interval(agg: IVAggregator, at: float, kept: bool = restrict) -> SampledResult:
+        return check_distributivity(agg, o, tol=at, restrict=kept,
+                                    budget=300_000 if agg.arity <= 2 else 100_000)
+
     ends = endpoint_maps(o) if m.endwise is not None else None
-    if ends is not None:
-        walk, walk_tol = ((builtin_aggregators(2)["max"], EXACT) if m.kind is AggregatorKind.MAX
-                          else (m, tol))
-        samples = 0
+    if ends is None:
+        reduced = interval(walk, walk_tol)
+    else:
+        reduced = SampledResult(True, None, 0)
         for g in dict.fromkeys(ends):
             real = _real_distributes(walk, g, tol=walk_tol, restrict=restrict)
+            reduced = SampledResult(real.ok, None, reduced.samples + real.samples)
             if not real.ok:
                 break
-            samples += real.samples
-        else:
-            saturation = (check_distributivity(m, o, tol=tol, budget=budget).witness
-                          if restrict else None)
-            return SampledResult(True, None, samples), saturation
-    if m.kind is AggregatorKind.MAX:
-        m2 = builtin_aggregators(2)["max"]
-        binary = check_distributivity(m2, o, tol=EXACT)
-        if binary.ok:
-            return binary, None
-        if m.arity == 2:
-            a, b, y = binary.witness
-            lhs, rhs = m2([o(a, y), o(b, y)]), o(m2([a, b]), y)
-            if abs(lhs.lower - rhs.lower) > tol or abs(lhs.upper - rhs.upper) > tol:
-                return binary, None
-    dist = check_distributivity(m, o, tol=tol, restrict=restrict, budget=budget)
-    if not dist.ok or not restrict:
-        return dist, None
-    return dist, check_distributivity(m, o, tol=tol, budget=budget).witness
+    dist = reduced if reduced.ok else interval(m, tol)
+    return dist, interval(m, tol, False).witness if restrict and dist.ok else None
 
 
 def make_gowa(
@@ -655,9 +621,12 @@ def make_gowa(
 ) -> GowaOperator:
     """Validate the (aggregator, overlap, weights) triple and build the operator.
 
-    Rejections name the failed precondition; when a restriction narrows the
-    distributivity sample, any witness found outside the restriction is kept
-    on the operator as `saturation_witness` rather than silently dropped.
+    Rejections name the failed precondition.  Distributivity is decided by
+    one rule (`_distributes`): a reduction walk that can only decide a pass,
+    then, if it fails, the pair's own interval walk, which names the
+    witness.  When a restriction narrows the distributivity sample, any
+    witness found outside the restriction is kept on the operator as
+    `saturation_witness` rather than silently dropped.
     The distributivity tolerance must be a number of at least 0: under NaN
     every case would hold, under a negative one none.
     """

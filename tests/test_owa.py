@@ -306,19 +306,29 @@ def _opaque_product() -> IVOverlap:
 
 def test_max_is_decided_by_one_binary_walk(monkeypatch):
     # `max` passes the binary walk at tolerance 0 over the product, which
-    # decides it at every arity: one walk, shared by n = 2..10.  Over the
-    # separable product it is one real walk; over the same columns under an
-    # opaque provenance, one interval walk.
+    # decides it at every arity above 2: one walk, shared by n = 3..10.  Over
+    # the separable product it is one real walk; over the same columns under
+    # an opaque provenance, one interval walk.  n = 2 walks itself, at the
+    # caller's tolerance: one more walk over each.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
-    opaque = _opaque_product()
-    for o in (PRODUCT, opaque):
-        for n in range(2, 11):
+    drawn = _count_tuple_samples(monkeypatch)
+    opaque, m2, g = _opaque_product(), builtin_aggregators(2)["max"], endpoint_maps(PRODUCT)[0]
+
+    def walks():
+        return tuple([key[1:] for key in sampling._MEMO if key[0] is fn.__wrapped__]
+                     for fn in (check_distributivity, owa._real_distributes))
+
+    for n in (*range(3, 11), 2):
+        for o in (PRODUCT, opaque):
             make_gowa(builtin_aggregators(n)["max"], o, WeightVector.selector(n, 1))
-    m2 = builtin_aggregators(2)["max"]
-    walks = [key[1:] for key in sampling._MEMO if key[0] is check_distributivity.__wrapped__]
-    assert walks == [(m2, opaque, DEFAULT_GRID, 0.0, False, 300_000)]
-    real = [key[1:] for key in sampling._MEMO if key[0] is owa._real_distributes.__wrapped__]
-    assert real == [(m2, endpoint_maps(PRODUCT)[0], DEFAULT_GRID, 0.0, False)]
+        if n == 10:
+            assert walks() == ([(m2, opaque, DEFAULT_GRID, 0.0, False, 300_000)],
+                               [(m2, g, DEFAULT_GRID, 0.0, False)])
+            assert drawn[0] == 1
+    assert walks() == ([(m2, opaque, DEFAULT_GRID, tol, False, 300_000)
+                        for tol in (0.0, ROOT_TOLERANCE)],
+                       [(m2, g, DEFAULT_GRID, tol, False) for tol in (0.0, ROOT_TOLERANCE)])
+    assert drawn[0] == 2
 
 
 # The product nudged at the upper endpoint of O([0.3,0.7], [0.5,0.6]).  By
@@ -360,14 +370,14 @@ def test_max_within_the_tolerance_is_accepted_by_its_own_walk(n):
 
 @pytest.mark.parametrize("overlap", ["midpoint", "nudged"])
 def test_binary_max_failing_at_its_tolerance_is_walked_once(monkeypatch, overlap):
-    # The walk at tolerance 0 fails on a case that fails at ROOT_TOLERANCE
-    # too, so it is the walk at ROOT_TOLERANCE's first failure: no second walk.
+    # Binary `max` is walked at the caller's tolerance: the failing reduction
+    # walk is the walk that names the witness, so there is no second walk.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
     m = builtin_aggregators(2)["max"]
     o = nudged_at(PRODUCT, *MAX_NUDGE, 1e-6) if overlap == "nudged" else resolve_iv_overlap(overlap)
     dist, saturation = owa._distributes(m, o, ROOT_TOLERANCE)
     walks = [key[1:] for key in sampling._MEMO if key[0] is check_distributivity.__wrapped__]
-    assert walks == [(m, o, DEFAULT_GRID, 0.0, False, 300_000)]
+    assert walks == [(m, o, DEFAULT_GRID, ROOT_TOLERANCE, False, 300_000)]
     assert (dist, saturation) == (check_distributivity(m, o), None)
     assert not dist.ok
 
@@ -660,6 +670,9 @@ class TestAbsorption:
         assert not absorption_holds(AGG2["dirac"]).ok
 
 
+RANK_REVERSAL_WEIGHTS = WeightVector.of(Interval(0.2, 0.3), ONE, Interval(0.0, 0.5))
+
+
 class TestOrderMonotonicityReport:
     def test_mean_configuration_is_order_monotone(self):
         op = make_gowa(AGG2["tsum"], PRODUCT, WeightVector.uniform(2))
@@ -690,6 +703,33 @@ class TestOrderMonotonicityReport:
             assert not leq_product(*got)
         else:
             assert leq_product(*got)
+
+    @pytest.mark.parametrize("order", AdmissibleOrder, ids=lambda order: order.value)
+    def test_raising_an_input_can_lower_the_aggregate_at_n3(self, order):
+        # Raising the third input from [0,0] to [0.1,0.1] moves it ahead of
+        # [0,0.4] under lex1, so [0,0.4] meets the weight [0,0.5] in place of
+        # [1,1]: the aggregate falls from [0.1,0.4] to [0.1,0.21].  lex2 and
+        # xuyager rank [0,0.4] second either way.
+        op = make_gowa(builtin_aggregators(3)["max"], PRODUCT, RANK_REVERSAL_WEIGHTS, order)
+        low, high = ([Interval(0.5, 0.7), Interval(0.0, 0.4), x]
+                     for x in (ZERO, Interval(0.1, 0.1)))
+        assert all(map(leq_product, low, high))
+        want = Interval(0.1, 0.21) if order is AdmissibleOrder.LEX1 else Interval(0.1, 0.4)
+        assert (op(low), op(high)) == (Interval(0.1, 0.4), want)
+
+    @pytest.mark.parametrize("order", AdmissibleOrder, ids=lambda order: order.value)
+    def test_the_dominating_row_ranks_second_under_lex1(self, order):
+        # The same pair as a matrix, the dominating row first: it ties under
+        # lex2 and xuyager, keeping matrix order, and ranks second under lex1.
+        text = ('alternative,c1,c2,c3\n'
+                'raised,"[0.5,0.7]","[0,0.4]",0.1\nbase,"[0.5,0.7]","[0,0.4]",0\n')
+        ranking, _ = rank_matrix(RunConfig("max", "product", RANK_REVERSAL_WEIGHTS, order),
+                                 parse_matrix_text(text, "csv"))
+        got = [(r.alternative, format_interval(r.aggregate)) for r in ranking]
+        if order is AdmissibleOrder.LEX1:
+            assert got == [("base", "[0.1,0.4]"), ("raised", "[0.1,0.21]")]
+        else:
+            assert got == [("raised", "[0.1,0.4]"), ("base", "[0.1,0.4]")]
 
 
 # The sampled checks walk grid indices; this reference predicate is the
@@ -1045,3 +1085,30 @@ def test_separable_validation_makes_no_passing_interval_walk(monkeypatch):
     for (m, o, grid, tol, restrict, budget), res in walks:
         assert (m.name, o, restrict, res.ok) == ("tsum", PRODUCT, False, False)
         assert res.samples <= 8
+
+
+def test_the_rule_has_the_verdicts_and_witnesses_of_the_interval_walk():
+    # `_distributes` against the pair's own interval walk, over separable
+    # overlaps with a neutral element (real reduction walks) and over
+    # overlaps that are not separable (interval reduction walks).  A walk
+    # that passes at tolerance 0 passes at every larger one, since each case
+    # asks `abs(a - b) > tol`; so a pass at 0 stands for the walk at 1e-9,
+    # which is not walked again.
+    nudged = [nudged_at(PRODUCT, *MAX_NUDGE, delta) for delta in (1e-6, 1e-12)]
+    overlaps = [*map(resolve_iv_overlap, ("product", "rep(product,product)", "rep(product,min)",
+                                          "rep(min,min)", "canonical(K=[2,2])")),
+                _opaque_product(), *nudged, iv_join(*nudged)]
+    verdicts = set()
+    for o, name, n in itertools.product(overlaps, ("max", "tsum", "geomean", "dirac"), (2, 3)):
+        m, restrict = builtin_aggregators(n)[name], name == "tsum"
+        budget, want = 300_000 if n == 2 else 100_000, None
+        for tol in (0.0, ROOT_TOLERANCE):
+            dist, saturation = owa._distributes(m, o, tol)
+            if want is None or not want.ok:
+                want = check_distributivity(m, o, tol=tol, restrict=restrict, budget=budget)
+            assert (dist.ok, dist.witness) == (want.ok, want.witness), (o.name, name, n, tol)
+            assert saturation == (check_distributivity(m, o, tol=tol, budget=budget).witness
+                                  if restrict and want.ok else None), (o.name, name, n, tol)
+            verdicts.add((endpoint_maps(o) is not None, dist.ok, saturation is not None))
+    assert verdicts == {(True, True, True), (True, True, False), (True, False, False),
+                        (False, True, True), (False, True, False), (False, False, False)}
