@@ -260,22 +260,19 @@ class AdmissibleOrder(enum.Enum):
     XU_YAGER = "xuyager"
 
     def sort_key(self, x: Interval) -> tuple[float, ...]:
-        if self is AdmissibleOrder.LEX1:
-            return (x.lower, x.upper)
-        if self is AdmissibleOrder.LEX2:
-            return (x.upper, x.lower)
-        # The trailing endpoints only break binary64 collisions of the sum
-        # and width keys, keeping the key injective (hence the order total)
-        # up to the sign of a zero endpoint.
-        return (x.lower + x.upper, x.upper - x.lower, x.lower, x.upper)
+        """The key of one interval: `key_column` of a one-row column."""
+        return next(self.key_column((x.lower,), (x.upper,)))
 
     def key_column(self, lowers: Sequence[float], uppers: Sequence[float]) -> Iterator[tuple]:
-        """`sort_key` of each interval of two endpoint columns, built by
+        """The sort key of each interval of two endpoint columns, built by
         C-level maps; `key_ends` gets the endpoints back from a key."""
         if self is AdmissibleOrder.LEX1:
             return zip(lowers, uppers)
         if self is AdmissibleOrder.LEX2:
             return zip(uppers, lowers)
+        # The trailing endpoints only break binary64 collisions of the sum
+        # and width keys, keeping the key injective (hence the order total)
+        # up to the sign of a zero endpoint.
         return zip(map(add, lowers, uppers), map(sub, uppers, lowers), lowers, uppers)
 
     @property

@@ -99,14 +99,16 @@ class IVAggregator(Slotted):
     A binary aggregator is symmetric in binary64: swapping its two input
     columns gives the same floats, up to the sign of a zero.  The exhaustive
     n=2 walks of `check_distributivity` and `check_homogeneous_m` rely on
-    it, deciding only the cases with x1 <= x2.
+    it, deciding only the cases with x1 <= x2
+    (`test_binary_aggregators_are_symmetric_bit_for_bit` pins it).
 
     `endwise` is the map over one end's input columns when the aggregator
     acts on each end on its own, ``columns(lo_cols, up_cols) ==
     (list(endwise(lo_cols)), list(endwise(up_cols)))``, as max, tsum and
     geomean do; None otherwise (both ends of dirac read the lowers).  The
     real distributivity walks take the `endwise` map of a MAX or
-    TRUNCATED_SUM aggregator to be symmetric in all its inputs."""
+    TRUNCATED_SUM aggregator to be symmetric in all its inputs
+    (`test_endwise_maps_are_symmetric_bit_for_bit` pins it at n = 3 and 4)."""
 
     __slots__ = ("columns", "arity", "kind", "name", "endwise")
 
@@ -149,6 +151,8 @@ class WeightVector(SlottedValue):
 
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
+        if n < 1:
+            raise WeightError(f"uniform weight vector length must be >= 1, got {n}")
         w = Interval(1.0 / n, 1.0 / n)
         return cls((w,) * n)
 

@@ -1,12 +1,26 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import ivowa
 from ivowa.intervals import Interval
 from ivowa.iv_overlaps import IVOverlap, Opaque
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+SOURCE = Path(ivowa.__file__).resolve().parent
+
+
+def source_lines(pattern: str, *modules: str) -> list[str]:
+    """``module:line: text`` of each line of the named package modules, or of
+    every module when none is named, that the regular expression matches."""
+    paths = [SOURCE / module for module in modules] or sorted(SOURCE.rglob("*.py"))
+    return [f"{path.name}:{number}: {line}" for path in paths
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(pattern, line)]
 
 
 @st.composite

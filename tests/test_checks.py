@@ -1,4 +1,5 @@
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,10 @@ from ivowa.checks import (
     run_axiom_suite,
     run_theorem_suite,
 )
-from ivowa import checks
+from conftest import source_lines
+from ivowa import checks, sampling
 from ivowa.intervals import Interval
-from ivowa.iv_overlaps import check_associative, midpoint_example, representable
+from ivowa.iv_overlaps import IVOverlap, check_associative, midpoint_example, representable
 from ivowa.overlaps import builtin_overlaps, projection_aggregator
 from ivowa.owa import builtin_aggregators
 from ivowa.registry import standard_overlaps
@@ -28,8 +30,32 @@ VERIFY_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "veri
 
 
 @pytest.fixture(scope="module")
-def theorem_reports():
-    return run_theorem_suite()
+def law_suite():
+    """`verify theorems lattice` in this process, from an empty memo as in a
+    fresh one: the theorem reports, the lattice reports and the number of
+    overlap calls the run made on lone pairs.  The run's memo entries then
+    join the memo the other tests share."""
+    held, calls, call = sampling._MEMO, [], IVOverlap.__call__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_MEMO", OrderedDict())
+        patch.setattr(IVOverlap, "__call__", lambda self, x, y: calls.append(1) or call(self, x, y))
+        theorems, lattice = run_theorem_suite(), lattice_order_checks()
+        run = sampling._MEMO
+    for key, value in run.items():
+        held.setdefault(key, value)
+    while len(held) > sampling.MEMO_SIZE:
+        held.popitem(last=False)
+    return theorems, lattice, len(calls)
+
+
+@pytest.fixture(scope="module")
+def theorem_reports(law_suite):
+    return law_suite[0]
+
+
+@pytest.fixture(scope="module")
+def lattice_reports(law_suite):
+    return law_suite[1]
 
 
 class TestAxiomSuite:
@@ -79,22 +105,21 @@ class TestTheoremSuite:
     def test_coverage_is_complete(self, theorem_reports):
         assert tuple(sorted(r.check_id for r in theorem_reports)) == THEOREM_CHECK_IDS
 
-    def test_reports_sorted_and_deterministic(self, theorem_reports):
+    def test_reports_sorted_and_deterministic(self, theorem_reports, lattice_reports):
         # The golden file was written by an earlier commit, so this pins
         # verdicts, witnesses and sample counts byte for byte across commits.
-        lines = reports_to_json(theorem_reports + lattice_order_checks())
+        lines = reports_to_json(theorem_reports + lattice_reports)
         assert "".join(f"{line}\n" for line in lines).encode() == VERIFY_GOLDEN.read_bytes()
         ids = [json.loads(line)["check_id"] for line in reports_to_json(theorem_reports)]
         assert ids == sorted(ids)
 
-    def test_lattice_checks(self):
-        reports = lattice_order_checks()
-        assert tuple(r.check_id for r in reports) == LATTICE_CHECK_IDS
-        assert all(r.verdict == "pass" for r in reports)
+    def test_lattice_checks(self, lattice_reports):
+        assert tuple(r.check_id for r in lattice_reports) == LATTICE_CHECK_IDS
+        assert all(r.verdict == "pass" for r in lattice_reports)
 
-    def test_every_row_reports_under_its_own_id(self, theorem_reports):
+    def test_every_row_reports_under_its_own_id(self, theorem_reports, lattice_reports):
         # The rows after the suite ran: each returns one report, the suite's.
-        by_id = {r.check_id: r for r in theorem_reports + lattice_order_checks()}
+        by_id = {r.check_id: r for r in theorem_reports + lattice_reports}
         for table in (checks._THEOREM_CHECKS, checks._LATTICE_CHECKS):
             for row, check in table.items():
                 assert check(DEFAULT_GRID) == by_id[row]
@@ -113,12 +138,31 @@ class TestTheoremSuite:
     def test_semi_representable_rows_share_their_overlaps(self):
         assert all(a is b for a, b in zip(checks._semi_configs(), checks._semi_configs()))
 
-    def test_witness_present_exactly_on_failure(self, theorem_reports):
-        reports = (theorem_reports + lattice_order_checks()
+    def test_witness_present_exactly_on_failure(self, theorem_reports, lattice_reports):
+        reports = (theorem_reports + lattice_reports
                    + run_axiom_suite(CAT["lukasiewicz"])
                    + run_axiom_suite(representable(CAT["lukasiewicz"], CAT["lukasiewicz"])))
         for r in reports:
             assert (r.verdict == "fail") == (r.witness is not None), r
+
+    def test_grid_laws_read_value_tables(self, law_suite):
+        # A grid law evaluates its operator once per grid point, into a value
+        # table, and a sampled law walk decides its tuples a block at a time.
+        # Aggregators and overlaps are stored once, as their column maps,
+        # with no per-tuple or per-pair map beside them, and there is no
+        # one-pair path: GO1-GO5 of a real overlap and of a projection are one
+        # walk over value tables, and the n-ary continuity probe shares the m2
+        # neighbour walk.  So the suite calls an overlap on a lone pair only
+        # at fixed points (no-self-duality, `_fixes`, the generator and
+        # sandwich boundaries, the documented witnesses), where a grid walk
+        # would make thousands of calls.
+        for pattern, modules in [
+            (r"lifted\(ends\)|max_jump_nary|def _split\(|checked_ends|continuity_probe", ()),
+            (r"def outcomes|def agg_|^    ends:", ("owa.py",)),
+            (r"^    ends:", ("iv_overlaps.py",)),
+        ]:
+            assert not source_lines(pattern, *modules)
+        assert law_suite[2] <= 68
 
 
 def _row_report(parts, tol=POLY_TOLERANCE):

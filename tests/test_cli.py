@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ivowa
-from conftest import nested_transform
+from conftest import nested_transform, source_lines
 from ivowa import checks
 from ivowa import intervals as intervals_module
 from ivowa import matrix as matrix_module
@@ -204,6 +204,29 @@ class TestMatrixParsing:
         assert m.criteria == ("c1", "c2")
         assert m.cells[0][0] == Interval(0.2, 0.5)
         assert m.cells[2][0] == Interval(0.6, 0.6)
+
+    def test_matrices_are_read_and_ranked_as_endpoint_columns(self, monkeypatch):
+        # An `Interval` per cell cost more than half of a parse-and-rank job.
+        # So cli.py neither reads a row of intervals (`matrix.row`) nor ranks
+        # interval objects, the readers build no `Interval`, and the CSV
+        # reader parses each column of a 512-row block in one call.
+        assert not source_lines(r"matrix\.row\b|ranks_descending\(", "cli.py")
+        built, check = [], Interval.__post_init__
+        monkeypatch.setattr(Interval, "__post_init__", lambda self: built.append(self) or check(self))
+        calls, parse = [], intervals_module.parse_interval_columns
+        counted = lambda texts: calls.append(len(texts)) or parse(texts)
+        monkeypatch.setattr(intervals_module, "parse_interval_columns", counted)
+        monkeypatch.setattr(matrix_module, "parse_interval_columns", counted)
+        m = parse_matrix_text('alternative,c1,c2,c3\na1,"[0.2,0.5]",0.4, 1 \n'
+                              'a2,0," [0.1,\n1] ","[ 0 , 0.5 ]"\n', "csv")
+        assert (m.uppers, calls) == (([0.5, 0.0], [0.4, 1.0], [1.0, 0.5]), [2, 2, 2])
+        parse_matrix_text('{"alternatives": ["a1"], "criteria": ["c1", "c2"], '
+                          '"cells": [[[0.2, 0.5], 0.4]]}', "json")
+        calls.clear()
+        m = parse_matrix_text("alternative,c1,c2\n" + "".join(
+            f'a{i},"[0.2,0.5]",0.4\n' for i in range(1025)), "csv")
+        assert (len(m.alternatives), calls) == (1025, [512, 512, 512, 512, 1, 1])
+        assert not built
 
     def test_inverted_cell_named(self):
         bad = MATRIX_CSV.replace("[0.4,0.9]", "[0.6,0.2]")
@@ -969,12 +992,23 @@ class TestVerifySplit:
         assert checks.WORKER_ROWS & checks.SUITE_ROWS["theorems"]
         assert checks.SUITE_ROWS["theorems"] - checks.WORKER_ROWS
 
-    def test_import_loads_no_pickle(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(ivowa.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", "import sys, ivowa.cli; print(sorted("
-                               "{'pickle', 'multiprocessing'} & set(sys.modules)))"],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.stdout == "[]\n"
+
+def test_import_loads_no_dataclasses_inspect_or_pickle():
+    # Importing dataclasses pulls in inspect, ast, dis and tokenize, and each
+    # @dataclass execs its generated methods: about 14 ms of every fresh
+    # process.  Records are NamedTuples or `Slotted` classes, the memo reads
+    # its key from the function's code object, not from inspect.signature,
+    # and `verify` imports pickle only when it forks its worker.
+    assert not source_lines("@dataclass")
+    env = dict(os.environ, PYTHONPATH=str(Path(ivowa.__file__).resolve().parents[1]))
+    code = ("import sys\n"
+            "for module in ('ivowa', 'ivowa.cli'):\n"
+            "    __import__(module)\n"
+            "    print(module, sorted({'dataclasses', 'inspect', 'pickle', 'multiprocessing'}"
+            " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.stdout, proc.stderr) == ("ivowa []\nivowa.cli []\n", "")
 
 
 class TestCatalogCommand:

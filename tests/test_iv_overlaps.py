@@ -3,6 +3,7 @@ import json
 import math
 import random
 from array import array
+from collections import OrderedDict
 from itertools import repeat
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_interval_close, intervals
+from ivowa import iv_overlaps, sampling
 from ivowa.checks import _projection_axioms, _semi_configs
 from ivowa.intervals import (
     DEFAULT_ORDER,
@@ -571,6 +573,19 @@ def test_o4_covering_pairs_decide_as_the_comparable_pairs(seed):
     # pairs only when it fails: the same verdict, witness and sample count.
     o = _table_overlap(_random_table(seed), f"table-{seed}")
     assert verify_iv_axioms(o, stages=((1.0, 1.0),))["o4"] == comparable_pair_o4(o)
+
+
+def test_o1_to_o4_of_the_product_walk_no_row_case_by_case(monkeypatch):
+    # Each row of the value table is decided by C-level passes, so an overlap
+    # that holds O1-O4 hands the first-violation loop case counts only.  A
+    # memo of its own, so the axioms are walked.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    rows, walk = [], iv_overlaps.first_violation_in_rows
+    monkeypatch.setattr(iv_overlaps, "first_violation_in_rows",
+                        lambda items: walk(rows.append(row) or row for row in items))
+    results = verify_iv_axioms(interval_product())
+    assert all(results[axiom].ok for axiom in ("o1", "o2", "o3", "o4"))
+    assert rows and all(isinstance(row, int) for row in rows)
 
 
 def _inverted_at(o, x, y):

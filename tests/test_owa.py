@@ -980,6 +980,36 @@ def test_binary_aggregators_are_symmetric_bit_for_bit():
             assert a.hex() == b.hex() or (name == "max" and a == b == 0.0), (name, a, b)
 
 
+@pytest.mark.parametrize("name", ["max", "geomean"])
+def test_binary_walks_decide_only_their_x1_le_x2_rows(monkeypatch, name):
+    # Binary aggregators are symmetric, so the exhaustive n=2 walk decides the
+    # 2,211 xs rows with x1 <= x2 of the 4,356 on the 0.1 grid, 66 cases
+    # each, and counts the others as the passes they must be.  A memo of its
+    # own, so the walk runs.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    decided, close = [], owa.close_row
+    monkeypatch.setattr(owa, "close_row",
+                        lambda a_lo, *rest: decided.append(len(a_lo)) or close(a_lo, *rest))
+    assert check_distributivity(AGG2[name], PRODUCT) == (True, None, 287_496)
+    assert sum(decided) == 145_926
+
+
+@pytest.mark.parametrize("n, step", [(3, 0.1), (4, 0.25)])
+@pytest.mark.parametrize("name", ["max", "tsum"])
+def test_endwise_maps_are_symmetric_bit_for_bit(name, n, step):
+    # The real distributivity walks of max and tsum take only nondecreasing
+    # index tuples.  Every permutation of a tuple of grid endpoints, a signed
+    # zero among them, gives the same floats, up to the sign of a zero.
+    # geomean is not symmetric at n = 3, and its real walk is not limited so.
+    endwise = builtin_aggregators(n)[name].endwise
+    cols = list(zip(*itertools.product([-0.0, *SampleGrid(step).endpoints()], repeat=n)))
+    want = list(endwise(cols))
+    for order in itertools.permutations(range(n)):
+        got = list(endwise([cols[i] for i in order]))
+        assert all(a.hex() == b.hex() or a == b == 0.0
+                   for a, b in zip(got, want, strict=True)), order
+
+
 # The endpoint-separable overlaps: the catalog's, and transforms of separable
 # bases.  The others keep the interval walks.
 SEPARABLE = {
@@ -1072,8 +1102,9 @@ def test_a_failing_real_walk_stops_at_its_first_failing_case(monkeypatch, name, 
 
 
 def test_separable_validation_makes_no_passing_interval_walk(monkeypatch):
-    # Only tsum's unrestricted saturation walk is an interval walk, and it
-    # fails within its first block of 8 tuples.
+    # One real walk per pair decides it.  Only tsum's unrestricted saturation
+    # walk is an interval walk, and it fails within its first block of 8
+    # tuples.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
     for name, n in [*(("tsum", n) for n in range(3, 11)), ("geomean", 2), ("geomean", 3)]:
         m = builtin_aggregators(n)[name]
@@ -1085,6 +1116,7 @@ def test_separable_validation_makes_no_passing_interval_walk(monkeypatch):
     for (m, o, grid, tol, restrict, budget), res in walks:
         assert (m.name, o, restrict, res.ok) == ("tsum", PRODUCT, False, False)
         assert res.samples <= 8
+    assert len([key for key in sampling._MEMO if key[0] is owa._real_distributes.__wrapped__]) == 10
 
 
 def test_the_rule_has_the_verdicts_and_witnesses_of_the_interval_walk():

@@ -10,19 +10,24 @@ refuse assignment and deletion of their fields.
 
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import ivowa
 from ivowa.checks import CheckReport
 from ivowa.cli import RunConfig
-from ivowa.intervals import DEFAULT_ORDER, ONE, ZERO, AdmissibleOrder, ExponentInterval, Interval, IntervalError
+from ivowa.intervals import (
+    DEFAULT_ORDER, ONE, ZERO, AdmissibleOrder, ExponentInterval, Interval, IntervalError, Slotted,
+)
 from ivowa.iv_overlaps import (
     IVOverlap, Migrative, Opaque, Representable, SemiRepresentable, Transformed, UnaryGenerator,
     interval_product,
 )
 from ivowa.matrix import DecisionMatrix
-from ivowa.overlaps import RealAggregator, RealOverlap
+from ivowa.overlaps import RealAggregator, RealOverlap, builtin_overlaps
 from ivowa.owa import (
     AggregatorKind, GowaOperator, IVAggregator, WeightError, WeightVector, builtin_aggregators, make_gowa,
 )
@@ -140,6 +145,27 @@ def test_a_validated_operator_is_frozen(field):
     assert getattr(op, field) is before
 
 
+def test_no_slotted_class_reopens_assignment():
+    # Every `Slotted` class of the package, listed above or not, inherits the
+    # refusal of assignment and deletion.
+    for info in pkgutil.iter_modules(ivowa.__path__):
+        importlib.import_module(f"ivowa.{info.name}")
+    classes, found = [Slotted], []
+    while classes:
+        cls = classes.pop()
+        classes.extend(cls.__subclasses__())
+        found += [f"{cls.__qualname__}.{name}" for name in ("__setattr__", "__delattr__")
+                  if getattr(cls, name) is not getattr(Slotted, name)]
+    assert not found
+
+
+def test_real_overlaps_are_built_once_and_overlaps_carry_no_claims():
+    # Operators built from the catalog's overlaps share memo entries with the
+    # ids that name them.  What an overlap satisfies is what `verify` reports.
+    assert all(a is b for a, b in zip(builtin_overlaps().values(), builtin_overlaps().values()))
+    assert "claims" not in IVOverlap.__slots__ and "claims" not in RealOverlap.__slots__
+
+
 def test_resolving_a_canonical_overlap_twice_gives_one_object():
     # The memo keys on the exponent interval by value.
     assert resolve_iv_overlap("canonical(K=[1.0,2.0])") is resolve_iv_overlap("canonical(K=[1.0,2.0])")
@@ -172,9 +198,13 @@ def test_validated_values_convert_their_fields():
     (lambda: WeightVector(()), WeightError, "weight vector must not be empty"),
     (lambda: WeightVector([]), WeightError, "weight vector must not be empty"),
     (lambda: WeightVector.of(), WeightError, "weight vector must not be empty"),
+    (lambda: WeightVector.uniform(0), WeightError, "uniform weight vector length must be >= 1, got 0"),
+    (lambda: WeightVector.uniform(-2), WeightError,
+     "uniform weight vector length must be >= 1, got -2"),
 ], ids=["grid-not-reciprocal", "grid-zero", "grid-negative", "grid-overflow", "grid-too-fine",
         "exponent-zero", "exponent-inverted", "exponent-infinite", "exponent-nan",
-        "exponent-not-a-number", "weights-empty-tuple", "weights-empty-list", "weights-of-nothing"])
+        "exponent-not-a-number", "weights-empty-tuple", "weights-empty-list", "weights-of-nothing",
+        "weights-uniform-zero", "weights-uniform-negative"])
 def test_constructor_errors(build, error, message):
     with pytest.raises(error) as caught:
         build()

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ivowa
+from conftest import source_lines
 from ivowa import sampling
 from ivowa.intervals import leq_product, subseteq
 from ivowa.cli import RunConfig, rank_matrix
@@ -211,6 +212,12 @@ MEMOIZED = list(_memoized_functions())
 def test_every_memoized_function_is_found():
     sources = Path(ivowa.__file__).parent.glob("*.py")
     assert len(MEMOIZED) == sum(p.read_text(encoding="utf-8").count("@memoized") for p in sources) == 24
+
+
+def test_every_cache_is_the_memo():
+    # Every cache goes through `memoized`, one memo held to MEMO_SIZE; a
+    # functools cache would hold its entries apart from it.
+    assert not source_lines(r"lru_cache|functools\.cache|from functools import .*\bcache\b")
 
 
 def _inspect_key(raw, args, kwargs):
