@@ -694,9 +694,10 @@ SUITE_ROWS = {"theorems": _THEOREM_CHECKS.keys(), "lattice": _LATTICE_CHECKS.key
 
 # The rows `ivowa verify` runs in a forked worker while its own process runs
 # the rest.  The memoized make_gowa validations, and the distributivity walks
-# behind them, are shared by these rows and by no other; the two closure rows
-# and the lattice suite share only constructors and catalogs with anything,
-# and even out the halves' times.  So the halves share constructors, catalogs
+# behind them, are shared by these rows and by no other;
+# representable-construction and the lattice suite share only constructors
+# and catalogs with anything, and even out the halves' times, as
+# `tools/verify_rows.py` shows.  So the halves share constructors, catalogs
 # and the product's neutral-element check (about 1 ms), and no memoized walk
 # runs in both processes.
 WORKER_ROWS = frozenset({
@@ -706,8 +707,7 @@ WORKER_ROWS = frozenset({
     "gowa-boundary-aggregation",
     "gowa-idempotency",
     "gowa-projection-selection",
-    "real-convex-closure",
-    "real-lattice-closure",
+    "representable-construction",
     "iv-lattice-closure",
     "power-transform-sandwich",
 })

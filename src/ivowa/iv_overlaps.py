@@ -15,7 +15,7 @@ import functools
 import itertools
 from array import array
 from itertools import repeat
-from operator import add, and_, eq, gt, itemgetter, mul, ne, or_, truediv
+from operator import add, and_, eq, gt, itemgetter, le, mul, ne, or_, truediv
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .intervals import (
@@ -47,6 +47,7 @@ from .sampling import (
     ROOT_TOLERANCE,
     SampleGrid,
     SampledResult,
+    all_close,
     close_row,
     first_violation,
     first_violation_in_rows,
@@ -75,6 +76,7 @@ __all__ = [
     "migrative_canonical",
     "power_transform",
     "endpoint_maps",
+    "separable_tables",
     "midpoint_example",
     "midpoint_closed_form",
     "iv_join",
@@ -467,6 +469,32 @@ def _shared(lower, upper, build: Callable) -> tuple:
     return built, built if upper is lower else build(upper)
 
 
+def separable_tables(o: IVOverlap, xs: Sequence[float], ys: Sequence[float]
+                     ) -> tuple[list[list[float]], list[list[float]]] | None:
+    """The value tables of a separable overlap's endpoint maps over two
+    ascending point lists, ``lows[j][i] = g_l(xs[i], ys[j])`` and ``ups``
+    likewise of g_u (one table when one map serves both ends), when every
+    interval an interval walk over these points can build is shown valid;
+    None when `o` is not separable (`endpoint_maps`) or that is not shown.
+
+    Such a walk builds ``[g_l(x, y), g_u(x', y')]`` with x <= x' and y <= y'.
+    The tables show it valid when every lower value lies in [0, 1] and at
+    most the upper value at its own point, and the upper table, at most 1,
+    does not fall along either axis: then g_l(x, y) <= g_u(x, y) <=
+    g_u(x', y').  That is sufficient, not necessary, so an overlap whose
+    upper map falls somewhere on these points keeps the interval walk.
+    Checking each end on its own would miss a lower value above an upper
+    one; a NaN fails."""
+    ends = endpoint_maps(o)
+    if ends is None:
+        return None
+    lows, ups = _shared(*ends, lambda g: [list(g(xs, repeat(y))) for y in ys])
+    if (all(valid_columns(lo, up) and up == sorted(up) for lo, up in zip(lows, ups))
+            and all(all(map(le, up, above)) for up, above in zip(ups, ups[1:]))):
+        return lows, ups
+    return None
+
+
 def midpoint_closed_form(x: Interval, y: Interval) -> Interval:
     """Closed form of the midpoint-contraction overlap: componentwise minima
     of the 3/4-1/4 endpoint blends."""
@@ -602,6 +630,32 @@ def is_inclusion_monotonic(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> Sam
     return first_violation_in_rows(rows())
 
 
+def _real_cases_hold(f: IVOverlap, grid: SampleGrid, tol: float,
+                     cases: Iterable[tuple[tuple, tuple, tuple]]) -> bool:
+    """Whether a separable `f`'s endpoint maps satisfy g(p, q) == c * g(r, s)
+    within `tol` at both ends, g_l with c_l and g_u with c_u, for each case
+    ``((p, q), (r, s), (c_l, c_u))`` of points among the grid's endpoints
+    scaled by each of them.  The values are read from `separable_tables`
+    over those points, every argument the homogeneity and migrativity walks
+    evaluate; False when it shows no valid tables.
+
+    Exact for the interval laws (README, "How verify decides homogeneity
+    and migrativity"): an interval case holds at both endpoints exactly
+    when its lower and its upper real case hold, and every real case is
+    the lower and the upper case of a degenerate grid-interval case."""
+    pts = grid.endpoints()
+    points = sorted({a * x for a in pts for x in pts})
+    tables = separable_tables(f, points, points)
+    if tables is None:
+        return False
+    lows, ups = tables
+    index = {p: i for i, p in enumerate(points)}
+    cells = [((index[q], index[p]), (index[s], index[r]), c) for (p, q), (r, s), c in cases]
+    return all_close([lows[q][p] for (q, p), _, _ in cells], [ups[q][p] for (q, p), _, _ in cells],
+                     [c_l * lows[s][r] for _, (s, r), (c_l, _) in cells],
+                     [c_u * ups[s][r] for _, (s, r), (_, c_u) in cells], tol)
+
+
 @memoized
 def check_migrative(
     f: IVOverlap,
@@ -610,6 +664,24 @@ def check_migrative(
 ) -> SampledResult:
     """Scalar factors migrate between arguments; also checks the equivalent
     product form f(X, Y) == f([1,1], XY).
+
+    Over a separable overlap the real laws g(x, y) == g(1, xy) and
+    g(ax, y) == g(x, ay) of both endpoint maps decide a pass, counted as the
+    interval walk's |grid|^2 + |grid|^3 cases (`_real_cases_hold`).  Any
+    other outcome runs the interval walk, which gives the witness.
+    """
+    pts = grid.endpoints()
+    ones = (1.0, 1.0)
+    if _real_cases_hold(f, grid, tol, itertools.chain(
+            (((x, y), (1.0, x * y), ones) for x in pts for y in pts),
+            (((a * x, y), (x, a * y), ones) for a in pts for x in pts for y in pts))):
+        size = len(grid.intervals())
+        return SampledResult(True, None, size ** 2 + size ** 3)
+    return _interval_migrative(f, grid, tol)
+
+
+def _interval_migrative(f: IVOverlap, grid: SampleGrid, tol: float) -> SampledResult:
+    """`check_migrative`'s interval walk.
 
     The migration reads f with one scaled argument a*x and one grid
     argument, so each side is evaluated once per distinct scaled point p, on
@@ -651,7 +723,24 @@ def check_homogeneous(
     grid: SampleGrid = DEFAULT_GRID,
     tol: float = ROOT_TOLERANCE,
 ) -> SampledResult:
-    """Scaling both arguments scales the value by the exponent power of the factor."""
+    """Scaling both arguments scales the value by the exponent power of the
+    factor: f(aX, aY) == [a_l^k2, a_u^k1] * f(X, Y).
+
+    Over a separable overlap the real laws g_l(ax, ay) == a^k2 g_l(x, y) and
+    g_u(ax, ay) == a^k1 g_u(x, y) decide a pass, counted as the interval
+    walk's |grid|^3 cases (`_real_cases_hold`).  Any other outcome runs the
+    interval walk, which gives the witness.
+    """
+    pts = grid.endpoints()
+    if _real_cases_hold(f, grid, tol, (((a * x, a * y), (x, y), (a**k.k2, a**k.k1))
+                                       for a in pts for x in pts for y in pts)):
+        return SampledResult(True, None, len(grid.intervals()) ** 3)
+    return _interval_homogeneous(f, k, grid, tol)
+
+
+def _interval_homogeneous(f: IVOverlap, k: ExponentInterval, grid: SampleGrid,
+                          tol: float) -> SampledResult:
+    """`check_homogeneous`'s interval walk."""
     sample = grid.intervals()
     pts = _ends_of(sample)
     base_lo, base_up = value_table(f, pts, pts)

@@ -28,7 +28,6 @@ from .intervals import (
     SlottedValue,
     ZERO,
     format_interval,
-    valid_columns,
 )
 from .iv_overlaps import (
     IVOverlap,
@@ -36,6 +35,7 @@ from .iv_overlaps import (
     endpoint_maps,
     interval_product,
     neutral_element_holds,
+    separable_tables,
     value_row,
     value_table,
 )
@@ -46,6 +46,7 @@ from .sampling import (
     ROOT_TOLERANCE,
     SampleGrid,
     SampledResult,
+    all_close,
     close_row,
     first_violation,
     first_violation_in_rows,
@@ -377,15 +378,35 @@ def check_homogeneous_m(
     grid: SampleGrid = DEFAULT_GRID,
     budget: int = 300_000,
 ) -> SampledResult:
-    """First-order homogeneity: scaling every input scales the output.
+    """First-order homogeneity: scaling every input scales the output,
+    M(aX1, ..., aXn) == a M(X1..Xn).
 
-    The full cross product is walked a row at a time: one row per alpha,
+    When the walk is exhaustive and `m` acts on each end on its own
+    (`IVAggregator.endwise`), the real law m(ax1, ..., axn) == a m(x1..xn)
+    over every real grid tuple decides a pass, counted as the interval
+    walk's |grid|^(n+1) cases: an interval case holds at both endpoints
+    exactly when its lower and its upper real case do, and every real case
+    is both of a degenerate one.  Any other outcome runs the interval walk.
+
+    That walks the full cross product a row at a time: one row per alpha,
     with x1..xn running over the grid's cross product, read from the value
     rows by index columns; at n = 2 a row decides only its cases with x1 <=
     x2, as `check_distributivity` does, and a failure is counted by its
     case's rank in product order.  A sample is walked a block at a time
     (`_blocks`).
     """
+    cases = tuple_samples(range(len(grid.intervals())), m.arity + 1, budget)
+    if cases.exhaustive and m.endwise is not None:
+        a_col, *x_cols = zip(*itertools.product(grid.endpoints(), repeat=m.arity + 1))
+        lhs = list(m.endwise([map(mul, a_col, xc) for xc in x_cols]))
+        rhs = list(map(mul, a_col, m.endwise(x_cols)))
+        if all_close(lhs, lhs, rhs, rhs, ROOT_TOLERANCE):
+            return SampledResult(True, None, len(cases))
+    return _interval_homogeneous_m(m, grid, cases)
+
+
+def _interval_homogeneous_m(m: IVAggregator, grid: SampleGrid, cases) -> SampledResult:
+    """`check_homogeneous_m`'s interval walk over the tuples `cases`."""
     items = grid.intervals()
     lows = [x.lower for x in items]
     ups = [x.upper for x in items]
@@ -393,7 +414,6 @@ def check_homogeneous_m(
     # [alpha.lower*x.lower, alpha.upper*x.upper] are the interval product.
     scaled_lo, scaled_up = value_table(interval_product(), list(zip(lows, ups)),
                                        list(zip(lows, ups)))
-    cases = tuple_samples(range(len(items)), m.arity + 1, budget)
     decode = items.__getitem__
     size, n = len(items), m.arity
 
@@ -512,65 +532,69 @@ def _light_multisets(n: int, bound: int, low: int = 0) -> Iterator[tuple[int, ..
 @memoized
 def _real_distributes(
     m: IVAggregator,
-    g: Callable,
+    o: IVOverlap,
     grid: SampleGrid = DEFAULT_GRID,
     tol: float = ROOT_TOLERANCE,
     restrict: bool = False,
 ) -> SampledResult:
-    """The real law m(g(x1, y), ..., g(xn, y)) == g(m(x1..xn), y) within
-    `tol` on the grid's endpoints: `m` acts on one end of an endpoint-wise
-    aggregator (`IVAggregator.endwise`) and `g` is one endpoint map of a
-    separable overlap (`endpoint_maps`).  `restrict` keeps the tuples whose
-    x1..xn are `non_saturating`.  The witness is a real tuple (x1..xn, y).
+    """The real laws m(g(x1, y), ..., g(xn, y)) == g(m(x1..xn), y) within
+    `tol` on the grid's endpoints, for each endpoint map g of the separable
+    overlap `o` (`endpoint_maps`) in turn, one walk when one map serves
+    both ends; `m` acts on one end of an endpoint-wise aggregator
+    (`IVAggregator.endwise`).  `restrict` keeps the tuples whose x1..xn are
+    `non_saturating`.  The witness is the first failing map's real tuple
+    (x1..xn, y).  A pass stands only when every interval the interval walk
+    can build from the points walked is shown valid (`separable_tables`,
+    over the grid and the aggregates m(x1..xn) walked, a sampled walk's
+    own); otherwise the walk fails with no witness, so that the interval
+    walk decides and raises what it raises.
 
-    The values g(x, y) on the grid are one value table, and each of them and
-    each right side must lie in [0, 1], as an interval endpoint must: a value
-    outside, or NaN, fails the walk (with no witness when it is in the
-    table), so that the interval walk decides.  max and tsum are symmetric
-    in binary64, max selecting an input and fsum rounding the exact sum
-    once, so their walk takes x1..xn as nondecreasing index tuples; under
-    the restriction, only those whose numerators sum to at most D, since
-    grid endpoints are exactly k/D and the others sum above 1.  Other
-    aggregators walk every real tuple when they number at most 300,000
-    (n <= 4 on the 0.1 grid), otherwise a sample of 100,000, the interval
-    walk's budget above n = 2 (`tuple_samples`), from the top of the grid
-    down: geomean is 0 wherever an input is, so over an overlap with
-    O(0, y) = 0 the cases with x1 = 0, which lead in ascending order, all
-    hold, and a failure shows sooner among large inputs.  Walked a block at
-    a time (`_blocks`)."""
+    max and tsum are symmetric in binary64, max selecting an input and
+    fsum rounding the exact sum once, so their walk takes x1..xn as
+    nondecreasing index tuples; under the restriction, only those whose
+    numerators sum to at most D, since grid endpoints are exactly k/D and
+    the others sum above 1.  Other aggregators walk every real tuple when
+    they number at most 300,000 (n <= 4 on the 0.1 grid), otherwise a
+    sample of 100,000, the interval walk's budget above n = 2
+    (`tuple_samples`), from the top of the grid down: geomean is 0 wherever
+    an input is, so over an overlap with O(0, y) = 0 the cases with x1 = 0,
+    which lead in ascending order, all hold, and a failure shows sooner
+    among large inputs.  Walked a block at a time (`_blocks`)."""
     pts = grid.endpoints()
     size, n, each = len(pts), m.arity, m.endwise
-    table = [list(g(itertools.repeat(x), pts)) for x in pts]
-    if not all(valid_columns(row, row) for row in table):
-        return SampledResult(False, None, 0)
+    firsts = set(pts)
 
     def kept(t: tuple) -> bool:
         return non_saturating(map(pts.__getitem__, t[:n]))
 
-    if m.kind in (AggregatorKind.MAX, AggregatorKind.TRUNCATED_SUM):
-        xss = (filter(kept, _light_multisets(n, grid.divisions)) if restrict
-               else itertools.combinations_with_replacement(range(size), n))
-        cases = (xs + (y,) for xs in xss for y in range(size))
-    else:
+    def cases() -> Iterable[tuple]:
+        if m.kind in (AggregatorKind.MAX, AggregatorKind.TRUNCATED_SUM):
+            xss = (filter(kept, _light_multisets(n, grid.divisions)) if restrict
+                   else itertools.combinations_with_replacement(range(size), n))
+            return (xs + (y,) for xs in xss for y in range(size))
         total = size ** (n + 1)
-        cases = tuple_samples(range(size - 1, -1, -1), n + 1,
+        drawn = tuple_samples(range(size - 1, -1, -1), n + 1,
                               total if total <= 300_000 else 100_000)
-        cases = filter(kept, cases) if restrict else cases
+        return filter(kept, drawn) if restrict else drawn
 
-    def rows():
-        for block in _blocks(cases):
+    def rows(g: Callable) -> Iterator:
+        table = [list(g(itertools.repeat(x), pts)) for x in pts]
+        for block in _blocks(cases()):
             *x_cols, y_col = zip(*block)
             lhs = list(each([_read(table, xc, y_col) for xc in x_cols]))
-            rhs = list(g(each([map(pts.__getitem__, xc) for xc in x_cols]),
-                         map(pts.__getitem__, y_col)))
-            if valid_columns(rhs, rhs) and math.dist(lhs, rhs) <= tol / 2:
-                yield len(block)
-                continue
-            fails = (not 0.0 <= b <= 1.0 or abs(a - b) > tol for a, b in zip(lhs, rhs))
-            yield from row_items(fails, len(block),
+            aggs = list(each([map(pts.__getitem__, xc) for xc in x_cols]))
+            firsts.update(aggs)
+            rhs = list(g(aggs, map(pts.__getitem__, y_col)))
+            yield from close_row(lhs, lhs, rhs, rhs, tol,
                                  lambda k: tuple(map(pts.__getitem__, block[k])))
 
-    return first_violation_in_rows(rows())
+    samples = 0
+    for g in dict.fromkeys(endpoint_maps(o)):
+        real = first_violation_in_rows(rows(g))
+        samples += real.samples
+        if not real.ok:
+            return real._replace(samples=samples)
+    return SampledResult(separable_tables(o, sorted(firsts), pts) is not None, None, samples)
 
 
 @memoized
@@ -602,16 +626,9 @@ def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResu
         return check_distributivity(agg, o, tol=at, restrict=kept,
                                     budget=300_000 if agg.arity <= 2 else 100_000)
 
-    ends = endpoint_maps(o) if m.endwise is not None else None
-    if ends is None:
-        reduced = interval(walk, walk_tol)
-    else:
-        reduced = SampledResult(True, None, 0)
-        for g in dict.fromkeys(ends):
-            real = _real_distributes(walk, g, tol=walk_tol, restrict=restrict)
-            reduced = SampledResult(real.ok, None, reduced.samples + real.samples)
-            if not real.ok:
-                break
+    reduced = (_real_distributes(walk, o, tol=walk_tol, restrict=restrict)
+               if m.endwise is not None and endpoint_maps(o) is not None
+               else interval(walk, walk_tol))
     dist = reduced if reduced.ok else interval(m, tol)
     return dist, interval(m, tol, False).witness if restrict and dist.ok else None
 

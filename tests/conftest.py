@@ -49,6 +49,12 @@ def nested_transform(head: str, depth: int) -> str:
     return token
 
 
+def opaque(o: IVOverlap) -> IVOverlap:
+    """`o`'s columns under an `Opaque` provenance: not separable by
+    construction, so the law checks take their interval walks."""
+    return IVOverlap(o.columns, o.name, Opaque(o.name))
+
+
 def nudged_at(o, x, y, end, delta):
     """`o` with one endpoint (0 lower, 1 upper) moved by `delta` at the one
     argument pair (x, y).  `o` evaluates the whole columns, cut to one length

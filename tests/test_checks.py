@@ -15,9 +15,15 @@ from ivowa.checks import (
     run_theorem_suite,
 )
 from conftest import source_lines
-from ivowa import checks, sampling
+from ivowa import checks, iv_overlaps, owa, sampling
 from ivowa.intervals import Interval
-from ivowa.iv_overlaps import IVOverlap, check_associative, midpoint_example, representable
+from ivowa.iv_overlaps import (
+    IVOverlap,
+    check_associative,
+    endpoint_maps,
+    midpoint_example,
+    representable,
+)
 from ivowa.overlaps import builtin_overlaps, projection_aggregator
 from ivowa.owa import builtin_aggregators
 from ivowa.registry import standard_overlaps
@@ -32,20 +38,32 @@ VERIFY_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "veri
 @pytest.fixture(scope="module")
 def law_suite():
     """`verify theorems lattice` in this process, from an empty memo as in a
-    fresh one: the theorem reports, the lattice reports and the number of
-    overlap calls the run made on lone pairs.  The run's memo entries then
-    join the memo the other tests share."""
-    held, calls, call = sampling._MEMO, [], IVOverlap.__call__
+    fresh one: the theorem reports, the lattice reports, the number of
+    overlap calls the run made on lone pairs, and the homogeneity and
+    migrativity interval walks it made, as (walk, target, result).  The
+    run's memo entries then join the memo the other tests share."""
+    held, calls, call, walks = sampling._MEMO, [], IVOverlap.__call__, []
+
+    def recorded(walk):
+        def run(target, *args):
+            result = walk(target, *args)
+            walks.append((walk.__name__, target, result))
+            return result
+        return run
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampling, "_MEMO", OrderedDict())
         patch.setattr(IVOverlap, "__call__", lambda self, x, y: calls.append(1) or call(self, x, y))
+        for module, name in ((iv_overlaps, "_interval_homogeneous"),
+                             (iv_overlaps, "_interval_migrative"), (owa, "_interval_homogeneous_m")):
+            patch.setattr(module, name, recorded(getattr(module, name)))
         theorems, lattice = run_theorem_suite(), lattice_order_checks()
         run = sampling._MEMO
     for key, value in run.items():
         held.setdefault(key, value)
     while len(held) > sampling.MEMO_SIZE:
         held.popitem(last=False)
-    return theorems, lattice, len(calls)
+    return theorems, lattice, len(calls), walks
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +181,20 @@ class TestTheoremSuite:
         ]:
             assert not source_lines(pattern, *modules)
         assert law_suite[2] <= 68
+
+    def test_separable_laws_make_no_passing_interval_walk(self, law_suite):
+        # Homogeneity and migrativity over a separable overlap, and the
+        # exhaustive homogeneity of an endpoint-wise aggregator, pass by
+        # their real walks: an interval walk runs only to fail, or over a
+        # target that is neither.  In this suite only the two failing binary
+        # aggregators make one: tsum saturates and dirac is not endpoint-wise.
+        walks = law_suite[3]
+        for walk, target, result in walks:
+            separable = (target.endwise is not None if isinstance(target, owa.IVAggregator)
+                         else endpoint_maps(target) is not None)
+            assert not (separable and result.ok), (walk, target.name)
+        assert sorted((walk, target.name, result.ok) for walk, target, result in walks) == [
+            ("_interval_homogeneous_m", "dirac", False), ("_interval_homogeneous_m", "tsum", False)]
 
 
 def _row_report(parts, tol=POLY_TOLERANCE):

@@ -56,7 +56,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import nudged_at
+from conftest import nudged_at, opaque
 from ivowa import checks, sampling
 from ivowa.intervals import ExponentInterval, Interval, format_interval
 from ivowa.iv_overlaps import (
@@ -495,9 +495,10 @@ def test_law_walks_keep_their_rows_as_arrays(monkeypatch):
     # The rows a walk keeps (one row and one column of values per distinct
     # scaled point, the hulls of each grid row) are arrays of doubles: the
     # migration peaks near 1.7 MB, and about 5.5 MB with lists of floats.
-    # A memo of its own, so the walks run.
+    # A memo of its own, so the walks run, and the product's columns under
+    # an `Opaque` provenance, so the migration is the interval walk.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
-    o = interval_product()
+    o = opaque(interval_product())
     for check, want in ((check_migrative, 291_852), (is_inclusion_monotonic, 1_002_001)):
         tracemalloc.start()
         try:

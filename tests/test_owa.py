@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_interval_close, nudged_at, random_interval
+from conftest import assert_interval_close, nudged_at, opaque, random_interval
 from ivowa.intervals import (
     AdmissibleOrder,
     ExponentInterval,
     Interval,
+    IntervalError,
     ONE,
     ZERO,
     format_interval,
@@ -32,8 +33,9 @@ from ivowa.cli import RunConfig, rank_matrix
 from ivowa.matrix import parse_matrix_text
 from ivowa.iv_overlaps import (
     IVOverlap,
-    Opaque,
     UnaryGenerator,
+    check_homogeneous,
+    check_migrative,
     endpoint_maps,
     interval_product,
     iv_join,
@@ -43,7 +45,7 @@ from ivowa.iv_overlaps import (
     migrative_from_generator,
     representable,
 )
-from ivowa.overlaps import builtin_overlaps
+from ivowa.overlaps import RealOverlap, builtin_overlaps
 from ivowa.owa import (
     GowaError,
     WeightError,
@@ -298,12 +300,6 @@ class TestValidationMemo:
         assert xu.saturation_witness == lex.saturation_witness
 
 
-def _opaque_product() -> IVOverlap:
-    """The interval product's columns under an `Opaque` provenance: not
-    separable by construction, so validated by the interval walks."""
-    return IVOverlap(PRODUCT.columns, PRODUCT.name, Opaque("product"))
-
-
 def test_max_is_decided_by_one_binary_walk(monkeypatch):
     # `max` passes the binary walk at tolerance 0 over the product, which
     # decides it at every arity above 2: one walk, shared by n = 3..10.  Over
@@ -312,22 +308,22 @@ def test_max_is_decided_by_one_binary_walk(monkeypatch):
     # caller's tolerance: one more walk over each.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
     drawn = _count_tuple_samples(monkeypatch)
-    opaque, m2, g = _opaque_product(), builtin_aggregators(2)["max"], endpoint_maps(PRODUCT)[0]
+    hidden, m2 = opaque(PRODUCT), builtin_aggregators(2)["max"]
 
     def walks():
         return tuple([key[1:] for key in sampling._MEMO if key[0] is fn.__wrapped__]
                      for fn in (check_distributivity, owa._real_distributes))
 
     for n in (*range(3, 11), 2):
-        for o in (PRODUCT, opaque):
+        for o in (PRODUCT, hidden):
             make_gowa(builtin_aggregators(n)["max"], o, WeightVector.selector(n, 1))
         if n == 10:
-            assert walks() == ([(m2, opaque, DEFAULT_GRID, 0.0, False, 300_000)],
-                               [(m2, g, DEFAULT_GRID, 0.0, False)])
+            assert walks() == ([(m2, hidden, DEFAULT_GRID, 0.0, False, 300_000)],
+                               [(m2, PRODUCT, DEFAULT_GRID, 0.0, False)])
             assert drawn[0] == 1
-    assert walks() == ([(m2, opaque, DEFAULT_GRID, tol, False, 300_000)
+    assert walks() == ([(m2, hidden, DEFAULT_GRID, tol, False, 300_000)
                         for tol in (0.0, ROOT_TOLERANCE)],
-                       [(m2, g, DEFAULT_GRID, tol, False) for tol in (0.0, ROOT_TOLERANCE)])
+                       [(m2, PRODUCT, DEFAULT_GRID, tol, False) for tol in (0.0, ROOT_TOLERANCE)])
     assert drawn[0] == 2
 
 
@@ -1025,7 +1021,7 @@ ONE_MAP = {"product", "rep(product,product)", "rep(min,min)", "mig(sqrt)", "mig(
 def _not_separable():
     lifted_identity = UnaryGenerator(lifted(lambda lo, up: (lo, up)), "lifted-identity")
     return [midpoint_example(), resolve_iv_overlap("pow(midpoint,n=2)"),
-            iv_join(PRODUCT, PRODUCT), _opaque_product(), nudged_at(PRODUCT, *MAX_NUDGE, 1e-6),
+            iv_join(PRODUCT, PRODUCT), opaque(PRODUCT), nudged_at(PRODUCT, *MAX_NUDGE, 1e-6),
             migrative_from_generator(lifted_identity), checks._semi_configs()[0]]
 
 
@@ -1058,9 +1054,7 @@ def test_real_walks_agree_with_the_exhaustive_interval_walk(overlap, name, tol, 
     m, o = builtin_aggregators(n)[name], SEPARABLE[overlap]
     assert len(grid.intervals()) ** (n + 1) <= 300_000
     interval = check_distributivity(m, o, grid, tol, restrict)
-    real = [owa._real_distributes(m, g, grid, tol, restrict)
-            for g in dict.fromkeys(endpoint_maps(o))]
-    assert all(r.ok for r in real) == interval.ok
+    assert owa._real_distributes(m, o, grid, tol, restrict).ok == interval.ok
 
 
 def test_a_nudged_product_keeps_the_interval_walk_and_its_witness(monkeypatch):
@@ -1094,7 +1088,7 @@ def test_a_failing_real_walk_stops_at_its_first_failing_case(monkeypatch, name, 
         return outside(m([o(x, y) for x in xs]), o(m(xs), y))
 
     want = first_failure_by_case(cases, fails)
-    real = owa._real_distributes(m, endpoint_maps(o)[0], restrict=restrict)
+    real = owa._real_distributes(m, o, restrict=restrict)
     assert not want.ok and real == want
     assert sum(sizes[:-1]) < real.samples <= sum(sizes)
     dist, _ = owa._distributes(m, o, ROOT_TOLERANCE)
@@ -1129,7 +1123,7 @@ def test_the_rule_has_the_verdicts_and_witnesses_of_the_interval_walk():
     nudged = [nudged_at(PRODUCT, *MAX_NUDGE, delta) for delta in (1e-6, 1e-12)]
     overlaps = [*map(resolve_iv_overlap, ("product", "rep(product,product)", "rep(product,min)",
                                           "rep(min,min)", "canonical(K=[2,2])")),
-                _opaque_product(), *nudged, iv_join(*nudged)]
+                opaque(PRODUCT), *nudged, iv_join(*nudged)]
     verdicts = set()
     for o, name, n in itertools.product(overlaps, ("max", "tsum", "geomean", "dirac"), (2, 3)):
         m, restrict = builtin_aggregators(n)[name], name == "tsum"
@@ -1144,3 +1138,57 @@ def test_the_rule_has_the_verdicts_and_witnesses_of_the_interval_walk():
             verdicts.add((endpoint_maps(o) is not None, dist.ok, saturation is not None))
     assert verdicts == {(True, True, True), (True, True, False), (True, False, False),
                         (False, True, True), (False, True, False), (False, False, False)}
+
+
+# The homogeneity and migrativity laws: over a separable overlap a pass of
+# the real walks stands for the interval walk's pass, with its count, and
+# any other outcome is the interval walk's own.  The interval side is the
+# same columns under an `Opaque` provenance.
+OVERLAP_LAWS = {
+    **{f"homogeneous-[{k1},{k2}]": lambda o, grid, k=ExponentInterval(k1, k2):
+       check_homogeneous(o, k, grid) for k1, k2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0))},
+    "migrative": check_migrative,
+}
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, GRID_25], ids=["0.1", "0.25"])
+@pytest.mark.parametrize("law", OVERLAP_LAWS)
+@pytest.mark.parametrize("overlap", SEPARABLE)
+def test_real_law_walks_have_the_interval_walks_results(overlap, law, grid):
+    o = SEPARABLE[overlap]
+    assert OVERLAP_LAWS[law](o, grid) == OVERLAP_LAWS[law](opaque(o), grid)
+
+
+@pytest.mark.parametrize("grid,n", [(DEFAULT_GRID, 2), (GRID_25, 3)], ids=["n2-0.1", "n3-0.25"])
+@pytest.mark.parametrize("name", ["max", "tsum", "geomean"])
+def test_real_aggregator_homogeneity_has_the_interval_walks_result(name, grid, n):
+    # The interval side is a copy of the aggregator with no `endwise` map.
+    m = builtin_aggregators(n)[name]
+    columns_only = owa.IVAggregator(m.columns, m.arity, m.kind, m.name)
+    assert m.endwise is not None and columns_only.endwise is None
+    assert tuple_samples(grid.intervals(), n + 1).exhaustive
+    assert check_homogeneous_m(m, grid) == check_homogeneous_m(columns_only, grid)
+
+
+# The product's lower map, and an upper map that is the product on the 1/20
+# grid and 1e-12 below it off the grid: each end's real law holds within
+# 1e-9, but off the grid an upper value falls below its lower one, so the
+# interval walks build an invalid interval.
+ON_GRID = frozenset(REAL_GRID.endpoints())
+SHADED = representable(builtin_overlaps()["product"], RealOverlap(
+    lambda x, y: x * y if x in ON_GRID and y in ON_GRID else x * y * (1 - 1e-12), "shaded"))
+
+
+@pytest.mark.parametrize("law", [
+    lambda o: check_homogeneous(o, ExponentInterval(2.0, 2.0)),
+    check_migrative,
+    lambda o: make_gowa(AGG2["tsum"], o, WeightVector.uniform(2)),
+], ids=["homogeneous-[2,2]", "migrative", "make_gowa-tsum"])
+def test_ends_that_cross_off_the_grid_raise_on_both_paths(law):
+    errors = []
+    for o in (SHADED, opaque(SHADED)):
+        with pytest.raises(IntervalError) as raised:
+            law(o)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("invalid interval endpoints [")
