@@ -51,7 +51,6 @@ from .sampling import (
     first_violation,
     first_violation_in_rows,
     memoized,
-    row_items,
     tuple_samples,
 )
 
