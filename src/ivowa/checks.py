@@ -47,6 +47,7 @@ from .iv_overlaps import (
     migrative_canonical,
     neutral_element_holds,
     power_transform,
+    projection_rows,
     projections,
     reconstructs_from_projections,
     representable,
@@ -507,18 +508,19 @@ def _strongly_positive_projections(grid):
     docked = weak(Interval(0.4, 0.6), Interval(0.4, 0.6))
     yield f"{weak.name}:documented-witness", _expect(docked.lower == 0.0 and docked.upper > 0.0,
                                                      (docked,), 1)
-    go2 = go_axioms(lambda pts: projections(weak, pts)[0], axioms=("go2",))["go2"]
+    go2 = go_axioms(lambda pts: (lo for lo, _ in projection_rows(weak, pts)),
+                    axioms=("go2",))["go2"]
     yield f"{weak.name}:lower:expected-go2-failure", _expect(not go2.ok, ("no violation",),
                                                              go2.samples)
 
 
 def _projection_axioms(o: IVOverlap, stages=CONTINUITY_STAGES) -> Iterator[Part]:
     """GO1-GO5 of the lower and of the upper projection of `o`, read from its
-    projection tables, labelled `name:lower:axiom` and `name:upper:axiom`.
-    Each point list's two tables are built once, for both ends."""
-    tables = LazyRows(lambda pts: projections(o, pts))
+    projection rows (`projection_rows`), labelled `name:lower:axiom` and
+    `name:upper:axiom`; GO5 streams each end's rows."""
     for end, tag in enumerate(("lower", "upper")):
-        results = go_axioms(lambda pts: tables[tuple(pts)][end], stages=stages)
+        results = go_axioms(lambda pts: (row[end] for row in projection_rows(o, pts)),
+                            stages=stages)
         for axiom, res in results.items():
             yield f"{o.name}:{tag}:{axiom}", res
 

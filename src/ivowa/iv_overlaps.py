@@ -31,6 +31,7 @@ from .intervals import (
 from .overlaps import (
     RealAggregator,
     RealOverlap,
+    _cut,
     check_commutative_first_two,
     check_m3_component,
     check_m4_component,
@@ -82,6 +83,7 @@ __all__ = [
     "iv_join",
     "iv_meet",
     "projections",
+    "projection_rows",
     "reconstructs_from_projections",
     "is_strongly_positive",
     "is_inclusion_monotonic",
@@ -251,20 +253,14 @@ def value_table(
     ys: Sequence[tuple[float, float]],
 ) -> tuple[list[array], list[array]]:
     """The checked endpoints of `o` at each (xs[i], ys[j]), as ``lows[i][j]``
-    and ``ups[i][j]``, a value row per x: the finest continuity stage holds
-    two 201 x 201 tables, which as lists of floats would raise peak memory."""
+    and ``ups[i][j]``, a value row per x, as arrays of doubles: lists of
+    floats would about triple a law walk's peak memory."""
     rows = [value_row(o, x, ys) for x in xs]
     return [lo for lo, _ in rows], [up for _, up in rows]
 
 
 def _ends_of(intervals: Sequence[Interval]) -> list[tuple[float, float]]:
     return [(x.lower, x.upper) for x in intervals]
-
-
-def _cut(cols: Sequence[Iterable[float]]) -> list[tuple[float, ...]]:
-    """Argument columns as tuples of one length, for a column map that reads
-    an argument column more than once: a `repeat` is cut to the others."""
-    return list(zip(*zip(*cols))) or [()] * len(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,7 @@ def representable(g_lower: RealOverlap, g_upper: RealOverlap) -> IVOverlap:
         raise ConstructionError(
             f"lower component exceeds upper component at ({x!r}, {y!r}): {lo!r} > {up!r}"
         )
-    return IVOverlap(lambda xl, xu, yl, yu: (map(g_lower.fn, xl, yl), map(g_upper.fn, xu, yu)),
+    return IVOverlap(lambda xl, xu, yl, yu: (g_lower.columns(xl, yl), g_upper.columns(xu, yu)),
                      f"rep({g_lower.name},{g_upper.name})", Representable(g_lower, g_upper))
 
 
@@ -348,10 +344,10 @@ def _semi_representable(
 
     def columns(*cols):
         xl, xu, yl, yu = _cut(cols)
-        return (map(m_lower.fn, map(g1.fn, xl, yu), map(g2.fn, xu, yl), map(g3.fn, xl, yl),
-                    map(g4.fn, xu, yu)),
-                map(m_upper.fn, map(g5.fn, xl, yu), map(g6.fn, xu, yl), map(g7.fn, xl, yl),
-                    map(g8.fn, xu, yu)))
+        return (map(m_lower.fn, g1.columns(xl, yu), g2.columns(xu, yl), g3.columns(xl, yl),
+                    g4.columns(xu, yu)),
+                map(m_upper.fn, g5.columns(xl, yu), g6.columns(xu, yl), g7.columns(xl, yl),
+                    g8.columns(xu, yu)))
 
     op = IVOverlap(columns, name or f"semi({m_lower.name},{m_upper.name})",
                    SemiRepresentable(m_lower, m_upper, parts))
@@ -454,7 +450,7 @@ def endpoint_maps(o: IVOverlap) -> tuple[Callable, Callable] | None:
     are not."""
     p = o.provenance
     if isinstance(p, Representable):
-        return _shared(p.lower, p.upper, lambda g: functools.partial(map, g.fn))
+        return p.lower.columns, p.upper.columns
     if isinstance(p, Migrative) and p.generator.endwise is not None:
         return _shared(*p.generator.endwise, lambda f: lambda xs, ys: f(map(mul, xs, ys)))
     if isinstance(p, Transformed) and (base := endpoint_maps(p.base)) is not None:
@@ -560,6 +556,12 @@ def projections(o: IVOverlap, pts: Sequence[float]) -> tuple[list[array], list[a
     return value_table(o, points, points)
 
 
+def projection_rows(o: IVOverlap, pts: Sequence[float]) -> Iterator[tuple[list, list]]:
+    """The rows of `projections`, built on demand as two checked lists,
+    ``(lows[i], ups[i])`` for each point p_i, from one column call."""
+    return (_checked(*o.columns(repeat(p), repeat(p), pts, pts)) for p in pts)
+
+
 @memoized
 def reconstructs_from_projections(
     o: IVOverlap,
@@ -631,13 +633,15 @@ def is_inclusion_monotonic(o: IVOverlap, grid: SampleGrid = DEFAULT_GRID) -> Sam
 
 
 def _real_cases_hold(f: IVOverlap, grid: SampleGrid, tol: float,
-                     cases: Iterable[tuple[tuple, tuple, tuple]]) -> bool:
+                     blocks: Iterable[Iterable[tuple[tuple, tuple, tuple]]]) -> bool:
     """Whether a separable `f`'s endpoint maps satisfy g(p, q) == c * g(r, s)
     within `tol` at both ends, g_l with c_l and g_u with c_u, for each case
     ``((p, q), (r, s), (c_l, c_u))`` of points among the grid's endpoints
     scaled by each of them.  The values are read from `separable_tables`
     over those points, every argument the homogeneity and migrativity walks
-    evaluate; False when it shows no valid tables.
+    evaluate; False when it shows no valid tables.  The cases come in
+    blocks, each decided by C-level passes, and the first failing block
+    decides: a pass needs every case.
 
     Exact for the interval laws (README, "How verify decides homogeneity
     and migrativity"): an interval case holds at both endpoints exactly
@@ -650,10 +654,15 @@ def _real_cases_hold(f: IVOverlap, grid: SampleGrid, tol: float,
         return False
     lows, ups = tables
     index = {p: i for i, p in enumerate(points)}
-    cells = [((index[q], index[p]), (index[s], index[r]), c) for (p, q), (r, s), c in cases]
-    return all_close([lows[q][p] for (q, p), _, _ in cells], [ups[q][p] for (q, p), _, _ in cells],
-                     [c_l * lows[s][r] for _, (s, r), (c_l, _) in cells],
-                     [c_u * ups[s][r] for _, (s, r), (_, c_u) in cells], tol)
+
+    def holds(block: Iterable[tuple[tuple, tuple, tuple]]) -> bool:
+        cells = [((index[q], index[p]), (index[s], index[r]), c) for (p, q), (r, s), c in block]
+        return all_close([lows[q][p] for (q, p), _, _ in cells],
+                         [ups[q][p] for (q, p), _, _ in cells],
+                         [c_l * lows[s][r] for _, (s, r), (c_l, _) in cells],
+                         [c_u * ups[s][r] for _, (s, r), (_, c_u) in cells], tol)
+
+    return all(map(holds, blocks))
 
 
 @memoized
@@ -673,8 +682,8 @@ def check_migrative(
     pts = grid.endpoints()
     ones = (1.0, 1.0)
     if _real_cases_hold(f, grid, tol, itertools.chain(
-            (((x, y), (1.0, x * y), ones) for x in pts for y in pts),
-            (((a * x, y), (x, a * y), ones) for a in pts for x in pts for y in pts))):
+            [[((x, y), (1.0, x * y), ones) for x in pts for y in pts]],
+            ([((a * x, y), (x, a * y), ones) for x in pts for y in pts] for a in pts))):
         size = len(grid.intervals())
         return SampledResult(True, None, size ** 2 + size ** 3)
     return _interval_migrative(f, grid, tol)
@@ -732,8 +741,8 @@ def check_homogeneous(
     interval walk, which gives the witness.
     """
     pts = grid.endpoints()
-    if _real_cases_hold(f, grid, tol, (((a * x, a * y), (x, y), (a**k.k2, a**k.k1))
-                                       for a in pts for x in pts for y in pts)):
+    if _real_cases_hold(f, grid, tol, ([((a * x, a * y), (x, y), (a**k.k2, a**k.k1))
+                                        for x in pts for y in pts] for a in pts)):
         return SampledResult(True, None, len(grid.intervals()) ** 3)
     return _interval_homogeneous(f, k, grid, tol)
 
@@ -815,11 +824,13 @@ def check_associative(f: IVOverlap) -> SampledResult:
 
 def _check_o5(o: IVOverlap, stages: tuple[tuple[float, float], ...]) -> SampledResult:
     """The continuity probe of the lower projection, then of the upper one:
-    one probe over the lower tables of the stages, then the upper ones, with
-    each stage's two projection tables built once."""
-    tables = LazyRows(lambda step: projections(o, SampleGrid(step).endpoints()))
-    return jump_probe((bound, SampleGrid(step).endpoints(), tables[step][end])
-                      for end in (0, 1) for step, bound in stages)
+    one `jump_probe` over the stages' projection rows, both ends of a row
+    from one checked column call (`projection_rows`), two rows held at a
+    time.  A value that is not an interval raises the `IntervalError` that
+    building its stage's table whole would, whether or not the probe stops
+    early: a failing stage is read whole again for its witness."""
+    return jump_probe([(bound, pts, lambda pts=pts: projection_rows(o, pts))
+                       for step, bound in stages for pts in [SampleGrid(step).endpoints()]])
 
 
 @memoized

@@ -12,11 +12,13 @@ never implies it passes anything.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
-from operator import ge, lt, mul, sub
-from typing import Callable, Iterator, Sequence
+from itertools import repeat
+from operator import add, ge, lt, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import Slotted
 from .sampling import (
@@ -52,16 +54,22 @@ class OverlapError(ValueError):
 
 
 class RealOverlap(Slotted):
-    """A named binary function on [0,1].  It carries no claims: which
-    axioms it satisfies is what `verify_overlap_axioms` reports."""
+    """A named binary function on [0,1], stored as its map over argument
+    columns, ``columns(xs, ys) -> values``, as interval overlaps and
+    generators are.  One argument's column may be a `repeat`; a map that
+    reads a column twice cuts it to the other's length (`_cut`).  A call is
+    the one-pair case.  It carries no claims: which axioms it satisfies is
+    what `verify_overlap_axioms` reports."""
 
-    __slots__ = ("fn", "name")
+    __slots__ = ("columns", "name")
 
-    def __init__(self, fn: Callable[[float, float], float], name: str) -> None:
-        self._init(fn, name)
+    def __init__(self, columns: Callable[[Iterable[float], Iterable[float]], Iterable[float]],
+                 name: str) -> None:
+        self._init(columns, name)
 
     def __call__(self, x: float, y: float) -> float:
-        return self.fn(x, y)
+        (value,) = self.columns((x,), (y,))
+        return value
 
 
 class RealAggregator(Slotted):
@@ -81,49 +89,59 @@ class RealAggregator(Slotted):
         return self.fn(*xs)
 
 
-def _int_power(t: float, p: int) -> float:
-    # Repeated multiplication keeps the rounding monotone and the grid
-    # comparisons in GO4 exact.
-    r = t
+def _cut(cols: Sequence[Iterable[float]]) -> list[tuple[float, ...]]:
+    """Argument columns as tuples of one length, for a column map that reads
+    an argument column more than once: a `repeat` is cut to the others."""
+    return list(zip(*zip(*cols))) or [()] * len(cols)
+
+
+def _int_power(col: Sequence[float], p: int) -> Iterator[float]:
+    # Repeated multiplication, t*t*...*t from the left, keeps the rounding
+    # monotone and the grid comparisons in GO4 exact.
+    powers = iter(col)
     for _ in range(p - 1):
-        r *= t
-    return r
+        powers = map(mul, powers, col)
+    return powers
 
 
-def _minmax(p: int) -> Callable[[float, float], float]:
-    def fn(x: float, y: float) -> float:
-        return min(x, y) * max(_int_power(x, p), _int_power(y, p))
+def _minmax(p: int) -> Callable[[Iterable[float], Iterable[float]], Iterator[float]]:
+    def columns(xs: Iterable[float], ys: Iterable[float]) -> Iterator[float]:
+        xs, ys = _cut((xs, ys))
+        return map(mul, map(min, xs, ys), map(max, _int_power(xs, p), _int_power(ys, p)))
 
-    return fn
-
-
-def _product_power(p: int) -> Callable[[float, float], float]:
-    def fn(x: float, y: float) -> float:
-        return _int_power(x * y, p)
-
-    return fn
+    return columns
 
 
-def _half_sum_poly(x: float, y: float) -> float:
-    t = x * y
-    return 0.5 * (t + t * t)
+def _product_power(p: int) -> Callable[[Iterable[float], Iterable[float]], Iterator[float]]:
+    def columns(xs: Iterable[float], ys: Iterable[float]) -> Iterator[float]:
+        return _int_power(list(map(mul, xs, ys)), p)
+
+    return columns
 
 
-def _lukasiewicz(x: float, y: float) -> float:
+def _half_sum_poly(xs: Iterable[float], ys: Iterable[float]) -> Iterator[float]:
+    t = list(map(mul, xs, ys))
+    return map(mul, repeat(0.5), map(add, t, map(mul, t, t)))
+
+
+def _lukasiewicz(xs: Iterable[float], ys: Iterable[float]) -> Iterator[float]:
     # Evaluated as max(0, min(x-(1-y), y-(1-x))) rather than max(0, x+y-1):
     # the symmetrized form stays exactly commutative and exactly below
     # min(x, y) in binary64, which the naive sum does not.
-    return max(0.0, min(x - (1.0 - y), y - (1.0 - x)))
+    xs, ys = _cut((xs, ys))
+    ones = repeat(1.0)
+    return map(max, repeat(0.0), map(min, map(sub, xs, map(sub, ones, ys)),
+                                     map(sub, ys, map(sub, ones, xs))))
 
 
 @memoized
 def builtin_overlaps() -> dict[str, RealOverlap]:
     """The catalog of real binary functions, addressable by string id; built once."""
     entries = [
-        # Builtins where one will do: a representable overlap maps its
-        # components over endpoint columns, and a builtin is mapped in C.
-        RealOverlap(mul, "product"),
-        RealOverlap(min, "min"),
+        # Builtins mapped in C where one will do: a representable overlap
+        # maps its components over endpoint columns.
+        RealOverlap(functools.partial(map, mul), "product"),
+        RealOverlap(functools.partial(map, min), "min"),
         RealOverlap(_minmax(1), "minmax:p=1"),
         RealOverlap(_minmax(2), "minmax:p=2"),
         RealOverlap(_minmax(3), "minmax:p=3"),
@@ -136,16 +154,26 @@ def builtin_overlaps() -> dict[str, RealOverlap]:
     return {g.name: g for g in entries}
 
 
+def _pointwise(pick: Callable[[float, float], float], g1: RealOverlap, g2: RealOverlap,
+               name: str) -> RealOverlap:
+    """`pick` of the two functions' values.  Both read the argument columns,
+    as tuples of one length: a `repeat` is cut."""
+
+    def columns(xs: Iterable[float], ys: Iterable[float]) -> Iterator[float]:
+        xs, ys = _cut((xs, ys))
+        return map(pick, g1.columns(xs, ys), g2.columns(xs, ys))
+
+    return RealOverlap(columns, name)
+
+
 def lattice_join(g1: RealOverlap, g2: RealOverlap) -> RealOverlap:
     """Pointwise maximum; overlaps are closed under it."""
-    return RealOverlap(lambda x, y: max(g1.fn(x, y), g2.fn(x, y)),
-                       f"join({g1.name},{g2.name})")
+    return _pointwise(max, g1, g2, f"join({g1.name},{g2.name})")
 
 
 def lattice_meet(g1: RealOverlap, g2: RealOverlap) -> RealOverlap:
     """Pointwise minimum; overlaps are closed under it."""
-    return RealOverlap(lambda x, y: min(g1.fn(x, y), g2.fn(x, y)),
-                       f"meet({g1.name},{g2.name})")
+    return _pointwise(min, g1, g2, f"meet({g1.name},{g2.name})")
 
 
 def convex_sum(w1: float, w2: float, g1: RealOverlap, g2: RealOverlap) -> RealOverlap:
@@ -154,8 +182,13 @@ def convex_sum(w1: float, w2: float, g1: RealOverlap, g2: RealOverlap) -> RealOv
         raise OverlapError("convex weights must lie in [0, 1]")
     if abs((w1 + w2) - 1.0) > POLY_TOLERANCE:
         raise OverlapError(f"convex weights must sum to 1, got {w1 + w2!r}")
-    return RealOverlap(lambda x, y: w1 * g1.fn(x, y) + w2 * g2.fn(x, y),
-                       f"convex({w1!r}*{g1.name}+{w2!r}*{g2.name})")
+
+    def columns(xs: Iterable[float], ys: Iterable[float]) -> Iterator[float]:
+        xs, ys = _cut((xs, ys))
+        return map(add, map(mul, repeat(w1), g1.columns(xs, ys)),
+                   map(mul, repeat(w2), g2.columns(xs, ys)))
+
+    return RealOverlap(columns, f"convex({w1!r}*{g1.name}+{w2!r}*{g2.name})")
 
 
 def real_owa(weights: Sequence[float], xs: Sequence[float]) -> float:
@@ -180,28 +213,28 @@ def verify_overlap_axioms(
     grid: SampleGrid = REAL_GRID,
     stages: tuple[tuple[float, float], ...] = CONTINUITY_STAGES,
 ) -> dict[str, SampledResult]:
-    """GO1-GO5 of g, read from its value tables (`go_axioms`), a C-level map
-    per row.  The rows are arrays of doubles: the 0.005 continuity stage's
-    table is 201 x 201 values, about 0.3 MB so and 1.3 MB as floats."""
-    return go_axioms(lambda pts: [array("d", map(g.fn, itertools.repeat(x), pts)) for x in pts],
-                     grid, stages)
+    """GO1-GO5 of g, read from its value rows (`go_axioms`), one column call
+    per row: GO5 streams the continuity stages' 201 x 201 tables, holding
+    two rows at a time."""
+    return go_axioms(lambda pts: (list(g.columns(repeat(x), pts)) for x in pts), grid, stages)
 
 
 def go_axioms(
-    table: Callable[[list[float]], Sequence[Sequence[float]]],
+    value_rows: Callable[[list[float]], Iterable[Sequence[float]]],
     grid: SampleGrid = REAL_GRID,
     stages: tuple[tuple[float, float], ...] = CONTINUITY_STAGES,
     axioms: Sequence[str] = ("go1", "go2", "go3", "go4", "go5"),
 ) -> dict[str, SampledResult]:
-    """GO1-GO5 of a binary function on [0, 1] given by its value tables,
-    ``table(pts)[i][j] = f(pts[i], pts[j])``.  GO1-GO4 read the grid's table
-    (GO2 and GO3 as biconditionals: value 0 exactly where the product is 0,
-    value 1 exactly where it is 1; GO4 along adjacent grid steps).  GO5 is
-    the grid-jump probe over the continuity stages' tables, built as it
-    reaches them: evidence of continuity, never a proof.  Only the named
-    `axioms` are checked, so without GO5 no stage table is built."""
+    """GO1-GO5 of a binary function on [0, 1] given by its value rows,
+    ``value_rows(pts)`` yielding ``[f(x, y) for y in pts]`` for each x in pts.
+    GO1-GO4 read the grid's table (GO2 and GO3 as biconditionals: value 0
+    exactly where the product is 0, value 1 exactly where it is 1; GO4 along
+    adjacent grid steps).  GO5 is the grid-jump probe (`jump_probe`) over
+    the continuity stages' rows, streamed as it reaches them: evidence of
+    continuity, never a proof.  Only the named `axioms` are checked, so
+    without GO5 no stage row is built."""
     pts = grid.endpoints()
-    rows = table(pts)
+    rows = list(value_rows(pts))
     cells = [(i, j, x, y) for i, x in enumerate(pts) for j, y in enumerate(pts)]
     walks = {
         "go1": lambda: first_violation((x, y) if rows[i][j] != rows[j][i] else None
@@ -216,20 +249,21 @@ def go_axioms(
             else None
             for i, (a, b) in enumerate(zip(pts, pts[1:])) for j, y in enumerate(pts)
         ),
-        "go5": lambda: jump_probe((bound, stage, table(stage)) for step, bound in stages
-                                  for stage in [SampleGrid(step).endpoints()]),
+        "go5": lambda: jump_probe([(bound, stage, lambda stage=stage: zip(value_rows(stage)))
+                                   for step, bound in stages
+                                   for stage in [SampleGrid(step).endpoints()]]),
     }
     return {axiom: walks[axiom]() for axiom in axioms}
 
 
 def pointwise_leq(g1: RealOverlap, g2: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    return first_violation((x, y, a, b) if a > b else None
-                           for x in pts for y in pts for a, b in [(g1.fn(x, y), g2.fn(x, y))])
+    return first_violation((x, y, a, b) if a > b else None for x in pts for y, a, b in zip(
+        pts, g1.columns(repeat(x), pts), g2.columns(repeat(x), pts)))
 
 
 def pointwise_equal(g1: RealOverlap, g2: RealOverlap, pts: Sequence[float]) -> SampledResult:
-    return first_violation((x, y) if g1.fn(x, y) != g2.fn(x, y) else None
-                           for x in pts for y in pts)
+    return first_violation((x, y) if a != b else None for x in pts for y, a, b in zip(
+        pts, g1.columns(repeat(x), pts), g2.columns(repeat(x), pts)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,9 @@ class LazyRows(dict):
 # The one memo.  Sampled checks, operator validation, operator constructors
 # and catalogs are deterministic for fixed arguments, so their results are
 # kept here, least recently used first out once MEMO_SIZE entries are held.
-# A full `verify theorems lattice` run in one process holds 111.
+# A full `verify theorems lattice` run in one process holds 111: verdicts,
+# operators, catalogs and endpoint maps, and no value table, since the
+# continuity probes stream theirs (`jump_probe`).
 MEMO_SIZE = 512
 _MEMO: OrderedDict[tuple, object] = OrderedDict()
 
@@ -347,28 +349,55 @@ def max_jump(pts: list[float], rows: list[list[float]]) -> tuple[float, tuple]:
     return worst, where
 
 
-def jump_reaches(rows: Sequence[Sequence[float]], bound: float) -> bool:
-    """Does some jump between neighbouring cells of a value table reach
-    `bound`?  One pass of C-level maps over each pair of neighbouring rows
-    and along each row; a NaN jump reaches nothing, as in `max_jump`."""
-    steps = itertools.chain(
-        (map(sub, below, row) for row, below in zip(rows, rows[1:])),
-        (map(sub, itertools.islice(row, 1, None), row) for row in rows),
-    )
-    return any(map(ge, map(abs, itertools.chain.from_iterable(steps)), itertools.repeat(bound)))
+def _reaches(row: Sequence[float], above: Sequence[float] | None, bound: float) -> bool:
+    """Does a step along `row`, or from the row `above` it to `row`, reach
+    `bound`?  C-level maps, no Python frame per step; a NaN jump reaches
+    nothing, as in `max_jump`."""
+    steps = map(sub, itertools.islice(row, 1, None), row)
+    if above is not None:
+        steps = itertools.chain(steps, map(sub, row, above))
+    return any(map(ge, map(abs, steps), itertools.repeat(bound)))
 
 
-def jump_probe(tables: Iterable[tuple[float, list[float], list[list[float]]]]) -> SampledResult:
-    """The staged grid-jump probe over value tables ``(bound, pts, rows)``,
-    one per stage; stops at the first stage whose largest jump reaches its
-    bound.  Tables are read only as far as the probe gets, and a stage is
-    scanned for its witness only when it fails."""
-    total = 0
-    for bound, pts, rows in tables:
-        n = len(pts) - 1
-        total += 2 * n * (n + 1)
-        if jump_reaches(rows, bound):
-            jump, where = max_jump(pts, rows)
-            return SampledResult(False, (*where, jump), total)
-    return SampledResult(True, None, total)
+def jump_probe(stages: Sequence[tuple[float, list[float], Callable[[], Iterable[tuple]]]]
+               ) -> SampledResult:
+    """The staged grid-jump probe of one or more ends of a function, over
+    stages ``(bound, pts, rows)``: ``rows()`` yields the value table
+    ``f(pts[i], pts[j])`` a row i at a time, as one tuple with a row per end.
+    The probe takes each end's stages in turn, the first end's first, and
+    stops at the first (end, stage) whose largest jump between neighbouring
+    cells reaches its bound; `samples` sums ``2n(n+1)`` over the (end,
+    stage) pairs probed, that one included.
 
+    All ends of a stage are scanned in one pass over its rows, holding two
+    rows: each row's steps along it and from the row above by C-level maps.
+    An end stops being scanned once it fails, and the pass stops when the
+    first end does.  An end whose rows have equalled the first end's rows so
+    far shares its verdict, at one list compare per row.  Only the failing
+    table is built whole, by a second pass over its stage, for `max_jump`
+    to name the witness; that pass reads every row, as building the table
+    before scanning would."""
+    failed: dict[int, int] = {}  # end -> the stage it fails at
+    for s, (bound, _, rows) in enumerate(stages):
+        above, diverged = None, set()  # ends whose rows differed from the first end's
+        for row in rows():
+            for end, values in enumerate(row):
+                if end in failed or (failed and end > min(failed)):
+                    continue
+                if end and end not in diverged:
+                    if values == row[0]:
+                        continue
+                    diverged.add(end)
+                if _reaches(values, above and above[end], bound):
+                    failed[end] = s
+            if 0 in failed:
+                break
+            above = row
+    sizes = [2 * (len(pts) - 1) * len(pts) for _, pts, _ in stages]
+    if not failed:
+        return SampledResult(True, None, len(row) * sum(sizes))
+    end = min(failed)
+    s = failed[end]
+    _, pts, rows = stages[s]
+    jump, where = max_jump(pts, [row[end] for row in rows()])
+    return SampledResult(False, (*where, jump), end * sum(sizes) + sum(sizes[:s + 1]))

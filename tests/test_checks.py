@@ -24,7 +24,7 @@ from ivowa.iv_overlaps import (
     midpoint_example,
     representable,
 )
-from ivowa.overlaps import builtin_overlaps, projection_aggregator
+from ivowa.overlaps import RealOverlap, builtin_overlaps, projection_aggregator
 from ivowa.owa import builtin_aggregators
 from ivowa.registry import standard_overlaps
 from ivowa.sampling import DEFAULT_GRID, POLY_TOLERANCE, SampledResult
@@ -180,6 +180,7 @@ class TestTheoremSuite:
             (r"^    ends:", ("iv_overlaps.py",)),
         ]:
             assert not source_lines(pattern, *modules)
+        assert RealOverlap.__slots__ == ("columns", "name")
         assert law_suite[2] <= 68
 
     def test_separable_laws_make_no_passing_interval_walk(self, law_suite):

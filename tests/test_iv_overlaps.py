@@ -2,9 +2,11 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from array import array
 from collections import OrderedDict
 from itertools import repeat
+from operator import ge, sub
 from pathlib import Path
 
 import pytest
@@ -75,9 +77,11 @@ from ivowa.registry import generator_catalog, resolve_iv_overlap, standard_overl
 from ivowa.sampling import (
     CONTINUITY_STAGES,
     DEFAULT_GRID,
+    LazyRows,
     SampleGrid,
     SampledResult,
     first_violation,
+    max_jump,
 )
 
 CAT = builtin_overlaps()
@@ -142,8 +146,9 @@ class TestProjections:
         stages = ((0.05, 0.2),)
         want = {}
         for tag in ("lower", "upper"):
-            end = RealOverlap(lambda x, y, tag=tag: getattr(o(Interval(x, x), Interval(y, y)), tag),
-                              f"{o.name}:{tag}")
+            end = RealOverlap(lambda xs, ys, tag=tag: map(
+                lambda x, y: getattr(o(Interval(x, x), Interval(y, y)), tag), xs, ys),
+                f"{o.name}:{tag}")
             for axiom, res in verify_overlap_axioms(end, stages=stages).items():
                 want[f"{end.name}:{axiom}"] = res
         assert dict(_projection_axioms(o, stages)) == want
@@ -462,8 +467,8 @@ def _semi_pairs(m_lower, m_upper, parts):
     g1, g2, g3, g4, g5, g6, g7, g8 = parts
 
     def ends(xl, xu, yl, yu):
-        return (m_lower(g1.fn(xl, yu), g2.fn(xu, yl), g3.fn(xl, yl), g4.fn(xu, yu)),
-                m_upper(g5.fn(xl, yu), g6.fn(xu, yl), g7.fn(xl, yl), g8.fn(xu, yu)))
+        return (m_lower(g1(xl, yu), g2(xu, yl), g3(xl, yl), g4(xu, yu)),
+                m_upper(g5(xl, yu), g6(xu, yl), g7(xl, yl), g8(xu, yu)))
 
     return ends
 
@@ -715,6 +720,124 @@ class TestContinuityAxiom:
         assert verify_iv_axioms(o, stages=stages)["o5"] == two_probe_o5(o, stages)
 
 
+def _full_table_probe(tables):
+    """Reference probe over whole value tables ``(bound, pts, rows)``: each
+    table scanned by one pass of C-level maps, and `max_jump` naming the
+    witness of the first table that reaches its bound."""
+    total = 0
+    for bound, pts, rows in tables:
+        n = len(pts) - 1
+        total += 2 * n * (n + 1)
+        steps = itertools.chain(
+            (map(sub, below, row) for row, below in zip(rows, rows[1:])),
+            (map(sub, itertools.islice(row, 1, None), row) for row in rows),
+        )
+        if any(map(ge, map(abs, itertools.chain.from_iterable(steps)), repeat(bound))):
+            jump, where = max_jump(pts, rows)
+            return SampledResult(False, (*where, jump), total)
+    return SampledResult(True, None, total)
+
+
+def _full_table_o5(o, stages):
+    """Reference O5: the lower projection's stage tables, then the upper
+    one's, each stage's two tables built whole, once, on first use."""
+    tables = LazyRows(lambda step: projections(o, SampleGrid(step).endpoints()))
+    return _full_table_probe((bound, SampleGrid(step).endpoints(), tables[step][end])
+                             for end in (0, 1) for step, bound in stages)
+
+
+def _full_table_go5(g, stages):
+    """Reference GO5 of a real function over its whole stage tables."""
+    return _full_table_probe(
+        (bound, pts, [list(g.columns(repeat(x), pts)) for x in pts])
+        for step, bound in stages for pts in [SampleGrid(step).endpoints()])
+
+
+def _outcome(probe):
+    try:
+        return probe()
+    except IntervalError as error:
+        return str(error)
+
+
+def _step(t, at, size):
+    return size if t > at else 0.0
+
+
+def _with_cell(ends, cell, value):
+    """`ends` with `value` at the one point pair `cell`."""
+    return lambda x, y: value if (x, y) == cell else ends(x, y)
+
+
+# The sample counts of the stages, 2n(n+1): 840 on the 0.05 grid and
+# 80,400 on the 0.005 grid.
+S1, S2 = 840, 80_400
+INVALID = "invalid interval endpoints [1.0, 0.5]"
+# Endpoint pairs (lower, upper) of an overlap at the degenerate arguments
+# ([x, x], [y, y]), the cells its projections read, with the (verdict,
+# samples) of their probe, or the message it raises.
+PROBE_CASES = {
+    "passes": (lambda x, y: (x * y, min(x, y)), (True, 2 * (S1 + S2))),
+    "lower-stage-1": (lambda x, y: (_step(x, 0.5, 0.5), 1.0), (False, S1)),
+    "lower-stage-2": (lambda x, y: (_step(x, 0.5, 0.05), 1.0), (False, S1 + S2)),
+    "upper-stage-1": (lambda x, y: (x * y / 2, x * y / 2 + _step(x, 0.5, 0.5)),
+                      (False, S1 + S2 + S1)),
+    "upper-stage-2": (lambda x, y: (x * y / 2, x * y / 2 + _step(y, 0.5, 0.05)),
+                      (False, 2 * (S1 + S2))),
+    "both-stage-1": (lambda x, y: (_step(x, 0.5, 0.5), _step(x, 0.5, 0.5)), (False, S1)),
+    "upper-stage-1-lower-stage-2": (lambda x, y: (
+        x * y / 4 + _step(y, 0.5, 0.05), x * y / 4 + _step(y, 0.5, 0.05) + _step(x, 0.25, 0.5)),
+        (False, S1 + S2)),
+    "equal-then-diverging-by-a-jump": (lambda x, y: (
+        x * y / 2, x * y / 2 + (0.3 if x > 0.5 and y > 0.5 else 0.0)), (False, S1 + S2 + S1)),
+    "equal-then-diverging-smoothly": (lambda x, y: (
+        x * y / 2, x * y / 2 + max(0.0, x - 0.5) / 4), (True, 2 * (S1 + S2))),
+    "diverging-then-equal-by-a-jump": (lambda x, y: (
+        x * y / 2, x * y / 2 + _step(0.5, x, 0.3)), (False, S1 + S2 + S1)),
+    "diverging-then-equal-smoothly": (lambda x, y: (
+        x * y / 2, x * y / 2 + max(0.0, 0.5 - x) / 4), (True, 2 * (S1 + S2))),
+    "invalid-after-reaching-stage-1": (_with_cell(lambda x, y: (_step(x, 0.25, 0.5), 1.0),
+                                                  (0.9, 0.9), (1.0, 0.5)), INVALID),
+    "invalid-after-reaching-stage-2": (_with_cell(lambda x, y: (_step(x, 0.25, 0.05), 1.0),
+                                                  (0.905, 0.905), (1.0, 0.5)), INVALID),
+    "invalid-in-a-passing-probe": (_with_cell(lambda x, y: (x * y, 1.0), (0.5, 0.5), (1.0, 0.5)),
+                                   INVALID),
+}
+
+
+@pytest.mark.parametrize("name", PROBE_CASES)
+def test_streamed_o5_equals_the_full_table_probe(name):
+    # Verdict, witness and sample count, or the message of the first
+    # invalid value, which the streamed probe raises even after it has
+    # stopped at a reaching row.
+    ends, expected = PROBE_CASES[name]
+    o = IVOverlap(lifted(lambda xl, xu, yl, yu: ends(xl, yl)), name, Opaque(name))
+    got = _outcome(lambda: iv_overlaps._check_o5(o, CONTINUITY_STAGES))
+    assert got == _outcome(lambda: _full_table_o5(o, CONTINUITY_STAGES))
+    assert (got if isinstance(got, str) else (got.ok, got.samples)) == expected
+
+
+def _nan_at(cells, f):
+    return lambda x, y: math.nan if (x, y) in cells else f(x, y)
+
+
+# Real functions, whose values are not checked: a NaN jump reaches nothing.
+REAL_PROBE_CASES = {
+    "nan-passes": _nan_at({(0.5, 0.5)}, lambda x, y: x * y),
+    "nan-leading-the-last-row-and-its-jump": _nan_at(
+        {(1.0, 0.0)}, lambda x, y: x * y + (0.5 if x == 1.0 and y > 0.75 else 0.0)),
+    "nan-then-jump": _nan_at({(0.25, 0.25)}, lambda x, y: x * y + _step(x, 0.5, 0.5)),
+    "nan-row-then-small-jump": _nan_at({(0.1, y) for y in SampleGrid(0.005).endpoints()},
+                                       lambda x, y: _step(y, 0.5, 0.05)),
+}
+
+
+@pytest.mark.parametrize("name", REAL_PROBE_CASES)
+def test_streamed_go5_equals_the_full_table_probe(name):
+    g = RealOverlap(lambda xs, ys: map(REAL_PROBE_CASES[name], xs, ys), name)
+    assert verify_overlap_axioms(g)["go5"] == _full_table_go5(g, CONTINUITY_STAGES)
+
+
 class TestLatticeOps:
     def test_join_meet_values(self):
         a = representable(CAT["product"], CAT["product"])
@@ -722,6 +845,20 @@ class TestLatticeOps:
         x, y = Interval(0.4, 0.6), Interval(0.5, 0.7)
         assert iv_join(a, b)(x, y) == b(x, y)
         assert iv_meet(a, b)(x, y) == a(x, y)
+
+    def test_join_is_overlap_within_a_traced_bound(self):
+        # The continuity probe streams the projections' 201 x 201 stage
+        # tables, two rows at a time: the walk peaks near 0.53 MB, where it
+        # peaked near 1.17 MB holding each stage's two tables as doubles.
+        o = iv_join(interval_product(), midpoint_example())
+        tracemalloc.start()
+        try:
+            results = verify_iv_axioms(o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(res.ok for res in results.values())
+        assert peak < 1_150_000
 
 
 class TestRandomizedLaws:

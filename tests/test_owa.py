@@ -1175,8 +1175,9 @@ def test_real_aggregator_homogeneity_has_the_interval_walks_result(name, grid, n
 # 1e-9, but off the grid an upper value falls below its lower one, so the
 # interval walks build an invalid interval.
 ON_GRID = frozenset(REAL_GRID.endpoints())
-SHADED = representable(builtin_overlaps()["product"], RealOverlap(
-    lambda x, y: x * y if x in ON_GRID and y in ON_GRID else x * y * (1 - 1e-12), "shaded"))
+SHADED = representable(builtin_overlaps()["product"], RealOverlap(lambda xs, ys: map(
+    lambda x, y: x * y if x in ON_GRID and y in ON_GRID else x * y * (1 - 1e-12), xs, ys),
+    "shaded"))
 
 
 @pytest.mark.parametrize("law", [

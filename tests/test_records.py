@@ -34,8 +34,13 @@ from ivowa.owa import (
 from ivowa.registry import resolve_iv_overlap
 from ivowa.sampling import SampleGrid
 
-# Builtin callables keep every record picklable.
-_REAL_MIN = RealOverlap(min, "min")
+
+def _min_columns(xs, ys):
+    return map(min, xs, ys)
+
+
+# Builtin and module-level callables keep every record picklable.
+_REAL_MIN = RealOverlap(_min_columns, "min")
 _REAL_MAX = RealAggregator(max, 2, "max")
 _OVERLAP = IVOverlap(max, "o", Opaque("x"))
 _AGGREGATOR = IVAggregator(min, 2, AggregatorKind.MAX, "max")
@@ -63,7 +68,7 @@ RECORDS = [
     (IVOverlap, "identity", ("columns", "name", "provenance"), (max, "o", Opaque("x")), {}),
     (IVAggregator, "identity", ("columns", "arity", "kind", "name", "endwise"),
      (min, 2, AggregatorKind.MAX, "max"), {"endwise": None}),
-    (RealOverlap, "identity", ("fn", "name"), (min, "min"), {}),
+    (RealOverlap, "identity", ("columns", "name"), (_min_columns, "min"), {}),
     (RealAggregator, "identity", ("fn", "arity", "name", "claims"), (max, 2, "max"),
      {"claims": frozenset()}),
     (UnaryGenerator, "identity", ("columns", "name", "endwise"), (abs, "g"), {"endwise": None}),
