@@ -309,7 +309,8 @@ def parse_interval(text: str) -> Interval:
 
 
 # Rows per block where many rows are worked on as columns (the CSV reader, the
-# operator kernel, the sampled walks' cap): a block's objects stay in cache.
+# operator kernel, the sampled walks' cap, and the real distributivity walk's
+# xs rows, each a row of |grid| cases): a block's objects stay in cache.
 BLOCK_ROWS = 512
 
 # The column's texts joined at NULs, each `[B,B]` or a bare `B`.

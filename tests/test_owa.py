@@ -28,7 +28,7 @@ from ivowa.intervals import (
     power,
     product,
 )
-from ivowa import checks, owa, sampling
+from ivowa import checks, iv_overlaps, owa, sampling
 from ivowa.cli import RunConfig, rank_matrix
 from ivowa.matrix import parse_matrix_text
 from ivowa.iv_overlaps import (
@@ -44,6 +44,7 @@ from ivowa.iv_overlaps import (
     migrative_canonical,
     migrative_from_generator,
     representable,
+    separable_tables,
 )
 from ivowa.overlaps import RealOverlap, builtin_overlaps
 from ivowa.owa import (
@@ -1090,9 +1091,78 @@ def test_a_failing_real_walk_stops_at_its_first_failing_case(monkeypatch, name, 
     want = first_failure_by_case(cases, fails)
     real = owa._real_distributes(m, o, restrict=restrict)
     assert not want.ok and real == want
-    assert sum(sizes[:-1]) < real.samples <= sum(sizes)
+    # An exhaustive walk blocks xs rows of |grid| cases each, a sample its cases.
+    width = len(pts) if restrict or cases.exhaustive else 1
+    assert sum(sizes[:-1]) * width < real.samples <= sum(sizes) * width
     dist, _ = owa._distributes(m, o, ROOT_TOLERANCE)
     assert dist == check_distributivity(m, o, restrict=restrict, budget=100_000) and not dist.ok
+
+
+def real_walk_by_case(m, o, grid, tol=ROOT_TOLERANCE):
+    """`owa._real_distributes` of a geomean, restated one case at a time: each
+    endpoint map's real law over every real tuple from the top of the grid
+    down, then the tables over the grid and every aggregate shown valid."""
+    pts, n, samples = grid.endpoints(), m.arity, 0
+
+    def agg(xs):
+        return next(iter(m.endwise([[x] for x in xs])))
+
+    for g in dict.fromkeys(endpoint_maps(o)):
+        def fails(case, g=g):
+            *xs, y = case
+            left = agg([next(iter(g([x], [y]))) for x in xs])
+            return abs(left - next(iter(g([agg(xs)], [y])))) > tol
+
+        res = first_failure_by_case(itertools.product(pts[::-1], repeat=n + 1), fails)
+        samples += res.samples
+        if not res.ok:
+            return res._replace(samples=samples)
+    firsts = set(pts) | set(map(agg, itertools.product(pts, repeat=n)))
+    return SampledResult(separable_tables(o, sorted(firsts), pts) is not None, None, samples)
+
+
+@pytest.mark.parametrize("grid,n", [(GRID_25, 4), (DEFAULT_GRID, 3)], ids=["n4-0.25", "n3-0.1"])
+@pytest.mark.parametrize("overlap", ["product", "rep(min,min)", "rep(product,min)"])
+def test_the_geomean_row_walk_equals_the_walk_of_every_case(monkeypatch, overlap, grid, n):
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    m, o = builtin_aggregators(n)["geomean"], resolve_iv_overlap(overlap)
+    assert owa._real_distributes(m, o, grid) == real_walk_by_case(m, o, grid)
+
+
+@pytest.mark.parametrize("name,n,restrict", [("geomean", 3, False), ("geomean", 4, False),
+                                             ("max", 3, False), ("tsum", 4, True)])
+def test_a_passing_real_walk_checks_the_tables_of_every_aggregate(monkeypatch, name, n, restrict):
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    handed, tables = [], owa.separable_tables
+    monkeypatch.setattr(owa, "separable_tables",
+                        lambda o, xs, ys: handed.append((xs, ys)) or tables(o, xs, ys))
+    m, pts = builtin_aggregators(n)[name], DEFAULT_GRID.endpoints()
+    assert owa._real_distributes(m, PRODUCT, restrict=restrict).ok
+    xss = [xs for xs in itertools.product(pts, repeat=n) if not restrict or math.fsum(xs) <= 1.0]
+    assert handed == [(sorted(set(pts) | set(m.endwise(list(zip(*xss))))), pts)]
+
+
+def test_the_geomean_walk_hands_its_blocks_xs_rows(monkeypatch):
+    # 161,051 cases at n = 4, walked as 14,641 rows of the 11 grid points.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    handed, blocks = [], owa._blocks
+    monkeypatch.setattr(owa, "_blocks", lambda rows: (handed.extend(b) or b for b in blocks(rows)))
+    real = owa._real_distributes(builtin_aggregators(4)["geomean"], PRODUCT)
+    assert real == SampledResult(True, None, 161_051)
+    assert handed == list(itertools.product(range(11), repeat=4))
+
+
+def test_a_failing_real_law_walk_builds_only_the_rows_it_reads():
+    # The product form g(x, y) == g(1, xy) reads the rows g(x, .) of the 11
+    # grid points, and min fails it there; the 46 scaled points' rows and
+    # their validity check wait for a pass.
+    calls = []
+    counted = RealOverlap(lambda xs, ys: calls.append(1) or map(min, xs, ys), "counted-min")
+    o, pts = representable(counted, counted), DEFAULT_GRID.endpoints()
+    calls.clear()
+    product_form = [[((x, y), (1.0, x * y), (1.0, 1.0)) for x in pts for y in pts]]
+    assert not iv_overlaps._real_cases_hold(o, DEFAULT_GRID, ROOT_TOLERANCE, product_form)
+    assert len(calls) == len(pts)
 
 
 def test_separable_validation_makes_no_passing_interval_walk(monkeypatch):
