@@ -17,15 +17,10 @@ from .intervals import (
     Ordering,
     ZERO,
     complement,
-    contract_half,
     format_interval,
-    join,
     leq_product,
-    meet,
-    midpoint,
     parse_interval,
     power,
-    product,
     subseteq,
 )
 from .iv_overlaps import (
@@ -55,7 +50,6 @@ from .overlaps import (
     convex_sum,
     lattice_join,
     lattice_meet,
-    real_owa,
     verify_overlap_axioms,
 )
 from .owa import (
@@ -70,7 +64,6 @@ from .owa import (
     check_homogeneous_m,
     check_order_monotonicity,
     is_weighted_vector,
-    iv_gowa,
     make_gowa,
     normalize_weights,
     projection_owa,

@@ -100,21 +100,6 @@ from .sampling import (
     tuple_samples,
 )
 
-__all__ = [
-    "CheckReport",
-    "run_axiom_suite",
-    "run_theorem_suite",
-    "lattice_order_checks",
-    "overlap_property_reports",
-    "report_lines",
-    "reports_to_json",
-    "THEOREM_CHECK_IDS",
-    "LATTICE_CHECK_IDS",
-    "SUITE_ROWS",
-    "WORKER_ROWS",
-    "sort_reports",
-]
-
 
 class CheckReport(NamedTuple):
     check_id: str

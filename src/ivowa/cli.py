@@ -43,8 +43,6 @@ from .registry import (
 )
 from .sampling import ROOT_TOLERANCE, SampleGrid
 
-__all__ = ["main", "RunConfig", "load_config", "rank_matrix"]
-
 
 class RunConfig(NamedTuple):
     aggregator_id: str
@@ -203,7 +201,7 @@ def _verify_one(target_id: str, grid: SampleGrid,
     if target_id == "lattice":
         return lattice_order_checks(grid, rows)
     real = builtin_overlaps()
-    if target_id in real:
+    if target_id in real:  # walked on its own point grid, not `grid`
         return run_axiom_suite(real[target_id])
     if target_id in AGGREGATOR_IDS:
         return run_axiom_suite(resolve_aggregator(target_id, 2), grid)
@@ -347,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("targets", nargs="+",
                        help="operator ids, or the suite ids 'theorems' / 'lattice'")
     p_ver.add_argument("--step", type=float, default=0.1,
-                       help="endpoint step of the interval sample grid (default 0.1)")
+                       help="endpoint step of the interval sample grid (default 0.1); "
+                       "real-overlap targets walk their own 0.05 point grid")
     p_ver.add_argument("--json", action="store_true", help="emit one JSON record per check")
     p_ver.set_defaults(fn=_cmd_verify)
 

@@ -17,31 +17,6 @@ from itertools import compress
 from operator import add, itemgetter, le, sub
 from typing import Iterator, Sequence
 
-__all__ = [
-    "Slotted",
-    "SlottedValue",
-    "Interval",
-    "ExponentInterval",
-    "IntervalError",
-    "Ordering",
-    "AdmissibleOrder",
-    "DEFAULT_ORDER",
-    "ZERO",
-    "ONE",
-    "product",
-    "power",
-    "complement",
-    "midpoint",
-    "contract_half",
-    "leq_product",
-    "subseteq",
-    "join",
-    "meet",
-    "parse_interval",
-    "parse_interval_columns",
-    "format_interval",
-]
-
 
 class IntervalError(ValueError):
     """Endpoints violate an interval invariant, or a domain restriction."""
@@ -186,11 +161,6 @@ ZERO = Interval(0.0, 0.0)
 ONE = Interval(1.0, 1.0)
 
 
-def product(x: Interval, y: Interval) -> Interval:
-    """Componentwise interval product [x1*y1, x2*y2]."""
-    return Interval(x.lower * y.lower, x.upper * y.upper)
-
-
 def power(x: Interval, k: ExponentInterval) -> Interval:
     """Interval exponentiation [lower**k2, upper**k1].
 
@@ -205,19 +175,6 @@ def complement(x: Interval) -> Interval:
     return Interval(1.0 - x.upper, 1.0 - x.lower)
 
 
-def midpoint(x: Interval) -> float:
-    return (x.lower + x.upper) / 2.0
-
-
-def contract_half(x: Interval) -> Interval:
-    """Shrink an interval to half its width around its midpoint.
-
-    Always a subset of the input; degenerate intervals are fixed points.
-    """
-    m = midpoint(x)
-    return Interval((x.lower + m) / 2.0, (x.upper + m) / 2.0)
-
-
 def leq_product(x: Interval, y: Interval) -> bool:
     """Product (componentwise) partial order."""
     return x.lower <= y.lower and x.upper <= y.upper
@@ -226,16 +183,6 @@ def leq_product(x: Interval, y: Interval) -> bool:
 def subseteq(x: Interval, y: Interval) -> bool:
     """Inclusion partial order: x nested inside y."""
     return y.lower <= x.lower and x.upper <= y.upper
-
-
-def join(x: Interval, y: Interval) -> Interval:
-    """Supremum for the product order: componentwise max."""
-    return Interval(max(x.lower, y.lower), max(x.upper, y.upper))
-
-
-def meet(x: Interval, y: Interval) -> Interval:
-    """Infimum for the product order: componentwise min."""
-    return Interval(min(x.lower, y.lower), min(x.upper, y.upper))
 
 
 class Ordering(enum.Enum):

@@ -58,44 +58,6 @@ from .sampling import (
     row_items,
 )
 
-__all__ = [
-    "IVOverlap",
-    "UnaryGenerator",
-    "IDENTITY",
-    "SQRT",
-    "SQUARE",
-    "Representable",
-    "SemiRepresentable",
-    "Migrative",
-    "Transformed",
-    "Opaque",
-    "ConstructionError",
-    "interval_product",
-    "representable",
-    "semi_representable",
-    "migrative_from_generator",
-    "migrative_canonical",
-    "power_transform",
-    "endpoint_maps",
-    "separable_tables",
-    "midpoint_example",
-    "midpoint_closed_form",
-    "iv_join",
-    "iv_meet",
-    "projections",
-    "projection_rows",
-    "reconstructs_from_projections",
-    "is_strongly_positive",
-    "is_inclusion_monotonic",
-    "check_migrative",
-    "check_homogeneous",
-    "neutral_element_holds",
-    "verify_iv_axioms",
-    "lifted",
-    "value_row",
-    "value_table",
-]
-
 
 class ConstructionError(ValueError):
     """A constructor precondition failed; the message names the condition."""
@@ -494,19 +456,10 @@ def _valid_tables(lows: Sequence[Sequence[float]], ups: Sequence[Sequence[float]
             and all(all(map(le, up, above)) for up, above in zip(ups, ups[1:])))
 
 
-def midpoint_closed_form(x: Interval, y: Interval) -> Interval:
-    """Closed form of the midpoint-contraction overlap: componentwise minima
-    of the 3/4-1/4 endpoint blends."""
-    a, b = 0.75, 0.25
-    return Interval(
-        min(a * x.lower + b * x.upper, a * y.lower + b * y.upper),
-        min(b * x.lower + a * x.upper, b * y.lower + a * y.upper),
-    )
-
-
 @memoized
 def midpoint_example() -> IVOverlap:
-    """Overlap built from half-width contractions: meet(contract(X), contract(Y)).
+    """Overlap built from half-width contractions: each argument shrunk to
+    half its width around its midpoint, then their componentwise minimum.
 
     A genuine interval overlap that is not inclusion monotonic, hence not
     representable by endpoint projections.
@@ -516,7 +469,7 @@ def midpoint_example() -> IVOverlap:
         return map(truediv, map(add, a, b), repeat(2.0))
 
     def columns(*cols):
-        # `contract_half` of each argument, then their `meet`.
+        # Each argument's half-width contraction, then their endpoint minima.
         xl, xu, yl, yu = _cut(cols)
         xm, ym = list(halves(xl, xu)), list(halves(yl, yu))
         return (map(min, halves(xl, xm), halves(yl, ym)),

@@ -17,17 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .intervals import BLOCK_ROWS, Interval, IntervalError, endpoint_error, parse_interval_columns
-
-__all__ = [
-    "DecisionMatrix",
-    "MatrixError",
-    "parse_matrix",
-    "parse_matrix_text",
-    "emit_matrix_text",
-    "read_json_number",
-    "unique_keys",
-]
+from .intervals import BLOCK_ROWS, IntervalError, endpoint_error, parse_interval_columns
 
 
 class MatrixError(ValueError):
@@ -43,11 +33,6 @@ class DecisionMatrix(NamedTuple):
     criteria: tuple[str, ...]
     lowers: tuple[list[float], ...]
     uppers: tuple[list[float], ...]
-
-    @property
-    def cells(self) -> tuple[tuple[Interval, ...], ...]:
-        """The cells as intervals, row by row."""
-        return tuple(zip(*(map(Interval, lo, up) for lo, up in zip(self.lowers, self.uppers))))
 
 
 def read_json_number(raw: object, where: str, error: type[ValueError]) -> float:
@@ -235,23 +220,3 @@ def _parse_json(text: str) -> DecisionMatrix:
     lowers = tuple(list(map(itemgetter(0), pairs[j::n])) for j in range(n))
     uppers = tuple(list(map(itemgetter(1), pairs[j::n])) for j in range(n))
     return DecisionMatrix(alternatives, criteria, lowers, uppers)
-
-
-def emit_matrix_text(matrix: DecisionMatrix, fmt: str) -> str:
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("alternative", *matrix.criteria))
-        # Each cell in the text form of `format_interval`, a column at a time.
-        texts = (map("[{!r},{!r}]".format, lo, up) for lo, up in zip(matrix.lowers, matrix.uppers))
-        writer.writerows(zip(matrix.alternatives, *texts))
-        return out.getvalue()
-    if fmt == "json":
-        payload = {
-            "alternatives": list(matrix.alternatives),
-            "criteria": list(matrix.criteria),
-            "cells": [list(map(list, row))
-                      for row in zip(*map(zip, matrix.lowers, matrix.uppers))],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    raise MatrixError(f"unknown matrix format {fmt!r}; expected csv or json")

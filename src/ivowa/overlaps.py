@@ -32,22 +32,6 @@ from .sampling import (
     memoized,
 )
 
-__all__ = [
-    "RealOverlap",
-    "RealAggregator",
-    "OverlapError",
-    "builtin_overlaps",
-    "lattice_join",
-    "lattice_meet",
-    "convex_sum",
-    "real_owa",
-    "verify_overlap_axioms",
-    "go_axioms",
-    "pointwise_leq",
-    "projection_aggregator",
-    "mean_of_components",
-]
-
 
 class OverlapError(ValueError):
     """A construction precondition failed."""
@@ -189,18 +173,6 @@ def convex_sum(w1: float, w2: float, g1: RealOverlap, g2: RealOverlap) -> RealOv
                    map(mul, repeat(w2), g2.columns(xs, ys)))
 
     return RealOverlap(columns, f"convex({w1!r}*{g1.name}+{w2!r}*{g2.name})")
-
-
-def real_owa(weights: Sequence[float], xs: Sequence[float]) -> float:
-    """Ordered weighted average: weights applied to the inputs sorted descending."""
-    if len(weights) != len(xs):
-        raise OverlapError("weight and input lengths differ")
-    if any(not (0.0 <= w <= 1.0) for w in weights):
-        raise OverlapError("weights must lie in [0, 1]")
-    if abs(math.fsum(weights) - 1.0) > POLY_TOLERANCE:
-        raise OverlapError(f"weights must sum to 1, got {math.fsum(weights)!r}")
-    ordered = sorted(xs, reverse=True)
-    return math.fsum(w * v for w, v in zip(weights, ordered))
 
 
 # ---------------------------------------------------------------------------

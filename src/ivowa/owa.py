@@ -54,26 +54,6 @@ from .sampling import (
     tuple_samples,
 )
 
-__all__ = [
-    "AggregatorKind",
-    "IVAggregator",
-    "WeightVector",
-    "WeightError",
-    "GowaError",
-    "builtin_aggregators",
-    "is_weighted_vector",
-    "normalize_weights",
-    "check_distributivity",
-    "check_homogeneous_m",
-    "check_order_monotonicity",
-    "absorption_holds",
-    "GowaOperator",
-    "make_gowa",
-    "iv_gowa",
-    "projection_owa",
-    "non_saturating",
-]
-
 
 class WeightError(ValueError):
     """A weight vector fails a normalization or arity requirement."""
@@ -698,17 +678,6 @@ def make_gowa(
     return GowaOperator(m, o, w, order, saturation)
 
 
-def iv_gowa(
-    m: IVAggregator,
-    o: IVOverlap,
-    w: WeightVector,
-    order: AdmissibleOrder,
-    values: Sequence[Interval],
-) -> Interval:
-    """One-shot form of the operator; precondition checks are cached per pair."""
-    return make_gowa(m, o, w, order)(values)
-
-
 def check_order_monotonicity(op: GowaOperator) -> SampledResult:
     """Is the operator monotone in its own admissible order, on the 0.25 grid?
 
@@ -744,4 +713,4 @@ def projection_owa(
         raise GowaError(f"aggregator {m.name} does not absorb zero padding: "
                         f"{format_interval(x)} at position {j + 1}")
     w = WeightVector.selector(m.arity, index)
-    return iv_gowa(m, interval_product(), w, order, values)
+    return make_gowa(m, interval_product(), w, order)(values)

@@ -31,19 +31,6 @@ from .overlaps import RealOverlap, builtin_overlaps
 from .owa import AggregatorKind, IVAggregator, builtin_aggregators
 from .sampling import memoized
 
-__all__ = [
-    "RegistryError",
-    "generator_catalog",
-    "standard_overlaps",
-    "resolve_real_overlap",
-    "resolve_generator",
-    "resolve_iv_overlap",
-    "resolve_aggregator",
-    "resolve_order",
-    "AGGREGATOR_IDS",
-    "ORDER_IDS",
-]
-
 AGGREGATOR_IDS = tuple(kind.value for kind in AggregatorKind)
 ORDER_IDS = tuple(order.value for order in AdmissibleOrder)
 

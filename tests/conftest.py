@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import random
 import re
 from pathlib import Path
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 import ivowa
 from ivowa.intervals import Interval
 from ivowa.iv_overlaps import IVOverlap, Opaque
+from ivowa.matrix import DecisionMatrix
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -70,3 +74,32 @@ def nudged_at(o, x, y, end, delta):
         return values
 
     return IVOverlap(columns, f"nudged({o.name})", Opaque("nudged"))
+
+
+def midpoint_closed_form(x: Interval, y: Interval) -> Interval:
+    """Closed form of the midpoint-contraction overlap, the oracle of
+    `midpoint_example`: componentwise minima of the 3/4-1/4 endpoint blends."""
+    a, b = 0.75, 0.25
+    return Interval(
+        min(a * x.lower + b * x.upper, a * y.lower + b * y.upper),
+        min(b * x.lower + a * x.upper, b * y.lower + a * y.upper),
+    )
+
+
+def emit_matrix_text(matrix: DecisionMatrix, fmt: str) -> str:
+    """The matrix as CSV or JSON text that `parse_matrix_text` reads back
+    exactly: CSV cells in the text form of `format_interval`, JSON cells as
+    endpoint pairs."""
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("alternative", *matrix.criteria))
+        texts = (map("[{!r},{!r}]".format, lo, up) for lo, up in zip(matrix.lowers, matrix.uppers))
+        writer.writerows(zip(matrix.alternatives, *texts))
+        return out.getvalue()
+    payload = {
+        "alternatives": list(matrix.alternatives),
+        "criteria": list(matrix.criteria),
+        "cells": [list(map(list, row)) for row in zip(*map(zip, matrix.lowers, matrix.uppers))],
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -7,7 +7,7 @@ import json
 import math
 import random
 
-from conftest import random_interval
+from conftest import emit_matrix_text, midpoint_closed_form, random_interval
 from ivowa.cli import main
 from ivowa.intervals import (
     AdmissibleOrder,
@@ -17,7 +17,6 @@ from ivowa.intervals import (
     Ordering,
     ZERO,
     leq_product,
-    product,
     subseteq,
 )
 from ivowa.iv_overlaps import (
@@ -26,14 +25,13 @@ from ivowa.iv_overlaps import (
     check_migrative,
     interval_product,
     is_inclusion_monotonic,
-    midpoint_closed_form,
     midpoint_example,
     migrative_canonical,
     reconstructs_from_projections,
     representable,
     verify_iv_axioms,
 )
-from ivowa.matrix import parse_matrix_text, emit_matrix_text
+from ivowa.matrix import parse_matrix_text
 from ivowa.overlaps import builtin_overlaps, verify_overlap_axioms
 from ivowa.owa import (
     WeightVector,
@@ -118,8 +116,8 @@ def test_criterion_4_migrativity_homogeneity():
     min_rep = representable(catalog["min"], catalog["min"])
     res = check_migrative(min_rep, tol=ROOT)
     alpha, x, y = Interval(0.5, 0.5), ONE, Interval(0.2, 0.2)
-    left = min_rep(product(alpha, x), y)
-    right = min_rep(x, product(alpha, y))
+    left = min_rep(prod(alpha, x), y)
+    right = min_rep(x, prod(alpha, y))
     witness_ok = (not res.ok and left == Interval(0.2, 0.2) and right == Interval(0.1, 0.1))
     _record("4 migrativity and homogeneity", prod_ok and canonical_ok and witness_ok,
             f"product={prod_ok} canonical={canonical_ok} min-witness={witness_ok}")

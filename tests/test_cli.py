@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ivowa
-from conftest import nested_transform, source_lines
+from conftest import emit_matrix_text, nested_transform, source_lines
 from ivowa import checks
 from ivowa import intervals as intervals_module
 from ivowa import matrix as matrix_module
@@ -20,12 +20,7 @@ from ivowa.checks import lattice_order_checks, reports_to_json, run_theorem_suit
 from ivowa.cli import main
 from ivowa.intervals import Interval
 from ivowa.iv_overlaps import ConstructionError
-from ivowa.matrix import (
-    DecisionMatrix,
-    MatrixError,
-    emit_matrix_text,
-    parse_matrix_text,
-)
+from ivowa.matrix import DecisionMatrix, MatrixError, parse_matrix_text
 
 CONFIG_GEOMEAN = {
     "aggregator": "geomean",
@@ -202,8 +197,8 @@ class TestMatrixParsing:
         m = parse_matrix_text(MATRIX_CSV, "csv")
         assert m.alternatives == ("a1", "a2", "a3")
         assert m.criteria == ("c1", "c2")
-        assert m.cells[0][0] == Interval(0.2, 0.5)
-        assert m.cells[2][0] == Interval(0.6, 0.6)
+        assert (m.lowers[0][0], m.uppers[0][0]) == (0.2, 0.5)
+        assert (m.lowers[0][2], m.uppers[0][2]) == (0.6, 0.6)
 
     def test_matrices_are_read_and_ranked_as_endpoint_columns(self, monkeypatch):
         # An `Interval` per cell cost more than half of a parse-and-rank job.
@@ -812,7 +807,18 @@ class TestVerifyCommand:
         assert "nests 1000 levels deep; at most 32 are allowed" in capsys.readouterr().err
 
     def test_step_override(self, capsys):
-        assert main(["verify", "product", "--step", "0.2"]) == 0
+        # An interval target walks the step's grid: 6 intervals at step 0.5,
+        # so O1 decides 36 cases where the default grid gives 4,356.
+        assert main(["verify", "rep(product,min)", "--step", "0.5", "--json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["samples"] for r in records if r["check_id"] == "o1"] == [36]
+        # A real-overlap target walks its own 0.05 point grid at any step.
+        outputs = []
+        for step in ("0.1", "0.2", "0.5"):
+            assert main(["verify", "product", "--step", step, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1:] == outputs[:1] * 2
+        assert '"check_id": "go1", "samples": 441,' in outputs[0]
         assert main(["verify", "product", "--step", "0.17"]) == 2
 
     @pytest.mark.parametrize("step", ["0", "-0", "5e-324"])

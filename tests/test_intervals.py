@@ -18,17 +18,16 @@ from ivowa.intervals import (
     Ordering,
     ZERO,
     complement,
-    contract_half,
     format_interval,
-    join,
     leq_product,
-    meet,
-    midpoint,
     parse_interval,
     power,
-    product,
     subseteq,
 )
+from ivowa.iv_overlaps import interval_product
+
+# The library's one interval product.
+product = interval_product()
 
 
 class TestConstruction:
@@ -167,42 +166,11 @@ class TestComplement:
             assert leq_product(complement(y), complement(x))
 
 
-class TestMidpointContraction:
-    def test_examples(self):
-        assert contract_half(Interval(0, 1)) == Interval(0.25, 0.75)
-        assert contract_half(Interval(0.4, 0.4)) == Interval(0.4, 0.4)
-        assert midpoint(Interval(0.2, 0.6)) == pytest.approx(0.4, abs=1e-12)
-
-    @given(intervals())
-    def test_contracts_into_argument(self, x):
-        c = contract_half(x)
-        assert subseteq(c, x)
-        if not x.degenerate:
-            assert c != x
-        assert midpoint(c) == pytest.approx(midpoint(x), abs=1e-12)
-
-
 class TestPartialOrders:
     def test_examples(self):
         assert leq_product(Interval(0.1, 0.3), Interval(0.2, 0.5))
         assert not leq_product(Interval(0.1, 0.9), Interval(0.2, 0.5))
         assert subseteq(Interval(0.5, 0.5), Interval(0, 1))
-
-    def test_join_meet_examples(self):
-        assert join(Interval(0.1, 0.5), Interval(0.3, 0.4)) == Interval(0.3, 0.5)
-        x = Interval(0.2, 0.8)
-        assert meet(x, x) == x
-        assert meet(ZERO, x) == ZERO
-
-    @given(intervals(), intervals(), intervals())
-    def test_lattice_laws(self, x, y, z):
-        assert join(x, y) == join(y, x)
-        assert meet(x, y) == meet(y, x)
-        assert join(x, join(y, z)) == join(join(x, y), z)
-        assert meet(x, meet(y, z)) == meet(meet(x, y), z)
-        assert join(x, x) == x and meet(x, x) == x
-        assert join(x, meet(x, y)) == x
-        assert meet(x, join(x, y)) == x
 
 
 class TestAdmissibleOrders:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_interval_close, intervals
+from conftest import assert_interval_close, intervals, midpoint_closed_form
 from ivowa import iv_overlaps, sampling
 from ivowa.checks import _projection_axioms, _semi_configs
 from ivowa.intervals import (
@@ -22,13 +22,9 @@ from ivowa.intervals import (
     IntervalError,
     ONE,
     ZERO,
-    contract_half,
     endpoint_error,
-    join,
     leq_product,
-    meet,
     power,
-    product,
     subseteq,
 )
 from ivowa.iv_overlaps import (
@@ -51,7 +47,6 @@ from ivowa.iv_overlaps import (
     iv_join,
     iv_meet,
     lifted,
-    midpoint_closed_form,
     midpoint_example,
     migrative_canonical,
     migrative_from_generator,
@@ -297,7 +292,7 @@ class TestMigrative:
         op = resolve_iv_overlap(op_id)
         for x in SAMPLE:
             for y in SAMPLE:
-                want = product(x, y) if k is None else power(product(x, y), k)
+                want = _product(x, y) if k is None else power(_product(x, y), k)
                 got = op(x, y)
                 assert (got.lower.hex(), got.upper.hex()) == (want.lower.hex(), want.upper.hex())
 
@@ -324,10 +319,9 @@ class TestMigrative:
         # Documented counterexample values.
         op = representable(CAT["min"], CAT["min"])
         alpha, x, y = Interval(0.5, 0.5), ONE, Interval(0.2, 0.2)
-        from ivowa.intervals import product as iv_product
-
-        left = op(iv_product(alpha, x), y)
-        right = op(x, iv_product(alpha, y))
+        prod = interval_product()
+        left = op(prod(alpha, x), y)
+        right = op(x, prod(alpha, y))
         assert left == Interval(0.2, 0.2)
         assert right == Interval(0.1, 0.1)
 
@@ -398,8 +392,24 @@ def _semi_formula(m1, m2, parts):
     )
 
 
+def _product(x, y):
+    """The interval product's formula, [x_l * y_l, x_u * y_u]."""
+    return Interval(x.lower * y.lower, x.upper * y.upper)
+
+
+def _endwise(pick, x, y):
+    """`pick` of two intervals, endpoint by endpoint."""
+    return Interval(pick(x.lower, y.lower), pick(x.upper, y.upper))
+
+
+def _contracted(x):
+    """x shrunk to half its width around its midpoint."""
+    m = (x.lower + x.upper) / 2.0
+    return Interval((x.lower + m) / 2.0, (x.upper + m) / 2.0)
+
+
 def _power_of_product(k):
-    return lambda x, y: power(product(x, y), k)
+    return lambda x, y: power(_product(x, y), k)
 
 
 def _ends_cases():
@@ -417,23 +427,23 @@ def _ends_cases():
                           ("xyp:p=2", "product"), ("lukasiewicz", "min"),
                           ("lukasiewicz", "lukasiewicz"))]
     return cases + [
-        (prod, product),
-        (migrative_from_generator(IDENTITY), product),
+        (prod, _product),
+        (migrative_from_generator(IDENTITY), _product),
         (migrative_from_generator(SQRT), _power_of_product(ExponentInterval.of(0.5))),
         (migrative_from_generator(SQUARE), _power_of_product(two)),
         *[(migrative_canonical(k), _power_of_product(k.halved()))
           for k in (ExponentInterval(1.0, 1.0), ExponentInterval(1.0, 2.0), two)],
         (semi_representable(pick3, pick4, parts), _semi_formula(pick3, pick4, parts)),
         (semi_representable(pick3, mean34, parts), _semi_formula(pick3, mean34, parts)),
-        (mid, lambda x, y: meet(contract_half(x), contract_half(y))),
+        (mid, lambda x, y: _endwise(min, _contracted(x), _contracted(y))),
         (power_transform(prod, 2, "power"), lambda x, y: prod(power(x, two), power(y, two))),
         (power_transform(rep_mm, 3, "root"),
          lambda x, y: rep_mm(power(x, third), power(y, third))),
         (power_transform(mid, 3, "root"), lambda x, y: mid(power(x, third), power(y, third))),
-        (iv_join(rep_pp, rep_mm), lambda x, y: join(rep_pp(x, y), rep_mm(x, y))),
-        (iv_meet(rep_pp, rep_mm), lambda x, y: meet(rep_pp(x, y), rep_mm(x, y))),
-        (iv_join(prod, mid), lambda x, y: join(prod(x, y), mid(x, y))),
-        (iv_meet(prod, mid), lambda x, y: meet(prod(x, y), mid(x, y))),
+        (iv_join(rep_pp, rep_mm), lambda x, y: _endwise(max, rep_pp(x, y), rep_mm(x, y))),
+        (iv_meet(rep_pp, rep_mm), lambda x, y: _endwise(min, rep_pp(x, y), rep_mm(x, y))),
+        (iv_join(prod, mid), lambda x, y: _endwise(max, prod(x, y), mid(x, y))),
+        (iv_meet(prod, mid), lambda x, y: _endwise(min, prod(x, y), mid(x, y))),
     ]
 
 
@@ -866,10 +876,8 @@ class TestRandomizedLaws:
     @settings(max_examples=200)
     def test_product_migrates_factors(self, alpha, x, y):
         prod = interval_product()
-        from ivowa.intervals import product as iv_product
-
-        left = prod(iv_product(alpha, x), y)
-        right = prod(x, iv_product(alpha, y))
+        left = prod(prod(alpha, x), y)
+        right = prod(x, prod(alpha, y))
         assert left.lower == pytest.approx(right.lower, abs=1e-9)
         assert left.upper == pytest.approx(right.upper, abs=1e-9)
 

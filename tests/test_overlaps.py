@@ -1,12 +1,9 @@
 import itertools
-import math
 import tracemalloc
 from array import array
 from itertools import repeat
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from ivowa.overlaps import (
     OverlapError,
@@ -21,7 +18,6 @@ from ivowa.overlaps import (
     mean_of_components,
     pointwise_leq,
     projection_aggregator,
-    real_owa,
     verify_overlap_axioms,
 )
 from ivowa.sampling import REAL_GRID, SampleGrid
@@ -182,27 +178,6 @@ class TestCombinators:
     def test_pointwise_leq(self):
         assert pointwise_leq(CATALOG["product"], CATALOG["min"], GRID_PTS).ok
         assert not pointwise_leq(CATALOG["min"], CATALOG["product"], GRID_PTS).ok
-
-
-class TestRealOwa:
-    def test_examples(self):
-        assert real_owa((1.0, 0.0), (0.3, 0.8)) == 0.8
-        assert real_owa((0.5, 0.5), (0.3, 0.8)) == pytest.approx(0.55, abs=1e-12)
-        assert real_owa((0.0, 0.0, 1.0), (0.9, 0.2, 0.5)) == 0.2
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
-    def test_uniform_weights_give_mean(self, xs):
-        n = len(xs)
-        got = real_owa([1.0 / n] * n, xs)
-        assert got == pytest.approx(math.fsum(xs) / n, abs=1e-12)
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(OverlapError):
-            real_owa((0.4, 0.4), (0.1, 0.2))
-        with pytest.raises(OverlapError):
-            real_owa((1.5, -0.5), (0.1, 0.2))
-        with pytest.raises(OverlapError):
-            real_owa((1.0,), (0.1, 0.2))
 
 
 class TestFourAryAggregators:

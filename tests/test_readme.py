@@ -1,9 +1,12 @@
-"""README's Python examples run, and print what their comments say."""
+"""README's Python examples run, and print what their comments say, and its
+library surface lists every name the package exports."""
 
+import ast
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_each_print_shows_its_commented_value(capsys):
@@ -17,3 +20,14 @@ def test_each_print_shows_its_commented_value(capsys):
         expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
         exec(compile(block, str(README), "exec"), namespace)
         assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_library_surface_names_each_export_once():
+    # The names `ivowa/__init__.py` imports are the public surface; README's
+    # "Library surface" section lists each of them once, and nothing else.
+    init = ast.parse((ROOT / "src" / "ivowa" / "__init__.py").read_text(encoding="utf-8"))
+    exported = sorted(alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                      for alias in node.names)
+    section = README.read_text(encoding="utf-8").partition("\n## Library surface\n")[2]
+    listed = re.findall(r"`([A-Za-z_]\w*)`", section.partition("\n## ")[0])
+    assert sorted(listed) == exported
