@@ -61,8 +61,7 @@ from .overlaps import (
     builtin_overlaps,
     check_m1_boundary,
     check_m2_monotone,
-    check_m3_component,
-    check_m4_component,
+    check_pinned_component,
     convex_sum,
     go_axioms,
     lattice_join,
@@ -177,11 +176,10 @@ def run_axiom_suite(target, grid: SampleGrid | None = None) -> list[CheckReport]
             _report("m1", target.name, check_m1_boundary(target), EXACT),
             _report("m2", target.name, check_m2_monotone(target), EXACT),
         ]
-        components = {"m3:arg": check_m3_component, "m4:arg": check_m4_component}
+        pins = {"m3:arg": 0.0, "m4:arg": 1.0}
         for claim in sorted(target.claims):
-            component = components.get(claim[:6])
-            if component is not None:
-                res = component(target, int(claim[6:]))
+            if claim[:6] in pins:
+                res = check_pinned_component(target, int(claim[6:]), pins[claim[:6]])
                 reports.append(_report(claim, target.name, res, EXACT))
         return reports
     if isinstance(target, IVAggregator):

@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--format", choices=("csv", "json"), default=None,
                        help="matrix format; defaults from the file suffix")
     p_agg.add_argument("--json", action="store_true", help="emit machine-readable output")
-    p_agg.set_defaults(fn=_cmd_aggregate)
+    p_agg.set_defaults(command=_cmd_aggregate)
 
     p_ver = sub.add_parser("verify", help="run law checks for operator ids")
     p_ver.add_argument("targets", nargs="+",
@@ -348,10 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="endpoint step of the interval sample grid (default 0.1); "
                        "real-overlap targets walk their own 0.05 point grid")
     p_ver.add_argument("--json", action="store_true", help="emit one JSON record per check")
-    p_ver.set_defaults(fn=_cmd_verify)
+    p_ver.set_defaults(command=_cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="list operator ids")
-    p_cat.set_defaults(fn=_cmd_catalog)
+    p_cat.set_defaults(command=_cmd_catalog)
     return parser
 
 
@@ -359,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        code = args.command(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (`ivowa catalog | head -1`).  Point

@@ -33,9 +33,8 @@ from .overlaps import (
     RealOverlap,
     _cut,
     check_commutative_first_two,
-    check_m3_component,
-    check_m4_component,
     check_nary_continuity,
+    check_pinned_component,
     pointwise_equal,
     pointwise_leq,
 )
@@ -157,16 +156,18 @@ class IVOverlap(Slotted):
     A fixed argument's columns may be `repeat`s; each column is read once,
     and the value columns may be lazy.  A call is the one-pair case.
 
-    The provenance is the constructor's record of how `columns` was built,
-    and `endpoint_maps` reads the overlap's endpoint maps from it: an
-    overlap built by hand with a `Representable`, `Migrative` or
-    `Transformed` provenance claims the columns of that construction."""
+    `endwise` is the pair of endpoint maps ``(g_l, g_u)`` of an
+    endpoint-separable overlap, ``O(X, Y) = [g_l(x_l, y_l), g_u(x_u,
+    y_u)]``, each a map over two real columns, ``g(xs, ys) -> values``,
+    one map twice when both ends are one function; `columns` is built from
+    them (`_separable`).  None for an overlap given only as columns: the
+    law checks then take their interval walks."""
 
-    __slots__ = ("columns", "name", "provenance")
+    __slots__ = ("columns", "name", "provenance", "endwise")
 
     def __init__(self, columns: Callable[..., tuple[Iterable[float], Iterable[float]]], name: str,
-                 provenance: Provenance) -> None:
-        self._init(columns, name, provenance)
+                 provenance: Provenance, endwise: tuple[Callable, Callable] | None = None) -> None:
+        self._init(columns, name, provenance, endwise)
 
     def __call__(self, x: Interval, y: Interval) -> Interval:
         (lo,), (up,) = self.columns((x.lower,), (x.upper,), (y.lower,), (y.upper,))
@@ -243,8 +244,15 @@ def representable(g_lower: RealOverlap, g_upper: RealOverlap) -> IVOverlap:
         raise ConstructionError(
             f"lower component exceeds upper component at ({x!r}, {y!r}): {lo!r} > {up!r}"
         )
-    return IVOverlap(lambda xl, xu, yl, yu: (g_lower.columns(xl, yl), g_upper.columns(xu, yu)),
-                     f"rep({g_lower.name},{g_upper.name})", Representable(g_lower, g_upper))
+    return _separable((g_lower.columns, g_upper.columns), f"rep({g_lower.name},{g_upper.name})",
+                      Representable(g_lower, g_upper))
+
+
+def _separable(endwise: tuple[Callable, Callable], name: str, provenance: Provenance) -> IVOverlap:
+    """The endpoint-separable overlap of its endpoint maps ``(g_l, g_u)``:
+    its columns are ``(g_l(xl, yl), g_u(xu, yu))``."""
+    g_l, g_u = endwise
+    return IVOverlap(lambda xl, xu, yl, yu: (g_l(xl, yl), g_u(xu, yu)), name, provenance, endwise)
 
 
 def semi_representable(
@@ -290,11 +298,11 @@ def _semi_representable(
             raise ConstructionError(
                 f"commutativity: aggregator {m.name} not commutative in its first two arguments"
             )
-    if not (check_m3_component(m_lower, 4).ok or check_m3_component(m_upper, 4).ok):
+    if not any(check_pinned_component(m, 4, 0.0).ok for m in (m_lower, m_upper)):
         raise ConstructionError(
             "zero boundary: neither aggregator pins its fourth argument at value 0"
         )
-    if not (check_m4_component(m_lower, 3).ok or check_m4_component(m_upper, 3).ok):
+    if not any(check_pinned_component(m, 3, 1.0).ok for m in (m_lower, m_upper)):
         raise ConstructionError(
             "one boundary: neither aggregator pins its third argument at value 1"
         )
@@ -306,10 +314,10 @@ def _semi_representable(
 
     def columns(*cols):
         xl, xu, yl, yu = _cut(cols)
-        return (map(m_lower.fn, g1.columns(xl, yu), g2.columns(xu, yl), g3.columns(xl, yl),
-                    g4.columns(xu, yu)),
-                map(m_upper.fn, g5.columns(xl, yu), g6.columns(xu, yl), g7.columns(xl, yl),
-                    g8.columns(xu, yu)))
+        return (m_lower.columns(g1.columns(xl, yu), g2.columns(xu, yl), g3.columns(xl, yl),
+                                g4.columns(xu, yu)),
+                m_upper.columns(g5.columns(xl, yu), g6.columns(xu, yl), g7.columns(xl, yl),
+                                g8.columns(xu, yu)))
 
     op = IVOverlap(columns, name or f"semi({m_lower.name},{m_upper.name})",
                    SemiRepresentable(m_lower, m_upper, parts))
@@ -344,8 +352,12 @@ def _validate_generator(g: UnaryGenerator) -> None:
 
 @memoized
 def migrative_from_generator(g: UnaryGenerator, name: str | None = None) -> IVOverlap:
-    """Build the migrative overlap X, Y -> g(XY) from a unary generator."""
+    """Build the migrative overlap X, Y -> g(XY) from a unary generator,
+    separable when g maps each endpoint on its own (`UnaryGenerator.endwise`)."""
     _validate_generator(g)
+    if g.endwise is not None:
+        return _separable(_shared(*g.endwise, lambda f: lambda xs, ys: f(map(mul, xs, ys))),
+                          name or f"mig({g.name})", Migrative(g))
     return IVOverlap(lambda xl, xu, yl, yu: g.columns(map(mul, xl, yl), map(mul, xu, yu)),
                      name or f"mig({g.name})", Migrative(g))
 
@@ -390,35 +402,12 @@ def power_transform(base: IVOverlap, n: int, direction: Literal["power", "root"]
     else:
         raise ConstructionError(f"unknown transform direction {direction!r}")
     ks = repeat(k)
+    if base.endwise is not None:
+        return _separable(_shared(*base.endwise, lambda g: lambda xs, ys: g(
+            map(pow, xs, ks), map(pow, ys, ks))), name, Transformed(base, k))
     return IVOverlap(lambda xl, xu, yl, yu: base.columns(
         map(pow, xl, ks), map(pow, xu, ks), map(pow, yl, ks), map(pow, yu, ks)),
         name, Transformed(base, k))
-
-
-@memoized
-def endpoint_maps(o: IVOverlap) -> tuple[Callable, Callable] | None:
-    """The endpoint maps ``(g_l, g_u)`` of an endpoint-separable overlap,
-    ``O(X, Y) = [g_l(x_l, y_l), g_u(x_u, y_u)]``, each a map over two real
-    columns, ``g(xs, ys) -> values``, that computes the overlap's own floats;
-    one map twice when both ends are one function.  None when the overlap is
-    not separable by construction.
-
-    Decided by provenance, not by a test on a grid, since the laws that use
-    it evaluate the overlap off the grid: a `Representable` overlap, a
-    `Migrative` one whose generator maps each endpoint on its own (the
-    identity and the powers), and a `Transformed` one of a separable base
-    are separable; semi-representable overlaps, `midpoint`, lattice joins
-    and meets, generators given only as columns and every `Opaque` overlap
-    are not."""
-    p = o.provenance
-    if isinstance(p, Representable):
-        return p.lower.columns, p.upper.columns
-    if isinstance(p, Migrative) and p.generator.endwise is not None:
-        return _shared(*p.generator.endwise, lambda f: lambda xs, ys: f(map(mul, xs, ys)))
-    if isinstance(p, Transformed) and (base := endpoint_maps(p.base)) is not None:
-        ks = repeat(p.exponent)
-        return _shared(*base, lambda g: lambda xs, ys: g(map(pow, xs, ks), map(pow, ys, ks)))
-    return None
 
 
 def _shared(lower, upper, build: Callable) -> tuple:
@@ -433,7 +422,7 @@ def separable_tables(o: IVOverlap, xs: Sequence[float], ys: Sequence[float]
     ascending point lists, ``lows[j][i] = g_l(xs[i], ys[j])`` and ``ups``
     likewise of g_u (one table when one map serves both ends), when every
     interval an interval walk over these points can build is shown valid;
-    None when `o` is not separable (`endpoint_maps`) or that is not shown.
+    None when `o` is not separable (`IVOverlap.endwise`) or that is not shown.
 
     Such a walk builds ``[g_l(x, y), g_u(x', y')]`` with x <= x' and y <= y'.
     The tables show it valid when every lower value lies in [0, 1] and at
@@ -443,10 +432,9 @@ def separable_tables(o: IVOverlap, xs: Sequence[float], ys: Sequence[float]
     upper map falls somewhere on these points keeps the interval walk.
     Checking each end on its own would miss a lower value above an upper
     one; a NaN fails."""
-    ends = endpoint_maps(o)
-    if ends is None:
+    if o.endwise is None:
         return None
-    lows, ups = _shared(*ends, lambda g: [list(g(xs, repeat(y))) for y in ys])
+    lows, ups = _shared(*o.endwise, lambda g: [list(g(xs, repeat(y))) for y in ys])
     return (lows, ups) if _valid_tables(lows, ups) else None
 
 
@@ -605,12 +593,11 @@ def _real_cases_hold(f: IVOverlap, grid: SampleGrid, tol: float,
     and migrativity"): an interval case holds at both endpoints exactly
     when its lower and its upper real case hold, and every real case is
     the lower and the upper case of a degenerate grid-interval case."""
-    ends = endpoint_maps(f)
-    if ends is None:
+    if f.endwise is None:
         return False
     pts = grid.endpoints()
     points = sorted({a * x for a in pts for x in pts})
-    rows = LazyRows(lambda p: _shared(*ends, lambda g: list(g(repeat(p), points))))
+    rows = LazyRows(lambda p: _shared(*f.endwise, lambda g: list(g(repeat(p), points))))
     col = {p: i for i, p in enumerate(points)}
 
     def holds(block: Iterable[tuple[tuple, tuple, tuple]]) -> bool:

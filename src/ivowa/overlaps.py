@@ -17,7 +17,7 @@ import itertools
 import math
 from array import array
 from itertools import repeat
-from operator import add, ge, lt, mul, sub
+from operator import add, and_, eq, ge, lt, mul, ne, sub, truediv
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import Slotted
@@ -28,8 +28,10 @@ from .sampling import (
     SampleGrid,
     SampledResult,
     first_violation,
+    first_violation_in_rows,
     jump_probe,
     memoized,
+    row_items,
 )
 
 
@@ -57,20 +59,23 @@ class RealOverlap(Slotted):
 
 
 class RealAggregator(Slotted):
-    """An n-ary aggregation function on [0,1].  Its `claims` are only the
+    """An n-ary aggregation function on [0,1], stored as its map over
+    argument columns of one length, ``columns(*cols) -> values``, as real
+    overlaps are.  A call is the one-tuple case.  Its `claims` are only the
     ``m3:argI`` and ``m4:argI`` pins, the component checks that
     `run_axiom_suite` runs besides M1 and M2."""
 
-    __slots__ = ("fn", "arity", "name", "claims")
+    __slots__ = ("columns", "arity", "name", "claims")
 
-    def __init__(self, fn: Callable[..., float], arity: int, name: str,
+    def __init__(self, columns: Callable[..., Iterable[float]], arity: int, name: str,
                  claims: frozenset[str] = frozenset()) -> None:
-        self._init(fn, arity, name, claims)
+        self._init(columns, arity, name, claims)
 
     def __call__(self, *xs: float) -> float:
         if len(xs) != self.arity:
             raise OverlapError(f"{self.name} expects {self.arity} arguments, got {len(xs)}")
-        return self.fn(*xs)
+        (value,) = self.columns(*((x,) for x in xs))
+        return value
 
 
 def _cut(cols: Sequence[Iterable[float]]) -> list[tuple[float, ...]]:
@@ -243,39 +248,58 @@ def pointwise_equal(g1: RealOverlap, g2: RealOverlap, pts: Sequence[float]) -> S
 # ---------------------------------------------------------------------------
 
 
-@memoized
+def _positions(idx: tuple, shown: str) -> tuple[int, ...]:
+    """`idx`, the 1-based argument positions of a 4-ary aggregator, refused
+    unless each is an `int`, not a `bool`, in 1..4; `shown` names them."""
+    for i in idx:
+        if type(i) is not int:
+            raise OverlapError(f"component index {i!r} is not an int")
+    if any(not 1 <= i <= 4 for i in idx) or not idx:
+        raise OverlapError(f"{shown} out of range 1..4")
+    return idx
+
+
 def projection_aggregator(index: int) -> RealAggregator:
     """4-ary aggregator picking its index-th argument (1-based)."""
-    if not 1 <= index <= 4:
-        raise OverlapError(f"projection index {index} out of range 1..4")
-    return RealAggregator(lambda *xs: xs[index - 1], 4, f"pick:{index}",
+    return _projection_aggregator(*_positions((index,), f"projection index {index}"))
+
+
+@memoized
+def _projection_aggregator(index: int) -> RealAggregator:
+    return RealAggregator(lambda *cols: cols[index - 1], 4, f"pick:{index}",
                           frozenset({f"m3:arg{index}", f"m4:arg{index}"}))
 
 
 def mean_of_components(indices: Sequence[int]) -> RealAggregator:
     """4-ary aggregator averaging the given (1-based) argument positions."""
-    idx = tuple(indices)
-    if any(not 1 <= i <= 4 for i in idx) or not idx:
-        raise OverlapError(f"component indices {indices} out of range 1..4")
-    return _mean_of_components(idx)
+    return _mean_of_components(_positions(tuple(indices), f"component indices {indices}"))
 
 
 @memoized
 def _mean_of_components(idx: tuple[int, ...]) -> RealAggregator:
-    claims = frozenset(f"m{k}:arg{i}" for k in (3, 4) for i in idx)
-    name = "mean:" + "+".join(str(i) for i in idx)
+    def columns(*cols: Iterable[float]) -> Iterator[float]:
+        # A repeated index reads its column twice, so then the columns are cut.
+        cols = _cut(cols) if len(set(idx)) < len(idx) else cols
+        return map(truediv, map(math.fsum, zip(*(cols[i - 1] for i in idx))), repeat(len(idx)))
 
-    def fn(*xs: float) -> float:
-        return math.fsum(xs[i - 1] for i in idx) / len(idx)
-
-    return RealAggregator(fn, 4, name, claims)
+    return RealAggregator(columns, 4, "mean:" + "+".join(map(str, idx)),
+                          frozenset(f"m{k}:arg{i}" for k in (3, 4) for i in idx))
 
 
 def check_m1_boundary(m: RealAggregator) -> SampledResult:
-    zeros = (0.0,) * m.arity
-    ones = (1.0,) * m.arity
-    ok = m(*zeros) == 0.0 and m(*ones) == 1.0
-    return SampledResult(ok, None if ok else (m(*zeros), m(*ones)), 2)
+    """m is 0 at the zero tuple and 1 at the ones: one column call."""
+    values = tuple(m.columns(*[(0.0, 1.0)] * m.arity))
+    ok = values == (0.0, 1.0)
+    return SampledResult(ok, None if ok else values, 2)
+
+
+def _grid_columns(pts: Sequence[float], n: int) -> list[Iterator[float]]:
+    """The argument columns of the grid tuples ``itertools.product(pts,
+    repeat=n)``, lazily, in C-level iterators: column j runs through the
+    points, each ``len(pts) ** (n-1-j)`` times, and that block ``len(pts) **
+    j`` times over.  No tuple is built."""
+    return [itertools.chain.from_iterable(repeat(array("d", itertools.chain.from_iterable(
+        map(repeat, pts, repeat(len(pts) ** (n - 1 - j))))), len(pts) ** j)) for j in range(n)]
 
 
 def _first_step(
@@ -287,12 +311,13 @@ def _first_step(
     in product order and then argument order, where ``fails(moved, values)``,
     as the witness ``(args, j, jump)``; the sample count is the whole grid.
 
-    m is evaluated once per grid tuple, into one flat array in product order.
-    A step in argument j moves ``stride = len(pts) ** (n-1-j)`` places, so a
-    block of ``len(pts) * stride`` values is decided by one C-level pass."""
+    m is evaluated by one column call over the grid, into one flat array in
+    product order.  A step in argument j moves ``stride = len(pts) **
+    (n-1-j)`` places, so a block of ``len(pts) * stride`` values is decided
+    by one C-level pass."""
     pts = SampleGrid(step).endpoints()
     size, n = len(pts), m.arity
-    values = array("d", itertools.starmap(m.fn, itertools.product(pts, repeat=n)))
+    values = array("d", m.columns(*_grid_columns(pts, n)))
     first = None
     for j in range(n):
         stride = size ** (n - 1 - j)
@@ -318,26 +343,28 @@ def check_m2_monotone(m: RealAggregator) -> SampledResult:
     return SampledResult(ok, witness and witness[:2], samples)
 
 
-def check_m3_component(m: RealAggregator, index: int) -> SampledResult:
-    """Value 0 forces the index-th argument (1-based) to be 0, on the 0.25 grid."""
-    pts = SampleGrid(0.25).endpoints()
-    return first_violation(args if m(*args) == 0.0 and args[index - 1] != 0.0 else None
-                           for args in itertools.product(pts, repeat=m.arity))
+def _first_failing_tuple(m: RealAggregator, fails: Callable[[list], Iterator[bool]]
+                         ) -> SampledResult:
+    """The first tuple of the 0.25 grid at m's arity, in product order, that
+    ``fails(cols)`` marks, as the witness; `fails` maps the tuples' argument
+    columns `cols`, which it may read more than once, to per-tuple failures
+    in C-level maps, read by one pass."""
+    args = list(itertools.product(SampleGrid(0.25).endpoints(), repeat=m.arity))
+    return first_violation_in_rows(row_items(fails(list(zip(*args))), len(args), args.__getitem__))
 
 
-def check_m4_component(m: RealAggregator, index: int) -> SampledResult:
-    """Value 1 forces the index-th argument (1-based) to be 1, on the 0.25 grid."""
-    pts = SampleGrid(0.25).endpoints()
-    return first_violation(args if m(*args) == 1.0 and args[index - 1] != 1.0 else None
-                           for args in itertools.product(pts, repeat=m.arity))
+def check_pinned_component(m: RealAggregator, index: int, pin: float) -> SampledResult:
+    """Value `pin` forces the index-th argument (1-based) to be `pin`, on the
+    0.25 grid: M3 with pin 0, M4 with pin 1.  One column call."""
+    return _first_failing_tuple(m, lambda cols: map(and_, map(eq, m.columns(*cols), repeat(pin)),
+                                                    map(ne, cols[index - 1], repeat(pin))))
 
 
 def check_commutative_first_two(m: RealAggregator) -> SampledResult:
-    """m(x1, x2, ...) == m(x2, x1, ...), read from one table of m's values:
-    m is evaluated once per tuple of the 0.25 grid."""
-    args = list(itertools.product(SampleGrid(0.25).endpoints(), repeat=m.arity))
-    value = dict(zip(args, itertools.starmap(m.fn, args)))
-    return first_violation(a if value[a] != value[(a[1], a[0], *a[2:])] else None for a in args)
+    """m(x1, x2, ...) == m(x2, x1, ...) on the 0.25 grid: two column calls,
+    the second with the first two columns swapped."""
+    return _first_failing_tuple(m, lambda cols: map(
+        ne, m.columns(*cols), m.columns(cols[1], cols[0], *cols[2:])))
 
 
 def check_nary_continuity(m: RealAggregator) -> SampledResult:

@@ -32,7 +32,6 @@ from .intervals import (
 from .iv_overlaps import (
     IVOverlap,
     _checked,
-    endpoint_maps,
     interval_product,
     neutral_element_holds,
     separable_tables,
@@ -519,7 +518,7 @@ def _real_distributes(
 ) -> SampledResult:
     """The real laws m(g(x1, y), ..., g(xn, y)) == g(m(x1..xn), y) within
     `tol` on the grid's endpoints, for each endpoint map g of the separable
-    overlap `o` (`endpoint_maps`) in turn, one walk when one map serves
+    overlap `o` (`IVOverlap.endwise`) in turn, one walk when one map serves
     both ends; `m` acts on one end of an endpoint-wise aggregator
     (`IVAggregator.endwise`).  `restrict` keeps the tuples whose x1..xn are
     `non_saturating`.  The witness is the first failing map's real tuple
@@ -592,7 +591,7 @@ def _real_distributes(
                                  lambda k: (*map(value, block[k // size]), pts[k % size]))
 
     samples = 0
-    for g in dict.fromkeys(endpoint_maps(o)):
+    for g in dict.fromkeys(o.endwise):
         real = first_violation_in_rows(rows(g))
         samples += real.samples
         if not real.ok:
@@ -609,7 +608,7 @@ def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResu
 
     One rule.  A reduction walk, which can only decide a pass, runs first:
     the real walks of the endpoint maps (`_real_distributes`) when the
-    overlap is separable (`endpoint_maps`) and the aggregator acts on each
+    overlap is separable (`IVOverlap.endwise`) and the aggregator acts on each
     end on its own (`IVAggregator.endwise`), otherwise the interval walk
     (`check_distributivity`).  `max` above n = 2 walks the binary `max` at
     tolerance 0; every other pair walks itself at `tol`.  A pass decides the
@@ -631,7 +630,7 @@ def _distributes(m: IVAggregator, o: IVOverlap, tol: float) -> tuple[SampledResu
                                     budget=300_000 if agg.arity <= 2 else 100_000)
 
     reduced = (_real_distributes(walk, o, tol=walk_tol, restrict=restrict)
-               if m.endwise is not None and endpoint_maps(o) is not None
+               if m.endwise is not None and o.endwise is not None
                else interval(walk, walk_tol))
     dist = reduced if reduced.ok else interval(m, tol)
     return dist, interval(m, tol, False).witness if restrict and dist.ok else None

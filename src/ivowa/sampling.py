@@ -123,9 +123,9 @@ class LazyRows(dict):
 # The one memo.  Sampled checks, operator validation, operator constructors
 # and catalogs are deterministic for fixed arguments, so their results are
 # kept here, least recently used first out once MEMO_SIZE entries are held.
-# A full `verify theorems lattice` run in one process holds 111: verdicts,
-# operators, catalogs and endpoint maps, and no value table, since the
-# continuity probes stream theirs (`jump_probe`).
+# A full `verify theorems lattice` run in one process holds 105: verdicts,
+# operators and catalogs, and no value table, since the continuity probes
+# stream theirs (`jump_probe`); a separable overlap holds its endpoint maps.
 MEMO_SIZE = 512
 _MEMO: OrderedDict[tuple, object] = OrderedDict()
 

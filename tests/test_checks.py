@@ -20,11 +20,10 @@ from ivowa.intervals import Interval
 from ivowa.iv_overlaps import (
     IVOverlap,
     check_associative,
-    endpoint_maps,
     midpoint_example,
     representable,
 )
-from ivowa.overlaps import RealOverlap, builtin_overlaps, projection_aggregator
+from ivowa.overlaps import RealAggregator, RealOverlap, builtin_overlaps, projection_aggregator
 from ivowa.owa import builtin_aggregators
 from ivowa.registry import standard_overlaps
 from ivowa.sampling import DEFAULT_GRID, POLY_TOLERANCE, SampledResult
@@ -178,9 +177,13 @@ class TestTheoremSuite:
             (r"lifted\(ends\)|max_jump_nary|def _split\(|checked_ends|continuity_probe", ()),
             (r"def outcomes|def agg_|^    ends:", ("owa.py",)),
             (r"^    ends:", ("iv_overlaps.py",)),
+            # A separable overlap's endpoint maps are its `endwise` field, and
+            # an aggregator has no per-tuple function.
+            (r"\.fn\b|def endpoint_maps", ()),
         ]:
             assert not source_lines(pattern, *modules)
         assert RealOverlap.__slots__ == ("columns", "name")
+        assert RealAggregator.__slots__ == ("columns", "arity", "name", "claims")
         assert law_suite[2] <= 68
 
     def test_separable_laws_make_no_passing_interval_walk(self, law_suite):
@@ -191,9 +194,7 @@ class TestTheoremSuite:
         # aggregators make one: tsum saturates and dirac is not endpoint-wise.
         walks = law_suite[3]
         for walk, target, result in walks:
-            separable = (target.endwise is not None if isinstance(target, owa.IVAggregator)
-                         else endpoint_maps(target) is not None)
-            assert not (separable and result.ok), (walk, target.name)
+            assert not (target.endwise is not None and result.ok), (walk, target.name)
         assert sorted((walk, target.name, result.ok) for walk, target, result in walks) == [
             ("_interval_homogeneous_m", "dirac", False), ("_interval_homogeneous_m", "tsum", False)]
 

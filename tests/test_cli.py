@@ -793,6 +793,17 @@ class TestVerifyCommand:
         assert all(set(r) == {"check_id", "target", "verdict", "witness",
                               "samples", "tolerance"} for r in records)
 
+    def test_product_names_the_real_product(self, capsys):
+        # A bare `product` is the real overlap's id, so it runs GO1-GO5; the
+        # interval product's checks run under `mig(identity)`.
+        assert main(["verify", "product", "mig(identity)", "--json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["target"], r["check_id"], r["verdict"]) for r in records] == [
+            *(("product", f"go{i}", "pass") for i in range(1, 6)),
+            *(("mig(identity)", check, "pass") for check in (
+                "o1", "o2", "o3", "o4", "o5", "inclusion-monotonic", "strongly-positive")),
+        ]
+
     def test_real_overlap_target(self, capsys):
         assert main(["verify", "lukasiewicz"]) == 1
         assert "go2" in capsys.readouterr().out

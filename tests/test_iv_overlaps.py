@@ -61,6 +61,7 @@ from ivowa.iv_overlaps import (
     verify_iv_axioms,
 )
 from ivowa.overlaps import (
+    RealAggregator,
     RealOverlap,
     builtin_overlaps,
     mean_of_components,
@@ -242,6 +243,25 @@ class TestSemiRepresentable:
             semi_representable(
                 mean_of_components((3,)), mean_of_components((3,)), (CAT["product"],) * 8
             )
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 1000])
+    def test_a_column_call_makes_one_aggregator_call_per_end(self, k):
+        calls = []
+
+        def counted(m):
+            def columns(*cols):
+                calls.append(m.name)
+                return m.columns(*cols)
+            return RealAggregator(columns, m.arity, m.name, m.claims)
+
+        op = semi_representable(counted(projection_aggregator(3)),
+                                counted(mean_of_components((3, 4))), (CAT["product"],) * 8)
+        calls.clear()
+        xs = [(x.lower, x.upper) for x in SAMPLE] * (k // len(SAMPLE) + 1)
+        cols = [[p[i] for p in xs[:k]] for i in (0, 1)]
+        lows, ups = map(list, op.columns(*cols, *cols))
+        assert len(lows) == len(ups) == k
+        assert calls == ["pick:3", "mean:3+4"]
 
     def test_component_domination_rejected(self):
         parts = (CAT["min"],) * 4 + (CAT["product"],) * 4

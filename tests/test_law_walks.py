@@ -76,9 +76,8 @@ from ivowa.overlaps import (
     builtin_overlaps,
     check_commutative_first_two,
     check_m2_monotone,
-    check_m3_component,
-    check_m4_component,
     check_nary_continuity,
+    check_pinned_component,
     mean_of_components,
     pointwise_equal,
     pointwise_leq,
@@ -191,9 +190,9 @@ GRID_NUDGES = [
 
 def _dip(at):
     """A monotone 4-ary function, (x1 + x2 + x3 + x4 + 1) / 5, except for the
-    value 0 at the one argument tuple `at`."""
-    return RealAggregator(lambda *xs: 0.0 if xs == at else (sum(xs) + 1.0) / 5.0, 4,
-                          f"dip@{at}")
+    value 0 at the one argument tuple `at`, as a column map."""
+    return RealAggregator(lambda *cols: (0.0 if xs == at else (sum(xs) + 1.0) / 5.0
+                                         for xs in zip(*cols)), 4, f"dip@{at}")
 
 
 # The aggregators of the semi-representable construction, then dips whose
@@ -207,8 +206,8 @@ AGGREGATOR_TARGETS = [
 ]
 AGGREGATOR_CHECKS = {
     "m2": check_m2_monotone,
-    **{f"m3:arg{i}": (lambda m, i=i: check_m3_component(m, i)) for i in (1, 2, 3, 4)},
-    **{f"m4:arg{i}": (lambda m, i=i: check_m4_component(m, i)) for i in (1, 2, 3, 4)},
+    **{f"m3:arg{i}": (lambda m, i=i: check_pinned_component(m, i, 0.0)) for i in (1, 2, 3, 4)},
+    **{f"m4:arg{i}": (lambda m, i=i: check_pinned_component(m, i, 1.0)) for i in (1, 2, 3, 4)},
     "commutative-first-two": check_commutative_first_two,
     # Only the verdict and the sample count of the continuity probe.
     "nary-continuity": lambda m: check_nary_continuity(m)._replace(witness=None),

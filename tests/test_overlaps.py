@@ -1,17 +1,18 @@
 import itertools
+import math
 import tracemalloc
 from array import array
 from itertools import repeat
 
 import pytest
 
+from ivowa.checks import run_axiom_suite
 from ivowa.overlaps import (
     OverlapError,
     RealOverlap,
     builtin_overlaps,
     check_commutative_first_two,
-    check_m3_component,
-    check_m4_component,
+    check_pinned_component,
     convex_sum,
     lattice_join,
     lattice_meet,
@@ -184,16 +185,16 @@ class TestFourAryAggregators:
     def test_projection_picks_component(self):
         pick = projection_aggregator(3)
         assert pick(0.1, 0.2, 0.3, 0.4) == 0.3
-        assert check_m3_component(pick, 3).ok
-        assert check_m4_component(pick, 3).ok
+        assert check_pinned_component(pick, 3, 0.0).ok
+        assert check_pinned_component(pick, 3, 1.0).ok
         assert check_commutative_first_two(pick).ok
-        assert not check_m3_component(pick, 4).ok
+        assert not check_pinned_component(pick, 4, 0.0).ok
 
     def test_mean_of_components(self):
         mean34 = mean_of_components((3, 4))
         assert mean34(0.0, 1.0, 0.2, 0.4) == pytest.approx(0.3, abs=1e-12)
-        assert check_m3_component(mean34, 4).ok
-        assert check_m4_component(mean34, 3).ok
+        assert check_pinned_component(mean34, 4, 0.0).ok
+        assert check_pinned_component(mean34, 3, 1.0).ok
 
     def test_index_bounds(self):
         with pytest.raises(OverlapError):
@@ -202,6 +203,28 @@ class TestFourAryAggregators:
             mean_of_components((0, 2))
         with pytest.raises(OverlapError, match=r"^component indices \[0, 5\] out of range 1\.\.4$"):
             mean_of_components([0, 5])
+
+    @pytest.mark.parametrize("build, index", [
+        (lambda: projection_aggregator(2.5), "2.5"),
+        (lambda: projection_aggregator(3.0), "3.0"),
+        (lambda: projection_aggregator(True), "True"),
+        (lambda: mean_of_components((3.5,)), "3.5"),
+        (lambda: mean_of_components((3, False)), "False"),
+    ], ids=["pick-fraction", "pick-whole-float", "pick-bool", "mean-fraction", "mean-bool"])
+    def test_indices_that_are_not_ints_are_refused(self, build, index):
+        # Refused before the memo, where True would find pick:1 and 3.0 pick:3.
+        for held in (1, 3):
+            projection_aggregator(held)
+        with pytest.raises(OverlapError, match=rf"^component index {index} is not an int$"):
+            build()
+
+    def test_the_axiom_suite_never_meets_a_bool_index(self):
+        # The suite reads a pin's index back from its claim with `int`, so
+        # a claim such as `m3:argTrue` must never be built.
+        with pytest.raises(OverlapError):
+            run_axiom_suite(projection_aggregator(True))
+        assert [r.check_id for r in run_axiom_suite(projection_aggregator(1))] == [
+            "m1", "m2", "m3:arg1", "m4:arg1"]
 
     def test_equal_specs_return_one_aggregator(self):
         assert projection_aggregator(3) is projection_aggregator(3)
@@ -216,3 +239,25 @@ class TestFourAryAggregators:
         bogus = RealOverlap(lambda xs, ys: [0.5 for _ in zip(xs, ys)], "constant-half")
         results = verify_overlap_axioms(bogus)
         assert not results["go2"].ok and not results["go3"].ok
+
+
+# The scalar formula of each 4-ary aggregator, in the float operation order
+# its column map keeps.
+AGGREGATOR_FORMULAS = [
+    *((projection_aggregator(i), lambda *xs, i=i: xs[i - 1]) for i in (1, 2, 3, 4)),
+    *((mean_of_components(idx), lambda *xs, idx=idx: math.fsum(xs[i - 1] for i in idx) / len(idx))
+      for idx in ((3, 4), (3, 3), (1, 2, 4))),
+]
+# Every 4-tuple of the 0.1 grid with a negative zero.
+AGGREGATOR_TUPLES = list(itertools.product([*SampleGrid(0.1).endpoints(), -0.0], repeat=4))
+
+
+@pytest.mark.parametrize("m,formula", AGGREGATOR_FORMULAS,
+                         ids=[m.name for m, _ in AGGREGATOR_FORMULAS])
+def test_aggregator_column_maps_equal_their_scalar_formulas(m, formula):
+    # Bit for bit: whole list columns, lazy columns, and the one-tuple call.
+    want = _bits(itertools.starmap(formula, AGGREGATOR_TUPLES))
+    cols = list(map(list, zip(*AGGREGATOR_TUPLES)))
+    assert _bits(m.columns(*cols)) == want
+    assert _bits(m.columns(*map(iter, cols))) == want
+    assert _bits(itertools.starmap(m, AGGREGATOR_TUPLES)) == want

@@ -32,7 +32,6 @@ from ivowa.iv_overlaps import (
     UnaryGenerator,
     check_homogeneous,
     check_migrative,
-    endpoint_maps,
     interval_product,
     iv_join,
     lifted,
@@ -258,7 +257,7 @@ class TestDistributivity:
 
 def _fresh_product() -> IVOverlap:
     """The interval product under a new identity, so no memo entry holds it."""
-    return IVOverlap(PRODUCT.columns, PRODUCT.name, PRODUCT.provenance)
+    return IVOverlap(PRODUCT.columns, PRODUCT.name, PRODUCT.provenance, PRODUCT.endwise)
 
 
 def _count_tuple_samples(monkeypatch) -> list[int]:
@@ -1016,23 +1015,49 @@ def _not_separable():
 
 
 def test_separability_is_decided_by_construction():
-    assert all(endpoint_maps(o) is not None for o in SEPARABLE.values())
-    assert {name for name, o in SEPARABLE.items() if len(set(endpoint_maps(o))) == 1} == ONE_MAP
-    assert [endpoint_maps(o) for o in _not_separable()] == [None] * 7
+    assert all(o.endwise is not None for o in SEPARABLE.values())
+    assert {name for name, o in SEPARABLE.items() if len(set(o.endwise)) == 1} == ONE_MAP
+    assert [o.endwise for o in _not_separable()] == [None] * 7
 
 
 @pytest.mark.parametrize("overlap", SEPARABLE)
-def test_endpoint_maps_compute_the_overlaps_own_floats(overlap):
+def test_endwise_maps_compute_the_overlaps_own_floats(overlap):
     # Bit for bit, on the 0.05 grid and off it.
     o, rng = SEPARABLE[overlap], random.Random(overlap)
     pool = REAL_GRID.intervals() + [random_interval(rng) for _ in range(200)]
     xs, ys = zip(*(rng.sample(pool, 2) for _ in range(2000)))
     xl, xu, yl, yu = ([getattr(v, end) for v in side]
                       for side in (xs, ys) for end in ("lower", "upper"))
-    g_l, g_u = endpoint_maps(o)
+    g_l, g_u = o.endwise
     lows, ups = o.columns(xl, xu, yl, yu)
     assert list(map(float.hex, lows)) == list(map(float.hex, g_l(xl, yl)))
     assert list(map(float.hex, ups)) == list(map(float.hex, g_u(xu, yu)))
+
+
+def test_separability_is_by_construction_not_by_claim():
+    # The product's columns under its own `Migrative` provenance, but built
+    # without its endpoint maps: not separable, so every law takes the
+    # interval walks where the product takes the real ones, with the same
+    # verdicts, witnesses and sample counts.  A real distributivity walk
+    # counts real tuples, so there only the verdicts and witnesses agree.
+    claimed = IVOverlap(PRODUCT.columns, PRODUCT.name, PRODUCT.provenance)
+    assert claimed.endwise is None and PRODUCT.endwise is not None
+    assert check_migrative(claimed) == check_migrative(PRODUCT)
+    k = ExponentInterval(2.0, 2.0)
+    assert check_homogeneous(claimed, k) == check_homogeneous(PRODUCT, k)
+    rows = [(Interval(0.2, 0.7), Interval(0.5, 0.5), Interval(0.0, 1.0)),
+            (Interval(0.1, 0.1), Interval(0.3, 0.9), Interval(0.25, 0.75))]
+    for name, n in itertools.product(("max", "tsum", "geomean"), (2, 3)):
+        m = builtin_aggregators(n)[name]
+        (walked, walked_saturation), (real, real_saturation) = (
+            owa._distributes(m, o, ROOT_TOLERANCE) for o in (claimed, PRODUCT))
+        assert (walked.ok, walked.witness, walked_saturation) == (
+            real.ok, real.witness, real_saturation), (name, n)
+        w = WeightVector((ONE,) * n) if name == "geomean" else normalize_weights(
+            m, WeightVector.uniform(n))
+        first, second = ((op.saturation_witness, list(op.aggregate_rows(r[:n] for r in rows)))
+                         for op in (make_gowa(m, o, w) for o in (claimed, PRODUCT)))
+        assert first == second, (name, n)
 
 
 @pytest.mark.parametrize("grid,n", [(DEFAULT_GRID, 2), (GRID_25, 3)], ids=["n2-0.1", "n3-0.25"])
@@ -1050,7 +1075,7 @@ def test_real_walks_agree_with_the_exhaustive_interval_walk(overlap, name, tol, 
 def test_a_nudged_product_keeps_the_interval_walk_and_its_witness(monkeypatch):
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
     o = nudged_at(PRODUCT, *MAX_NUDGE, 1e-6)
-    assert endpoint_maps(o) is None
+    assert o.endwise is None
     with pytest.raises(GowaError) as rejected:
         make_gowa(builtin_aggregators(3)["max"], o, WeightVector.selector(3, 1))
     assert str(rejected.value).endswith(f"witness {MAX_REJECTIONS[3]}")
@@ -1096,7 +1121,7 @@ def real_walk_by_case(m, o, grid, tol=ROOT_TOLERANCE):
     def agg(xs):
         return next(iter(m.endwise([[x] for x in xs])))
 
-    for g in dict.fromkeys(endpoint_maps(o)):
+    for g in dict.fromkeys(o.endwise):
         def fails(case, g=g):
             *xs, y = case
             left = agg([next(iter(g([x], [y]))) for x in xs])
@@ -1194,7 +1219,7 @@ def test_the_rule_has_the_verdicts_and_witnesses_of_the_interval_walk():
             assert (dist.ok, dist.witness) == (want.ok, want.witness), (o.name, name, n, tol)
             assert saturation == (check_distributivity(m, o, tol=tol, budget=budget).witness
                                   if restrict and want.ok else None), (o.name, name, n, tol)
-            verdicts.add((endpoint_maps(o) is not None, dist.ok, saturation is not None))
+            verdicts.add((o.endwise is not None, dist.ok, saturation is not None))
     assert verdicts == {(True, True, True), (True, True, False), (True, False, False),
                         (False, True, True), (False, True, False), (False, False, False)}
 

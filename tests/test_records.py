@@ -65,11 +65,12 @@ RECORDS = [
     (ExponentInterval, "value", ("k1", "k2"), (0.5, 2.0), {}),
     (SampleGrid, "value", ("endpoint_step",), (), {"endpoint_step": 0.1}),
     (WeightVector, "value", ("weights",), ((ONE, ZERO),), {}),
-    (IVOverlap, "identity", ("columns", "name", "provenance"), (max, "o", Opaque("x")), {}),
+    (IVOverlap, "identity", ("columns", "name", "provenance", "endwise"), (max, "o", Opaque("x")),
+     {"endwise": None}),
     (IVAggregator, "identity", ("columns", "arity", "kind", "name", "endwise"),
      (min, 2, AggregatorKind.MAX, "max"), {"endwise": None}),
     (RealOverlap, "identity", ("columns", "name"), (_min_columns, "min"), {}),
-    (RealAggregator, "identity", ("fn", "arity", "name", "claims"), (max, 2, "max"),
+    (RealAggregator, "identity", ("columns", "arity", "name", "claims"), (max, 2, "max"),
      {"claims": frozenset()}),
     (UnaryGenerator, "identity", ("columns", "name", "endwise"), (abs, "g"), {"endwise": None}),
     (GowaOperator, "identity", ("aggregator", "overlap", "weights", "order", "saturation_witness"),
