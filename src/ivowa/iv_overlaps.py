@@ -32,6 +32,7 @@ from .overlaps import (
     RealAggregator,
     RealOverlap,
     _cut,
+    _grid_columns,
     check_commutative_first_two,
     check_nary_continuity,
     check_pinned_component,
@@ -323,13 +324,17 @@ def _semi_representable(
                    SemiRepresentable(m_lower, m_upper, parts))
     # The aggregated endpoints must be ordered on every reachable argument
     # tuple; literal pointwise comparison of the aggregators over [0,1]^4 is
-    # the wrong test because their arguments are themselves ordered.
-    pairs = list(itertools.product(DEFAULT_GRID.intervals(), repeat=2))
-    values = op.columns(*([getattr(v, end) for v in side]
-                          for side in zip(*pairs) for end in ("lower", "upper")))
-    for (x, y), lo, up in zip(pairs, *values):
-        if not 0.0 <= lo <= up <= 1.0:
-            raise ConstructionError(f"endpoint order: aggregated lower exceeds upper at ({x}, {y})")
+    # the wrong test because their arguments are themselves ordered.  The
+    # pairs of grid intervals are read as endpoint columns in product order,
+    # and the first bad pair is looked for only when one is there.
+    items = DEFAULT_GRID.intervals()
+    (xl, yl), (xu, yu) = (_grid_columns(ends, 2) for ends in zip(*_ends_of(items)))
+    lows, ups = map(list, op.columns(xl, xu, yl, yu))
+    if not valid_columns(lows, ups):
+        for (x, y), lo, up in zip(itertools.product(items, repeat=2), lows, ups):
+            if not 0.0 <= lo <= up <= 1.0:
+                raise ConstructionError(
+                    f"endpoint order: aggregated lower exceeds upper at ({x}, {y})")
     return op
 
 

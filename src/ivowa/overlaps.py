@@ -293,12 +293,15 @@ def check_m1_boundary(m: RealAggregator) -> SampledResult:
     return SampledResult(ok, None if ok else values, 2)
 
 
-def _grid_columns(pts: Sequence[float], n: int) -> list[Iterator[float]]:
+def _grid_columns(pts: Sequence, n: int,
+                  store: Callable[[Iterable], Sequence] = functools.partial(array, "d")
+                  ) -> list[Iterator]:
     """The argument columns of the grid tuples ``itertools.product(pts,
     repeat=n)``, lazily, in C-level iterators: column j runs through the
-    points, each ``len(pts) ** (n-1-j)`` times, and that block ``len(pts) **
-    j`` times over.  No tuple is built."""
-    return [itertools.chain.from_iterable(repeat(array("d", itertools.chain.from_iterable(
+    points, each ``len(pts) ** (n-1-j)`` times, and that block, held in one
+    `store` (an array of doubles; a list keeps Python ints whole), ``len(pts)
+    ** j`` times over.  No tuple is built."""
+    return [itertools.chain.from_iterable(repeat(store(itertools.chain.from_iterable(
         map(repeat, pts, repeat(len(pts) ** (n - 1 - j))))), len(pts) ** j)) for j in range(n)]
 
 

@@ -15,7 +15,7 @@ import enum
 import functools
 import itertools
 import math
-from operator import contains, getitem, itemgetter, mul
+from operator import add, contains, getitem, itemgetter, mul, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import (
@@ -38,6 +38,7 @@ from .iv_overlaps import (
     value_row,
     value_table,
 )
+from .overlaps import _grid_columns
 from .sampling import (
     DEFAULT_GRID,
     EXACT,
@@ -508,6 +509,12 @@ def _light_multisets(n: int, bound: int, low: int = 0) -> Iterator[tuple[int, ..
             yield (first, *rest)
 
 
+# The margin under the caller's tolerance at which an exhaustive geomean walk
+# decides each multiset of inputs: every ordering of one multiset gives
+# geomean values within 2^-50 of each other (README, "Walk shapes").
+SLACK = 2.0 ** -40
+
+
 @memoized
 def _real_distributes(
     m: IVAggregator,
@@ -524,56 +531,75 @@ def _real_distributes(
     `non_saturating`.  The witness is the first failing map's real tuple
     (x1..xn, y).  A pass stands only when every interval the interval walk
     can build from the points walked is shown valid (`separable_tables`,
-    over the grid and the aggregates m(x1..xn) walked, a sampled walk's
-    own); otherwise the walk fails with no witness, so that the interval
-    walk decides and raises what it raises.
-
-    max and tsum are symmetric in binary64, max selecting an input and
-    fsum rounding the exact sum once, so their walk takes x1..xn as
-    nondecreasing index tuples; under the restriction, only those whose
-    numerators sum to at most D, since grid endpoints are exactly k/D and
-    the others sum above 1.  Other aggregators walk every real tuple when
-    they number at most 300,000 (n <= 4 on the 0.1 grid), otherwise a
-    sample of 100,000, the interval walk's budget above n = 2
-    (`tuple_samples`), from the top of the grid down: geomean is 0 wherever
-    an input is, so over an overlap with O(0, y) = 0 the cases with x1 = 0,
-    which lead in ascending order, all hold, and a failure shows sooner
-    among large inputs.
+    over the grid and the aggregates m(x1..xn) of every tuple walked or
+    stood for, a sampled walk's own); otherwise the walk fails with no
+    witness, so that the interval walk decides and raises what it raises.
 
     The walk reads positions in `pts`, the grid's endpoints in walk order:
-    ascending for max and tsum, descending otherwise.  An exhaustive walk
-    takes a block of xs rows at a time (`_blocks`), y running over the grid
-    in each row, so geomean's 161,051 cases at n = 4 are 14,641 rows of 11:
-    one call of m gives the block's aggregates, one its left sides, read as
+    ascending for max and tsum, descending for geomean, whose failures show
+    sooner among large inputs (it is 0 wherever an input is).  x1..xn are
+    nondecreasing position tuples, one per multiset of inputs, a block of
+    them at a time (`_blocks`), y running over the grid in each row: one
+    call of m gives the block's aggregates, one its left sides, read as
     whole rows of the table g(x, .), and one call of g its right sides, all
-    decided by one `close_row`.  A sample has no rows, so it is walked a
-    block of drawn tuples at a time."""
+    decided by one `close_row`.  max and tsum are symmetric in binary64, max
+    selecting an input and fsum rounding the exact sum once, so a multiset
+    stands for its orderings; under the restriction only those whose
+    numerators sum to at most D are walked, since grid endpoints are exactly
+    k/D and the others sum above 1.
+
+    binary64 geomean is not symmetric, so its exhaustive walk (at most
+    300,000 real tuples, n <= 4 on the 0.1 grid) decides each multiset
+    within ``tol - SLACK`` of its own aggregate; then, once that holds for
+    every map, each ordering's aggregate is computed (one call of m over
+    `_grid_columns`) and each other distinct aggregate a of a multiset is
+    decided against that multiset's left sides, |lhs - g(a, y)| <= ``tol -
+    SLACK``.  Every ordering's left side is within 2^-50 of the multiset's,
+    so a pass stands for every real tuple (README, "Walk shapes"): 12,397
+    cases for 161,051 at n = 4.  At ``tol <= SLACK`` it cannot pass, and
+    fails at once with no witness.  Above that budget geomean walks a sample of 100,000
+    tuples, the interval walk's budget above n = 2 (`tuple_samples`), a
+    block of drawn tuples at a time, at `tol`."""
     pts = grid.endpoints()
     size, n, each = len(pts), m.arity, m.endwise
-    drawn = None
+    drawn, at = None, tol
     if m.kind not in (AggregatorKind.MAX, AggregatorKind.TRUNCATED_SUM):
         pts = pts[::-1]
         total = size ** (n + 1)
         drawn = tuple_samples(range(size), n + 1, total if total <= 300_000 else 100_000)
+        if drawn.exhaustive:
+            if tol <= SLACK:
+                return SampledResult(False, None, 0)
+            at = tol - SLACK
     value, flat = pts.__getitem__, itertools.chain.from_iterable
     firsts = set(pts)
+    maps = dict.fromkeys(o.endwise)
+    tables = LazyRows(lambda g: [list(g(itertools.repeat(x), pts)) for x in pts])
 
     def kept(t: tuple) -> bool:
         return non_saturating(map(value, t[:n]))
 
     def xs_rows() -> Iterable[tuple]:
-        if drawn is not None:
-            xss = itertools.product(range(size), repeat=n)
-            return filter(kept, xss) if restrict else xss
-        return (filter(kept, _light_multisets(n, grid.divisions)) if restrict
-                else itertools.combinations_with_replacement(range(size), n))
+        if drawn is None and restrict:
+            return filter(kept, _light_multisets(n, grid.divisions))
+        xss = itertools.combinations_with_replacement(range(size), n)
+        return filter(kept, xss) if restrict else xss
+
+    def decide(g: Callable, block: Sequence[tuple], aggs: Sequence[float],
+               shown: Sequence[tuple]) -> tuple:
+        """The rows of the xs in `block`, each against g(agg, .) at its
+        aggregate in `aggs`; a failing case shows its row of `shown`."""
+        lhs = list(each([flat(map(tables[g].__getitem__, xc)) for xc in zip(*block)]))
+        rhs = list(g(flat(map(itertools.repeat, aggs, itertools.repeat(size))),
+                     pts * len(block)))
+        return close_row(lhs, lhs, rhs, rhs, at,
+                         lambda k: (*map(value, shown[k // size]), pts[k % size]))
 
     def rows(g: Callable) -> Iterator:
-        table = [list(g(itertools.repeat(x), pts)) for x in pts]
         if drawn is not None and not drawn.exhaustive:
             for block in _blocks(filter(kept, drawn) if restrict else drawn):
                 *x_cols, y_col = zip(*block)
-                lhs = list(each([_read(table, xc, y_col) for xc in x_cols]))
+                lhs = list(each([_read(tables[g], xc, y_col) for xc in x_cols]))
                 aggs = list(each([map(value, xc) for xc in x_cols]))
                 firsts.update(aggs)
                 rhs = list(g(aggs, map(value, y_col)))
@@ -581,23 +607,40 @@ def _real_distributes(
                                      lambda k: tuple(map(value, block[k])))
             return
         for block in _blocks(xs_rows()):
-            x_cols = list(zip(*block))
-            aggs = list(each([map(value, xc) for xc in x_cols]))
+            aggs = list(each([map(value, xc) for xc in zip(*block)]))
             firsts.update(aggs)
-            lhs = list(each([flat(map(table.__getitem__, xc)) for xc in x_cols]))
-            rhs = list(g(flat(map(itertools.repeat, aggs, itertools.repeat(size))),
-                         pts * len(block)))
-            yield from close_row(lhs, lhs, rhs, rhs, tol,
-                                 lambda k: (*map(value, block[k // size]), pts[k % size]))
+            yield from decide(g, block, aggs, block)
 
-    samples = 0
-    for g in dict.fromkeys(o.endwise):
-        real = first_violation_in_rows(rows(g))
-        samples += real.samples
-        if not real.ok:
-            return real._replace(samples=samples)
-    return SampledResult(separable_tables(o, sorted(firsts), grid.endpoints()) is not None,
-                         None, samples)
+    def other_rows() -> Iterator:
+        # Each ordering's multiset key, the sum of (n+1)**p over its
+        # positions p (one key per multiset, as no position repeats more than
+        # n times), and its aggregate, in product order.  An ordering whose
+        # aggregate is its multiset's own was decided above; each other pair
+        # of a multiset and an aggregate is decided once, in the order of the
+        # first ordering that reaches it, shown by the last.
+        weights = [(n + 1) ** p for p in range(size)]
+        multisets = list(xs_rows())
+        own = dict(zip(map(sum, map(functools.partial(map, weights.__getitem__), multisets)),
+                       each([map(value, xc) for xc in zip(*multisets)])))
+        keys = list(functools.reduce(functools.partial(map, add), _grid_columns(weights, n, list)))
+        aggs = list(each(_grid_columns(pts, n, list)))
+        firsts.update(itertools.compress(aggs, map(own.__contains__, keys)) if restrict else aggs)
+        last = {(keys[i], aggs[i]): i
+                for i in itertools.compress(itertools.count(), map(ne, aggs, map(own.get, keys)))
+                if keys[i] in own}
+        shown = [tuple(i // size ** (n - 1 - j) % size for j in range(n)) for i in last.values()]
+        others = [(tuple(sorted(xs)), agg, xs) for (_, agg), xs in zip(last, shown)]
+        for g in maps:
+            for block in _blocks(others):
+                yield from decide(g, *zip(*block))
+
+    walks = [rows(g) for g in maps]
+    if drawn is not None and drawn.exhaustive:
+        walks.append(other_rows())
+    real = first_violation_in_rows(itertools.chain.from_iterable(walks))
+    if not real.ok:
+        return real
+    return real._replace(ok=separable_tables(o, sorted(firsts), grid.endpoints()) is not None)
 
 
 @memoized

@@ -222,6 +222,23 @@ class TestSemiRepresentable:
                 projection_aggregator(4), projection_aggregator(3), (CAT["product"],) * 8
             )
 
+    @pytest.mark.parametrize("lower,upper,inner,witness", [
+        (4, 3, "product", "([0.0,0.1], [0.0,0.1])"),
+        (3, 4, "min", "([0.1,0.1], [0.1,0.1])"),
+        (3, (3, 4), "min", "([0.1,0.1], [0.1,0.1])"),
+    ])
+    def test_endpoint_order_names_the_first_bad_pair(self, lower, upper, inner, witness):
+        # The first pair of grid intervals, in product order, whose aggregated
+        # lower endpoint exceeds its upper one.  With min as the third
+        # components, min(x_l, y_l) exceeds x_u y_u from ([0.1,0.1], [0.1,0.1]).
+        def agg(spec):
+            return mean_of_components(spec) if isinstance(spec, tuple) else projection_aggregator(spec)
+
+        p, g = CAT["product"], CAT[inner]
+        with pytest.raises(ConstructionError) as rejected:
+            semi_representable(agg(lower), agg(upper), (p, p, g, p, p, p, g, p))
+        assert str(rejected.value) == f"endpoint order: aggregated lower exceeds upper at {witness}"
+
     def test_wrong_component_count_rejected(self):
         with pytest.raises(ConstructionError, match="component count"):
             semi_representable(

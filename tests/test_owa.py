@@ -1085,37 +1085,43 @@ def test_a_nudged_product_keeps_the_interval_walk_and_its_witness(monkeypatch):
 @pytest.mark.parametrize("name,n", [("geomean", 3), ("geomean", 6), ("tsum", 3), ("tsum", 10)])
 def test_a_failing_real_walk_stops_at_its_first_failing_case(monkeypatch, name, n):
     # The real walk over rep(min,min)'s one map fails, in the block of its
-    # first failing case; then the interval walk names today's witness.
+    # first failing case; then the interval walk names today's witness.  An
+    # exhaustive geomean walk takes its multisets of inputs from the top of
+    # the grid down, at `tol - SLACK`; a sampled one its drawn tuples, at `tol`.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
     sizes, blocks = [], owa._blocks
     monkeypatch.setattr(owa, "_blocks",
                         lambda cases: (sizes.append(len(b)) or b for b in blocks(cases)))
     m, o, restrict = builtin_aggregators(n)[name], resolve_iv_overlap("rep(min,min)"), name == "tsum"
-    pts = DEFAULT_GRID.endpoints()
+    pts, tol = DEFAULT_GRID.endpoints(), ROOT_TOLERANCE
     if restrict:
         xss = (xs for xs in itertools.combinations_with_replacement(pts, n) if math.fsum(xs) <= 1.0)
         cases = ((*xs, y) for xs in xss for y in pts)
+    elif tuple_samples(pts, n + 1, 300_000).exhaustive:
+        xss = itertools.combinations_with_replacement(pts[::-1], n)
+        cases, tol = ((*xs, y) for xs in xss for y in pts[::-1]), tol - owa.SLACK
     else:
         cases = tuple_samples(pts[::-1], n + 1, 300_000)
 
     def fails(case):
         *xs, y = (Interval(v, v) for v in case)
-        return outside(m([o(x, y) for x in xs]), o(m(xs), y))
+        return outside(m([o(x, y) for x in xs]), o(m(xs), y), tol)
 
     want = first_failure_by_case(cases, fails)
     real = owa._real_distributes(m, o, restrict=restrict)
     assert not want.ok and real == want
     # An exhaustive walk blocks xs rows of |grid| cases each, a sample its cases.
-    width = len(pts) if restrict or cases.exhaustive else 1
+    width = 1 if name == "geomean" and n == 6 else len(pts)
     assert sum(sizes[:-1]) * width < real.samples <= sum(sizes) * width
     dist, _ = owa._distributes(m, o, ROOT_TOLERANCE)
     assert dist == check_distributivity(m, o, restrict=restrict, budget=100_000) and not dist.ok
 
 
-def real_walk_by_case(m, o, grid, tol=ROOT_TOLERANCE):
-    """`owa._real_distributes` of a geomean, restated one case at a time: each
-    endpoint map's real law over every real tuple from the top of the grid
-    down, then the tables over the grid and every aggregate shown valid."""
+def every_tuple_walk_by_case(m, o, grid, tol=ROOT_TOLERANCE):
+    """The real law of a geomean over every real tuple, one case at a time:
+    each endpoint map's real law from the top of the grid down at `tol`, then
+    the tables over the grid and every aggregate shown valid.  A reduced
+    pass of `owa._real_distributes` must be a pass of this walk."""
     pts, n, samples = grid.endpoints(), m.arity, 0
 
     def agg(xs):
@@ -1135,12 +1141,52 @@ def real_walk_by_case(m, o, grid, tol=ROOT_TOLERANCE):
     return SampledResult(separable_tables(o, sorted(firsts), pts) is not None, None, samples)
 
 
+def real_walk_by_case(m, o, grid, tol=ROOT_TOLERANCE):
+    """`owa._real_distributes` of an exhaustive geomean, restated one case at
+    a time, at ``tol - SLACK``.  For each endpoint map, each multiset of
+    inputs from the top of the grid down holds against its own aggregate.
+    Then, for each map, each multiset's left sides hold against each other
+    aggregate its orderings reach: in product order of the first ordering
+    that reaches it, shown by the last.  Then the tables over the grid and
+    every ordering's aggregate are shown valid."""
+    if tol <= owa.SLACK:
+        return SampledResult(False, None, 0)
+    pts, n, at = grid.endpoints()[::-1], m.arity, tol - owa.SLACK
+    maps = list(dict.fromkeys(o.endwise))
+
+    def agg(xs):
+        return next(iter(m.endwise([[x] for x in xs])))
+
+    def apply(g, x, y):
+        return next(iter(g([x], [y])))
+
+    reached = {}
+    for xs in itertools.product(pts, repeat=n):
+        reached[tuple(sorted(xs, reverse=True)), agg(xs)] = xs
+    multisets = list(itertools.combinations_with_replacement(pts, n))
+    others = [(xs, a, shown) for (xs, a), shown in reached.items() if a != agg(xs)]
+    cases = [*((g, xs, agg(xs), xs) for g in maps for xs in multisets),
+             *((g, xs, a, shown) for g in maps for xs, a, shown in others)]
+    count = 0
+    for g, xs, a, shown in cases:
+        for y in pts:
+            count += 1
+            if abs(agg([apply(g, x, y) for x in xs]) - apply(g, a, y)) > at:
+                return SampledResult(False, (*shown, y), count)
+    firsts = set(pts) | {a for _, a in reached}
+    return SampledResult(separable_tables(o, sorted(firsts), grid.endpoints()) is not None,
+                         None, count)
+
+
 @pytest.mark.parametrize("grid,n", [(GRID_25, 4), (DEFAULT_GRID, 3)], ids=["n4-0.25", "n3-0.1"])
 @pytest.mark.parametrize("overlap", ["product", "rep(min,min)", "rep(product,min)"])
 def test_the_geomean_row_walk_equals_the_walk_of_every_case(monkeypatch, overlap, grid, n):
+    # The multiset walk case by case, and a pass is one of every real tuple.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
     m, o = builtin_aggregators(n)["geomean"], resolve_iv_overlap(overlap)
-    assert owa._real_distributes(m, o, grid) == real_walk_by_case(m, o, grid)
+    real = owa._real_distributes(m, o, grid)
+    assert real == real_walk_by_case(m, o, grid)
+    assert not real.ok or every_tuple_walk_by_case(m, o, grid).ok
 
 
 @pytest.mark.parametrize("name,n,restrict", [("geomean", 3, False), ("geomean", 4, False),
@@ -1156,14 +1202,129 @@ def test_a_passing_real_walk_checks_the_tables_of_every_aggregate(monkeypatch, n
     assert handed == [(sorted(set(pts) | set(m.endwise(list(zip(*xss))))), pts)]
 
 
-def test_the_geomean_walk_hands_its_blocks_xs_rows(monkeypatch):
-    # 161,051 cases at n = 4, walked as 14,641 rows of the 11 grid points.
+def test_the_geomean_walk_hands_its_blocks_each_multiset_then_each_other_aggregate(monkeypatch):
+    # 161,051 real tuples at n = 4, walked as the 1,001 multisets of inputs
+    # against their own aggregates, then the 126 other aggregates that their
+    # orderings reach, each a row of the 11 grid points.
     monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
     handed, blocks = [], owa._blocks
     monkeypatch.setattr(owa, "_blocks", lambda rows: (handed.extend(b) or b for b in blocks(rows)))
-    real = owa._real_distributes(builtin_aggregators(4)["geomean"], PRODUCT)
-    assert real == SampledResult(True, None, 161_051)
-    assert handed == list(itertools.product(range(11), repeat=4))
+    m, pts = builtin_aggregators(4)["geomean"], DEFAULT_GRID.endpoints()[::-1]
+    real = owa._real_distributes(m, PRODUCT)
+    assert real == SampledResult(True, None, (1_001 + 126) * 11)
+    multisets = list(itertools.combinations_with_replacement(range(11), 4))
+    assert handed[:1_001] == multisets
+
+    def agg(xs):
+        return next(iter(m.endwise([[pts[p]] for p in xs])))
+
+    reached = {(tuple(sorted(xs)), agg(xs)) for xs in itertools.product(range(11), repeat=4)}
+    others = handed[1_001:]
+    assert len(others) == 126 == len(reached) - len(multisets)
+    assert {(xs, a) for xs, a, _ in others} == reached - {(xs, agg(xs)) for xs in multisets}
+    assert all(tuple(sorted(shown)) == xs and agg(shown) == a for xs, a, shown in others)
+
+
+def test_an_aggregate_only_another_ordering_reaches_is_decided_there(monkeypatch):
+    # g jumps to 0 at one aggregate a that an ordering of some multiset
+    # reaches and no multiset's own ordering does.  Every multiset holds
+    # against its own aggregate, so the walk fails in its second phase, at
+    # an ordering that reaches a, as the walk of every case does.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    m, pts = builtin_aggregators(3)["geomean"], DEFAULT_GRID.endpoints()[::-1]
+
+    def agg(xs):
+        return next(iter(m.endwise([[x] for x in xs])))
+
+    own = {agg(xs) for xs in itertools.combinations_with_replacement(pts, 3)} | set(pts)
+    a = next(agg(xs) for xs in itertools.product(pts, repeat=3) if agg(xs) not in own)
+    jump = RealOverlap(lambda xs, ys: map(lambda x, y: 0.0 if x == a else x * y, xs, ys), "jump")
+    o = representable(jump, jump)
+    real = owa._real_distributes(m, o)
+    assert not real.ok and real == real_walk_by_case(m, o, DEFAULT_GRID)
+    assert real.samples > 286 * 11 and agg(real.witness[:3]) == a
+    assert not every_tuple_walk_by_case(m, o, DEFAULT_GRID).ok
+
+
+def test_a_failing_geomean_walk_builds_nothing_past_its_first_block(monkeypatch):
+    # geomean over rep(min,min) fails at n = 4 within its first block of 8
+    # multisets: no ordering's aggregate is computed, and no later block read.
+    monkeypatch.setattr(sampling, "_MEMO", OrderedDict())
+    columns, sizes, blocks = [], [], owa._blocks
+    monkeypatch.setattr(owa, "_grid_columns", lambda *args: columns.append(args))
+    monkeypatch.setattr(owa, "_blocks",
+                        lambda cases: (sizes.append(len(b)) or b for b in blocks(cases)))
+    real = owa._real_distributes(builtin_aggregators(4)["geomean"],
+                                 resolve_iv_overlap("rep(min,min)"))
+    assert not real.ok and real.samples <= 8 * 11
+    assert (columns, sizes) == ([], [8])
+
+
+def test_the_multiset_walk_decides_slack_under_the_tolerance():
+    # d is the largest |lhs_σ - g(m(x_π), y)| over the orderings π of each
+    # multiset σ: geomean over the product at n = 3 passes at SLACK + d and
+    # fails at SLACK + d/2, where the every-tuple walk still passes.
+    m, pts = builtin_aggregators(3)["geomean"], DEFAULT_GRID.endpoints()
+    g = PRODUCT.endwise[0]
+
+    def agg(xs):
+        return next(iter(m.endwise([[x] for x in xs])))
+
+    def apply(x, y):
+        return next(iter(g([x], [y])))
+
+    d = max(abs(agg([apply(x, y) for x in sorted(xs, reverse=True)]) - apply(agg(xs), y))
+            for xs in itertools.product(pts, repeat=3) for y in pts)
+    assert 0.0 < d < owa.SLACK
+    assert owa._real_distributes(m, PRODUCT, tol=owa.SLACK + d).ok
+    assert not owa._real_distributes(m, PRODUCT, tol=owa.SLACK + d / 2).ok
+    assert every_tuple_walk_by_case(m, PRODUCT, DEFAULT_GRID, owa.SLACK + d / 2).ok
+
+
+@pytest.mark.parametrize("n", range(2, 18))
+def test_geomean_orderings_agree_within_slack_over_1024(n):
+    # The bound an exhaustive geomean walk rests on, at every arity it can
+    # have (2^(n+1) <= 300,000): the orderings of one multiset of values in
+    # [0, 1] give geomeans within 2^-50 of each other, so deciding one
+    # ordering at `tol - SLACK` decides them all at `tol`.  A libm `pow`
+    # worse than the 1 ulp README assumes fails here.
+    m, rng = builtin_aggregators(n)["geomean"], random.Random(n)
+    draws = {
+        "uniform": rng.random,
+        # Products near and below the smallest normal double.
+        "tiny": lambda: rng.random() * 2.0 ** -rng.randrange(2 * 1074 // n),
+        "near one": lambda: 1.0 - rng.randrange(64) * 2.0 ** -53,
+        "grid": lambda: rng.randrange(11) / 10,
+    }
+    for family, draw in draws.items():
+        for _ in range(25):
+            values = [draw() for _ in range(n)]
+            orderings = [sorted(values), sorted(values, reverse=True),
+                         *(rng.sample(values, n) for _ in range(62))]
+            means = list(m.endwise(list(zip(*orderings))))
+            assert max(means) - min(means) <= owa.SLACK / 1024, (family, values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("overlap", SEPARABLE)
+def test_a_reduced_geomean_pass_stands_for_every_tuple(overlap, n):
+    # A reduced pass is a pass of the every-tuple walk at the same
+    # tolerance, on the 0.1 grid and at n = 4 on the 0.25 grid, and the rule
+    # gives the interval walk's verdict at each tolerance.  At SLACK and
+    # below the reduction fails at once.  A pass at a smaller tolerance is
+    # one at every larger one, since each case asks `abs(a - b) > tol`, so
+    # each walk that passed is not walked again.
+    m, o = builtin_aggregators(n)["geomean"], SEPARABLE[overlap]
+    grid, every, interval = GRID_25 if n == 4 else DEFAULT_GRID, None, None
+    assert owa._real_distributes(m, o, grid, owa.SLACK) == SampledResult(False, None, 0)
+    for tol in (0.0, 1e-12, ROOT_TOLERANCE, 1e-3):
+        if owa._real_distributes(m, o, grid, tol).ok and (every is None or not every.ok):
+            every = every_tuple_walk_by_case(m, o, grid, tol)
+            assert every.ok, tol
+        dist, _ = owa._distributes(m, o, tol)
+        if interval is None or not interval.ok:
+            interval = check_distributivity(m, o, tol=tol, budget=300_000 if n <= 2 else 100_000)
+        assert dist.ok == interval.ok, tol
 
 
 def test_a_failing_real_law_walk_builds_only_the_rows_it_reads():

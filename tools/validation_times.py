@@ -7,9 +7,12 @@ pays for writing bytecode.  Each spec is then validated in RUNS fresh
 interpreters, timing `make_gowa` alone after the imports, and reports its
 minimum: one run on a shared host can run slow, and the minimum is the run
 least disturbed by it.  A rejected spec (a distributivity witness, a missing
-neutral element) is timed up to its `GowaError`.  The weights are ones that
-make a valid spec valid: all [1,1] for geomean, a selector for max and the
-uniform vector for tsum.  Run it from the repository root:
+neutral element) is timed up to its `GowaError`.  Each line ends with the
+spec's verdict: `accepted`, or the `GowaError` text up to its first `;`, so
+two runs' tables show both the times and that no verdict moved.  The
+weights are ones that make a valid spec valid: all [1,1] for geomean, a
+selector for max and the uniform vector for tsum.  Run it from the
+repository root:
 
     python tools/validation_times.py
 """
@@ -27,7 +30,8 @@ from gen import COLD_DECK, WARM_POOL  # noqa: E402
 
 RUNS = 5
 
-# One cold validation: argv is (aggregator, overlap, arity); prints seconds.
+# One cold validation: argv is (aggregator, overlap, arity); prints seconds
+# and the verdict.
 CHILD = """
 import sys, time
 from ivowa.intervals import ONE
@@ -41,17 +45,22 @@ w = {"geomean": WeightVector((ONE,) * n), "max": WeightVector.selector(n, 1),
 start = time.perf_counter()
 try:
     make_gowa(m, o, w)
-except GowaError:
-    pass
-print(time.perf_counter() - start)
+except GowaError as error:
+    print(time.perf_counter() - start, str(error).partition(";")[0])
+else:
+    print(time.perf_counter() - start, "accepted")
 """
 
 
-def cold_seconds(name: str, token: str, n: int) -> float:
+def cold_validation(name: str, token: str, n: int) -> tuple[float, str]:
+    """The least of RUNS cold validation times, in seconds, and the verdict
+    (the distinct verdicts joined by " | ", should runs ever disagree)."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return min(float(subprocess.run([sys.executable, "-c", CHILD, name, token, str(n)], env=env,
-                                    check=True, capture_output=True, text=True).stdout)
-               for _ in range(RUNS))
+    runs = [subprocess.run([sys.executable, "-c", CHILD, name, token, str(n)], env=env,
+                           check=True, capture_output=True, text=True).stdout.split(maxsplit=1)
+            for _ in range(RUNS)]
+    return min(float(seconds) for seconds, _ in runs), " | ".join(
+        sorted({verdict.strip() for _, verdict in runs}))
 
 
 def main() -> None:
@@ -60,7 +69,8 @@ def main() -> None:
     for deck, specs in (("rank-cold", [spec[:3] for spec in COLD_DECK]), ("rank-warm", WARM_POOL)):
         for name, token, n, *rest in specs:
             label = f"{deck} {name} x {token} n={n}" + "".join(f" {r}" for r in rest)
-            print(f"  {cold_seconds(name, token, n) * 1e3:8.2f} ms  {label}")
+            seconds, verdict = cold_validation(name, token, n)
+            print(f"  {seconds * 1e3:8.2f} ms  {label}: {verdict}")
 
 
 if __name__ == "__main__":
